@@ -328,9 +328,7 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
     hits and hit rate; ``occ%`` the occupancy-cache hit rate.  The epoch
     columns measure decision-epoch batching: ``epochs`` is end-of-timestep
     flushes performed, ``mut/ep`` the mean device mutations absorbed per
-    flush.  ``vec``/``scal`` split full rate derivations between the
-    vectorized numpy evaluator and the scalar reference path, and ``vw``
-    is the mean vectorized batch width (inputs per vector pass).
+    flush.  ``scal`` counts full rate derivations.
     ``slices``/``slcpre`` count sub-grid slice dispatches and
     slice-boundary preemptions (zero unless the experiment runs the
     scheduler with slicing enabled).
@@ -339,7 +337,7 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
         f"{'experiment':<14}{'events':>12}{'heap pk':>9}{'t/o reused':>12}"
         f"{'recomp':>8}{'skip':>7}{'wfill':>7}{'hits':>7}"
         f"{'rmemo':>8}{'rm%':>6}{'occ%':>6}"
-        f"{'epochs':>9}{'mut/ep':>8}{'vec':>7}{'scal':>7}{'vw':>6}"
+        f"{'epochs':>9}{'mut/ep':>8}{'scal':>7}"
         f"{'slices':>8}{'slcpre':>8}"
         f"{'wall s':>9}"
     )
@@ -347,8 +345,7 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
     totals = {
         "events": 0, "reused": 0, "recomp": 0, "skip": 0, "wfill": 0,
         "hits": 0, "rhits": 0, "rmiss": 0, "ohits": 0, "omiss": 0,
-        "marks": 0, "flushes": 0, "vec": 0, "scal": 0, "vbatch": 0,
-        "slices": 0, "slcpre": 0,
+        "marks": 0, "flushes": 0, "scal": 0, "slices": 0, "slcpre": 0,
     }
     wall = 0.0
     for run in runs:
@@ -359,9 +356,7 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
         omiss = s.get("occupancy_cache_misses", 0)
         marks = s.get("epoch_marks", 0)
         flushes = s.get("epoch_flushes", 0)
-        vec = s.get("rate_vector_evals", 0)
         scal = s.get("rate_scalar_evals", 0)
-        vbatch = s.get("rate_vector_batch", 0)
         slices = s.get("slice_dispatches", 0)
         slcpre = s.get("slice_preempts", 0)
         lines.append(
@@ -377,9 +372,7 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
             f"{_hit_rate(ohits, omiss):>6}"
             f"{flushes:>9,}"
             f"{_per(marks, flushes):>8}"
-            f"{vec:>7,}"
             f"{scal:>7,}"
-            f"{_per(vbatch, vec):>6}"
             f"{slices:>8,}"
             f"{slcpre:>8,}"
             f"{run.elapsed:>9.2f}"
@@ -396,9 +389,7 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
         totals["omiss"] += omiss
         totals["marks"] += marks
         totals["flushes"] += flushes
-        totals["vec"] += vec
         totals["scal"] += scal
-        totals["vbatch"] += vbatch
         totals["slices"] += slices
         totals["slcpre"] += slcpre
         wall += run.elapsed
@@ -411,8 +402,7 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
         f"{_hit_rate(totals['ohits'], totals['omiss']):>6}"
         f"{totals['flushes']:>9,}"
         f"{_per(totals['marks'], totals['flushes']):>8}"
-        f"{totals['vec']:>7,}{totals['scal']:>7,}"
-        f"{_per(totals['vbatch'], totals['vec']):>6}"
+        f"{totals['scal']:>7,}"
         f"{totals['slices']:>8,}{totals['slcpre']:>8,}"
         f"{wall:>9.2f}"
     )

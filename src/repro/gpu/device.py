@@ -36,7 +36,6 @@ import enum
 import itertools
 import math
 import os
-from collections import OrderedDict
 from collections import deque as _deque
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Optional, Sequence
@@ -46,10 +45,11 @@ from repro.gpu.cache import ORDER_FACTORS, LocalityModel
 from repro.gpu.occupancy import BlockResources, occupancy
 from repro.gpu.rates import (
     RateInput,
+    RateOutput,
     SchedulingMode,
     derive_rates,
-    memo_enabled,
-    memo_note_hit,
+    memo_config,
+    memo_lookup,
     rate_input_signature,
 )
 from repro.obs import trace as obs_trace
@@ -87,9 +87,6 @@ def _trigger_inline(event: Event, value=None) -> None:
     event.callbacks = None
     for callback in callbacks:
         callback(event)
-
-#: Bound on the per-device epoch result cache (signature -> shared rates).
-_EPOCH_CACHE_MAX = 512
 
 
 class ExecutionMode(str, enum.Enum):
@@ -199,15 +196,10 @@ class KernelCounters:
         return self.mem_throttle_time / self.busy_time if self.busy_time > 0 else 0.0
 
 
-@dataclass
-class _Rates:
-    """Per-epoch derived execution rates for one kernel."""
-
-    block_time: float = 0.0
-    rate: float = 0.0  # blocks per second
-    throttle: float = 0.0  # fraction of demand unmet
-    parallel: int = 1
-    dram_bytes_per_block: float = 0.0
+#: Rates of an execution no epoch has derived yet: no progress.
+_NO_RATES = RateOutput(
+    block_time=0.0, rate=0.0, throttle=0.0, dram_bytes_per_block=0.0, demand=0.0
+)
 
 
 class KernelExecution:
@@ -240,7 +232,9 @@ class KernelExecution:
         #: leftover policy to admit the next kernel into freed slots).
         self.tail_started: Event = gpu.env.event()
         self.counters = KernelCounters(name=work.name, start_time=gpu.env.now)
-        self._rates = _Rates()
+        #: Rates from the last epoch that derived this execution: frozen
+        #: memo values shared between executions, replaced wholesale.
+        self._rates = _NO_RATES
         self._last_settle = gpu.env.now
         self._timer_gen = 0
         #: Absolute fire time of the live completion timer (None: no live
@@ -420,11 +414,9 @@ class SimulatedGPU:
         #: ``REPRO_NO_EPOCH_BATCH=1`` restores recompute-per-mutation.
         self._epoch_batch = not os.environ.get("REPRO_NO_EPOCH_BATCH")
         self._epoch_dirty = False
-        #: Per-device epoch result cache: positionised signature tuple ->
-        #: shared ``_Rates`` tuple.  Sits above the derive_rates memo (same
-        #: key space) and additionally skips RateOutput->_Rates conversion;
-        #: honours the module memo's disable switches (see ``memo_enabled``).
-        self._epoch_cache: OrderedDict = OrderedDict()
+        #: Config half of every rate-memo key this device builds
+        #: (``device`` and ``costs`` are fixed for the device's lifetime).
+        self._memo_config = memo_config(device, costs)
         #: Rate-input signature per (work identity, allocation shape).
         #: Repeated launches of one spec share a ``KernelWork`` (see
         #: ``KernelSpec.work``), so the flat memo signature for a given
@@ -931,8 +923,8 @@ class SimulatedGPU:
         executions' ``(id, sm_ids)`` pairs (all other rate inputs are fixed
         at launch), and ``_alloc_epoch`` counts exactly the mutations that
         can change that set — so when the counter matches the epoch the
-        current ``_rates`` were derived at, they are reused and
-        :func:`derive_rates` is skipped.
+        current ``_rates`` were derived at, they are reused and the memo
+        lookup is skipped.
         Completion timers are still rescheduled and a ``rate_trace`` sample
         is still appended — a skipped epoch is observationally identical to
         a recomputed one.
@@ -961,44 +953,22 @@ class SimulatedGPU:
                     "epochs",
                     active=len(active),
                 )
-            sig_key = tuple(self._rate_sig(k) for k in active)
-            rates = None
-            cache_on = memo_enabled()
-            if cache_on:
-                rates = self._epoch_cache.get(sig_key)
-            if rates is not None:
-                self._epoch_cache.move_to_end(sig_key)
-                memo_note_hit(stats)
-            else:
-                # RateInput objects are needed only on a cache miss; the
+            sigs = tuple(self._rate_sig(k) for k in active)
+            rates = memo_lookup((sigs, self._memo_config), stats)
+            if rates is None:
+                # RateInput objects are needed only on a memo miss; the
                 # common path goes signature -> shared rates directly.
+                # derive_rates counts the miss, derives and memoizes.
                 outputs = derive_rates(
                     [self._rate_input(k) for k in active],
                     self.device,
                     self.costs,
                     stats=stats,
-                    signatures=sig_key,
+                    signatures=sigs,
                 )
-                rates = tuple(
-                    _Rates(
-                        block_time=out.block_time,
-                        rate=out.rate,
-                        throttle=out.throttle,
-                        parallel=k.parallelism,
-                        dram_bytes_per_block=out.dram_bytes_per_block,
-                    )
-                    for k, out in ((k, outputs[k.id]) for k in active)
-                )
-                if cache_on:
-                    cache = self._epoch_cache
-                    cache[sig_key] = rates
-                    if len(cache) > _EPOCH_CACHE_MAX:
-                        cache.popitem(last=False)
+                rates = [outputs[k.id] for k in active]
             sample = {}
             for k, r in zip(active, rates):
-                # _Rates instances are shared between executions with equal
-                # signatures (and with the cache) — they are never mutated,
-                # only replaced wholesale at the next epoch.
                 k._rates = r
                 self._schedule_completion(k)
                 sample[k.work.name] = r.rate
@@ -1101,7 +1071,10 @@ class SimulatedGPU:
         bt = k._rates.block_time
         if bt <= 0:
             return 0.0
-        parallel = max(1, k._rates.parallel)
+        # Parallelism changes only with the SM count, and every SM-count
+        # change re-derives before a completion timer can fire: this is
+        # the parallelism the current rates were derived with.
+        parallel = k.parallelism
         cv = k.work.time_cv
         spread = cv * math.sqrt(2.0 * math.log(max(2, parallel)))
         if k.mode is ExecutionMode.SLATE:

@@ -16,8 +16,6 @@ mode and task size — derive each kernel's steady block-completion rate:
 from __future__ import annotations
 
 import enum
-import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -25,19 +23,14 @@ from repro.config import CostModel, DeviceConfig
 from repro.gpu.cache import LocalityModel, dram_fraction, l2_pressure
 from repro.gpu.memory import FlowDemand, waterfill
 
-try:  # numpy is optional: the scalar path below is the reference semantics.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised in the no-numpy CI lane
-    _np = None
-
 __all__ = [
     "SchedulingMode",
     "RateInput",
     "RateOutput",
     "derive_rates",
     "configure_rates_cache",
-    "memo_enabled",
-    "memo_note_hit",
+    "memo_config",
+    "memo_lookup",
     "rate_input_signature",
     "rates_cache_info",
     "reset_rates_cache",
@@ -103,13 +96,13 @@ def _block_time_unconstrained(inp: RateInput, device: DeviceConfig, costs: CostM
 
 
 class _RatesMemo:
-    """Bounded LRU memo over :func:`derive_rates`.
+    """Bounded LRU memo over :func:`derive_rates`: the rate path's one result cache.
 
     Long traces repeat the same co-run signatures endlessly (the same
     kernels on the same SM splits), so the pure derivation is cached on the
     *canonical* input tuple: each :class:`RateInput` with its opaque ``key``
-    replaced by its position, plus the device and cost-model fingerprints
-    (all frozen dataclasses, hence hashable).  Values are the per-position
+    replaced by its position, plus the device and cost-model identities
+    (see :func:`memo_config`).  Values are the per-position
     :class:`RateOutput` tuple — frozen, so sharing cached instances is safe.
     """
 
@@ -121,10 +114,21 @@ class _RatesMemo:
         self.misses = 0
         self._data: OrderedDict = OrderedDict()
 
-    def get(self, key):
-        entry = self._data.get(key)
+    def get(self, key, stats=None):
+        """Cached outputs for ``key`` (a counted hit), else ``None``.
+
+        Only hits are counted here; :func:`derive_rates` counts the miss it
+        then derives.  ``stats`` (optional) is an
+        :class:`repro.sim.engine.EnvironmentStats` whose ``rate_memo_hits``
+        advances in step.
+        """
+        data = self._data
+        entry = data.get(key)
         if entry is not None:
-            self._data.move_to_end(key)
+            data.move_to_end(key)
+            self.hits += 1
+            if stats is not None:
+                stats.rate_memo_hits += 1
         return entry
 
     def put(self, key, value) -> None:
@@ -148,41 +152,26 @@ class _RatesMemo:
 
 _MEMO = _RatesMemo()
 
-# ``os.environ.get`` funnels through several os._Environ / Mapping layers —
-# measurable when consulted once per epoch on million-launch traces.  Read
-# the backing dict directly (still sees monkeypatch.setenv, which assigns
-# through ``os.environ``); fall back to the mapping on exotic runtimes.
-try:
-    _ENV_DATA = os.environ._data
-    _NO_CACHE_KEY = os.environ.encodekey("REPRO_NO_CACHE")
-    _NO_NUMPY_KEY = os.environ.encodekey("REPRO_NO_NUMPY")
-except AttributeError:  # pragma: no cover - non-CPython
-    _ENV_DATA = os.environ
-    _NO_CACHE_KEY = "REPRO_NO_CACHE"
-    _NO_NUMPY_KEY = "REPRO_NO_NUMPY"
-
-#: Minimum co-residency width worth a numpy dispatch: below this the array
-#: setup costs more than the scalar loop it replaces.
-_VEC_MIN = 4
-
 #: Strong references to every device/cost-model object whose ``id`` appears
-#: in a memo key.  Hashing the full frozen dataclasses on every lookup is
-#: the dominant memo cost, so keys carry ``id(obj)`` instead — valid only
-#: while the object is pinned alive here.  Bounded: past ``_PIN_LIMIT``
-#: distinct objects the pins *and* the memo are dropped together, so a
-#: recycled id can never match a stale entry.
+#: in a stored memo key.  Hashing the full frozen dataclasses on every lookup
+#: is the dominant memo cost, so keys carry ``id(obj)`` instead — valid only
+#: while the object is pinned alive here.  Pins are taken when an entry is
+#: stored and dropped only together with every entry, so a key in the memo
+#: always names live objects and a lookup by a live object's id cannot match
+#: a recycled one.  Bounded: past ``_PIN_LIMIT`` distinct objects the pins
+#: *and* the memo are dropped together.
 _PINS: dict[int, object] = {}
 _PIN_LIMIT = 128
 
 
-def _pin(obj) -> int:
-    i = id(obj)
-    if i not in _PINS:
-        if len(_PINS) >= _PIN_LIMIT:
-            _PINS.clear()
-            _MEMO.invalidate()
-        _PINS[i] = obj
-    return i
+def _pin(device: DeviceConfig, costs: CostModel) -> None:
+    if id(device) in _PINS and id(costs) in _PINS:
+        return
+    if len(_PINS) + 2 > _PIN_LIMIT:
+        _PINS.clear()
+        _MEMO.invalidate()
+    _PINS[id(device)] = device
+    _PINS[id(costs)] = costs
 
 
 def configure_rates_cache(maxsize: int | None = 4096) -> None:
@@ -195,29 +184,6 @@ def reset_rates_cache() -> None:
     """Drop every memo entry and zero the hit/miss counters."""
     _MEMO.clear()
     _PINS.clear()
-
-
-def memo_enabled() -> bool:
-    """Whether rate-derivation memoization is currently active.
-
-    Layered caches (the device's per-epoch result cache) honour the same
-    switches as the module memo: ``configure_rates_cache(0)`` and
-    ``REPRO_NO_CACHE`` disable them all.
-    """
-    return bool(_MEMO.maxsize) and not _ENV_DATA.get(_NO_CACHE_KEY)
-
-
-def memo_note_hit(stats=None) -> None:
-    """Count a derivation served by a layered cache as a memo hit.
-
-    The device's epoch cache stores :func:`derive_rates` results keyed by
-    the same positionised signatures, so its hits are semantically memo
-    hits — counting them here keeps ``rates_cache_info`` meaning "rate
-    derivations avoided by any memo layer".
-    """
-    _MEMO.hits += 1
-    if stats is not None:
-        stats.rate_memo_hits += 1
 
 
 def rates_cache_info() -> dict[str, int]:
@@ -257,6 +223,22 @@ def rate_input_signature(inp: RateInput) -> tuple:
     )
 
 
+def memo_config(device: DeviceConfig, costs: CostModel) -> tuple[int, int]:
+    """The config half of a memo key: device and cost-model identities.
+
+    Keys are ``(signatures, memo_config(device, costs))``.  A caller that
+    derives against one fixed device and cost model (the simulated GPU)
+    builds this half once, probes :func:`memo_lookup` with it, and builds
+    :class:`RateInput` objects for :func:`derive_rates` only on a miss.
+    """
+    return (id(device), id(costs))
+
+
+#: ``memo_lookup(key, stats=None)``: memoized per-position outputs for
+#: ``key`` (a counted hit), else ``None`` (see :meth:`_RatesMemo.get`).
+memo_lookup = _MEMO.get
+
+
 def derive_rates(
     inputs: list[RateInput],
     device: DeviceConfig,
@@ -267,8 +249,8 @@ def derive_rates(
     """Derive every kernel's rate given the full co-residency picture.
 
     The derivation is pure, so results are memoized on the canonical input
-    signature (see :class:`_RatesMemo`); set ``REPRO_NO_CACHE=1`` or call
-    :func:`configure_rates_cache` with ``0`` to force full derivations.
+    signature (see :class:`_RatesMemo`); call :func:`configure_rates_cache`
+    with ``0`` to force full derivations.
 
     ``signatures`` (optional) is the precomputed
     ``tuple(rate_input_signature(i) for i in inputs)`` — hot callers cache
@@ -278,187 +260,27 @@ def derive_rates(
 
     ``stats`` (optional) is an :class:`repro.sim.engine.EnvironmentStats`;
     when given, memo hits and misses are counted in its ``rate_memo_hits``
-    / ``rate_memo_misses`` fields and (on a miss) the two water-filling
-    passes below in its ``waterfill_calls`` field.  A memo hit performs no
-    water-filling, so ``waterfill_calls`` stays put on hits.
+    / ``rate_memo_misses`` fields and (on a miss) the full derivation in
+    ``rate_scalar_evals`` and its two water-filling passes in
+    ``waterfill_calls``.  A memo hit performs no water-filling, so
+    ``waterfill_calls`` stays put on hits.
     """
     memo = _MEMO
-    if memo.maxsize and not _ENV_DATA.get(_NO_CACHE_KEY):
-        if signatures is None:
-            signatures = tuple(rate_input_signature(i) for i in inputs)
-        key = (signatures, _pin(device), _pin(costs))
-        cached = memo.get(key)
-        if cached is not None:
-            memo.hits += 1
-            if stats is not None:
-                stats.rate_memo_hits += 1
-            return {inp.key: out for inp, out in zip(inputs, cached)}
+    if not memo.maxsize:
+        outputs = _derive_rates_scalar(inputs, device, costs, stats)
+        return {inp.key: out for inp, out in zip(inputs, outputs)}
+    if signatures is None:
+        signatures = tuple(rate_input_signature(i) for i in inputs)
+    key = (signatures, memo_config(device, costs))
+    outputs = memo.get(key, stats)
+    if outputs is None:
         memo.misses += 1
         if stats is not None:
             stats.rate_memo_misses += 1
-        outputs = _derive_rates_uncached(inputs, device, costs, stats, signatures)
-        memo.put(key, tuple(outputs[inp.key] for inp in inputs))
-        return outputs
-    return _derive_rates_uncached(inputs, device, costs, stats)
-
-
-def _vector_eligible(inputs: list[RateInput], device: DeviceConfig) -> bool:
-    """Whether the numpy path may run: no input would trip a scalar-path
-    validation error (the scalar path owns error semantics; anything that
-    would raise there is routed back so messages stay identical)."""
-    if device.l2_capacity <= 0:
-        return False
-    for inp in inputs:
-        if not 0.0 <= inp.order_factor <= 1.0:
-            return False
-        if inp.locality.footprint < 0:
-            return False
-    return True
-
-
-def _derive_rates_uncached(
-    inputs: list[RateInput],
-    device: DeviceConfig,
-    costs: CostModel,
-    stats=None,
-    signatures: tuple | None = None,
-) -> dict[object, RateOutput]:
-    """Dispatch one full derivation to the vector or scalar evaluator.
-
-    Wide co-residency sets take a single numpy pass over the positionised
-    signature matrix; narrow sets (or numpy absent, or ``REPRO_NO_NUMPY``
-    set) take the reference pure-Python loop.  Both produce bit-identical
-    outputs — the vector path mirrors the scalar operation order exactly
-    (elementwise float64 only; order-sensitive reductions stay sequential).
-    """
-    if (
-        _np is not None
-        and len(inputs) >= _VEC_MIN
-        and not _ENV_DATA.get(_NO_NUMPY_KEY)
-        and _vector_eligible(inputs, device)
-    ):
-        if stats is not None:
-            stats.rate_vector_evals += 1
-            stats.rate_vector_batch += len(inputs)
-        return _derive_rates_vector(inputs, device, costs, stats, signatures)
-    if stats is not None:
-        stats.rate_scalar_evals += 1
-    return _derive_rates_scalar(inputs, device, costs, stats)
-
-
-def _derive_rates_vector(
-    inputs: list[RateInput],
-    device: DeviceConfig,
-    costs: CostModel,
-    stats=None,
-    signatures: tuple | None = None,
-) -> dict[object, RateOutput]:
-    """One numpy pass over the positionised signature matrix.
-
-    Bit-for-bit equivalence contract with :func:`_derive_rates_scalar`:
-
-    * every array op is elementwise IEEE-754 float64 — the same operation
-      sequence, in the same order, as the scalar expressions;
-    * order-sensitive reductions (the footprint total, each kernel's
-      other-traffic sum) remain sequential Python ``sum`` in input order;
-    * the two water-filling passes are the scalar :func:`waterfill` on
-      Python floats extracted exactly (``ndarray.tolist``);
-    * ``min``/``max`` become ``np.minimum``/``np.maximum`` (identical for
-      the non-NaN, consistently-signed-zero values that occur here);
-    * guarded scalar branches become masked ``np.where`` selections, with
-      the masked lane's division warnings suppressed.
-    """
-    np = _np
-    if stats is not None:
-        stats.waterfill_calls += 2
-    if signatures is None:
-        signatures = tuple(rate_input_signature(i) for i in inputs)
-    # Column layout follows rate_input_signature field order.
-    sig = np.array(signatures, dtype=np.float64)
-    flops = sig[:, 0]
-    bytes_pb = sig[:, 1]
-    reuse = sig[:, 2]
-    order_sens = sig[:, 3]
-    fp = sig[:, 4]
-    eff = sig[:, 5]
-    min_bt = sig[:, 6]
-    slate = sig[:, 7] != 0.0
-    bpsm = sig[:, 8]
-    par = sig[:, 10]
-    task = sig[:, 11]
-    inject = sig[:, 12]
-    order_f = sig[:, 13]
-
-    # Locality filtering (l2_pressure + dram_fraction, elementwise).
-    total_footprint = sum(i.locality.footprint for i in inputs)
-    others = total_footprint - fp
-    total = fp + others
-    with np.errstate(divide="ignore", invalid="ignore"):
-        share = device.l2_capacity * (fp / total)
-        hot = np.minimum(fp, device.l2_capacity)
-        pressure = np.where(
-            (total <= device.l2_capacity) | (fp == 0.0),
-            1.0,
-            np.maximum(0.1, np.minimum(1.0, share / hot)),
-        )
-    base_reuse = reuse * (1.0 - order_sens)
-    ordered = reuse * order_sens * order_f
-    effective_reuse = (base_reuse + ordered) * pressure
-    frac = np.maximum(0.0, np.minimum(1.0, 1.0 - effective_reuse))
-    dram_pb = bytes_pb * frac
-
-    # Unconstrained roofline block time (_block_time_unconstrained).
-    compute = flops * (1.0 + inject) / (device.sm_flops / bpsm)
-    issue = bytes_pb / (device.sm_bw_limit / bpsm)
-    base = np.maximum(np.maximum(compute, issue), min_bt)
-    overhead = np.where(slate, costs.atomic_latency / task, costs.block_launch_overhead)
-    bt0 = base + overhead
-
-    demand = par * (dram_pb / eff) / bt0
-    flows = [FlowDemand(inp.key, d) for inp, d in zip(inputs, demand.tolist())]
-    alloc0 = waterfill(flows, device.dram_bandwidth)
-    other = np.empty(len(inputs), dtype=np.float64)
-    for i, inp in enumerate(inputs):
-        other[i] = sum(v for k, v in alloc0.items() if k != inp.key)
-    penalty = costs.dram_interference_penalty
-    eff_scale = np.maximum(
-        0.1, 1.0 - penalty * np.minimum(1.0, other / device.dram_bandwidth)
-    )
-    demand = demand / eff_scale
-    flows = [FlowDemand(inp.key, d) for inp, d in zip(inputs, demand.tolist())]
-    alloc = waterfill(flows, device.dram_bandwidth)
-    allocated = np.array([alloc[inp.key] for inp in inputs], dtype=np.float64)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dram_time = (dram_pb / (eff * eff_scale)) * par / allocated
-        block_time = np.where(
-            (demand > _EPS) & (allocated > _EPS),
-            np.maximum(bt0, dram_time),
-            bt0,
-        )
-        rate = par / block_time
-        rate = np.where(
-            slate, np.minimum(rate, task / costs.atomic_service_time), rate
-        )
-        throttle = np.where(
-            demand > _EPS, np.maximum(0.0, 1.0 - allocated / demand), 0.0
-        )
-
-    bt_l = block_time.tolist()
-    rate_l = rate.tolist()
-    th_l = throttle.tolist()
-    dpb_l = dram_pb.tolist()
-    dm_l = demand.tolist()
-    return {
-        inp.key: RateOutput(
-            block_time=bt_l[i],
-            rate=rate_l[i],
-            throttle=th_l[i],
-            dram_bytes_per_block=dpb_l[i],
-            demand=dm_l[i],
-        )
-        for i, inp in enumerate(inputs)
-    }
+        outputs = _derive_rates_scalar(inputs, device, costs, stats)
+        _pin(device, costs)
+        memo.put(key, outputs)
+    return {inp.key: out for inp, out in zip(inputs, outputs)}
 
 
 def _derive_rates_scalar(
@@ -466,8 +288,10 @@ def _derive_rates_scalar(
     device: DeviceConfig,
     costs: CostModel,
     stats=None,
-) -> dict[object, RateOutput]:
+) -> tuple[RateOutput, ...]:
+    """One full derivation; outputs in input order."""
     if stats is not None:
+        stats.rate_scalar_evals += 1
         stats.waterfill_calls += 2
     total_footprint = sum(i.locality.footprint for i in inputs)
 
@@ -500,7 +324,7 @@ def _derive_rates_scalar(
     alloc = waterfill(flows, device.dram_bandwidth)
     demands = {f.key: f.demand for f in flows}
 
-    outputs: dict[object, RateOutput] = {}
+    outputs: list[RateOutput] = []
     for inp in inputs:
         base = bt0[inp.key]
         demand = demands[inp.key]
@@ -519,11 +343,13 @@ def _derive_rates_scalar(
         throttle = (
             max(0.0, 1.0 - allocated / demand) if demand > _EPS else 0.0
         )
-        outputs[inp.key] = RateOutput(
-            block_time=block_time,
-            rate=rate,
-            throttle=throttle,
-            dram_bytes_per_block=dram_pb[inp.key],
-            demand=demand,
+        outputs.append(
+            RateOutput(
+                block_time=block_time,
+                rate=rate,
+                throttle=throttle,
+                dram_bytes_per_block=dram_pb[inp.key],
+                demand=demand,
+            )
         )
-    return outputs
+    return tuple(outputs)

@@ -321,6 +321,7 @@ class InLoopShard:
             placement=config.cluster_placement(),
             policy=config.policy,
             log_limit=config.log_limit,
+            rate_trace_limit=config.log_limit,
             **config.runtime_kwargs,
         )
         if config.preload_profiles:

@@ -140,8 +140,9 @@ class ServeConfig:
     #: Engine events stepped per scheduling of the driver task — the
     #: trade-off between sim throughput and socket latency.
     step_batch: int = 512
-    #: Bound on scheduler decision/allocation logs (a long-lived daemon
-    #: must not hold unbounded history); ``None`` keeps everything.
+    #: Bound on scheduler decision/allocation logs and on every device's
+    #: rate trace (a long-lived daemon must not hold unbounded history);
+    #: ``None`` keeps everything.
     log_limit: Optional[int] = 256
     #: Seed every device's profile table offline at startup so first
     #: launches skip the profiling run (the paper allows this, §III-B1).

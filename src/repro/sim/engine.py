@@ -96,10 +96,12 @@ class EnvironmentStats:
         :class:`~repro.gpu.memory.BandwidthArbiter` recomputations vs.
         allocations served from its demand-keyed cache.
     rate_memo_hits / rate_memo_misses:
-        :func:`~repro.gpu.rates.derive_rates` calls served from the
-        co-run-signature memo vs. full derivations (only calls that were
-        handed a stats object are counted here; the module-level
-        :func:`~repro.gpu.rates.rates_cache_info` counts every call).
+        Rate derivations served from the co-run-signature memo vs. full
+        derivations (only lookups that were handed a stats object are
+        counted here — every device epoch that re-derives, so
+        ``hits + misses == rate_recomputes`` while the memo is on; the
+        module-level :func:`~repro.gpu.rates.rates_cache_info` counts
+        every lookup).
     trace_dropped:
         Records the attached :class:`~repro.sim.tracing.Tracer` discarded
         at its ``limit`` bound (0 when no tracer is attached) — a nonzero
@@ -110,12 +112,11 @@ class EnvironmentStats:
         epoch flushes actually performed (see
         :meth:`Environment.at_timestep_end` and ``docs/api.md``); the ratio
         ``marks / flushes`` is the average epoch batch size.
-    rate_vector_evals / rate_scalar_evals:
-        Full rate derivations that took the vectorized numpy path vs. the
-        scalar pure-Python path (:mod:`repro.gpu.rates`).
-    rate_vector_batch:
-        Total inputs across all vectorized derivations;
-        ``rate_vector_batch / rate_vector_evals`` is the mean vector width.
+    rate_scalar_evals:
+        Full rate derivations (:mod:`repro.gpu.rates` has one evaluator).
+    rate_vector_evals:
+        Always 0 (there is one evaluator); kept because the end-to-end
+        benchmark reads it as ``rates.vector_evals``.
     slice_dispatches / slice_preempts:
         Sub-grid slices dispatched by :meth:`~repro.gpu.device.SimulatedGPU.
         launch_sliced` and preemptions that took effect at a slice edge
@@ -139,7 +140,6 @@ class EnvironmentStats:
         "epoch_flushes",
         "rate_vector_evals",
         "rate_scalar_evals",
-        "rate_vector_batch",
         "slice_dispatches",
         "slice_preempts",
     )
@@ -160,7 +160,6 @@ class EnvironmentStats:
         "epoch_flushes",
         "rate_vector_evals",
         "rate_scalar_evals",
-        "rate_vector_batch",
         "slice_dispatches",
         "slice_preempts",
     )

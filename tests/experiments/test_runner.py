@@ -178,11 +178,11 @@ class TestProfile:
         assert lines[-1].startswith("total")
 
     def test_profile_table_epoch_columns(self):
-        """The decision-epoch and vectorization counters are tabulated."""
+        """The decision-epoch and rate-derivation counters are tabulated."""
         runs = runner.run_battery(["fig4"], jobs=1, profile=True)
         table = runner.format_profile_table(runs)
         header = table.splitlines()[0]
-        for column in ("epochs", "mut/ep", "vec", "scal", "vw"):
+        for column in ("epochs", "mut/ep", "scal"):
             assert column in header
         stats = runs[0].stats
         for field in (
@@ -190,7 +190,6 @@ class TestProfile:
             "epoch_flushes",
             "rate_vector_evals",
             "rate_scalar_evals",
-            "rate_vector_batch",
         ):
             assert field in stats
         # fig4 runs a fresh multi-tenant simulation: mutations were
@@ -199,7 +198,7 @@ class TestProfile:
         assert stats["epoch_marks"] >= stats["epoch_flushes"]
 
     def test_epoch_counters_reach_metrics_registry(self):
-        """obs registry 'engine' source carries the epoch/vector fields."""
+        """obs registry 'engine' source carries the epoch/derivation fields."""
         from repro.obs.registry import registry
 
         snapshot = registry().snapshot()["sources"]["engine"]
@@ -208,7 +207,6 @@ class TestProfile:
             "epoch_flushes",
             "rate_vector_evals",
             "rate_scalar_evals",
-            "rate_vector_batch",
         ):
             assert field in snapshot
 

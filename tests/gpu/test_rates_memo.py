@@ -1,17 +1,24 @@
 """The rate-derivation memo: cached results must be indistinguishable.
 
 ``derive_rates`` is pure, so memoized and uncached calls must agree
-exactly — on single kernels, on fig7-style co-run pairings, and across
-cache-key canonicalization (per-kernel keys are positionised, so renaming
-a kernel still hits).  The knobs (``REPRO_NO_CACHE``, maxsize 0) must
-force full derivations, and long runs must actually *hit* (>50% on the
-fig7 grid).
+exactly — on single kernels, on fig7-style co-run pairings, on a 4-way
+co-run through the simulated device, and across cache-key
+canonicalization (per-kernel keys are positionised, so renaming a kernel
+still hits).  ``configure_rates_cache(0)`` must force full derivations,
+and long runs must actually *hit* (>50% on the fig7 grid).  The rate path
+is pure Python: the trace and serve entry points never import numpy.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.config import TITAN_XP, CostModel
 from repro.gpu.cache import LocalityModel
+from repro.gpu.device import ExecutionMode, SimulatedGPU
 from repro.gpu.occupancy import (
     BlockResources,
     occupancy,
@@ -26,6 +33,8 @@ from repro.gpu.rates import (
     rates_cache_info,
     reset_rates_cache,
 )
+from repro.kernels.registry import by_name
+from repro.sim import Environment
 
 
 @pytest.fixture(autouse=True)
@@ -71,13 +80,11 @@ def corun_pairs():
 
 
 class TestMemoEquivalence:
-    def test_memoized_equals_uncached_on_pairings(self, monkeypatch):
+    def test_memoized_equals_uncached_on_pairings(self):
         costs = CostModel()
-        uncached = []
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        for pair in corun_pairs():
-            uncached.append(derive_rates(pair, TITAN_XP, costs))
-        monkeypatch.delenv("REPRO_NO_CACHE")
+        configure_rates_cache(0)
+        uncached = [derive_rates(pair, TITAN_XP, costs) for pair in corun_pairs()]
+        configure_rates_cache(4096)
         # Two passes: the first populates, the second must hit.
         for _ in range(2):
             for pair, expect in zip(corun_pairs(), uncached):
@@ -104,21 +111,13 @@ class TestMemoEquivalence:
 
 
 class TestMemoKnobs:
-    def test_env_var_bypasses(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        costs = CostModel()
-        for _ in range(3):
-            derive_rates([make_input()], TITAN_XP, costs)
-        info = rates_cache_info()
-        assert info["hits"] == 0 and info["misses"] == 0 and info["currsize"] == 0
-
     def test_maxsize_zero_disables(self):
         configure_rates_cache(0)
         costs = CostModel()
         for _ in range(3):
             derive_rates([make_input()], TITAN_XP, costs)
         info = rates_cache_info()
-        assert info["hits"] == 0 and info["currsize"] == 0
+        assert info["hits"] == 0 and info["misses"] == 0 and info["currsize"] == 0
 
     def test_lru_evicts_oldest_at_maxsize(self):
         configure_rates_cache(2)
@@ -133,6 +132,67 @@ class TestMemoKnobs:
         assert info["hits"] == 1
         assert info["misses"] == 4
         assert info["currsize"] == 2
+
+
+def four_way_corun():
+    """Four Slate kernels on disjoint SM ranges, each relaunched back to back.
+
+    Relaunches and completions repeat co-run signatures, so a run with the
+    memo on both misses and hits.  Returns (env, gpu, counters per launch).
+    """
+    env = Environment()
+    gpu = SimulatedGPU(env, TITAN_XP, CostModel())
+    counters = []
+
+    def tenant(bench, sms, reps):
+        work = by_name(bench).work()
+        for _ in range(reps):
+            handle = gpu.launch(work, sms, mode=ExecutionMode.SLATE, task_size=10)
+            counters.append((yield handle.done))
+
+    for i, (bench, reps) in enumerate((("BS", 3), ("MM", 2), ("RG", 3), ("TR", 2))):
+        env.process(tenant(bench, gpu.sm_range(7 * i, 7 * i + 6), reps))
+    env.run()
+    return env, gpu, counters
+
+
+class TestDeviceMemo:
+    def test_memo_on_equals_memo_off(self):
+        configure_rates_cache(0)
+        _, gpu_off, counters_off = four_way_corun()
+        configure_rates_cache(4096)
+        env, gpu_on, counters_on = four_way_corun()
+        assert len(counters_on) == 10
+        assert counters_on == counters_off
+        assert gpu_on.rate_trace == gpu_off.rate_trace
+        assert max(len(sample) for _, sample in gpu_on.rate_trace) == 4
+
+    def test_device_accounting_matches_module_counters(self):
+        env, _, _ = four_way_corun()
+        stats = env.stats
+        assert stats.rate_memo_hits > 0 and stats.rate_memo_misses > 0
+        assert stats.rate_memo_hits + stats.rate_memo_misses == stats.rate_recomputes
+        assert stats.rate_scalar_evals == stats.rate_memo_misses
+        assert stats.rate_vector_evals == 0
+        info = rates_cache_info()
+        assert (info["hits"], info["misses"]) == (
+            stats.rate_memo_hits,
+            stats.rate_memo_misses,
+        )
+        assert info["currsize"] == stats.rate_memo_misses
+
+
+def test_trace_and_serve_paths_import_without_numpy():
+    """The rate path is pure Python; only the battery's detailed executor
+    and trace generators need numpy."""
+    code = (
+        "import sys\n"
+        "import repro.workloads.harness, repro.workloads.app, repro.serve.server\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestOccupancyCache:

@@ -1,33 +1,31 @@
-"""The vectorized rate path must be bit-identical to the scalar reference.
+"""Wide co-runs: rate derivation over an input vector of co-resident kernels.
 
-``_derive_rates_vector`` takes one numpy pass over the positionised
-signature matrix; ``_derive_rates_scalar`` is the reference semantics.
-The contract is *bit* equality (the experiment goldens and the decision
-trace are byte-frozen), so every comparison here is ``==`` on raw floats,
-never ``approx``.  Also pinned: the ``_VEC_MIN`` dispatch threshold, the
-``REPRO_NO_NUMPY`` escape hatch, and the vector/scalar stats counters.
+``derive_rates`` serves every co-run width through one evaluator,
+``_derive_rates_scalar`` (the reference semantics), behind one memo.  The
+experiment goldens and decision traces are byte-frozen, so the memoized
+public path must reproduce the reference *bits* for input vectors as wide
+as any committed workload co-runs (4) and wider: on the miss that derives
+them, and on a later hit under renamed keys (memo keys are positionised).
+Every comparison is ``==`` on raw float bits, never ``approx``.
 """
 
+import dataclasses
 import random
+import struct
 
 import pytest
 
 from repro.config import TITAN_XP, CostModel
 from repro.gpu.cache import LocalityModel
 from repro.gpu.rates import (
-    _VEC_MIN,
     RateInput,
     SchedulingMode,
     _derive_rates_scalar,
-    _derive_rates_uncached,
-    _derive_rates_vector,
     configure_rates_cache,
     derive_rates,
+    rates_cache_info,
     reset_rates_cache,
 )
-from repro.sim.engine import EnvironmentStats
-
-np = pytest.importorskip("numpy")
 
 COSTS = CostModel()
 
@@ -62,6 +60,12 @@ def random_input(rng: random.Random, key: int) -> RateInput:
     )
 
 
+def reference(inputs):
+    """The scalar evaluator's outputs, keyed like ``derive_rates``'."""
+    outputs = _derive_rates_scalar(inputs, TITAN_XP, COSTS)
+    return {inp.key: out for inp, out in zip(inputs, outputs)}
+
+
 def assert_outputs_bit_equal(a, b):
     assert a.keys() == b.keys()
     for key in a:
@@ -69,92 +73,60 @@ def assert_outputs_bit_equal(a, b):
             va, vb = getattr(a[key], field), getattr(b[key], field)
             assert va == vb, f"{field} mismatch for {key}: {va!r} != {vb!r}"
             # Same bits, not merely numerically close (catches -0.0 drift).
-            assert np.float64(va).tobytes() == np.float64(vb).tobytes()
+            assert struct.pack("<d", va) == struct.pack("<d", vb)
+
+
+def assert_memo_reproduces_reference(inputs):
+    """Miss, then renamed-key hit: both carry the reference bits."""
+    expect = reference(inputs)
+    assert_outputs_bit_equal(derive_rates(inputs, TITAN_XP, COSTS), expect)
+    renamed = [dataclasses.replace(inp, key=("renamed", inp.key)) for inp in inputs]
+    hit = derive_rates(renamed, TITAN_XP, COSTS)
+    assert_outputs_bit_equal({key[1]: out for key, out in hit.items()}, expect)
+    info = rates_cache_info()
+    assert (info["hits"], info["misses"]) == (1, 1)
 
 
 @pytest.mark.parametrize("width", [4, 5, 8, 16])
 @pytest.mark.parametrize("seed", range(8))
 def test_vector_matches_scalar_bitwise(width, seed):
     rng = random.Random(1000 * width + seed)
-    inputs = [random_input(rng, k) for k in range(width)]
-    scalar = _derive_rates_scalar(inputs, TITAN_XP, COSTS)
-    vector = _derive_rates_vector(inputs, TITAN_XP, COSTS)
-    assert_outputs_bit_equal(scalar, vector)
+    assert_memo_reproduces_reference([random_input(rng, k) for k in range(width)])
 
 
 def test_vector_matches_scalar_on_identical_inputs():
     """Equal-demand flows exercise the waterfill tie branches."""
-    rng = random.Random(7)
-    proto = random_input(rng, 0)
-    inputs = [
-        RateInput(**{**proto.__dict__, "key": k}) for k in range(6)
-    ]
-    assert_outputs_bit_equal(
-        _derive_rates_scalar(inputs, TITAN_XP, COSTS),
-        _derive_rates_vector(inputs, TITAN_XP, COSTS),
+    proto = random_input(random.Random(7), 0)
+    assert_memo_reproduces_reference(
+        [dataclasses.replace(proto, key=k) for k in range(6)]
     )
 
 
 def test_vector_zero_demand_lane():
-    """A pure-compute kernel (zero DRAM demand) rides the masked lanes."""
+    """A pure-compute kernel (zero DRAM demand) inside a wide co-run."""
     rng = random.Random(11)
     inputs = [random_input(rng, k) for k in range(4)]
-    inputs[2] = RateInput(
-        **{**inputs[2].__dict__, "bytes_per_block": 0.0,
-           "locality": LocalityModel()}
+    inputs[2] = dataclasses.replace(
+        inputs[2], bytes_per_block=0.0, locality=LocalityModel()
     )
-    assert_outputs_bit_equal(
-        _derive_rates_scalar(inputs, TITAN_XP, COSTS),
-        _derive_rates_vector(inputs, TITAN_XP, COSTS),
-    )
-
-
-def test_dispatch_threshold_and_counters(monkeypatch):
-    # An inherited REPRO_NO_NUMPY (the no-numpy CI lane's A/B runs) would
-    # force the scalar path and void the dispatch assertions.
-    monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
-    rng = random.Random(3)
-    stats = EnvironmentStats()
-    narrow = [random_input(rng, k) for k in range(_VEC_MIN - 1)]
-    _derive_rates_uncached(narrow, TITAN_XP, COSTS, stats=stats)
-    assert stats.rate_scalar_evals == 1
-    assert stats.rate_vector_evals == 0
-
-    wide = [random_input(rng, k) for k in range(_VEC_MIN)]
-    _derive_rates_uncached(wide, TITAN_XP, COSTS, stats=stats)
-    assert stats.rate_vector_evals == 1
-    assert stats.rate_vector_batch == _VEC_MIN
-    assert stats.rate_scalar_evals == 1
-
-
-def test_no_numpy_env_forces_scalar(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    rng = random.Random(5)
-    stats = EnvironmentStats()
-    wide = [random_input(rng, k) for k in range(_VEC_MIN + 2)]
-    out = _derive_rates_uncached(wide, TITAN_XP, COSTS, stats=stats)
-    assert stats.rate_vector_evals == 0
-    assert stats.rate_scalar_evals == 1
-    monkeypatch.delenv("REPRO_NO_NUMPY")
-    assert_outputs_bit_equal(out, _derive_rates_vector(wide, TITAN_XP, COSTS))
+    assert_memo_reproduces_reference(inputs)
 
 
 def test_invalid_order_factor_raises_scalar_error():
-    """Out-of-range inputs still raise the scalar path's exact error."""
+    """Out-of-range inputs raise the evaluator's error and memoize nothing."""
     rng = random.Random(9)
-    inputs = [random_input(rng, k) for k in range(_VEC_MIN)]
-    inputs[1] = RateInput(**{**inputs[1].__dict__, "order_factor": 1.5})
-    with pytest.raises(ValueError, match="order_factor must be in"):
-        _derive_rates_uncached(inputs, TITAN_XP, COSTS)
+    inputs = [random_input(rng, k) for k in range(4)]
+    inputs[1] = dataclasses.replace(inputs[1], order_factor=1.5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="order_factor must be in"):
+            derive_rates(inputs, TITAN_XP, COSTS)
+    assert rates_cache_info()["currsize"] == 0
 
 
 def test_derive_rates_end_to_end_width_sweep():
-    """Public API: memoized wide calls agree with scalar-forced calls."""
+    """Public API: memoized calls of every width agree with the evaluator."""
     rng = random.Random(21)
     for width in range(1, 9):
         inputs = [random_input(rng, k) for k in range(width)]
         reset_rates_cache()
-        via_api = derive_rates(inputs, TITAN_XP, COSTS)
-        assert_outputs_bit_equal(
-            via_api, _derive_rates_scalar(inputs, TITAN_XP, COSTS)
-        )
+        assert_outputs_bit_equal(derive_rates(inputs, TITAN_XP, COSTS), reference(inputs))

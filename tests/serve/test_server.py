@@ -283,6 +283,29 @@ class TestConcurrentSessions:
                 devices = set(server.cluster.placements.values())
             assert devices == {0, 1}
 
+    def test_rate_trace_bounded_by_log_limit(self, sock_path):
+        """Every epoch samples the device rate trace; a long-lived daemon
+        must keep only its last ``log_limit`` samples."""
+        limit = 8
+        config = ServeConfig(
+            socket_path=sock_path, shards=2, num_devices=2, log_limit=limit
+        )
+        with ServerThread(config) as server:
+            with SlateClient(sock_path, name="a") as a, SlateClient(
+                sock_path, name="b"
+            ) as b:
+                for _ in range(3 * limit):
+                    a.launch("BS")
+                    b.launch("RG")
+            gpus = [
+                shard.cluster.runtime(i).gpu
+                for shard in server.shards
+                for i in range(shard.cluster.num_devices)
+            ]
+            assert max(len(gpu.rate_trace) for gpu in gpus) == limit
+            for gpu in gpus:
+                assert len(gpu.rate_trace) <= limit
+
 
 class TestPlacementStaleness:
     """`serve.shard.*.placement_stale` tracks hint/observed class divergence."""

@@ -9,7 +9,8 @@ SM grants, same reason strings, same timestamps.  Three layers of proof:
    paper's Figure 4 scenario, the Table-I class-representative workload,
    and a randomized arrival mix were captured *before* the refactor
    (``tests/slate/goldens/decision_trace_*.json``).  The live scheduler
-   must still reproduce all three exactly.
+   must still reproduce all three exactly.  A fourth golden, a 4-wide
+   co-run trace, pins the rates of co-run widths the others never reach.
 2. **Frozen-seed differential** — ``_seed_scheduler.py`` is a verbatim
    copy of the seed implementation; fixed workloads replay against both
    schedulers and the traces are compared row for row.
@@ -47,6 +48,20 @@ def random42_workload():
     ]
 
 
+def nway4_workload():
+    """The 4-wide golden's workload (seed 54): 32 launches in 6 ms.
+
+    At ``max_corun=4`` with preemption this reaches 4-way co-residency
+    (the widest any committed workload runs), so the derived rates of
+    every co-run width up to 4 are pinned through the decision times.
+    """
+    rng = random.Random(54)
+    return [
+        (rng.random() * 6e-3, BENCHES[rng.randrange(5)], rng.randrange(3), None)
+        for _ in range(32)
+    ]
+
+
 def seed_trace(workload, **kwargs):
     rows, _ = scheduler_trace(
         workload, _seed_scheduler.SlateScheduler, _seed_scheduler.SlateTicket, **kwargs
@@ -73,6 +88,12 @@ def test_tab1_trace_matches_seed_golden():
 def test_randomized_trace_matches_seed_golden():
     rows = live_trace(random42_workload(), enable_preemption=True)
     assert rows == load_golden("decision_trace_random42")
+
+
+def test_four_wide_trace_matches_golden():
+    rows = live_trace(nway4_workload(), max_corun=4, enable_preemption=True)
+    assert max(len(row[3]) for row in rows) == 4
+    assert rows == load_golden("decision_trace_nway4")
 
 
 # -- layer 2: frozen-seed differential on fixed workloads --------------------
