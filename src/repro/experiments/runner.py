@@ -321,6 +321,10 @@ def _per(numerator: int, denominator: int) -> str:
     return f"{numerator / denominator:.1f}" if denominator else "-"
 
 
+def _us_per_event(wall_s: float, events: int) -> str:
+    return f"{wall_s * 1e6 / events:.1f}" if events else "-"
+
+
 def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
     """Tabulate per-experiment engine counters (the ``--profile`` output).
 
@@ -331,7 +335,9 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
     flush.  ``scal`` counts full rate derivations.
     ``slices``/``slcpre`` count sub-grid slice dispatches and
     slice-boundary preemptions (zero unless the experiment runs the
-    scheduler with slicing enabled).
+    scheduler with slicing enabled).  ``µs/ev`` is wall microseconds per
+    processed event: a change that only speeds the simulator up must lower
+    it while ``events`` stays put.
     """
     header = (
         f"{'experiment':<14}{'events':>12}{'heap pk':>9}{'t/o reused':>12}"
@@ -339,7 +345,7 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
         f"{'rmemo':>8}{'rm%':>6}{'occ%':>6}"
         f"{'epochs':>9}{'mut/ep':>8}{'scal':>7}"
         f"{'slices':>8}{'slcpre':>8}"
-        f"{'wall s':>9}"
+        f"{'wall s':>9}{'µs/ev':>8}"
     )
     lines = [header, "-" * len(header)]
     totals = {
@@ -376,6 +382,7 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
             f"{slices:>8,}"
             f"{slcpre:>8,}"
             f"{run.elapsed:>9.2f}"
+            f"{_us_per_event(run.elapsed, s.get('events_processed', 0)):>8}"
         )
         totals["events"] += s.get("events_processed", 0)
         totals["reused"] += s.get("timeouts_reused", 0)
@@ -405,6 +412,7 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
         f"{totals['scal']:>7,}"
         f"{totals['slices']:>8,}{totals['slcpre']:>8,}"
         f"{wall:>9.2f}"
+        f"{_us_per_event(wall, totals['events']):>8}"
     )
     return "\n".join(lines)
 

@@ -28,6 +28,22 @@ wave plus an extreme-value straggler estimate from the per-block time
 variance.  Under Slate, grouping ``task_size`` blocks per queue pull scales
 the straggler term by ``sqrt(task_size)`` — the load-imbalance effect that
 costs BlackScholes ~5% at the default task size (paper §V-B, Fig. 5).
+
+Host hot path
+-------------
+Everything the device derives from an execution's *allocation* — its work,
+SM count, scheduling mode, task size, inject fraction and order factor —
+is computed once per distinct allocation into an :class:`_Allocation`
+record: the rate-memo signature, occupancy (``blocks_per_sm``), task count
+and parallelism, the settle constants (``1.0 + inject_frac``, the ldst
+factor) and the tail-drain factors.  An execution points at its record and
+gets a new one only where its SM count changes: at construction (which is
+every slice dispatch) and when a resize is adopted.  So an epoch only
+settles progress, probes the rate memo with the records' signatures and
+re-arms completion timers, and a slice edge only builds the next sub-grid
+execution.  The settle and tail expressions keep their original operand
+order; ``tests/slate/goldens/sliced_nway4_counters.json`` pins every
+counter they produce, bit for bit.
 """
 
 from __future__ import annotations
@@ -147,7 +163,7 @@ class KernelWork:
             raise ValueError("min_block_time and time_cv must be non-negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class KernelCounters:
     """nvprof-like counters accumulated over one kernel execution."""
 
@@ -202,8 +218,91 @@ _NO_RATES = RateOutput(
 )
 
 
+class _Allocation:
+    """What the device derives from one allocation, computed once.
+
+    Keyed in :attr:`SimulatedGPU._allocations` by ``(id(work), n_sms,
+    slate, task_size, inject_frac, order_factor)``; holding ``work`` pins
+    it, so its id cannot recycle while the record is reachable.
+    """
+
+    __slots__ = (
+        "work", "n_sms", "slate", "task_size", "inject_frac", "order_factor",
+        "blocks_per_sm", "n_tasks", "parallelism", "sig", "settle",
+        "tail_frac", "sqrt_task", "spread",
+    )
+
+    def __init__(
+        self,
+        gpu: "SimulatedGPU",
+        work: KernelWork,
+        n_sms: int,
+        slate: bool,
+        task_size: int,
+        inject_frac: float,
+        order_factor: float,
+    ) -> None:
+        self.work = work
+        self.n_sms = n_sms
+        self.slate = slate
+        self.task_size = task_size
+        self.inject_frac = inject_frac
+        self.order_factor = order_factor
+        self.blocks_per_sm = occupancy(gpu.device, work.block).blocks_per_sm
+        self.n_tasks = n_tasks = math.ceil(work.num_blocks / task_size)
+        self.parallelism = parallel = max(
+            1, min(self.blocks_per_sm * n_sms, n_tasks)
+        )
+        self.sig = rate_input_signature(_rate_input(self, None))
+        #: Operands of one progress settle, unpacked in one step.
+        self.settle = (
+            work.num_blocks,
+            work.flops_per_block,
+            work.bytes_per_block,
+            work.instr_per_block,
+            1.0 + inject_frac,
+            work.ldst_per_block,
+            1.0 - gpu.costs.slate_ldst_saving if slate else 1.0,
+        )
+        # Tail-drain factors (see SimulatedGPU._tail_time).
+        self.spread = work.time_cv * math.sqrt(2.0 * math.log(max(2, parallel)))
+        if slate:
+            waves = n_tasks / min(parallel, n_tasks)
+            self.sqrt_task = math.sqrt(task_size)
+        else:
+            waves = work.num_blocks / parallel
+            self.sqrt_task = 0.0
+        self.tail_frac = math.ceil(waves) - waves
+
+
+def _rate_input(alloc: _Allocation, key: object) -> RateInput:
+    work = alloc.work
+    return RateInput(
+        key=key,
+        flops_per_block=work.flops_per_block,
+        bytes_per_block=work.bytes_per_block,
+        locality=work.locality,
+        dram_efficiency=work.dram_efficiency,
+        min_block_time=work.min_block_time,
+        mode=SchedulingMode.SLATE if alloc.slate else SchedulingMode.HARDWARE,
+        blocks_per_sm=alloc.blocks_per_sm,
+        n_sms=alloc.n_sms,
+        parallelism=alloc.parallelism,
+        task_size=alloc.task_size,
+        inject_frac=alloc.inject_frac,
+        order_factor=alloc.order_factor,
+    )
+
+
 class KernelExecution:
     """Handle for one in-flight kernel on the device."""
+
+    __slots__ = (
+        "id", "gpu", "work", "sm_ids", "mode", "order_factor", "task_size",
+        "inject_frac", "state", "blocks_done", "done", "tail_started",
+        "counters", "_rates", "_alloc", "_last_settle", "_timer_gen",
+        "_timer_at", "_resize_target",
+    )
 
     _ids = itertools.count(1)
 
@@ -217,34 +316,44 @@ class KernelExecution:
         task_size: int,
         inject_frac: float,
     ) -> None:
+        env = gpu.env
         self.id = next(self._ids)
         self.gpu = gpu
         self.work = work
-        self.sm_ids = sm_ids
         self.mode = mode
         self.order_factor = order_factor
         self.task_size = task_size
         self.inject_frac = inject_frac
+        self._bind(sm_ids)
         self.state = ExecState.RUNNING
         self.blocks_done = 0.0
-        self.done: Event = gpu.env.event()
+        self.done: Event = Event(env)
         #: Fires when the kernel enters its drain tail (used by the MPS
         #: leftover policy to admit the next kernel into freed slots).
-        self.tail_started: Event = gpu.env.event()
-        self.counters = KernelCounters(name=work.name, start_time=gpu.env.now)
+        self.tail_started: Event = Event(env)
+        self.counters = KernelCounters(work.name, env._now)
         #: Rates from the last epoch that derived this execution: frozen
         #: memo values shared between executions, replaced wholesale.
         self._rates = _NO_RATES
-        self._last_settle = gpu.env.now
+        self._last_settle = env._now
         self._timer_gen = 0
         #: Absolute fire time of the live completion timer (None: no live
         #: timer).  Lets an epoch that re-derives the *same* rate keep the
         #: pending timer instead of cancel-and-reschedule churn.
         self._timer_at: Optional[float] = None
         self._resize_target: tuple[int, ...] = sm_ids
-        occ = occupancy(gpu.device, work.block)
-        self.blocks_per_sm = occ.blocks_per_sm
-        self.n_tasks = math.ceil(work.num_blocks / task_size)
+
+    def _bind(self, sm_ids: tuple[int, ...]) -> None:
+        """Run on ``sm_ids``; the one place the allocation record changes."""
+        self.sm_ids = sm_ids
+        self._alloc = self.gpu._allocation(
+            self.work,
+            len(sm_ids),
+            self.mode is ExecutionMode.SLATE,
+            self.task_size,
+            self.inject_frac,
+            self.order_factor,
+        )
 
     # -- convenience -----------------------------------------------------
 
@@ -253,14 +362,22 @@ class KernelExecution:
         return len(self.sm_ids)
 
     @property
+    def blocks_per_sm(self) -> int:
+        return self._alloc.blocks_per_sm
+
+    @property
+    def n_tasks(self) -> int:
+        return self._alloc.n_tasks
+
+    @property
     def resident(self) -> int:
         """Concurrently resident blocks (Slate: persistent worker count)."""
-        return self.blocks_per_sm * self.num_sms
+        return self._alloc.blocks_per_sm * self.num_sms
 
     @property
     def parallelism(self) -> int:
         """Concurrently *executing* blocks: workers each run one block."""
-        return max(1, min(self.resident, self.n_tasks))
+        return self._alloc.parallelism
 
     @property
     def blocks_remaining(self) -> float:
@@ -417,21 +534,20 @@ class SimulatedGPU:
         #: Config half of every rate-memo key this device builds
         #: (``device`` and ``costs`` are fixed for the device's lifetime).
         self._memo_config = memo_config(device, costs)
-        #: Rate-input signature per (work identity, allocation shape).
+        #: One :class:`_Allocation` per (work identity, allocation shape).
         #: Repeated launches of one spec share a ``KernelWork`` (see
-        #: ``KernelSpec.work``), so the flat memo signature for a given
-        #: allocation is computed once per work, not once per execution.
-        #: ``_sig_pins`` keeps the keyed works alive so ids cannot recycle;
-        #: on overflow both maps drop together.
-        self._sig_cache: dict[tuple, tuple] = {}
-        self._sig_pins: dict[int, KernelWork] = {}
+        #: ``KernelSpec.work``), so a record is built once per work and
+        #: shape, not once per execution.  Records pin their works; a
+        #: server resolving a fresh spec per request builds one per
+        #: launch, so the map is dropped whole past 256 records.
+        self._allocations: dict[tuple, _Allocation] = {}
         #: Timestamp of the last full progress settle; a second settle at
         #: the same instant is a no-op (dt == 0 for every kernel) and skips.
         self._settled_at = -1.0
         #: Sub-grid works for sliced dispatch, keyed ``(id(base), count)``
         #: and pinned (``_slice_pins``) so base ids cannot recycle — slices
         #: of repeated launches reuse one KernelWork per distinct count,
-        #: keeping the ``_sig_cache`` warm under trace-scale slicing.
+        #: keeping their allocation records warm under trace-scale slicing.
         self._slice_works: dict[tuple[int, int], KernelWork] = {}
         self._slice_pins: dict[int, KernelWork] = {}
         reg = obs_registry()
@@ -450,6 +566,16 @@ class SimulatedGPU:
             raise ValueError(f"invalid SM range [{low}, {high}]")
         return tuple(range(low, high + 1))
 
+    def _checked_sms(self, sm_ids: Optional[Sequence[int]]) -> tuple[int, ...]:
+        if sm_ids is None:
+            return self.all_sms()
+        sms = tuple(sm_ids)
+        if not sms:
+            raise ValueError("kernel must be given at least one SM")
+        if min(sms) < 0 or max(sms) >= self.device.num_sms:
+            raise ValueError(f"SM ids out of range: {sms}")
+        return sms
+
     def launch(
         self,
         work: KernelWork,
@@ -466,11 +592,7 @@ class SimulatedGPU:
         """
         if task_size < 1:
             raise ValueError(f"task_size must be >= 1, got {task_size}")
-        sms = tuple(sm_ids) if sm_ids is not None else self.all_sms()
-        if not sms:
-            raise ValueError("kernel must be given at least one SM")
-        if any(not 0 <= s < self.device.num_sms for s in sms):
-            raise ValueError(f"SM ids out of range: {sms}")
+        sms = self._checked_sms(sm_ids)
         if order_factor is None:
             order_factor = ORDER_FACTORS[
                 "slate" if mode is ExecutionMode.SLATE else "hardware"
@@ -513,11 +635,7 @@ class SimulatedGPU:
             raise ValueError("sliced dispatch requires Slate scheduling mode")
         if task_size < 1:
             raise ValueError(f"task_size must be >= 1, got {task_size}")
-        sms = tuple(sm_ids) if sm_ids is not None else self.all_sms()
-        if not sms:
-            raise ValueError("kernel must be given at least one SM")
-        if any(not 0 <= s < self.device.num_sms for s in sms):
-            raise ValueError(f"SM ids out of range: {sms}")
+        sms = self._checked_sms(sm_ids)
         if order_factor is None:
             order_factor = ORDER_FACTORS["slate"]
         if slicer is None:
@@ -743,7 +861,7 @@ class SimulatedGPU:
         def _finish(_event: Event) -> None:
             if execution.state is not ExecState.RESIZING:
                 return
-            execution.sm_ids = execution._resize_target
+            execution._bind(execution._resize_target)
             execution.state = ExecState.RUNNING
             execution._last_settle = self.env._now
             self._alloc_epoch += 1
@@ -831,52 +949,26 @@ class SimulatedGPU:
 
     # -- rate derivation ----------------------------------------------------
 
-    def _rate_input(self, k: KernelExecution) -> RateInput:
-        work = k.work
-        return RateInput(
-            key=k.id,
-            flops_per_block=work.flops_per_block,
-            bytes_per_block=work.bytes_per_block,
-            locality=work.locality,
-            dram_efficiency=work.dram_efficiency,
-            min_block_time=work.min_block_time,
-            mode=(
-                SchedulingMode.SLATE
-                if k.mode is ExecutionMode.SLATE
-                else SchedulingMode.HARDWARE
-            ),
-            blocks_per_sm=k.blocks_per_sm,
-            n_sms=k.num_sms,
-            parallelism=k.parallelism,
-            task_size=k.task_size,
-            inject_frac=k.inject_frac,
-            order_factor=k.order_factor,
-        )
-
-    def _rate_sig(self, k: KernelExecution) -> tuple:
-        """Cached memo signature for one execution's allocation.
-
-        Keyed on work identity plus every launch parameter the signature
-        depends on — executions of the same spec on the same allocation
-        shape share one tuple, launch after launch.
-        """
-        key = (
-            id(k.work),
-            len(k.sm_ids),
-            k.mode is ExecutionMode.SLATE,
-            k.task_size,
-            k.inject_frac,
-            k.order_factor,
-        )
-        sig = self._sig_cache.get(key)
-        if sig is None:
-            if len(self._sig_pins) >= 256:
-                self._sig_pins.clear()
-                self._sig_cache.clear()
-            self._sig_pins[id(k.work)] = k.work
-            sig = rate_input_signature(self._rate_input(k))
-            self._sig_cache[key] = sig
-        return sig
+    def _allocation(
+        self,
+        work: KernelWork,
+        n_sms: int,
+        slate: bool,
+        task_size: int,
+        inject_frac: float,
+        order_factor: float,
+    ) -> _Allocation:
+        """The shared record for one allocation shape (see module doc)."""
+        key = (id(work), n_sms, slate, task_size, inject_frac, order_factor)
+        alloc = self._allocations.get(key)
+        if alloc is None:
+            if len(self._allocations) >= 256:
+                self._allocations.clear()
+            alloc = _Allocation(
+                self, work, n_sms, slate, task_size, inject_frac, order_factor
+            )
+            self._allocations[key] = alloc
+        return alloc
 
     def _epoch_recompute(self) -> None:
         """Recompute now, or defer to the end of the current timestep.
@@ -930,8 +1022,10 @@ class SimulatedGPU:
         a recomputed one.
         """
         self._settle_all()
-        active = self.active_executions
-        stats = self.env.stats
+        env = self.env
+        running = ExecState.RUNNING
+        active = [k for k in self._running.values() if k.state is running]
+        stats = env.stats
         trace_on = self.rate_trace_limit != 0
         if self._alloc_epoch == self._rates_epoch:
             stats.rate_recomputes_skipped += 1
@@ -948,19 +1042,19 @@ class SimulatedGPU:
             if obs_trace.DETAILED:
                 obs_trace.instant(
                     "epoch",
-                    self.env.now,
+                    env.now,
                     "device",
                     "epochs",
                     active=len(active),
                 )
-            sigs = tuple(self._rate_sig(k) for k in active)
+            sigs = tuple([k._alloc.sig for k in active])
             rates = memo_lookup((sigs, self._memo_config), stats)
             if rates is None:
                 # RateInput objects are needed only on a memo miss; the
                 # common path goes signature -> shared rates directly.
                 # derive_rates counts the miss, derives and memoizes.
                 outputs = derive_rates(
-                    [self._rate_input(k) for k in active],
+                    [_rate_input(k._alloc, k.id) for k in active],
                     self.device,
                     self.costs,
                     stats=stats,
@@ -968,13 +1062,31 @@ class SimulatedGPU:
                 )
                 rates = [outputs[k.id] for k in active]
             sample = {}
+            now = env._now
+            on_timer = self._on_timer
+            # _schedule_completion, inlined over locals (same expressions).
             for k, r in zip(active, rates):
                 k._rates = r
-                self._schedule_completion(k)
-                sample[k.work.name] = r.rate
+                rate = r.rate
+                sample[k.work.name] = rate
+                if rate <= _EPS:
+                    k._timer_gen += 1
+                    k._timer_at = None
+                    continue
+                remaining = k.work.num_blocks - k.blocks_done
+                delay = (remaining if remaining > 0.0 else 0.0) / rate
+                at = now + delay
+                if at == k._timer_at:
+                    # The live timer already points at this exact instant.
+                    continue
+                gen = k._timer_gen = k._timer_gen + 1
+                k._timer_at = at
+                env.timeout(delay).callbacks.append(
+                    lambda _e, k=k, gen=gen: on_timer(k, gen)
+                )
             self._rates_epoch = self._alloc_epoch
         if trace_on:
-            self.rate_trace.append((self.env._now, sample))
+            self.rate_trace.append((env._now, sample))
 
     def _settle_all(self) -> None:
         now = self.env._now
@@ -984,34 +1096,42 @@ class SimulatedGPU:
             # second pass would observe no progress.
             return
         self._settled_at = now
+        running = ExecState.RUNNING
         for k in self._running.values():
-            if k.state is not ExecState.RUNNING:
+            if k.state is not running:
                 k._last_settle = now
                 continue
             dt = now - k._last_settle
             if dt <= 0:
                 continue
-            progressed = min(k._rates.rate * dt, k.blocks_remaining)
-            k.blocks_done += progressed
+            r = k._rates
+            num_blocks, flops, l2, instr, inj1, ldst, ldst_factor = k._alloc.settle
+            done = k.blocks_done
+            # min(rate * dt, blocks_remaining), the remainder floored at 0.
+            progressed = r.rate * dt
+            remaining = num_blocks - done
+            if remaining < progressed:
+                progressed = remaining if remaining > 0.0 else 0.0
+            k.blocks_done = done + progressed
             c = k.counters
             c.blocks_executed += progressed
-            c.flops += progressed * k.work.flops_per_block
-            c.bytes_l2 += progressed * k.work.bytes_per_block
-            c.bytes_dram += progressed * k._rates.dram_bytes_per_block
-            c.instructions += progressed * k.work.instr_per_block * (1.0 + k.inject_frac)
-            ldst_factor = (
-                1.0 - self.costs.slate_ldst_saving
-                if k.mode is ExecutionMode.SLATE
-                else 1.0
-            )
-            c.ldst += progressed * k.work.ldst_per_block * ldst_factor
-            c.mem_throttle_time += dt * k._rates.throttle
+            c.flops += progressed * flops
+            c.bytes_l2 += progressed * l2
+            c.bytes_dram += progressed * r.dram_bytes_per_block
+            c.instructions += progressed * instr * inj1
+            c.ldst += progressed * ldst * ldst_factor
+            c.mem_throttle_time += dt * r.throttle
             c.busy_time += dt
             k._last_settle = now
 
     # -- completion machinery -------------------------------------------------
 
     def _schedule_completion(self, k: KernelExecution) -> None:
+        """(Re)arm ``k``'s completion timer for its current rate.
+
+        :meth:`_recompute`'s rate loop inlines these exact steps; keep the
+        two in step.
+        """
         if k._rates.rate <= _EPS:
             k._timer_gen += 1
             k._timer_at = None
@@ -1071,20 +1191,13 @@ class SimulatedGPU:
         bt = k._rates.block_time
         if bt <= 0:
             return 0.0
-        # Parallelism changes only with the SM count, and every SM-count
-        # change re-derives before a completion timer can fire: this is
-        # the parallelism the current rates were derived with.
-        parallel = k.parallelism
-        cv = k.work.time_cv
-        spread = cv * math.sqrt(2.0 * math.log(max(2, parallel)))
-        if k.mode is ExecutionMode.SLATE:
-            s = k.task_size
-            waves = k.n_tasks / min(parallel, k.n_tasks)
-            frac = math.ceil(waves) - waves
-            return bt * s * frac + bt * math.sqrt(s) * spread
-        waves = k.work.num_blocks / parallel
-        frac = math.ceil(waves) - waves
-        return bt * (frac + spread)
+        # The factors depend on parallelism, which changes only with the
+        # SM count; every SM-count change swaps the record and re-derives
+        # before a completion timer can fire, so they match the rates.
+        a = k._alloc
+        if a.slate:
+            return bt * a.task_size * a.tail_frac + bt * a.sqrt_task * a.spread
+        return bt * (a.tail_frac + a.spread)
 
     def _begin_tail(self, k: KernelExecution) -> None:
         k.blocks_done = float(k.work.num_blocks)

@@ -83,8 +83,8 @@ class KernelSpec:
 
         Both sides are frozen, so the conversion is computed once per spec
         and the same :class:`KernelWork` instance is returned thereafter —
-        downstream identity-keyed caches (the device's rate-signature
-        cache) rely on repeated launches of one spec sharing their work.
+        downstream identity-keyed caches (the device's per-allocation
+        records) rely on repeated launches of one spec sharing their work.
         """
         cached = self.__dict__.get("_work")
         if cached is None:

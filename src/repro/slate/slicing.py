@@ -28,8 +28,7 @@ control (slice size per launch, preempt-at-edge approval) enters through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from repro.slate.taskqueue import SlateQueue, TaskQueueConfigError
 
@@ -65,8 +64,7 @@ def default_slice_blocks(num_blocks: int, task_size: int = 1) -> int:
     return max(max(1, task_size), -(-num_blocks // DEFAULT_SLICES_PER_GRID))
 
 
-@dataclass(frozen=True)
-class KernelSlice:
+class KernelSlice(NamedTuple):
     """One contiguous run of user blocks dispatched as a unit."""
 
     index: int
@@ -139,7 +137,7 @@ class KernelSlicer:
         task = self._queue.pull()
         if task is None:
             return None
-        s = KernelSlice(index=self._emitted, start=task.start, count=task.count)
+        s = KernelSlice(self._emitted, task.start, task.count)
         self._emitted += 1
         return s
 

@@ -9,8 +9,7 @@ are currently executing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.obs import trace as obs_trace
 from repro.obs.registry import registry as obs_registry
@@ -24,8 +23,7 @@ class TaskQueueConfigError(ValueError):
     guard with ``except ValueError`` keep working."""
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(NamedTuple):
     """A group of consecutive user blocks pulled by one worker."""
 
     start: int
@@ -65,7 +63,8 @@ class SlateQueue:
         self.retreat = False
         self.pulls = 0
         #: Optional time source (e.g. ``lambda: env.now``) stamping pull
-        #: trace events; without one, pulls trace at t=0.
+        #: trace events; without one, pulls trace at t=0.  Pulls are
+        #: per-task (per-slice) micro-events: full-detail captures only.
         self._clock = clock
         reg = obs_registry()
         self._m_pulls = reg.counter("taskqueue.pulls")
@@ -103,7 +102,7 @@ class SlateQueue:
         self.slate_idx = start + self.task_size
         self.pulls += 1
         self._m_pulls.inc()
-        if obs_trace.ENABLED:
+        if obs_trace.DETAILED:
             obs_trace.instant(
                 "taskqueue.pull",
                 self._clock() if self._clock is not None else 0.0,
@@ -112,7 +111,7 @@ class SlateQueue:
                 start=start,
                 count=count,
             )
-        return Task(start=start, count=count)
+        return Task(start, count)
 
     def signal_retreat(self) -> None:
         """Raise the retreat flag; workers exit after their current task."""

@@ -181,9 +181,15 @@ class TestProfile:
         """The decision-epoch and rate-derivation counters are tabulated."""
         runs = runner.run_battery(["fig4"], jobs=1, profile=True)
         table = runner.format_profile_table(runs)
-        header = table.splitlines()[0]
-        for column in ("epochs", "mut/ep", "scal"):
+        lines = table.splitlines()
+        header = lines[0]
+        for column in ("epochs", "mut/ep", "scal", "wall s", "µs/ev"):
             assert column in header
+        # Host time per simulated event, per experiment and in total.
+        (run,) = runs
+        per_event = run.elapsed * 1e6 / run.stats["events_processed"]
+        for line in (lines[2], lines[-1]):
+            assert line.split()[-1] == f"{per_event:.1f}"
         stats = runs[0].stats
         for field in (
             "epoch_marks",

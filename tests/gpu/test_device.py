@@ -107,14 +107,22 @@ class TestSoloExecution:
 
     def test_launch_validation(self):
         env, gpu = make_gpu()
-        with pytest.raises(ValueError):
-            gpu.launch(compute_work(), sm_ids=[])
+        for launch in (gpu.launch, gpu.launch_sliced):
+            slate = ExecutionMode.SLATE
+            for bad in ([], [99], [-1], [0, 30], [-1, 5], [29, 30]):
+                with pytest.raises(ValueError):
+                    launch(compute_work(), sm_ids=bad, mode=slate)
+            with pytest.raises(ValueError):
+                launch(compute_work(), task_size=0, mode=slate)
         with pytest.raises(ValueError):
             gpu.launch(compute_work(), sm_ids=[99])
         with pytest.raises(ValueError):
-            gpu.launch(compute_work(), task_size=0)
-        with pytest.raises(ValueError):
             gpu.sm_range(5, 99)
+        assert gpu.active_executions == []
+        # The bounds are inclusive of SM 0 and SM 29.
+        gpu.launch(compute_work(), sm_ids=[0, 29])
+        gpu.launch_sliced(compute_work(), sm_ids=[29, 0])
+        assert len(gpu.active_executions) == 2
 
     def test_counters_time_bounds(self):
         env, gpu = make_gpu()

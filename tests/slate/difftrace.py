@@ -5,12 +5,16 @@ The tentpole refactor moves every scheduling choice behind the
 ``table1`` policy is *decision-for-decision identical* to the seed
 scheduler.  This module is the common ground both sides stand on:
 
-* :func:`scheduler_trace` drives any scheduler class (the live
-  ``SlateScheduler`` or the frozen seed copy in ``_seed_scheduler.py``)
-  through an arrival workload and returns its full decision trace;
+* :func:`replay` drives any scheduler class (the live ``SlateScheduler``
+  or the frozen seed copy in ``_seed_scheduler.py``) through an arrival
+  workload and returns the drained scheduler with its tickets;
+  :func:`scheduler_trace` returns its full decision trace;
 * :func:`fig4_trace` / :func:`tab1_trace` capture the daemon-level traces
   of the two canonical paper workloads (goldens live in
   ``tests/slate/goldens/``);
+* :func:`sliced_nway4_counters` captures the sliced 4-wide co-run's
+  decisions, final clock and every ticket's counters (golden
+  ``sliced_nway4_counters.json``);
 * :func:`rows_from` normalizes ``Decision`` records into plain tuples so
   traces can be compared byte-exact and round-tripped through JSON.
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 from repro.config import CostModel, TITAN_XP
@@ -60,7 +65,21 @@ def _make_ticket(ticket_cls, env, spec, priority, deadline, task_size):
     return ticket_cls(**kwargs)
 
 
-def scheduler_trace(
+def nway4_workload():
+    """The 4-wide golden's workload (seed 54): 32 launches in 6 ms.
+
+    At ``max_corun=4`` with preemption this reaches 4-way co-residency
+    (the widest any committed workload runs), so the derived rates of
+    every co-run width up to 4 are pinned through the decision times.
+    """
+    rng = random.Random(54)
+    return [
+        (rng.random() * 6e-3, BENCHES[rng.randrange(5)], rng.randrange(3), None)
+        for _ in range(32)
+    ]
+
+
+def replay(
     workload,
     scheduler_cls,
     ticket_cls,
@@ -71,13 +90,14 @@ def scheduler_trace(
     task_size: int = 10,
     **scheduler_kwargs,
 ):
-    """Replay ``workload`` through a scheduler; return (rows, scheduler).
+    """Replay ``workload`` through a scheduler; return (scheduler, tickets).
 
     ``workload`` is a sequence of ``(arrival, bench, priority, deadline)``
     tuples (``bench`` is a registry short name).  Profiles are preloaded
     offline unless ``preload=False`` (which exercises the first-run
-    profiling path).  The run always drains: the returned trace covers
-    every submitted launch.
+    profiling path).  The run always drains: the scheduler's decision log
+    covers every submitted launch, and ``tickets`` lists them in
+    submission order.
     """
     env = Environment()
     costs = CostModel()
@@ -116,7 +136,40 @@ def scheduler_trace(
     ]
     env.run(until=env.all_of(procs))
     env.run()
+    return sched, tickets
+
+
+def scheduler_trace(workload, scheduler_cls, ticket_cls, **kwargs):
+    """Replay ``workload`` (see :func:`replay`); return (rows, scheduler)."""
+    sched, _ = replay(workload, scheduler_cls, ticket_cls, **kwargs)
     return rows_from(sched.decision_log), sched
+
+
+def sliced_nway4_counters() -> tuple[dict, object]:
+    """The sliced 4-wide co-run: decisions, final clock, ticket counters.
+
+    :func:`nway4_workload` with slicing on reaches 4-way co-residency and
+    exercises slice dispatch, slice-edge preemption and edge resizes.  The
+    returned record holds every ``KernelCounters`` field of every ticket,
+    so each settle expression of the device's hot path is pinned bit for
+    bit (JSON floats round-trip exactly).  Returns (record, scheduler).
+    """
+    from repro.slate.scheduler import SlateScheduler, SlateTicket
+
+    sched, tickets = replay(
+        nway4_workload(),
+        SlateScheduler,
+        SlateTicket,
+        max_corun=4,
+        enable_preemption=True,
+        slicing=True,
+    )
+    record = {
+        "rows": rows_from(sched.decision_log),
+        "now": sched.env.now,
+        "counters": [dataclasses.asdict(t.counters) for t in tickets],
+    }
+    return record, sched
 
 
 def fig4_trace() -> list:

@@ -34,6 +34,7 @@ from tests.slate.difftrace import (
     BENCHES,
     fig4_trace,
     load_golden,
+    nway4_workload,
     scheduler_trace,
     tab1_trace,
 )
@@ -45,20 +46,6 @@ def random42_workload():
     return [
         (rng.random() * 8e-3, BENCHES[rng.randrange(5)], rng.randrange(3), None)
         for _ in range(24)
-    ]
-
-
-def nway4_workload():
-    """The 4-wide golden's workload (seed 54): 32 launches in 6 ms.
-
-    At ``max_corun=4`` with preemption this reaches 4-way co-residency
-    (the widest any committed workload runs), so the derived rates of
-    every co-run width up to 4 are pinned through the decision times.
-    """
-    rng = random.Random(54)
-    return [
-        (rng.random() * 6e-3, BENCHES[rng.randrange(5)], rng.randrange(3), None)
-        for _ in range(32)
     ]
 
 

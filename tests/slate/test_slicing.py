@@ -11,10 +11,15 @@ Three proof obligations for the slicing subsystem
   every registered policy, same completion times, same counters;
 * slice-boundary preemption and edge resizes never violate the mechanism
   invariants (SM capacity, disjoint grants, nothing starves), audited at
-  every allocation change.
+  every allocation change;
+* a sliced 4-wide co-run reproduces its pinned golden — decisions, final
+  clock and every ticket counter — bit for bit, so a host-side speed-up
+  of the device's settle/slice path cannot drift a single float.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -34,13 +39,14 @@ from repro.slate.policy import Table1Policy, policy_names
 from repro.slate.scheduler import SlateScheduler, SlateTicket
 from repro.slate.slicing import (
     DEFAULT_SLICES_PER_GRID,
+    KernelSlice,
     KernelSlicer,
     SliceConfigError,
     default_slice_blocks,
 )
-from repro.slate.taskqueue import TaskQueueConfigError
+from repro.slate.taskqueue import SlateQueue, Task, TaskQueueConfigError
 
-from tests.slate.difftrace import scheduler_trace
+from tests.slate.difftrace import load_golden, scheduler_trace, sliced_nway4_counters
 from tests.slate.test_policy_invariants import AuditingScheduler, MIXED
 
 ALL_POLICIES = policy_names()
@@ -73,6 +79,19 @@ def test_slices_exactly_tile_grid(num_blocks, slice_blocks):
     assert slicer.exhausted
     assert slicer.remaining_blocks == 0
     assert slicer.next_slice() is None
+    # Slice and task records are immutable, hashable values.
+    first, last = plan[0], plan[-1]
+    task = SlateQueue(num_blocks, slice_blocks).pull()
+    assert task.block_range == first.block_range == range(0, first.count)
+    assert last.block_range.stop == num_blocks
+    for record, twin in (
+        (first, KernelSlice(first.index, first.start, first.count)),
+        (task, Task(task.start, task.count)),
+    ):
+        assert record == twin and hash(record) == hash(twin)
+        with pytest.raises(AttributeError):
+            record.start = 1
+    assert len(set(plan)) == len(plan)
 
 
 @given(
@@ -330,6 +349,49 @@ def test_slice_registry_counters_mirror_stats():
     env.run(until=handle.done)
     assert reg.counter("slice.dispatches").value - d0 == 8
     assert reg.counter("slice.preempts").value - p0 == 1
+
+
+def test_sliced_nway4_counters_match_golden():
+    """Sliced 4-wide co-run: every decision, the clock, every counter."""
+    record, sched = sliced_nway4_counters()
+    stats = sched.env.stats
+    # The scenario's teeth: every slice mechanism fires at 4-way width.
+    assert max(len(row[3]) for row in record["rows"]) == 4
+    assert stats.slice_dispatches == 256
+    assert stats.slice_preempts == 3
+    assert sched.resizes == 68
+    # JSON floats round-trip exactly, so this comparison is bit for bit.
+    assert json.loads(json.dumps(record)) == load_golden("sliced_nway4_counters")
+
+
+def test_taskqueue_pull_instants_are_detailed_only():
+    """A light recorder keeps no per-slice pulls; the counter still counts."""
+    from repro.obs import recorder as obs_recorder
+    from repro.obs import trace as obs_trace
+    from repro.obs.registry import registry
+
+    pulls = registry().counter("taskqueue.pulls")
+
+    def sliced_launch():
+        env, gpu = make_gpu()
+        handle = gpu.launch_sliced(
+            compute_work(), mode=ExecutionMode.SLATE, task_size=10,
+            slice_blocks=6000,
+        )
+        env.run(until=handle.done)
+
+    before = pulls.value
+    recorder = obs_recorder.install(capacity=4096)
+    try:
+        assert obs_trace.ENABLED and not obs_trace.DETAILED
+        sliced_launch()
+    finally:
+        obs_recorder.uninstall()
+    assert pulls.value - before == 8
+    assert not [e for e in recorder.events() if e.name == "taskqueue.pull"]
+    with obs_trace.capture() as sink:
+        sliced_launch()
+    assert sum(e.name == "taskqueue.pull" for e in sink.events) == 8
 
 
 # -- scheduler integration: byte-identity ------------------------------------
