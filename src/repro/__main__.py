@@ -253,14 +253,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _obs_scrape(socket_path: str, recent: int | None = None) -> dict | None:
-    """Session-less ``metrics`` scrape of a live daemon (None on failure).
-
-    One-shot operator scrapes always ask for ``fresh`` shard state — an
-    export or dump should reflect *now*, not the router's poll cache.
-    """
+    """Session-less ``metrics`` scrape of a live daemon (None on failure)."""
     from repro.serve.loadgen import fetch_server_metrics
 
-    return fetch_server_metrics(socket_path, recent=recent, fresh=True)
+    return fetch_server_metrics(socket_path, recent=recent)
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
@@ -446,20 +442,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.registry import registry
     from repro.serve.server import ServeConfig, SlateServer
 
-    shard_trace_template = None
-    if args.trace and args.shard_procs:
-        # Each shard daemon runs in its own process with its own trace
-        # buffer; --trace X fans out to X.shard{i}.json per shard.
-        shard_trace_template = f"{args.trace}.shard{{shard}}.json"
     config = ServeConfig(
         socket_path=args.socket,
         num_devices=args.devices,
         placement=args.placement,
         policy=args.policy,
         shards=args.shards,
-        shard_procs=args.shard_procs,
         shard_inflight=args.shard_inflight,
-        shard_trace_template=shard_trace_template,
         max_inflight=args.max_inflight,
         session_inflight=args.session_inflight,
         max_sessions=args.max_sessions,
@@ -522,9 +511,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if sink is not None:
         write_chrome_trace(args.trace, sink)
         print(f"perfetto trace written to {args.trace} ({len(sink)} events)")
-        if shard_trace_template is not None:
-            for i in range(args.shards):
-                print(f"  shard {i} trace: {shard_trace_template.format(shard=i)}")
     stats = server.stats()
     print(
         f"served {stats['requests']} requests ({stats['launches']} launches, "
@@ -718,10 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1,
                    help="device shards, each with its own cluster + scheduler "
                         "+ sim engine behind the placement router")
-    p.add_argument("--shard-procs", action="store_true",
-                   help="run each shard as its own OS process (single-shard "
-                        "daemon on <socket>.shard<i>; v2 clients are "
-                        "redirected, v1 clients proxied)")
     p.add_argument("--shard-inflight", type=int, default=None,
                    help="per-shard launch admission bound (default: "
                         "max-inflight split evenly across shards)")

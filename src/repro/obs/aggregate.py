@@ -1,10 +1,9 @@
 """Cross-shard metric aggregation: shard scrapes → fleet view → exposition.
 
-The sharded daemon (PR 8) runs each shard either in-loop (asyncio tasks
-sharing this process's :class:`~repro.obs.registry.MetricsRegistry`) or as
-a forked shard process with a registry of its own.  This module is the
-merge layer between those per-process registries and anything that wants
-one fleet-wide answer:
+The sharded daemon runs every shard inside its one event loop, so all
+shards share one :class:`~repro.obs.registry.MetricsRegistry`.  This
+module turns registry exports and per-shard clocks into one fleet-wide
+answer, and merges exports taken from separate processes exactly:
 
 * :func:`merge_registry_states` folds N ``MetricsRegistry.export_state()``
   dicts into one — counters sum, histograms merge at bucket granularity
@@ -19,10 +18,10 @@ one fleet-wide answer:
   series, ``_sum``/``_count``); checked by
   :func:`repro.obs.validate.validate_prometheus`.
 
-The wire side lives in ``repro.serve``: the router polls each shard with
-the session-less v2 ``metrics`` op and caches :class:`ShardScrape` rows;
-``repro obs export --prom --socket <path>`` asks the daemon for the
-already-merged view.
+The wire side lives in ``repro.serve``: the daemon answers the
+session-less v2 ``metrics`` op with :func:`aggregate_fleet` over one
+:class:`ShardScrape` row per shard and its own registry export;
+``repro obs export --prom --socket <path>`` asks it for that view.
 """
 
 from __future__ import annotations

@@ -87,8 +87,9 @@ class Histogram:
 
     Two histograms merge losslessly at bucket granularity: ``h1 + h2`` (or
     the in-place :meth:`merge`) has *exactly* the buckets of a histogram
-    fed the concatenated stream, which is what lets the router sum
-    per-shard-process distributions into a fleet view.  :meth:`state` /
+    fed the concatenated stream, which is what lets
+    :mod:`repro.obs.aggregate` sum distributions exported by separate
+    processes into one fleet view.  :meth:`state` /
     :meth:`from_state` round-trip the full representation as JSON-safe
     plain data for the wire.
 

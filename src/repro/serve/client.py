@@ -16,11 +16,6 @@ automatically via ``launch(..., busy_retries=N)``: each sleep honours the
 server's ``retry_after`` hint as a *floor* and adds deterministic, seeded
 exponential jitter on top (``backoff_seed``), so a thundering herd of
 rejected clients de-synchronizes reproducibly.
-
-Against a sharded daemon running shard *processes*, the router answers
-``hello`` with a ``redirect`` — the shard daemon's own socket path — and
-:meth:`SlateClient.connect` transparently reconnects there, keeping the
-router out of the data path.
 """
 
 from __future__ import annotations
@@ -98,8 +93,7 @@ class SlateClient:
         self.affinity = affinity
         #: Explicit shard pin (validated server-side).
         self.shard_pin = shard
-        #: Shard this session was placed on (None before connect, or
-        #: against a pre-shard v1 server).
+        #: Shard this session was placed on (None before connect).
         self.shard: Optional[int] = None
         self.session: Optional[int] = None
         self.session_name: Optional[str] = None
@@ -112,37 +106,12 @@ class SlateClient:
     # -- connection --------------------------------------------------------
 
     def connect(self) -> dict:
-        """Connect (retrying while the socket is absent) and handshake.
-
-        Transparently follows one shard ``redirect``: against a router
-        fronting shard daemon processes, the first hello answers with the
-        shard's socket path and the client reconnects and re-greets there.
-        """
-        result = self._connect_once(self.socket_path)
-        redirect = result.get("redirect")
-        if redirect:
-            # No ``bye``: the router holds no session for us to close.
-            stream, self._stream, self.session = self._stream, None, None
-            if stream is not None:
-                try:
-                    stream.sock.close()
-                except OSError:
-                    pass
-            routed_shard = result.get("shard")
-            result = self._connect_once(redirect)
-            if routed_shard is not None:
-                # The shard daemon reports its *local* index (always 0);
-                # keep the router's fleet-level placement.
-                self.shard = routed_shard
-                result = dict(result, shard=routed_shard)
-        return result
-
-    def _connect_once(self, socket_path: str) -> dict:
+        """Connect (retrying while the socket is absent) and handshake."""
         last: Optional[Exception] = None
         for attempt in range(self.connect_retries + 1):
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             try:
-                sock.connect(socket_path)
+                sock.connect(self.socket_path)
             except (FileNotFoundError, ConnectionRefusedError) as exc:
                 sock.close()
                 last = exc
@@ -164,11 +133,10 @@ class SlateClient:
             result = self._call("hello", **params)
             self.session = result["session"]
             self.session_name = result["name"]
-            if result.get("shard") is not None:
-                self.shard = result["shard"]
+            self.shard = result["shard"]
             return result
         raise ConnectionError(
-            f"could not connect to Slate daemon at {socket_path!r} "
+            f"could not connect to Slate daemon at {self.socket_path!r} "
             f"after {self.connect_retries + 1} attempts: {last}"
         )
 

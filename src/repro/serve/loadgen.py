@@ -110,12 +110,12 @@ def fetch_server_metrics(
 
     Opens a bare connection and issues the v2 ``metrics`` op without a
     ``hello`` — no session slot is consumed, so this works even against a
-    daemon at its session limit.  ``fresh`` asks a ``--shard-procs``
-    router to re-scrape its shard daemons inline instead of answering
-    from the (up to one poll interval stale) cache — the right call for
-    read-after-burst cross-checks.  Failure-tolerant by design: any error
-    (old server, daemon already gone, timeout) returns ``None`` rather
-    than failing the load-generation run that wants to attach the scrape.
+    daemon at its session limit.  Every scrape reflects the daemon's
+    state when it answers; ``fresh`` is ignored (kept only so existing
+    callers that pass it keep working).  Failure-tolerant by design: any
+    error (old server, daemon already gone, timeout) returns ``None``
+    rather than failing the load-generation run that wants to attach the
+    scrape.
     """
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     try:
@@ -123,8 +123,6 @@ def fetch_server_metrics(
         sock.connect(socket_path)
         stream = MessageStream(sock)
         params: dict = {} if recent is None else {"recent": recent}
-        if fresh:
-            params["fresh"] = True
         stream.send(request(1, "metrics", **params))
         reply = stream.recv()
         if reply.get("ok"):
@@ -482,7 +480,7 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenReport:
         }
     # Post-run server-side cross-check (failure-tolerant: None on any
     # error, never fails the run — see fetch_server_metrics).
-    server_metrics = fetch_server_metrics(cfg.socket_path, fresh=True)
+    server_metrics = fetch_server_metrics(cfg.socket_path)
     sim_q = _histogram_quantiles(server_metrics, "serve.sim_latency.launch")
     wall_q = _histogram_quantiles(server_metrics, "serve.latency.launch")
     return LoadGenReport(

@@ -19,38 +19,30 @@ Requests and replies are JSON objects::
 
 ``id`` is chosen by the client and echoed verbatim so a client can match
 replies to requests.  ``op`` is one of :data:`OPS`.  The ``hello`` request
-carries ``{"version": PROTOCOL_VERSION}``; the server rejects any version
-outside :data:`SUPPORTED_VERSIONS` with a ``VersionMismatch`` error, which
-is what lets the format evolve without silent misdecodes.
+carries ``{"version": PROTOCOL_VERSION}``; the server rejects any other
+version with a ``VersionMismatch`` error, which is what lets the format
+evolve without silent misdecodes.
 
 Version 2 (sharded serving)
 ---------------------------
-Version 2 adds the multi-shard vocabulary; version-1 clients are still
-accepted (the new fields are additive and v1 clients ignore unknown
-reply keys):
+Version 2 adds the multi-shard vocabulary:
 
 * ``hello`` params gain optional routing hints: ``affinity`` (an opaque
   string key — sessions sharing a key land on the same shard) and
   ``shard`` (an explicit shard pin, validated server-side).
-* ``hello`` results gain ``shard`` (the placement decision) and — from a
-  router fronting per-shard daemon *processes* — ``redirect``, the shard
-  daemon's own socket path.  A v2 client reconnects there and re-greets;
-  a v1 client never sees either field because the router proxies its
-  whole connection instead.
-* ``stats`` no longer requires a session (the router polls shard
-  daemons for load without opening one); the reply's ``session`` field
-  is ``null`` on a session-less stats call.
+* ``hello`` results gain ``shard`` (the placement decision).
+* ``stats`` no longer requires a session (any monitor polls load without
+  opening one); the reply's ``session`` field is ``null`` on a
+  session-less stats call.
 * A new typed backpressure error, ``ShardDraining``, reports placement
   against a draining shard.
 * ``metrics`` — a session-less telemetry scrape on the same channel as
-  the session-less ``stats``.  The reply carries the answering process's
-  full ``MetricsRegistry.export_state()`` (mergeable log-bucket
-  histograms included), its wall and simulation clocks, and — from a
-  router — the aggregated fleet view with per-shard skew.  Optional
-  params: ``recent: N`` asks for the last N flight-recorder events
-  (trimmed server-side to fit :data:`MAX_FRAME`).  The op is additive:
-  v1 servers reject it as ``UnknownOperation`` and clients degrade
-  gracefully.
+  the session-less ``stats``.  The reply carries the daemon's full
+  ``MetricsRegistry.export_state()`` (mergeable log-bucket histograms
+  included), its wall and simulation clocks, and the per-shard fleet
+  view with sim-clock skew.  Optional params: ``recent: N`` asks for the
+  last N flight-recorder events (trimmed server-side to fit
+  :data:`MAX_FRAME`).
 
 Typed errors
 ------------
@@ -77,7 +69,6 @@ __all__ = [
     "MAX_FRAME",
     "OPS",
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "BackpressureError",
     "FrameDecoder",
     "FrameError",
@@ -101,14 +92,11 @@ __all__ = [
     "validate_request",
 ]
 
-#: Bump on any incompatible change to the frame format or message schemas.
-#: v2: shard ids, routing hints (``affinity``/``shard``), redirects,
-#: session-less ``stats`` — see "Version 2" above.
+#: Bump on any incompatible change to the frame format or message schemas;
+#: ``hello`` accepts exactly this version.  v2: shard ids, routing hints
+#: (``affinity``/``shard``), session-less ``stats`` and ``metrics`` — see
+#: "Version 2" above.
 PROTOCOL_VERSION = 2
-
-#: Versions the server accepts in ``hello``.  v1 predates sharding; its
-#: sessions simply never carry routing hints.
-SUPPORTED_VERSIONS = frozenset({1, 2})
 
 #: Upper bound on a single frame's payload (1 MiB).  Commands are small;
 #: anything bigger is a corrupt or hostile length prefix.

@@ -25,12 +25,10 @@ With ``shards > 1`` the daemon runs N independent shards — each with its
 *own* environment, cluster, scheduler, and driver — and a
 :class:`~repro.serve.router.PlacementRouter` assigns every new session to
 one of them at ``hello`` time using the scheduling policy's Table-I
-placement scoring (see :mod:`repro.serve.router`).  By default shards
-live inside the daemon's event loop (:class:`~repro.serve.router.
-InLoopShard`); with ``shard_procs`` each shard is a separate OS process
-running a complete single-shard daemon on its own socket.  In that mode
-v2 clients are redirected to the shard socket at ``hello`` (the router
-leaves the data path) and v1 clients are transparently byte-proxied.
+placement scoring (see :mod:`repro.serve.router`).  Every shard is an
+:class:`~repro.serve.router.InLoopShard` inside the daemon's event loop,
+so every connection takes one path: a ``hello`` placed onto a shard,
+then requests served on that same connection.
 
 Admission control
 -----------------
@@ -41,9 +39,7 @@ per-session cap (``session_inflight``).  A launch over any bound is
 rejected *immediately* with a structured backpressure reply
 (``ServerBusy`` / ``SessionLimit``) carrying a ``retry_after`` hint —
 the daemon never buffers unbounded work, clients decide whether to back
-off or shed.  In ``shard_procs`` mode each shard daemon enforces its
-even slice of the global cap, so the aggregate budget stays
-``max_inflight``.
+off or shed.
 
 Session reaping
 ---------------
@@ -61,11 +57,11 @@ import asyncio
 import itertools
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from repro.kernels.kernel import KernelSpec
-from repro.kernels.registry import SHORT_NAMES, by_name
+from repro.kernels.registry import by_name
 from repro.obs import trace as obs_trace
 from repro.obs.aggregate import ShardScrape, aggregate_fleet
 from repro.obs.recorder import get_recorder
@@ -74,13 +70,11 @@ from repro.obs.slo import DEFAULT_TARGETS, SLOTracker, load_slo_config
 from repro.serve import protocol
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     BackpressureError,
     FrameDecoder,
     FrameError,
     ProtocolError,
     ServerBusyError,
-    ServerError,
     SessionLimitError,
     SessionStateError,
     ShardDrainingError,
@@ -89,12 +83,7 @@ from repro.serve.protocol import (
     ok_reply,
     validate_request,
 )
-from repro.serve.router import (
-    InLoopShard,
-    PlacementRouter,
-    ShardProcess,
-    shard_socket_path,
-)
+from repro.serve.router import InLoopShard, PlacementRouter
 from repro.sim import Environment
 from repro.slate.daemon import SlateSession
 
@@ -118,17 +107,9 @@ class ServeConfig:
     #: Device shards: each owns its own cluster + scheduler + sim engine
     #: and the placement router assigns sessions among them.
     shards: int = 1
-    #: Run each shard as its own OS process (single-shard daemon on
-    #: ``<socket_path>.shard<i>``) instead of inside the daemon's loop.
-    shard_procs: bool = False
     #: Per-shard in-flight cap; ``None`` splits ``max_inflight`` evenly
     #: (ceiling division) so the aggregate budget stays ``max_inflight``.
     shard_inflight: Optional[int] = None
-    #: Seed for the router's (deterministic) placement bookkeeping.
-    router_seed: int = 0
-    #: Per-shard Chrome-trace path template for ``shard_procs`` mode;
-    #: ``{shard}`` expands to the shard index.
-    shard_trace_template: Optional[str] = None
     #: Admission control: reject a launch when this many are in flight
     #: across all sessions and shards (queued + running in schedulers)...
     max_inflight: int = 256
@@ -156,7 +137,7 @@ class ServeConfig:
     #: the full sink disabled); ``0`` disables the recorder.
     flight_recorder: int = 4096
     #: Where crash/``SIGUSR1`` ring dumps land; default
-    #: ``<socket_path>.flight.json`` (shard daemons derive their own).
+    #: ``<socket_path>.flight.json``.
     flight_dump: Optional[str] = None
     #: Extra keyword arguments forwarded to every per-device runtime.
     runtime_kwargs: dict = field(default_factory=dict)
@@ -255,45 +236,14 @@ class SimDriver:
             await asyncio.sleep(0)
 
 
-async def _pump_bidirectional(
-    c_reader: asyncio.StreamReader,
-    c_writer: asyncio.StreamWriter,
-    s_reader: asyncio.StreamReader,
-    s_writer: asyncio.StreamWriter,
-) -> None:
-    """Copy bytes client<->shard until either side closes (v1 proxying)."""
-
-    async def copy(src: asyncio.StreamReader, dst: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                chunk = await src.read(65536)
-                if not chunk:
-                    break
-                dst.write(chunk)
-                await dst.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            try:
-                dst.write_eof()
-            except (OSError, RuntimeError):
-                pass
-
-    await asyncio.gather(copy(c_reader, s_writer), copy(s_reader, c_writer))
-
-
-def _sum_scheduler_stats(blocks, policy: str) -> dict:
+def _sum_scheduler_stats(blocks: list[dict]) -> dict:
     """Sum per-shard scheduler counters into one fleet-wide block."""
     totals: dict = {}
-    name = None
     for block in blocks:
-        if not block:
-            continue
-        name = name or block.get("policy")
         for key, value in block.items():
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 totals[key] = totals.get(key, 0) + value
-    totals["policy"] = name if name is not None else str(policy)
+    totals["policy"] = blocks[0]["policy"]
     return totals
 
 
@@ -337,44 +287,23 @@ class SlateServer:
         if config.shards < 1:
             raise ValueError("shards must be >= 1")
         self.config = config
-        self._proc_mode = bool(config.shard_procs)
         self.router = PlacementRouter(
             config.shards,
             placement=config.placement,
             policy=config.policy,
             device=config.runtime_kwargs.get("device"),
-            seed=config.router_seed,
         )
         self._shard_limit = config.shard_inflight_limit()
-        if self._proc_mode:
-            self.shards: list[InLoopShard] = []
-            self.procs = [
-                ShardProcess(i, self._shard_config(i), self._shard_trace(i))
-                for i in range(config.shards)
-            ]
-            # The front daemon runs no simulation of its own; ``ping``
-            # reports sim_time 0.0 and launches never reach it.
-            self.env = Environment()
-            self.cluster = None
-            self.driver = SimDriver(self.env, config.step_batch)
-            self._shard_stats: dict[int, dict] = {}
-        else:
-            self.shards = [InLoopShard(i, config) for i in range(config.shards)]
-            self.procs: list[ShardProcess] = []
-            # Single-shard compatibility aliases (tests, tools, and the
-            # pre-shard API poke server.env/cluster/driver — shard 0).
-            self.env = self.shards[0].env
-            self.cluster = self.shards[0].cluster
-            self.driver = self.shards[0].driver
-            self._shard_stats = {}
+        self.shards = [InLoopShard(i, config) for i in range(config.shards)]
+        # Single-shard compatibility aliases (tests, tools, and the
+        # pre-shard API poke server.env/cluster/driver — shard 0).
+        self.env = self.shards[0].env
+        self.cluster = self.shards[0].cluster
+        self.driver = self.shards[0].driver
         self._sessions: dict[int, _Session] = {}
         self._sids = itertools.count(1)
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: set[asyncio.Task] = set()
-        self._bg_tasks: set[asyncio.Task] = set()
-        self._driver_task: Optional[asyncio.Task] = None
-        self._poll_task: Optional[asyncio.Task] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop = asyncio.Event()
         self.started_at = 0.0
         # Serving metrics (process-wide registry; see docs/serving.md).
@@ -410,34 +339,6 @@ class SlateServer:
             load_slo_config(config.slo) if config.slo else DEFAULT_TARGETS
         )
         self.slo = SLOTracker(targets, registry=reg)
-        # Freshest per-shard metrics scrapes (proc mode; fed by the poll
-        # task, served by the ``metrics`` op as the fleet view).
-        self._shard_metrics: dict[int, ShardScrape] = {}
-
-    def _shard_config(self, index: int) -> ServeConfig:
-        """The single-shard daemon config for shard process ``index``."""
-        shards = max(1, self.config.shards)
-        return replace(
-            self.config,
-            socket_path=shard_socket_path(self.config.socket_path, index),
-            shards=1,
-            shard_procs=False,
-            shard_inflight=None,
-            shard_trace_template=None,
-            max_inflight=self._shard_limit,
-            max_sessions=-(-self.config.max_sessions // shards),
-            duration=None,
-            # Each shard daemon derives its own ring-dump path from its
-            # socket; SLO targets are tracked per shard and merged by the
-            # fleet scrape (burn gauges merge by max).
-            flight_dump=None,
-        )
-
-    def _shard_trace(self, index: int) -> Optional[str]:
-        template = self.config.shard_trace_template
-        if template is None:
-            return None
-        return template.format(shard=index)
 
     # -- introspection -----------------------------------------------------
 
@@ -454,19 +355,21 @@ class SlateServer:
             s.inflight for s in self._sessions.values() if s.shard == index
         )
 
+    def shard_sessions(self, index: int) -> int:
+        return sum(1 for s in self._sessions.values() if s.shard == index)
+
+    @property
+    def sim_time(self) -> float:
+        """The fleet's simulated clock: the furthest-ahead shard's."""
+        return max(shard.env.now for shard in self.shards)
+
     def _shard_blocks(self) -> list[dict]:
-        """Per-shard stats blocks for :meth:`stats` (both shard modes)."""
+        """Per-shard stats blocks for :meth:`stats`."""
         blocks = []
         for book in self.router.shards:
-            if self._proc_mode:
-                block = dict(self._shard_stats.get(book.index) or {})
-                block.setdefault("shard", book.index)
-            else:
-                block = self.shards[book.index].stats()
-                block["sessions"] = sum(
-                    1 for s in self._sessions.values() if s.shard == book.index
-                )
-                block["inflight"] = self.shard_inflight(book.index)
+            block = self.shards[book.index].stats()
+            block["sessions"] = self.shard_sessions(book.index)
+            block["inflight"] = self.shard_inflight(book.index)
             block["draining"] = book.draining
             block["placed"] = book.placed
             blocks.append(block)
@@ -474,31 +377,11 @@ class SlateServer:
 
     def stats(self) -> dict:
         """Server-level snapshot (the ``stats`` op's result body)."""
-        if self._proc_mode:
-            shard_blocks = self._shard_blocks()
-            sim_time = max(
-                (b.get("sim_time", 0.0) for b in shard_blocks), default=0.0
-            )
-            sim_pending = sum(b.get("sim_pending", 0) for b in shard_blocks)
-            sim_errors = sum(b.get("sim_errors", 0) for b in shard_blocks)
-            scheduler = _sum_scheduler_stats(
-                [b.get("scheduler") for b in shard_blocks], self.config.policy
-            )
-        else:
-            shard_blocks = self._shard_blocks()
-            sim_time = max(shard.env.now for shard in self.shards)
-            sim_pending = sum(shard.driver.pending for shard in self.shards)
-            sim_errors = sum(shard.driver.sim_errors for shard in self.shards)
-            scheduler = _sum_scheduler_stats(
-                [shard.cluster.scheduler_stats() for shard in self.shards],
-                self.config.policy,
-            )
         return {
-            "sim_time": sim_time,
+            "sim_time": self.sim_time,
             "policy": self.config.policy,
             "placement": self.router.placement,
             "shard_count": self.router.num_shards,
-            "shard_procs": self._proc_mode,
             "sessions": self.session_count,
             "inflight": self.inflight,
             "requests": self._m_requests.value,
@@ -507,10 +390,12 @@ class SlateServer:
             "launches": self._m_launches.value,
             "sessions_opened": self._m_opened.value,
             "sessions_reaped": self._m_reaped.value,
-            "sim_pending": sim_pending,
-            "sim_errors": sim_errors,
-            "scheduler": scheduler,
-            "shards": shard_blocks,
+            "sim_pending": sum(shard.driver.pending for shard in self.shards),
+            "sim_errors": sum(shard.driver.sim_errors for shard in self.shards),
+            "scheduler": _sum_scheduler_stats(
+                [shard.cluster.scheduler_stats() for shard in self.shards]
+            ),
+            "shards": self._shard_blocks(),
             "uptime": time.monotonic() - self.started_at if self.started_at else 0.0,
         }
 
@@ -518,67 +403,13 @@ class SlateServer:
 
     async def start(self) -> None:
         """Bind the socket and start the shard pool."""
-        self._loop = asyncio.get_running_loop()
         path = self.config.socket_path
         if os.path.exists(path):
             os.unlink(path)
-        if self._proc_mode:
-            # Shard daemons come up concurrently (profile preloading is
-            # the slow part); the router socket binds only once every
-            # shard accepts connections.
-            await asyncio.gather(
-                *[
-                    self._loop.run_in_executor(None, proc.start)
-                    for proc in self.procs
-                ]
-            )
-            self._poll_task = asyncio.create_task(self._poll_shards())
-        else:
-            for shard in self.shards:
-                shard.start()
+        for shard in self.shards:
+            shard.start()
         self._server = await asyncio.start_unix_server(self._handle, path=path)
         self.started_at = time.monotonic()
-
-    async def _poll_shards(self, interval: float = 0.25) -> None:
-        """Refresh the router's load estimates from shard-daemon stats and
-        keep the fleet metrics cache warm (proc mode only; in-loop
-        bookkeeping is exact and shares this process's registry)."""
-        while True:
-            await self._refresh_shard_scrapes()
-            await asyncio.sleep(interval)
-
-    async def _refresh_shard_scrapes(self) -> None:
-        """Scrape stats + registry from every shard daemon right now.
-
-        The poll loop calls this on its interval; a ``fresh`` metrics
-        request calls it inline so a scrape taken right after a burst
-        (e.g. the load generator's final cross-check) sees every launch
-        instead of a cache up to one interval stale."""
-        for proc in self.procs:
-            block = await proc.fetch_stats()
-            if block is None:
-                continue
-            self._shard_stats[proc.index] = block
-            sessions = int(block.get("sessions", 0))
-            inflight = int(block.get("inflight", 0))
-            self.router.refresh_load(proc.index, sessions, inflight)
-            self._g_shard_sessions[proc.index].set(sessions)
-            self._g_shard_inflight[proc.index].set(inflight)
-            scrape = await proc.fetch_metrics()
-            if scrape is not None:
-                self._shard_metrics[proc.index] = ShardScrape(
-                    shard=proc.index,
-                    state=scrape.get("registry"),
-                    wall=float(scrape.get("wall", 0.0)),
-                    sim_time=float(scrape.get("sim_time", 0.0)),
-                    scraped_at=time.time(),
-                    extra={
-                        "sessions": sessions,
-                        "inflight": inflight,
-                        "slo": scrape.get("slo"),
-                        "stats": block,
-                    },
-                )
 
     def request_stop(self) -> None:
         """Ask :meth:`serve_forever` to shut down (signal-handler safe
@@ -607,19 +438,15 @@ class SlateServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._poll_task is not None:
-            self._poll_task.cancel()
-            await asyncio.gather(self._poll_task, return_exceptions=True)
-            self._poll_task = None
         deadline = time.monotonic() + drain_timeout
         while (
             any(shard.driver.pending for shard in self.shards)
             and time.monotonic() < deadline
         ):
             await asyncio.sleep(0.01)
-        for task in list(self._conn_tasks) + list(self._bg_tasks):
+        pending_tasks = list(self._conn_tasks)
+        for task in pending_tasks:
             task.cancel()
-        pending_tasks = list(self._conn_tasks) + list(self._bg_tasks)
         if pending_tasks:
             await asyncio.gather(*pending_tasks, return_exceptions=True)
         # Finalize anything a cancelled handler left behind.
@@ -628,11 +455,6 @@ class SlateServer:
             self._finalize(sess, force=True)
         for shard in self.shards:
             await shard.stop(drain_timeout)
-        if self.procs:
-            loop = asyncio.get_running_loop()
-            await asyncio.gather(
-                *[loop.run_in_executor(None, proc.stop) for proc in self.procs]
-            )
         if os.path.exists(self.config.socket_path):
             os.unlink(self.config.socket_path)
 
@@ -643,27 +465,11 @@ class SlateServer:
 
         The shard stops receiving placements immediately; new launches on
         its resident sessions get ``ShardDraining`` backpressure; launches
-        already in flight complete.  In proc mode the shard daemon is then
-        SIGTERMed (its own shutdown drains pending sim work).
+        already in flight complete.
         """
         if not 0 <= index < self.router.num_shards:
             raise ValueError(f"no shard {index}")
         self.router.set_draining(index)
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._spawn_drain, index)
-
-    def _spawn_drain(self, index: int) -> None:
-        task = asyncio.create_task(self._drain_shard(index))
-        self._bg_tasks.add(task)
-        task.add_done_callback(self._bg_tasks.discard)
-
-    async def _drain_shard(self, index: int) -> None:
-        if self._proc_mode:
-            proc = self.procs[index]
-            await asyncio.get_running_loop().run_in_executor(None, proc.stop)
-            return
-        while self.shard_inflight(index) > 0:
-            await asyncio.sleep(0.01)
 
     # -- session reaping ---------------------------------------------------
 
@@ -695,10 +501,10 @@ class SlateServer:
                 )
 
     def _shard_env(self, sess: _Session) -> Environment:
-        return self.shards[sess.shard].env if self.shards else self.env
+        return self.shards[sess.shard].env
 
     def _shard_driver(self, sess: _Session) -> SimDriver:
-        return self.shards[sess.shard].driver if self.shards else self.driver
+        return self.shards[sess.shard].driver
 
     # -- connection handling ----------------------------------------------
 
@@ -720,21 +526,7 @@ class SlateServer:
                     await self._send(writer, error_reply(None, exc))
                     break
                 stop = False
-                for i, msg in enumerate(messages):
-                    if (
-                        self._proc_mode
-                        and sess is None
-                        and msg.get("op") == "hello"
-                        and (msg.get("params") or {}).get("version") == 1
-                    ):
-                        # v1 clients predate redirects: route their hello,
-                        # then pump bytes between client and shard daemon
-                        # for the life of the connection.
-                        await self._proxy_v1(
-                            msg, messages[i + 1:], decoder, reader, writer
-                        )
-                        stop = True
-                        break
+                for msg in messages:
                     sess, stop = await self._dispatch(msg, writer, sess)
                     if stop:
                         break
@@ -782,18 +574,14 @@ class SlateServer:
                     )
                 sess, result = self._op_hello(params)
             elif op == "ping":
-                result = {"pong": True, "sim_time": self.env.now}
+                result = {"pong": True, "sim_time": self.sim_time}
             elif op == "stats":
-                # v2: session-less stats — the router (or any monitor)
-                # polls load without opening a session.
+                # Session-less stats: any monitor polls load without
+                # opening a session.
                 result = self._op_stats(sess)
             elif op == "metrics":
-                # v2: session-less telemetry scrape — registry export,
-                # fleet merge (on a router), SLO view, recent ring events.
-                # ``fresh`` bypasses the proc-mode scrape cache for
-                # read-after-burst accuracy (loadgen's final cross-check).
-                if params.get("fresh") and self._proc_mode:
-                    await self._refresh_shard_scrapes()
+                # Session-less telemetry scrape: registry export, per-shard
+                # fleet view, SLO view, recent ring events.
                 result = self._op_metrics(params)
             elif sess is None:
                 raise SessionStateError(f"op {op!r} requires a hello first")
@@ -831,15 +619,14 @@ class SlateServer:
 
     # -- operations --------------------------------------------------------
 
-    def _op_hello(self, params: dict) -> tuple[Optional[_Session], dict]:
+    def _op_hello(self, params: dict) -> tuple[_Session, dict]:
         version = params.get("version")
-        if version not in SUPPORTED_VERSIONS:
+        if version != PROTOCOL_VERSION:
             raise VersionMismatchError(
                 f"client protocol version {version!r} not supported "
-                f"(server speaks {PROTOCOL_VERSION}; accepts "
-                f"{sorted(SUPPORTED_VERSIONS)})"
+                f"(server speaks {PROTOCOL_VERSION})"
             )
-        if not self._proc_mode and len(self._sessions) >= self.config.max_sessions:
+        if len(self._sessions) >= self.config.max_sessions:
             raise ServerBusyError(
                 f"session table full ({self.config.max_sessions})", retry_after=0.1
             )
@@ -867,20 +654,6 @@ class SlateServer:
                 score=decision.score,
                 kernel_hint=hint,
             )
-        if self._proc_mode:
-            # v2 clients reconnect to the shard daemon themselves — the
-            # router answers hello and leaves the data path.  The shard
-            # runs its own session table; load flows back via stats polls.
-            self.router.note_open(shard_index, session_name, candidate)
-            return None, {
-                "session": None,
-                "name": session_name,
-                "version": PROTOCOL_VERSION,
-                "shard": shard_index,
-                "redirect": self.procs[shard_index].socket_path,
-                "devices": self.config.num_devices,
-                "device": None,
-            }
         shard = self.shards[shard_index]
         spec_hint = by_name(str(hint)) if hint is not None else None
         slate = shard.cluster.create_session(session_name, spec_hint=spec_hint)
@@ -907,62 +680,6 @@ class SlateServer:
             "devices": shard.cluster.num_devices,
             "device": shard.cluster.placements.get(sess.name),
         }
-
-    async def _proxy_v1(
-        self,
-        hello_msg: dict,
-        rest: list,
-        decoder: FrameDecoder,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Transparently proxy a v1 client's whole connection to a shard
-        daemon (proc mode): route its hello, forward everything already
-        read, then pump bytes both ways until either side hangs up."""
-        rid = hello_msg.get("id")
-        params = hello_msg.get("params") or {}
-        name = str(params.get("name") or "v1-client")
-        try:
-            hint = params.get("kernel_hint")
-            candidate = self.router.classify(hint) if hint is not None else None
-            index = self.router.pick(
-                name, candidate, affinity=params.get("affinity")
-            )
-        except Exception as exc:
-            self._m_errors.inc()
-            await self._send(writer, error_reply(rid, exc))
-            return
-        self.router.note_open(index, name, candidate)
-        try:
-            try:
-                s_reader, s_writer = await asyncio.open_unix_connection(
-                    self.procs[index].socket_path
-                )
-            except OSError as exc:
-                self._m_errors.inc()
-                await self._send(
-                    writer,
-                    error_reply(rid, ServerError(f"shard {index} unreachable: {exc}")),
-                )
-                return
-            try:
-                s_writer.write(protocol.encode_frame(hello_msg))
-                for msg in rest:
-                    s_writer.write(protocol.encode_frame(msg))
-                # Bytes of a frame the decoder had only partially seen.
-                leftover = bytes(decoder._buf)
-                if leftover:
-                    s_writer.write(leftover)
-                await s_writer.drain()
-                await _pump_bidirectional(reader, writer, s_reader, s_writer)
-            finally:
-                s_writer.close()
-                try:
-                    await s_writer.wait_closed()
-                except Exception:
-                    pass
-        finally:
-            self.router.note_close(index, name)
 
     def _resolve_spec(self, params: dict) -> KernelSpec:
         kernel = params.get("kernel")
@@ -1143,43 +860,31 @@ class SlateServer:
     def _op_metrics(self, params: dict) -> dict:
         """The session-less telemetry scrape (v2 ``metrics`` op).
 
-        A shard daemon (or unsharded server) answers with its own
-        registry export; a ``--shard-procs`` router answers with the
-        fleet: per-shard scrapes merged (counters summed, histograms
-        bucket-merged, SLO burn by worst shard) plus per-shard sim-skew
-        and scrape-staleness gauges.  In-loop shards share this process's
-        registry, so the local export already *is* the fleet view there.
+        Every shard shares this process's registry, so the local export
+        already *is* the fleet view; the per-shard rows add each shard's
+        sim clock (and its skew behind the fleet max), sessions, in-flight
+        launches and stats block.
         """
         recorder = get_recorder()
         if recorder is not None:
             recorder.evicted  # sync obs.recorder.evicted before the export
         local_state = obs_registry().export_state()
         now = time.time()
-        if self._proc_mode:
-            scrapes = [
-                self._shard_metrics[i] for i in sorted(self._shard_metrics)
-            ]
-        else:
-            scrapes = []
-            for shard in self.shards:
-                scrapes.append(
-                    ShardScrape(
-                        shard=shard.index,
-                        state=None,  # shared registry: merged once below
-                        wall=now,
-                        sim_time=shard.env.now,
-                        scraped_at=now,
-                        extra={
-                            "sessions": sum(
-                                1 for s in self._sessions.values()
-                                if s.shard == shard.index
-                            ),
-                            "inflight": self.shard_inflight(shard.index),
-                            "stats": shard.stats(),
-                            "shared_registry": True,
-                        },
-                    )
-                )
+        scrapes = [
+            ShardScrape(
+                shard=shard.index,
+                state=None,  # shared registry: merged once below
+                wall=now,
+                sim_time=shard.env.now,
+                scraped_at=now,
+                extra={
+                    "sessions": self.shard_sessions(shard.index),
+                    "inflight": self.shard_inflight(shard.index),
+                    "stats": shard.stats(),
+                },
+            )
+            for shard in self.shards
+        ]
         fleet = aggregate_fleet(scrapes, local_state=local_state, now=now)
         result = {
             "registry": fleet["registry"],
@@ -1188,7 +893,6 @@ class SlateServer:
             "wall": now,
             "slo": self.slo.snapshot(),
             "protocol": PROTOCOL_VERSION,
-            "proc_mode": self._proc_mode,
             "shard_count": self.router.num_shards,
         }
         recent = params.get("recent")

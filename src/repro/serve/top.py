@@ -86,20 +86,9 @@ def _hist_quantiles(registry: dict, name: str) -> Optional[dict]:
 
 
 def _shard_occupancy(stats_block: Optional[dict]) -> Optional[dict]:
-    """Find the occupancy block in either shard-stats shape.
-
-    In-loop shards report ``{"occupancy": ...}`` directly; a proc-mode
-    scrape carries the shard daemon's full server stats, whose single
-    inner shard block holds it.
-    """
     if not isinstance(stats_block, dict):
         return None
-    occ = stats_block.get("occupancy")
-    if occ is None:
-        inner = stats_block.get("shards") or []
-        if inner and isinstance(inner[0], dict):
-            occ = inner[0].get("occupancy")
-    return occ
+    return stats_block.get("occupancy")
 
 
 def _shard_rejections(stats_block: Optional[dict]) -> Optional[int]:
@@ -122,10 +111,9 @@ def render(feed: Optional[dict], width: int = 100) -> str:
     gauges = registry.get("gauges", {})
     lines: list[str] = []
 
-    mode = "proc" if metrics.get("proc_mode") else "in-loop"
     lines.append(
         f"repro top | shards {metrics.get('shard_count', stats.get('shard_count', '?'))}"
-        f" ({mode}) | policy {stats.get('policy', '?')}"
+        f" | policy {stats.get('policy', '?')}"
         f" | sim {metrics.get('sim_time', 0.0):.3f}s"
         f" | uptime {stats.get('uptime', 0.0):.0f}s"
     )

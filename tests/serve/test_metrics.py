@@ -37,9 +37,8 @@ class TestMetricsOp:
         assert m is not None
         assert {
             "registry", "shards", "sim_time", "wall", "slo",
-            "protocol", "proc_mode", "shard_count",
+            "protocol", "shard_count",
         } <= set(m)
-        assert m["proc_mode"] is False
         assert m["shard_count"] == 1
         assert {"counters", "gauges", "histograms"} <= set(m["registry"])
         names = {t["name"] for t in m["slo"]["targets"]}
@@ -100,48 +99,6 @@ class TestFleetView:
         gauges = m["registry"]["gauges"]
         assert "fleet.shard.0.sim_skew" in gauges
         assert "fleet.shard.1.sim_skew" in gauges
-
-    def test_proc_fleet_merges_shard_registries(self, sock_path):
-        """--shard-procs: the router scrapes each shard daemon and the
-        merged fleet registry must count every shard's launches."""
-        config = ServeConfig(
-            socket_path=sock_path,
-            shards=2,
-            shard_procs=True,
-            preload_profiles=False,
-        )
-        with ServerThread(config) as server:
-            with SlateClient(sock_path, name="a", kernel_hint="MM") as a:
-                with SlateClient(sock_path, name="b", kernel_hint="MM") as b:
-                    assert {a.shard, b.shard} == {0, 1}
-                    for _ in range(3):
-                        a.launch("MM")
-                        b.launch("RG")
-                    # Poll until the router's 0.25s scrape cache has a
-                    # fresh registry from every shard daemon.
-                    import time
-
-                    def scraped_launches(m, sid):
-                        block = (m or {}).get("shards", {}).get(sid) or {}
-                        reg = block.get("registry") or {}
-                        return reg.get("counters", {}).get("serve.launches", 0)
-
-                    deadline = time.monotonic() + 10.0
-                    while time.monotonic() < deadline:
-                        m = fetch_server_metrics(sock_path)
-                        if all(scraped_launches(m, s) >= 3 for s in ("0", "1")):
-                            break
-                        time.sleep(0.1)
-        assert m["proc_mode"] is True
-        assert m["shard_count"] == 2
-        # Both shards contributed: per-shard scrape blocks carry their
-        # own registries and the merged counters cover all launches.
-        assert m["registry"]["counters"]["serve.launches"] >= 6
-        for sid in ("0", "1"):
-            shard = m["shards"][sid]
-            assert shard["registry"] is not None
-            assert shard["registry"]["counters"]["serve.launches"] >= 3
-        assert "serve.sim_latency.launch" in m["registry"]["histograms"]
 
 
 class TestLoadgenCrossCheck:

@@ -1,5 +1,5 @@
 """Router tests: placement invariants, determinism, affinity, draining,
-sharded serving end-to-end (in-loop and shard-process modes).
+sharded serving end-to-end.
 
 The property tests pin the two contracts the sharding design leans on:
 the router never co-locates classes the active policy's
@@ -7,7 +7,6 @@ the router never co-locates classes the active policy's
 fixed arrival sequence always places identically.
 """
 
-import socket
 import threading
 import time
 
@@ -18,11 +17,9 @@ from hypothesis import strategies as st
 from repro.serve.client import SlateClient
 from repro.serve.protocol import (
     BackpressureError,
-    MessageStream,
     ProtocolError,
     ServerBusyError,
     ShardDrainingError,
-    request,
 )
 from repro.serve.router import PlacementRouter
 from repro.serve.server import ServeConfig, ServerThread
@@ -87,14 +84,13 @@ class TestPlacementProperties:
         candidates=st.lists(st.sampled_from(CLASSES), min_size=1, max_size=24),
         num_shards=st.integers(min_value=1, max_value=5),
         placement=st.sampled_from(["contention", "least-loaded", "round-robin"]),
-        seed=st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=60, deadline=None)
     def test_identical_sequences_place_identically(
-        self, candidates, num_shards, placement, seed
+        self, candidates, num_shards, placement
     ):
         def run():
-            router = PlacementRouter(num_shards, placement=placement, seed=seed)
+            router = PlacementRouter(num_shards, placement=placement)
             placements = []
             for i, candidate in enumerate(candidates):
                 index = router.pick(f"s{i}", candidate)
@@ -211,7 +207,7 @@ class TestShardedServer:
         hints = ["MM", "RG", "BS", "TR", "GS", "MM"]
 
         def run(path):
-            config = ServeConfig(socket_path=path, shards=3, router_seed=7)
+            config = ServeConfig(socket_path=path, shards=3)
             placements = []
             with ServerThread(config):
                 for i, hint in enumerate(hints):
@@ -230,23 +226,16 @@ class TestShardedServer:
                     SlateClient(sock_path, name="b", affinity="job-9") as b:
                 assert a.shard == b.shard
 
-    def test_v1_hello_still_accepted(self, sock_path):
+    def test_ping_reports_the_fleet_sim_clock(self, sock_path):
+        """``ping`` answers with the furthest-ahead shard's clock, the same
+        value ``stats`` reports, not shard 0's."""
         with ServerThread(ServeConfig(socket_path=sock_path, shards=2)):
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.connect(sock_path)
-            sock.settimeout(30.0)
-            try:
-                stream = MessageStream(sock)
-                stream.send(request(1, "hello", version=1, name="legacy"))
-                reply = stream.recv()
-                assert reply["ok"], reply
-                assert reply["result"]["session"] == 1
-                stream.send(request(2, "launch", kernel="RG"))
-                reply = stream.recv()
-                assert reply["ok"], reply
-                assert reply["result"]["kernel"] == "RG"
-            finally:
-                sock.close()
+            with SlateClient(sock_path, name="pinned", shard=1) as client:
+                client.launch("RG")
+                pong = client.ping()
+                stats = client.stats()["server"]
+        assert stats["sim_time"] > 0.0
+        assert pong["sim_time"] == stats["sim_time"]
 
 
 class TestShardDraining:
@@ -317,38 +306,3 @@ class TestAggregateAdmission:
         assert ServeConfig(
             socket_path="x", shards=3, max_inflight=8
         ).shard_inflight_limit() == 3  # ceiling division
-
-
-class TestShardProcesses:
-    def test_redirect_proxy_and_load_spread(self, sock_path):
-        config = ServeConfig(
-            socket_path=sock_path,
-            shards=2,
-            shard_procs=True,
-            preload_profiles=False,
-        )
-        with ServerThread(config) as server:
-            # v2 clients follow the redirect to the shard daemon.
-            with SlateClient(sock_path, name="v2a", kernel_hint="MM") as a:
-                assert a.shard is not None
-                assert a.launch("MM").kernel == "MM"
-                with SlateClient(sock_path, name="v2b", kernel_hint="MM") as b:
-                    assert {a.shard, b.shard} == {0, 1}
-                    assert b.launch("MM").kernel == "MM"
-            # v1 clients are proxied through the router transparently.
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.connect(sock_path)
-            sock.settimeout(30.0)
-            try:
-                stream = MessageStream(sock)
-                stream.send(request(1, "hello", version=1, name="legacy"))
-                reply = stream.recv()
-                assert reply["ok"], reply
-                assert reply["result"]["session"] is not None
-                stream.send(request(2, "launch", kernel="RG"))
-                reply = stream.recv()
-                assert reply["ok"], reply
-                assert reply["result"]["kernel"] == "RG"
-            finally:
-                sock.close()
-            assert all(proc.alive for proc in server.procs)

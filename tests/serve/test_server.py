@@ -100,13 +100,14 @@ class TestTypedErrors:
                 with pytest.raises(UnknownKernelError):
                     client.register("NOPE")
 
-    def test_version_mismatch_rejected(self, sock_path):
+    @pytest.mark.parametrize("version", [1, PROTOCOL_VERSION + 1])
+    def test_version_mismatch_rejected(self, sock_path, version):
         with ServerThread(ServeConfig(socket_path=sock_path)):
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.connect(sock_path)
             sock.settimeout(5.0)
             stream = MessageStream(sock)
-            stream.send(request(1, "hello", version=PROTOCOL_VERSION + 1))
+            stream.send(request(1, "hello", version=version))
             reply = stream.recv()
             assert reply["ok"] is False
             assert reply["error"]["type"] == "VersionMismatch"

@@ -30,7 +30,6 @@ def canned_feed():
         "polled_at": 123.0,
         "metrics": {
             "registry": reg.export_state(),
-            "proc_mode": True,
             "shard_count": 2,
             "sim_time": 7.5,
             "shards": {
@@ -51,8 +50,10 @@ def canned_feed():
                     "sim_time": 6.0,
                     "sim_skew": 1.5,
                     "scrape_age": 0.2,
-                    # Proc-mode shape: occupancy nested in server stats.
-                    "stats": {"shards": [{"occupancy": {"covered_sms": 0, "num_sms": 15}}]},
+                    "stats": {
+                        "occupancy": {"covered_sms": 0, "num_sms": 15},
+                        "scheduler": {"rejections": 0},
+                    },
                 },
             },
             "slo": {
@@ -77,10 +78,10 @@ class TestRender:
 
     def test_full_frame_contents(self):
         text = render(canned_feed())
-        assert "shards 2 (proc)" in text
+        assert "shards 2 | policy" in text
         assert "policy table1" in text
         assert "launches 42" in text
-        # Per-shard rows with occupancy from both stats shapes.
+        # Per-shard rows with each shard's occupancy.
         assert "10/15 SM" in text
         assert "0/15 SM" in text
         assert "1.500" in text  # shard 1 sim skew
