@@ -124,31 +124,3 @@ def test_histogram_observe_throughput(obs_bench_json):
     }
     # An observe is a log + dict bump; keep it well under a microsecond.
     assert best / n < 1e-6
-
-
-def test_quantile_and_merge_cost(obs_bench_json):
-    """Scrape-path cost: merging shard histograms + quantile extraction."""
-    shards = []
-    for s in range(8):
-        h = Histogram(f"s{s}")
-        for i in range(10_000):
-            h.observe(0.0001 * (1 + ((i * (s + 1)) % 1013)))
-        shards.append(h)
-    start = time.perf_counter()
-    merges = 0
-    while time.perf_counter() - start < 0.2:
-        merged = Histogram("fleet")
-        for h in shards:
-            merged.merge(h)
-        for q in (0.5, 0.9, 0.99, 0.999):
-            merged.quantile(q)
-        merges += 1
-    elapsed = time.perf_counter() - start
-    per_scrape = elapsed / merges
-    obs_bench_json["fleet_merge_8_shards"] = {
-        "shards": 8,
-        "scrapes_timed": merges,
-        "us_per_scrape": round(per_scrape * 1e6, 2),
-    }
-    # A fleet merge is metadata-sized work; it must never rival a launch.
-    assert per_scrape < 0.01

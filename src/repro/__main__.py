@@ -166,9 +166,7 @@ def _trace_export(fmt: str, path: str, sink) -> None:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.metrics.timeline import render_timeline, to_chrome_trace
+    from repro.metrics.timeline import render_timeline
     from repro.metrics.utilization import summarize_utilization
     from repro.obs import trace as obs_trace
     from repro.obs.export import run_metadata
@@ -243,10 +241,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"utilization: mean SM coverage {summary.mean_sm_occupancy:.0%}, "
             f"shared {summary.shared_fraction:.0%}, idle {summary.idle_fraction:.0%}"
         )
-        if args.chrome:
-            with open(args.chrome, "w") as fh:
-                json.dump(to_chrome_trace(log), fh)
-            print(f"chrome trace written to {args.chrome}")
     if sink is not None:
         _trace_export(export[0], export[1], sink)
     return 0
@@ -444,7 +438,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     config = ServeConfig(
         socket_path=args.socket,
-        num_devices=args.devices,
         placement=args.placement,
         policy=args.policy,
         shards=args.shards,
@@ -461,8 +454,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     meta = run_metadata(
-        command="serve", socket=args.socket, devices=args.devices,
-        shards=args.shards,
+        command="serve", socket=args.socket, shards=args.shards,
     )
     # Always-on flight recorder (bounded ring, ~free) stacked over the
     # optional full-capture sink; dumped on crash or SIGUSR1.
@@ -655,10 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scheduling policy for the Slate runtime")
     _add_slicing_args(p)
     p.add_argument(
-        "--chrome",
-        help="write a chrome://tracing JSON of the allocation log here (legacy)",
-    )
-    p.add_argument(
         "--export", nargs=2, metavar=("FORMAT", "PATH"),
         help=(
             "capture structured tracing during the replay and export it: "
@@ -690,19 +678,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="run the Slate serving daemon (Unix socket)")
     p.add_argument("--socket", default="/tmp/slate.sock", help="Unix socket path")
-    p.add_argument("--devices", type=int, default=1, help="simulated GPUs behind the daemon")
     p.add_argument(
         "--placement",
-        choices=["contention", "round-robin", "least-loaded", "class-aware"],
+        choices=["contention", "round-robin", "least-loaded"],
         default="contention",
-        help="session placement policy for shards/devices (contention = "
-             "Table-I scoring; class-aware is an alias)",
+        help="session placement policy across shards (contention = "
+             "Table-I scoring)",
     )
     p.add_argument("--policy", choices=policy_names(), default="table1",
-                   help="scheduling policy every per-device daemon runs")
+                   help="scheduling policy every shard runs")
     _add_slicing_args(p)
     p.add_argument("--shards", type=int, default=1,
-                   help="device shards, each with its own cluster + scheduler "
+                   help="device shards, each with its own runtime + scheduler "
                         "+ sim engine behind the placement router")
     p.add_argument("--shard-inflight", type=int, default=None,
                    help="per-shard launch admission bound (default: "

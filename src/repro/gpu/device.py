@@ -51,7 +51,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import os
 from collections import deque as _deque
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Optional, Sequence
@@ -499,6 +498,13 @@ class SimulatedGPU:
     *when*; the device turns those decisions into timing and counters.
     """
 
+    #: Decision-epoch batching: mutations that land while the engine is
+    #: delivering events mark the epoch dirty and defer the (settle +
+    #: derive + reschedule) recompute to one end-of-timestep flush.
+    #: ``False`` restores recompute-per-mutation, the reference path the
+    #: epoch-equivalence tests compare against; read at construction.
+    EPOCH_BATCH = True
+
     def __init__(
         self,
         env: Environment,
@@ -525,11 +531,7 @@ class SimulatedGPU:
         #: matches reuses them without rebuilding any signature tuple.
         self._alloc_epoch = 0
         self._rates_epoch = -1
-        #: Decision-epoch batching: mutations that land while the engine is
-        #: delivering events mark the epoch dirty and defer the (settle +
-        #: derive + reschedule) recompute to one end-of-timestep flush.
-        #: ``REPRO_NO_EPOCH_BATCH=1`` restores recompute-per-mutation.
-        self._epoch_batch = not os.environ.get("REPRO_NO_EPOCH_BATCH")
+        self._epoch_batch = self.EPOCH_BATCH
         self._epoch_dirty = False
         #: Config half of every rate-memo key this device builds
         #: (``device`` and ``costs`` are fixed for the device's lifetime).

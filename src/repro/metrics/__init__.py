@@ -9,7 +9,7 @@ from repro.metrics.antt import (
 )
 from repro.metrics.counters import METRIC_NAMES, NvprofReport, collect
 from repro.metrics.fairness import fairness_index, max_slowdown, speedup_spread
-from repro.metrics.timeline import build_timeline, render_timeline, to_chrome_trace
+from repro.metrics.timeline import build_timeline, render_timeline
 from repro.metrics.utilization import UtilizationSummary, summarize_utilization
 from repro.metrics.report import format_table
 
@@ -30,5 +30,4 @@ __all__ = [
     "stp",
     "summarize_utilization",
     "UtilizationSummary",
-    "to_chrome_trace",
 ]

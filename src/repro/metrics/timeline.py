@@ -17,7 +17,7 @@ from typing import Sequence
 
 from repro.config import DeviceConfig, TITAN_XP
 
-__all__ = ["TimelineRow", "build_timeline", "render_timeline", "to_chrome_trace"]
+__all__ = ["TimelineRow", "build_timeline", "render_timeline"]
 
 
 @dataclass(frozen=True)
@@ -79,51 +79,3 @@ def render_timeline(
     if len(rows) > max_rows:
         lines.append(f"  ... {len(rows) - max_rows} more rows")
     return "\n".join(lines)
-
-
-def to_chrome_trace(
-    allocation_log: Sequence[tuple[float, dict[str, tuple[int, int]]]],
-    end_time: float | None = None,
-) -> list[dict]:
-    """Export an allocation log as Chrome-trace (``chrome://tracing``) events.
-
-    Each kernel occupies one trace row; SM-range changes show as
-    consecutive complete ("X") events annotated with the range.  Load the
-    returned list (JSON-encoded) in Chrome's tracing UI or Perfetto.
-    """
-    rows = build_timeline(allocation_log)
-    if not rows:
-        return []
-    if end_time is None:
-        end_time = rows[-1].start
-    events: list[dict] = []
-    # Track each kernel's open interval.
-    open_since: dict[str, tuple[float, tuple[int, int]]] = {}
-
-    def close(name: str, until: float) -> None:
-        start, (low, high) = open_since.pop(name)
-        if until <= start:
-            return
-        events.append(
-            {
-                "name": f"{name} [{low}-{high}]",
-                "cat": "sm-allocation",
-                "ph": "X",
-                "ts": start * 1e6,  # chrome traces are in microseconds
-                "dur": (until - start) * 1e6,
-                "pid": 0,
-                "tid": name,
-                "args": {"sm_low": low, "sm_high": high, "sms": high - low + 1},
-            }
-        )
-
-    for row in rows:
-        for name in list(open_since):
-            if open_since[name][1] != row.allocation.get(name):
-                close(name, row.start)
-        for name, sm_range in row.allocation.items():
-            if name not in open_since:
-                open_since[name] = (row.start, sm_range)
-    for name in list(open_since):
-        close(name, end_time)
-    return events

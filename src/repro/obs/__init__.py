@@ -1,14 +1,14 @@
 """Unified observability: structured tracing + the process-wide metrics registry.
 
-The reproduction used to have five disconnected observability surfaces
+The reproduction used to have disconnected observability surfaces
 (``Environment.stats``, ``sim.tracing.Tracer``, the scheduler's
-decision/allocation logs, the rate-memo counters, ``SystemMonitor``
-samples).  This package gives them one home:
+decision/allocation logs, the rate-memo counters).  This package gives
+them one home:
 
 * :mod:`repro.obs.trace` — a process-wide :class:`~repro.obs.trace.TraceSink`
   with a span/instant/counter event API.  Instrumentation sits at every
   interesting boundary (engine dispatch, scheduler decisions, resizes,
-  epochs, monitor samples, task-queue pulls) behind a module-level
+  epochs, task-queue pulls) behind a module-level
   ``ENABLED`` flag, so the disabled path is a single attribute check —
   no allocation, no behavioural change, golden results untouched.
 * :mod:`repro.obs.export` — exporters: Chrome trace-event JSON (loads in
@@ -16,14 +16,13 @@ samples).  This package gives them one home:
   and a JSONL stream with run metadata.
 * :mod:`repro.obs.registry` — a single named counter/gauge/histogram
   registry that absorbs the engine aggregate, rate-memo and occupancy
-  cache counters (as pull *sources*) and the scheduler/daemon/monitor
-  counters (as push counters).  ``runner --profile`` and the
+  cache counters (as pull *sources*) and the scheduler/daemon counters
+  (as push counters).  ``runner --profile`` and the
   ``repro obs dump`` CLI read from it.
 * :mod:`repro.obs.validate` — trace-event schema and Prometheus
   exposition validation used by tests and the CI smoke job.
-* :mod:`repro.obs.aggregate` — cross-shard registry merging (log-bucket
-  histograms merge losslessly), per-shard wall-vs-sim skew tracking, and
-  the Prometheus text exposition behind ``repro obs export --prom``.
+* :mod:`repro.obs.aggregate` — the Prometheus text exposition behind
+  ``repro obs export --prom``.
 * :mod:`repro.obs.slo` — declarative SLO targets with sliding-window,
   multi-window burn-rate alerting surfaced as ``slo.*`` gauges.
 * :mod:`repro.obs.recorder` — the always-on flight recorder: a bounded
@@ -41,12 +40,7 @@ Quick start::
     print(obs.registry().to_json())
 """
 
-from repro.obs.aggregate import (
-    ShardScrape,
-    aggregate_fleet,
-    merge_registry_states,
-    to_prometheus,
-)
+from repro.obs.aggregate import to_prometheus
 from repro.obs.export import (
     run_metadata,
     to_chrome_events,
@@ -85,14 +79,11 @@ __all__ = [
     "NullSink",
     "SLOTarget",
     "SLOTracker",
-    "ShardScrape",
     "TraceEvent",
     "TraceSink",
-    "aggregate_fleet",
     "capture",
     "get_sink",
     "load_slo_config",
-    "merge_registry_states",
     "registry",
     "run_metadata",
     "set_sink",

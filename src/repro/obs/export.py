@@ -13,8 +13,8 @@ Perfetto (https://ui.perfetto.dev) and ``chrome://tracing``.  Track layout:
 * ``tenants`` process — one thread per kernel/tenant with its execution
   spans, plus resize/retreat/preempt instants.
 * one process per remaining track group (``scheduler``, ``daemon``,
-  ``device``, ``monitor``, ``engine``) carrying decision markers, compile
-  spans, epoch markers and monitor counter series.
+  ``device``, ``engine``) carrying decision markers, compile spans and
+  epoch markers.
 
 Timestamps are converted from simulated seconds to the format's
 microseconds.  Process/thread names are declared with ``M`` metadata
@@ -48,7 +48,7 @@ __all__ = [
 
 #: Stable pid assignment per track group: SM timeline first, tenants next,
 #: then the control-plane groups.  Unknown groups get pids past these.
-_PID_ORDER = ("SMs", "tenants", "scheduler", "daemon", "device", "monitor", "engine")
+_PID_ORDER = ("SMs", "tenants", "scheduler", "daemon", "device", "engine")
 
 _SECONDS_TO_US = 1e6
 

@@ -5,8 +5,7 @@ stats surfaces:
 
 * **push metrics** — instruments created by name via :meth:`counter` /
   :meth:`gauge` / :meth:`histogram` and updated by the code that owns them
-  (scheduler decisions, daemon compiles, monitor samples, task-queue
-  pulls).  Creation is get-or-create, so every layer referring to
+  (scheduler decisions, daemon compiles, task-queue pulls).  Creation is get-or-create, so every layer referring to
   ``"scheduler.decisions"`` shares one counter.
 * **pull sources** — existing counter surfaces registered as callables
   polled at :meth:`snapshot` time: the engine aggregate
@@ -15,10 +14,9 @@ stats surfaces:
   (:func:`repro.gpu.occupancy.occupancy_cache_info`).
 
 ``runner --profile`` and ``python -m repro obs dump`` read through this
-registry; the old accessors (``Environment.stats``, ``aggregate_stats``,
-``SlateCluster.scheduler_stats``, ``rates_cache_info``,
-``occupancy_cache_info``) keep working as compatibility shims — see
-``docs/observability.md`` for the deprecation notes.
+registry; the older accessors (``Environment.stats``, ``aggregate_stats``,
+``rates_cache_info``, ``occupancy_cache_info``) stay because benchmarks
+read them — see ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -85,13 +83,9 @@ class Histogram:
     zero bucket and indices are clamped to ``[MIN_INDEX, MAX_INDEX]`` (the
     clamped-high observations are also tallied in ``overflow``).
 
-    Two histograms merge losslessly at bucket granularity: ``h1 + h2`` (or
-    the in-place :meth:`merge`) has *exactly* the buckets of a histogram
-    fed the concatenated stream, which is what lets
-    :mod:`repro.obs.aggregate` sum distributions exported by separate
-    processes into one fleet view.  :meth:`state` /
-    :meth:`from_state` round-trip the full representation as JSON-safe
-    plain data for the wire.
+    :meth:`state` / :meth:`from_state` round-trip the full representation
+    as JSON-safe plain data for the wire, so a client rebuilds the
+    daemon's exact distribution from a ``metrics`` reply.
 
     ``summary()`` keeps the original ``count/sum/min/max/mean`` keys and
     adds ``p50/p90/p99/p999``.
@@ -180,27 +174,6 @@ class Histogram:
             "p99": self.quantile(0.99),
             "p999": self.quantile(0.999),
         }
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other``'s observations into this histogram (in place)."""
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-        self.zero_count += other.zero_count
-        self.overflow += other.overflow
-        buckets = self.buckets
-        for idx, n in other.buckets.items():
-            buckets[idx] = buckets.get(idx, 0) + n
-        return self
-
-    def __add__(self, other: "Histogram") -> "Histogram":
-        merged = Histogram(self.name)
-        merged.merge(self)
-        merged.merge(other)
-        return merged
 
     def summary(self) -> dict:
         out = {
@@ -339,9 +312,8 @@ class MetricsRegistry:
         """Snapshot with *full* histogram bucket state, for wire transfer.
 
         Same shape as :meth:`snapshot` except ``histograms`` maps to
-        :meth:`Histogram.state` dicts (mergeable via
-        :func:`repro.obs.aggregate.merge_registry_states`) instead of the
-        human-oriented summaries.
+        :meth:`Histogram.state` dicts (see :meth:`Histogram.from_state`)
+        instead of the human-oriented summaries.
         """
         counters, gauges, histograms = {}, {}, {}
         for name in sorted(self._metrics):

@@ -4,8 +4,7 @@ Event model
 -----------
 A :class:`TraceEvent` is one timestamped observation on a *track*.  Tracks
 are addressed by ``(pid, tid)`` pairs — ``pid`` names a track *group*
-(``"scheduler"``, ``"device"``, ``"tenants"``, ``"daemon"``, ``"monitor"``,
-``"engine"``) and ``tid`` a row within it (a tenant name, ``"decisions"``,
+(``"scheduler"``, ``"device"``, ``"tenants"``, ``"daemon"``, ``"engine"``) and ``tid`` a row within it (a tenant name, ``"decisions"``,
 an SM index).  Phases follow the Chrome trace-event vocabulary:
 
 ========  =====================================================

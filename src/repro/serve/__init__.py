@@ -5,8 +5,8 @@ client-server runtime inside one process; this package makes the process
 boundary real.  ``repro serve`` runs an asyncio daemon that listens on a
 Unix domain socket; plain client processes link :class:`SlateClient` (the
 analogue of the Slate API library) and relay every operation over a
-length-prefixed JSON wire protocol into the daemon's single shared
-:class:`~repro.slate.cluster.SlateCluster`, which drives the simulated GPU.
+length-prefixed JSON wire protocol into a shard's
+:class:`~repro.slate.daemon.SlateRuntime`, which drives the simulated GPU.
 
 Layout
 ------

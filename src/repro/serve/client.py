@@ -269,11 +269,11 @@ class SlateClient:
         return self._call("stats")
 
     def metrics(self, recent: Optional[int] = None) -> dict:
-        """Aggregated fleet metrics (v2 ``metrics`` op).
+        """Fleet metrics (v2 ``metrics`` op): the daemon's registry plus
+        per-shard rows.
 
         ``recent`` > 0 additionally asks for the last N flight-recorder
-        events (capped server-side).  Against a sharded daemon this is the
-        already-merged fleet view.
+        events (capped server-side).
         """
         params = {} if recent is None else {"recent": recent}
         return self._call("metrics", **params)

@@ -353,7 +353,7 @@ class LoadGenReport:
     #: Launches the server's sim-latency histogram counted (includes
     #: warmup requests; equals ``completed`` when ``warmup == 0``).
     server_launch_count: Optional[int] = None
-    #: The full metrics scrape (merged fleet registry + per-shard rows).
+    #: The full metrics scrape (daemon registry + per-shard rows).
     server_metrics: Optional[dict] = None
 
     def to_dict(self) -> dict:
@@ -363,14 +363,6 @@ class LoadGenReport:
         for client in body["per_client"]:
             client["latencies"] = len(client["latencies"])
             client["sim_latencies"] = len(client["sim_latencies"])
-        # The per-shard registries inside the scrape duplicate the merged
-        # fleet registry; elide them (asdict deep-copied, so the live
-        # report object keeps the full scrape).
-        scrape = body.get("server_metrics")
-        if scrape:
-            for shard in (scrape.get("shards") or {}).values():
-                if isinstance(shard, dict) and shard.get("registry"):
-                    shard["registry"] = "<elided>"
         return body
 
     def to_json(self, indent: int = 2) -> str:

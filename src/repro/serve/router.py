@@ -1,10 +1,10 @@
 """Shard pool and workload-aware placement router for the serving daemon.
 
-The single-``SlateCluster`` daemon serializes every request behind one
-scheduler and one discrete-event engine.  Sharding splits the fleet into
-N independent *shards* — each owns its own :class:`~repro.sim.Environment`,
-:class:`~repro.slate.cluster.SlateCluster`, scheduler, and
-:class:`~repro.serve.server.SimDriver` — fronted by a
+One Slate runtime serializes every request behind one scheduler and
+one discrete-event engine.  Sharding splits the fleet into N independent
+*shards* — each owns its own :class:`~repro.sim.Environment`,
+:class:`~repro.slate.daemon.SlateRuntime` (one simulated device and its
+scheduler), and :class:`~repro.serve.server.SimDriver` — fronted by a
 :class:`PlacementRouter` that decides, once per session at ``hello``,
 which shard a client lands on.  Each shard is a set of objects plus its
 own driver task inside the daemon's asyncio loop (:class:`InLoopShard`):
@@ -55,8 +55,6 @@ __all__ = [
 ]
 
 #: Router-level placement policies (``repro serve --placement``).
-#: ``class-aware`` is accepted as an alias of ``contention`` so existing
-#: multi-device invocations keep working.
 ROUTER_PLACEMENTS = ("contention", "round-robin", "least-loaded")
 
 
@@ -109,8 +107,6 @@ class PlacementRouter:
         policy=None,
         device=None,
     ) -> None:
-        if placement == "class-aware":
-            placement = "contention"
         if placement not in ROUTER_PLACEMENTS:
             raise ValueError(
                 f"unknown placement {placement!r}; known: {ROUTER_PLACEMENTS}"
@@ -242,10 +238,10 @@ class PlacementRouter:
 
 
 class InLoopShard:
-    """One in-loop shard: its own sim environment, cluster, and driver.
+    """One in-loop shard: its own sim environment, Slate runtime, and driver.
 
-    Construction mirrors what the unsharded server used to build once;
-    the server now builds N of these and routes sessions among them.
+    The server builds N of these and routes sessions among them; every
+    shard's profile table starts seeded with the benchmark kernels.
     """
 
     def __init__(self, index: int, config) -> None:
@@ -253,23 +249,20 @@ class InLoopShard:
         from repro.kernels.registry import SHORT_NAMES
         from repro.serve.server import SimDriver
         from repro.sim import Environment
-        from repro.slate.cluster import SlateCluster
+        from repro.slate.daemon import SlateRuntime
 
         self.index = index
         self.config = config
         self.env = Environment()
-        self.cluster = SlateCluster(
+        self.runtime = SlateRuntime(
             self.env,
-            num_devices=config.num_devices,
-            placement=config.cluster_placement(),
             policy=config.policy,
             log_limit=config.log_limit,
             rate_trace_limit=config.log_limit,
             **config.runtime_kwargs,
         )
-        if config.preload_profiles:
-            self.cluster.preload_profiles([by_name(n) for n in SHORT_NAMES])
-        self.driver = SimDriver(self.env, config.step_batch)
+        self.runtime.preload_profiles([by_name(n) for n in SHORT_NAMES])
+        self.driver = SimDriver(self.env)
         self._task: Optional[asyncio.Task] = None
 
     def start(self) -> None:
@@ -285,11 +278,27 @@ class InLoopShard:
             self._task = None
 
     def stats(self) -> dict:
+        sched = self.runtime.scheduler
         return {
             "shard": self.index,
             "sim_time": self.env.now,
             "sim_pending": self.driver.pending,
             "sim_errors": self.driver.sim_errors,
-            "scheduler": self.cluster.scheduler_stats(),
-            "occupancy": self.cluster.occupancy(),
+            "scheduler": {
+                "decisions": sched.decisions_total,
+                "solo_launches": sched.solo_launches,
+                "corun_launches": sched.corun_launches,
+                "resizes": sched.resizes,
+                "preemptions": sched.preemptions,
+                "rejections": sched.rejections,
+                "waiting": sched.waiting_count,
+                "running": sched.running_count,
+                "policy": sched.policy.name,
+            },
+            "occupancy": {
+                "covered_sms": sum(
+                    len(entry.sms) for entry in sched.running_entries()
+                ),
+                "num_sms": self.runtime.device.num_sms,
+            },
         }

@@ -7,7 +7,7 @@ around the simulator:
 
 * ``asyncio.start_unix_server`` accepts client connections; each connection
   gets a handler task and (after ``hello``) one :class:`~repro.slate.daemon.
-  SlateSession` from a :class:`~repro.slate.cluster.SlateCluster`,
+  SlateSession` from its shard's :class:`~repro.slate.daemon.SlateRuntime`,
   mirroring the paper's one-session-per-client-process design (§IV-A2).
 * :class:`SimDriver` steps a discrete-event engine in bounded batches,
   yielding to the loop between batches so new frames keep flowing while the
@@ -22,7 +22,7 @@ around the simulator:
 Sharding
 --------
 With ``shards > 1`` the daemon runs N independent shards — each with its
-*own* environment, cluster, scheduler, and driver — and a
+*own* environment, Slate runtime, scheduler, and driver — and a
 :class:`~repro.serve.router.PlacementRouter` assigns every new session to
 one of them at ``hello`` time using the scheduling policy's Table-I
 placement scoring (see :mod:`repro.serve.router`).  Every shard is an
@@ -63,7 +63,6 @@ from typing import Generator, Optional
 from repro.kernels.kernel import KernelSpec
 from repro.kernels.registry import by_name
 from repro.obs import trace as obs_trace
-from repro.obs.aggregate import ShardScrape, aggregate_fleet
 from repro.obs.recorder import get_recorder
 from repro.obs.registry import registry as obs_registry
 from repro.obs.slo import DEFAULT_TARGETS, SLOTracker, load_slo_config
@@ -95,16 +94,14 @@ class ServeConfig:
     """Everything ``repro serve`` needs to stand up a daemon."""
 
     socket_path: str
-    num_devices: int = 1
-    #: Router/cluster placement policy.  ``contention`` (the default) is
-    #: Table-I contention-penalized least-loaded scoring; ``round-robin``
-    #: and ``least-loaded`` are the class-blind baselines.  ``class-aware``
-    #: is accepted as an alias of ``contention``.
+    #: Router placement policy.  ``contention`` (the default) is Table-I
+    #: contention-penalized least-loaded scoring; ``round-robin`` and
+    #: ``least-loaded`` are the class-blind baselines.
     placement: str = "contention"
-    #: Scheduling policy every per-device daemon runs (a registered name
+    #: Scheduling policy every shard's runtime runs (a registered name
     #: from :data:`repro.slate.policy.POLICIES`).
     policy: str = "table1"
-    #: Device shards: each owns its own cluster + scheduler + sim engine
+    #: Device shards: each owns its own runtime + scheduler + sim engine
     #: and the placement router assigns sessions among them.
     shards: int = 1
     #: Per-shard in-flight cap; ``None`` splits ``max_inflight`` evenly
@@ -118,16 +115,10 @@ class ServeConfig:
     #: Open sessions the daemon will hold at once; further ``hello``\ s
     #: get a ``ServerBusy`` reply.
     max_sessions: int = 64
-    #: Engine events stepped per scheduling of the driver task — the
-    #: trade-off between sim throughput and socket latency.
-    step_batch: int = 512
     #: Bound on scheduler decision/allocation logs and on every device's
     #: rate trace (a long-lived daemon must not hold unbounded history);
     #: ``None`` keeps everything.
     log_limit: Optional[int] = 256
-    #: Seed every device's profile table offline at startup so first
-    #: launches skip the profiling run (the paper allows this, §III-B1).
-    preload_profiles: bool = True
     #: Stop serving after this many wall seconds (None = until stopped).
     duration: Optional[float] = None
     #: SLO targets: a JSON path/text for :func:`repro.obs.slo.load_slo_config`,
@@ -139,7 +130,7 @@ class ServeConfig:
     #: Where crash/``SIGUSR1`` ring dumps land; default
     #: ``<socket_path>.flight.json``.
     flight_dump: Optional[str] = None
-    #: Extra keyword arguments forwarded to every per-device runtime.
+    #: Extra keyword arguments forwarded to every shard's runtime.
     runtime_kwargs: dict = field(default_factory=dict)
 
     def flight_dump_path(self) -> Optional[str]:
@@ -147,15 +138,6 @@ class ServeConfig:
         if self.flight_recorder <= 0:
             return None
         return self.flight_dump or f"{self.socket_path}.flight.json"
-
-    def cluster_placement(self) -> str:
-        """The intra-shard (multi-device) cluster placement policy.
-
-        ``contention`` is the router-level name for the cluster's
-        ``class-aware`` scoring — both run the same
-        :func:`repro.slate.placement.choose_shard`.
-        """
-        return "class-aware" if self.placement == "contention" else self.placement
 
     def shard_inflight_limit(self) -> int:
         """Per-shard in-flight cap (explicit, or the global cap split
@@ -177,9 +159,12 @@ class SimDriver:
     engine loop for everyone else.
     """
 
-    def __init__(self, env: Environment, step_batch: int = 512) -> None:
+    #: Engine events stepped per scheduling of the driver task — the
+    #: trade-off between sim throughput and socket latency.
+    STEP_BATCH = 512
+
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.step_batch = max(1, step_batch)
         self.pending = 0
         self.sim_errors = 0
         self._wake = asyncio.Event()
@@ -223,7 +208,7 @@ class SimDriver:
                 if env.peek() == inf and not self._stopped:
                     await self._wake.wait()
                 continue
-            steps = self.step_batch
+            steps = self.STEP_BATCH
             while steps > 0 and env.peek() != inf:
                 try:
                     env.step()
@@ -280,7 +265,7 @@ class _Session:
 
 
 class SlateServer:
-    """The daemon: N shards (cluster + scheduler + engine) behind a
+    """The daemon: N shards (runtime + scheduler + engine) behind a
     placement router behind a Unix socket."""
 
     def __init__(self, config: ServeConfig) -> None:
@@ -296,9 +281,9 @@ class SlateServer:
         self._shard_limit = config.shard_inflight_limit()
         self.shards = [InLoopShard(i, config) for i in range(config.shards)]
         # Single-shard compatibility aliases (tests, tools, and the
-        # pre-shard API poke server.env/cluster/driver — shard 0).
+        # pre-shard API poke server.env/runtime/driver — shard 0).
         self.env = self.shards[0].env
-        self.cluster = self.shards[0].cluster
+        self.runtime = self.shards[0].runtime
         self.driver = self.shards[0].driver
         self._sessions: dict[int, _Session] = {}
         self._sids = itertools.count(1)
@@ -377,6 +362,7 @@ class SlateServer:
 
     def stats(self) -> dict:
         """Server-level snapshot (the ``stats`` op's result body)."""
+        shards = self._shard_blocks()
         return {
             "sim_time": self.sim_time,
             "policy": self.config.policy,
@@ -392,10 +378,8 @@ class SlateServer:
             "sessions_reaped": self._m_reaped.value,
             "sim_pending": sum(shard.driver.pending for shard in self.shards),
             "sim_errors": sum(shard.driver.sim_errors for shard in self.shards),
-            "scheduler": _sum_scheduler_stats(
-                [shard.cluster.scheduler_stats() for shard in self.shards]
-            ),
-            "shards": self._shard_blocks(),
+            "scheduler": _sum_scheduler_stats([block["scheduler"] for block in shards]),
+            "shards": shards,
             "uptime": time.monotonic() - self.started_at if self.started_at else 0.0,
         }
 
@@ -642,11 +626,12 @@ class SlateServer:
         shard_index = self.router.pick(
             session_name, candidate, affinity=affinity, pin=pin
         )
+        shard = self.shards[shard_index]
         if obs_trace.ENABLED:
             decision = self.router.decisions[-1]
             obs_trace.instant(
                 "router.place",
-                self.env.now,
+                shard.env.now,
                 "serve",
                 session_name,
                 shard=shard_index,
@@ -654,9 +639,11 @@ class SlateServer:
                 score=decision.score,
                 kernel_hint=hint,
             )
-        shard = self.shards[shard_index]
-        spec_hint = by_name(str(hint)) if hint is not None else None
-        slate = shard.cluster.create_session(session_name, spec_hint=spec_hint)
+        if hint is not None:
+            # Offline-profile the hinted kernel (§III-B1) so its first
+            # launch skips the profiling run.
+            shard.runtime.preload_profiles([by_name(str(hint))])
+        slate = shard.runtime.create_session(session_name)
         sess = _Session(
             sid, session_name, slate, shard=shard_index, hint_class=candidate
         )
@@ -677,8 +664,6 @@ class SlateServer:
             "name": sess.name,
             "version": PROTOCOL_VERSION,
             "shard": shard_index,
-            "devices": shard.cluster.num_devices,
-            "device": shard.cluster.placements.get(sess.name),
         }
 
     def _resolve_spec(self, params: dict) -> KernelSpec:
@@ -762,8 +747,10 @@ class SlateServer:
         spec = self._resolve_spec(params)
         self._note_observed_class(sess, spec)
         task_size = params.get("task_size")
-        if task_size is not None:
-            task_size = int(task_size)
+        if task_size is not None and (type(task_size) is not int or task_size < 1):
+            raise ProtocolError(
+                f"launch task_size must be an integer >= 1, got {task_size!r}"
+            )
         priority = int(params.get("priority", 0))
         deadline = params.get("deadline")
         if deadline is not None:
@@ -860,37 +847,35 @@ class SlateServer:
     def _op_metrics(self, params: dict) -> dict:
         """The session-less telemetry scrape (v2 ``metrics`` op).
 
-        Every shard shares this process's registry, so the local export
-        already *is* the fleet view; the per-shard rows add each shard's
-        sim clock (and its skew behind the fleet max), sessions, in-flight
-        launches and stats block.
+        Every shard shares this process's registry, so its export already
+        *is* the fleet view; the per-shard rows add each shard's sim clock
+        (and its skew behind the fleet max), sessions, in-flight launches
+        and stats block, and the clocks are mirrored into the export as
+        ``fleet.shard.<i>.sim_time`` / ``fleet.shard.<i>.sim_skew`` gauges.
         """
         recorder = get_recorder()
         if recorder is not None:
             recorder.evicted  # sync obs.recorder.evicted before the export
-        local_state = obs_registry().export_state()
-        now = time.time()
-        scrapes = [
-            ShardScrape(
-                shard=shard.index,
-                state=None,  # shared registry: merged once below
-                wall=now,
-                sim_time=shard.env.now,
-                scraped_at=now,
-                extra={
-                    "sessions": self.shard_sessions(shard.index),
-                    "inflight": self.shard_inflight(shard.index),
-                    "stats": shard.stats(),
-                },
-            )
-            for shard in self.shards
-        ]
-        fleet = aggregate_fleet(scrapes, local_state=local_state, now=now)
+        state = obs_registry().export_state()
+        gauges = state["gauges"]
+        sim_time = self.sim_time
+        shards: dict[str, dict] = {}
+        for shard in self.shards:
+            skew = sim_time - shard.env.now
+            gauges[f"fleet.shard.{shard.index}.sim_time"] = shard.env.now
+            gauges[f"fleet.shard.{shard.index}.sim_skew"] = skew
+            shards[str(shard.index)] = {
+                "sim_time": shard.env.now,
+                "sim_skew": skew,
+                "sessions": self.shard_sessions(shard.index),
+                "inflight": self.shard_inflight(shard.index),
+                "stats": shard.stats(),
+            }
         result = {
-            "registry": fleet["registry"],
-            "shards": fleet["shards"],
-            "sim_time": fleet["sim_time"],
-            "wall": now,
+            "registry": state,
+            "shards": shards,
+            "sim_time": sim_time,
+            "wall": time.time(),
             "slo": self.slo.snapshot(),
             "protocol": PROTOCOL_VERSION,
             "shard_count": self.router.num_shards,

@@ -3,7 +3,7 @@
 Polls the session-less v2 ``metrics`` and ``stats`` ops (no ``hello``, so
 watching a daemon never consumes a session slot) and renders per-shard
 SM occupancy, sessions/inflight, sim-clock skew, launch-latency
-percentiles from the fleet-merged bucketed histograms, SLO burn rates,
+percentiles from the daemon's bucketed histograms, SLO burn rates,
 and the admission/trace-loss counters an operator actually pages on.
 
 Two front ends share one pure renderer:
@@ -108,7 +108,6 @@ def render(feed: Optional[dict], width: int = 100) -> str:
     stats = feed.get("stats") or {}
     registry = metrics.get("registry") or {}
     counters = registry.get("counters", {})
-    gauges = registry.get("gauges", {})
     lines: list[str] = []
 
     lines.append(
@@ -130,7 +129,7 @@ def render(feed: Optional[dict], width: int = 100) -> str:
         lines.append("")
         lines.append(
             f"{'shard':>5} {'sess':>5} {'infl':>5} {'occupancy':>12} "
-            f"{'sim_time':>10} {'skew':>8} {'age':>6} {'rejects':>8}"
+            f"{'sim_time':>10} {'skew':>8} {'rejects':>8}"
         )
         for key in sorted(shards, key=lambda k: int(k)):
             block = shards[key]
@@ -144,11 +143,10 @@ def render(feed: Optional[dict], width: int = 100) -> str:
                 f"{block.get('inflight', 0):>5} {occ_text:>12} "
                 f"{block.get('sim_time', 0.0):>10.3f} "
                 f"{block.get('sim_skew', 0.0):>8.3f} "
-                f"{block.get('scrape_age', 0.0):>6.2f} "
                 f"{rejects if rejects is not None else '-':>8}"
             )
 
-    # Latency percentiles from the fleet-merged histograms.
+    # Latency percentiles from the daemon's histograms.
     lines.append("")
     for label, name in (
         ("wall  launch", "serve.latency.launch"),
@@ -192,7 +190,6 @@ def render(feed: Optional[dict], width: int = 100) -> str:
     lines.append(
         f"telemetry: trace-dropped {dropped} | recorder-evicted {evicted}"
         f" | admission-rejections {rejections}"
-        f" | monitor covered_sms {gauges.get('monitor.covered_sms', '-')}"
     )
     return "\n".join(line[:width] for line in lines)
 

@@ -22,7 +22,6 @@ Subsystems (paper section in parentheses):
 from repro.slate import api
 from repro.slate.classify import IntensityClass, classify
 from repro.slate.cluster import SlateCluster
-from repro.slate.monitor import MonitorSample, SystemMonitor
 from repro.slate.dispatch import DispatchKernel
 from repro.slate.daemon import SlateRuntime, SlateSession
 from repro.slate.policy import (
@@ -82,8 +81,6 @@ __all__ = [
     "SlateCluster",
     "SlateRuntime",
     "SlateSession",
-    "SystemMonitor",
-    "MonitorSample",
     "choose_partition",
     "choose_partition_predictive",
     "predict_corun_rates",

@@ -114,57 +114,6 @@ class SlateCluster:
     def load(self, index: int) -> int:
         return len(self._devices[index].residents)
 
-    def scheduler_stats(self) -> dict[str, int]:
-        """Cluster-wide scheduler counters, summed across devices.
-
-        Cheap to call mid-replay (O(num_devices) counter reads): the
-        streaming trace replayer samples this for progress reporting.
-
-        Compatibility shim: these counters are also mirrored process-wide
-        as ``scheduler.*`` counters in :func:`repro.obs.registry.registry`
-        (``python -m repro obs dump``), which is the preferred surface for
-        new code — see ``docs/observability.md``.  This method remains the
-        per-cluster view (registry totals span every scheduler in the
-        process).
-        """
-        totals = {
-            "decisions": 0,
-            "solo_launches": 0,
-            "corun_launches": 0,
-            "resizes": 0,
-            "preemptions": 0,
-            "rejections": 0,
-            "waiting": 0,
-            "running": 0,
-        }
-        for state in self._devices:
-            sched = state.runtime.scheduler
-            totals["decisions"] += sched.decisions_total
-            totals["solo_launches"] += sched.solo_launches
-            totals["corun_launches"] += sched.corun_launches
-            totals["resizes"] += sched.resizes
-            totals["preemptions"] += sched.preemptions
-            totals["rejections"] += sched.rejections
-            totals["waiting"] += sched.waiting_count
-            totals["running"] += sched.running_count
-        totals["policy"] = self._devices[0].runtime.scheduler.policy.name
-        return totals
-
-    def occupancy(self) -> dict:
-        """SM coverage right now: how many SMs the running tenants hold.
-
-        O(num_devices × running tenants); the serving layer samples this
-        per stats poll for the ``repro top`` per-shard occupancy column.
-        """
-        covered = 0
-        for state in self._devices:
-            for entry in state.runtime.scheduler.running_entries():
-                covered += len(entry.sms)
-        return {
-            "covered_sms": covered,
-            "num_sms": self.num_devices * self.device.num_sms,
-        }
-
     # -- placement -----------------------------------------------------------
 
     def preload_profiles(self, specs: list[KernelSpec]) -> None:

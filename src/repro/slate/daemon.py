@@ -166,14 +166,18 @@ class SlateSession:
     ) -> Generator:
         """slateLaunchKernel: inject + compile on first use, then schedule.
 
-        ``task_size`` of None uses the daemon default (10), or the
-        per-kernel tuned value when the daemon was built with
-        ``auto_task_size=True``.  ``deadline`` is an absolute completion
+        ``task_size`` of None uses the daemon default (10); a size below
+        1 raises :class:`ValueError` here, before anything is queued.
+        ``deadline`` is an absolute completion
         deadline (simulated seconds) consulted by deadline-aware policies;
         an infeasible one is rejected (the returned ticket's ``done`` event
         fails with :class:`repro.slate.policy.AdmissionRejected` and its
         ``rejected`` flag reads True).
         """
+        if task_size is None:
+            task_size = DEFAULT_TASK_SIZE
+        elif task_size < 1:
+            raise ValueError(f"task_size must be >= 1, got {task_size}")
         yield from self.pipe.command()
         if args is not None:
             self.translate_args(args)
@@ -189,8 +193,6 @@ class SlateSession:
         t0 = self.runtime.env.now
         yield from self.runtime.prepare_kernel(spec)
         self.compile_time += self.runtime.env.now - t0
-        if task_size is None:
-            task_size = self.runtime.task_size_for(spec)
         yield self.runtime.env.timeout(self.runtime.costs.schedule_decision_time)
         ticket = SlateTicket(
             spec=spec,
@@ -240,12 +242,9 @@ class SlateRuntime:
         policy=None,
         partition_strategy: str = "heuristic",
         enable_grow: bool = True,
-        auto_task_size: bool = False,
         enable_preemption: bool = False,
         max_corun: int = 2,
         classification_basis: str = "device",
-        profile_refresh: float = 0.0,
-        monitor_interval: float | None = None,
         log_limit: int | None = None,
         rate_trace_limit: int | None = None,
         slicing: bool = False,
@@ -271,22 +270,12 @@ class SlateRuntime:
             enable_grow=enable_grow,
             enable_preemption=enable_preemption,
             max_corun=max_corun,
-            profile_refresh=profile_refresh,
             log_limit=log_limit,
             slicing=slicing,
             slice_blocks=slice_blocks,
         )
         #: Scanned + injected sources by kernel name (the code cache).
         self.injected_sources: dict[str, str] = {}
-        #: Optional periodic system monitor (Fig. 2 step (e)).
-        self.monitor = None
-        if monitor_interval is not None:
-            from repro.slate.monitor import SystemMonitor
-
-            self.monitor = SystemMonitor(env, self.scheduler, monitor_interval)
-        #: Tune SLATE_ITERS per kernel instead of the fixed default of 10.
-        self.auto_task_size = auto_task_size
-        self._tuned_sizes: dict[str, int] = {}
 
     def create_session(self, name: str) -> SlateSession:
         """Open a session for a client process (kept until it completes)."""
@@ -316,18 +305,6 @@ class SlateRuntime:
                 kernel=spec.name,
             )
         self.injected_sources[spec.name] = transformed
-
-    def task_size_for(self, spec: KernelSpec) -> int:
-        """SLATE_ITERS for ``spec``: tuned per kernel, or the default 10."""
-        if not self.auto_task_size:
-            return DEFAULT_TASK_SIZE
-        cached = self._tuned_sizes.get(spec.name)
-        if cached is None:
-            from repro.slate.tuning import auto_task_size
-
-            cached = auto_task_size(spec, device=self.device, costs=self.costs).task_size
-            self._tuned_sizes[spec.name] = cached
-        return cached
 
     def preload_profiles(self, specs: list[KernelSpec]) -> None:
         """Seed the profile table by offline profiling (§III-B1).

@@ -184,7 +184,6 @@ class SlateScheduler:
         enable_grow: bool = True,
         enable_preemption: bool = False,
         max_corun: int = 2,
-        profile_refresh: float = 0.0,
         log_limit: Optional[int] = None,
         slicing: bool = False,
         slice_blocks: Optional[int] = None,
@@ -193,8 +192,6 @@ class SlateScheduler:
             raise ValueError(f"unknown partition strategy {partition_strategy!r}")
         if max_corun < 1:
             raise ValueError("max_corun must be >= 1")
-        if not 0.0 <= profile_refresh <= 1.0:
-            raise ValueError("profile_refresh must be in [0, 1]")
         if slice_blocks is not None and slice_blocks < 1:
             from repro.slate.slicing import SliceConfigError
 
@@ -219,12 +216,6 @@ class SlateScheduler:
         #: evaluates pairs (2); higher values enable N-way co-residency
         #: when the policy approves the newcomer against EVERY tenant.
         self.max_corun = max_corun
-        #: Exponential-smoothing weight for refreshing a kernel's profile
-        #: from later *solo full-device* runs (0 = paper behaviour: the
-        #: first-run profile is kept forever).  Lets the scheduler track
-        #: kernels whose behaviour drifts with their input data.
-        self.profile_refresh = profile_refresh
-        self.profile_refreshes = 0
         #: Kernelet-style slice-granularity dispatch (repro/slate/slicing.py).
         #: Off by default — the unsliced path is byte-identical to the seed
         #: scheduler, which the differential harness pins.
@@ -538,13 +529,8 @@ class SlateScheduler:
     def _on_kernel_done(self, entry: _Running, counters) -> None:
         entry.ticket.counters = counters
         if entry.ticket.profile_key not in self.profiles:
+            # The first-run profile is kept for good (§III-B1).
             self.profiles.record_run(entry.ticket.profile_key, counters)
-        elif (
-            self.profile_refresh > 0
-            and entry.sms == self.gpu.all_sms()
-            and counters.resizes == 0
-        ):
-            self._refresh_profile(entry.ticket.profile_key, counters)
         self.policy.on_complete(entry.ticket, counters)
         self._running.remove(entry)
         if obs_trace.ENABLED and entry.ticket.started_at is not None:
@@ -563,33 +549,6 @@ class SlateScheduler:
         self._log_allocation()
         entry.ticket.done.succeed(counters)
         self._on_completion()
-
-    def _refresh_profile(self, key, counters) -> None:
-        """Blend a fresh solo observation into the stored profile."""
-        from repro.slate.profiler import profile_from_counters
-
-        old = self.profiles.get(key)
-        fresh = profile_from_counters(counters, self.device, basis=self.profiles.basis)
-        w = self.profile_refresh
-        from dataclasses import replace
-
-        from repro.slate.classify import classify
-
-        gflops = (1 - w) * old.gflops + w * fresh.gflops
-        mem_bw = (1 - w) * old.mem_bw + w * fresh.mem_bw
-        throttle = (1 - w) * old.throttle_fraction + w * fresh.throttle_fraction
-        blended = replace(
-            old,
-            gflops=gflops,
-            mem_bw=mem_bw,
-            throttle_fraction=throttle,
-            intensity=classify(
-                gflops, mem_bw, self.device, basis=self.profiles.basis
-            ),
-            elapsed=fresh.elapsed,
-        )
-        self.profiles.put(key, blended)
-        self.profile_refreshes += 1
 
     def _on_completion(self) -> None:
         if self.enable_preemption:

@@ -9,7 +9,9 @@ analytic model the executor uses — bulk phase from
 :func:`repro.gpu.rates.derive_rates` plus the partial-wave and straggler
 tail — and picks the argmin.
 
-The Slate daemon applies it when constructed with ``auto_task_size=True``.
+The daemon itself keeps the paper's fixed 10; ``repro tune`` and the
+``abl-tasksize`` ablation call :func:`auto_task_size`, and a caller that
+wants the tuned size passes it as the launch's ``task_size``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,5 @@
 """Timeline renderer tests."""
 
-import pytest
-
 from repro.config import TITAN_XP
 from repro.metrics.timeline import TimelineRow, build_timeline, render_timeline
 
@@ -72,52 +70,3 @@ class TestRender:
         _, runtime = run_pair("Slate", app_for("BS", reps=3), app_for("RG", reps=3))
         out = render_timeline(runtime.scheduler.allocation_log, coalesce_window=0.2e-3)
         assert "B" in out and "R" in out
-
-
-class TestChromeTrace:
-    def test_export_structure(self):
-        from repro.metrics.timeline import to_chrome_trace
-
-        events = to_chrome_trace(LOG, end_time=4.0e-3)
-        assert events, "expected trace events"
-        for e in events:
-            assert e["ph"] == "X"
-            assert e["dur"] > 0
-            assert e["args"]["sm_low"] <= e["args"]["sm_high"]
-        # GS appears twice (its range changed), RG once.
-        gs = [e for e in events if e["tid"] == "GS"]
-        rg = [e for e in events if e["tid"] == "RG"]
-        assert len(gs) == 3  # [0-29], [0-26], [0-29] again
-        assert len(rg) == 1
-
-    def test_durations_tile_the_timeline(self):
-        from repro.metrics.timeline import to_chrome_trace
-
-        events = to_chrome_trace(LOG, end_time=3.0e-3)
-        gs = sorted((e for e in events if e["tid"] == "GS"), key=lambda e: e["ts"])
-        for a, b in zip(gs, gs[1:]):
-            assert a["ts"] + a["dur"] == pytest.approx(b["ts"])
-
-    def test_json_serializable(self):
-        import json
-
-        from repro.metrics.timeline import to_chrome_trace
-
-        json.dumps(to_chrome_trace(LOG, end_time=4e-3))
-
-    def test_empty(self):
-        from repro.metrics.timeline import to_chrome_trace
-
-        assert to_chrome_trace([]) == []
-
-    def test_real_run_exports(self, tmp_path):
-        import json
-
-        from repro.metrics.timeline import to_chrome_trace
-        from repro.workloads.harness import app_for, run_pair
-
-        _, runtime = run_pair("Slate", app_for("BS", reps=3), app_for("RG", reps=3))
-        events = to_chrome_trace(runtime.scheduler.allocation_log)
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps(events))
-        assert len(events) > 4

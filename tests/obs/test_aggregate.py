@@ -1,125 +1,11 @@
-"""Fleet-aggregation tests: registry-state merging, skew bookkeeping,
-and the Prometheus exposition (rendered and then re-validated by the
-repo's own format checker)."""
+"""Prometheus exposition tests: rendered and then re-validated by the
+repo's own format checker."""
 
-import pytest
-
-from repro.obs.aggregate import (
-    ShardScrape,
-    aggregate_fleet,
-    merge_histogram_states,
-    merge_registry_states,
-    prom_name,
-    to_prometheus,
-)
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.aggregate import prom_name, to_prometheus
+from repro.obs.registry import MetricsRegistry
 from repro.obs.validate import validate_prometheus
-
-
-def state_of(values, name="h"):
-    h = Histogram(name)
-    for v in values:
-        h.observe(v)
-    return h.state()
-
-
-class TestMergeRegistryStates:
-    def test_counters_sum(self):
-        merged = merge_registry_states([
-            {"counters": {"a": 2, "b": 1}},
-            {"counters": {"a": 3}},
-        ])
-        assert merged["counters"] == {"a": 5, "b": 1}
-
-    def test_gauges_sum_except_slo(self):
-        merged = merge_registry_states([
-            {"gauges": {"inflight": 2.0, "slo.x.burn.30s": 1.0,
-                        "slo.x.good_ratio": 0.99}},
-            {"gauges": {"inflight": 3.0, "slo.x.burn.30s": 4.0,
-                        "slo.x.good_ratio": 0.90}},
-        ])
-        assert merged["gauges"]["inflight"] == 5.0
-        # Worst shard wins: max burn, min good ratio.
-        assert merged["gauges"]["slo.x.burn.30s"] == 4.0
-        assert merged["gauges"]["slo.x.good_ratio"] == 0.90
-
-    def test_histograms_bucket_merge(self):
-        merged = merge_registry_states([
-            {"histograms": {"lat": state_of([1.0, 2.0])}},
-            {"histograms": {"lat": state_of([3.0])}},
-        ])
-        assert merged["histograms"]["lat"] == state_of([1.0, 2.0, 3.0])
-
-    def test_merge_histogram_states_helper(self):
-        merged = merge_histogram_states([state_of([1.0]), state_of([2.0])])
-        assert merged == state_of([1.0, 2.0])
-
-    def test_sources_numeric_sum_non_numeric_first(self):
-        merged = merge_registry_states([
-            {"sources": {"engine": {"events": 10, "policy": "table1"}}},
-            {"sources": {"engine": {"events": 5, "policy": "other"}}},
-        ])
-        assert merged["sources"]["engine"]["events"] == 15
-        assert merged["sources"]["engine"]["policy"] == "table1"
-
-    def test_empty_and_none_states_skipped(self):
-        merged = merge_registry_states([None, {}, {"counters": {"a": 1}}])
-        assert merged["counters"] == {"a": 1}
-
-
-class TestAggregateFleet:
-    def make_scrapes(self):
-        return [
-            ShardScrape(shard=0, state={"counters": {"launches": 10}},
-                        wall=100.0, sim_time=5.0, scraped_at=99.5),
-            ShardScrape(shard=1, state={"counters": {"launches": 4}},
-                        wall=100.0, sim_time=2.0, scraped_at=100.0),
-        ]
-
-    def test_fleet_merge_and_skew(self):
-        fleet = aggregate_fleet(self.make_scrapes(), now=100.0)
-        assert fleet["sim_time"] == 5.0
-        assert fleet["registry"]["counters"]["launches"] == 14
-        gauges = fleet["registry"]["gauges"]
-        assert gauges["fleet.shard.0.sim_skew"] == 0.0
-        assert gauges["fleet.shard.1.sim_skew"] == 3.0
-        assert gauges["fleet.shard.0.scrape_age"] == pytest.approx(0.5)
-        assert fleet["shards"]["1"]["sim_skew"] == 3.0
-
-    def test_local_state_merged_in(self):
-        fleet = aggregate_fleet(
-            self.make_scrapes(),
-            local_state={"counters": {"launches": 1, "serve.requests": 7}},
-            now=100.0,
-        )
-        assert fleet["registry"]["counters"]["launches"] == 15
-        assert fleet["registry"]["counters"]["serve.requests"] == 7
-
-    def test_nested_fleet_gauges_stripped_from_scrapes(self):
-        """A single-shard daemon self-reports fleet.shard.0.*; the router
-        merging N of those must not sum them into garbage."""
-        scrapes = [
-            ShardScrape(
-                shard=i,
-                state={"gauges": {"fleet.shard.0.sim_time": 42.0, "x": 1.0}},
-                sim_time=1.0, scraped_at=100.0,
-            )
-            for i in range(2)
-        ]
-        fleet = aggregate_fleet(scrapes, now=100.0)
-        gauges = fleet["registry"]["gauges"]
-        assert gauges["x"] == 2.0
-        # This level's bookkeeping is the only fleet.shard.* authority.
-        assert gauges["fleet.shard.0.sim_time"] == 1.0
-        assert gauges["fleet.shard.1.sim_time"] == 1.0
-
-    def test_failed_scrape_contributes_bookkeeping_only(self):
-        scrapes = self.make_scrapes()
-        scrapes.append(ShardScrape(shard=2, state=None, sim_time=0.0))
-        fleet = aggregate_fleet(scrapes, now=100.0)
-        assert fleet["registry"]["counters"]["launches"] == 14
-        assert fleet["shards"]["2"]["registry"] is None
-        assert fleet["registry"]["gauges"]["fleet.shard.2.sim_skew"] == 5.0
+from repro.serve.client import SlateClient
+from repro.serve.server import ServeConfig, ServerThread
 
 
 class TestPrometheus:
@@ -164,15 +50,16 @@ class TestPrometheus:
         assert "repro_lat_bucket" not in text
         assert validate_prometheus(text) == []
 
-    def test_merged_fleet_state_validates(self):
-        reg = MetricsRegistry()
-        reg.counter("launches").inc(3)
-        reg.histogram("lat").observe(0.25)
-        state = reg.export_state()
-        fleet = aggregate_fleet(
-            [ShardScrape(shard=0, state=state, sim_time=1.0, scraped_at=1.0)],
-            now=2.0,
-        )
+    def test_merged_fleet_state_validates(self, tmp_path):
+        """The daemon's fleet view (the shared registry's export plus the
+        per-shard clock gauges) renders as valid Prometheus text."""
+        sock = str(tmp_path / "slate.sock")
+        with ServerThread(ServeConfig(socket_path=sock)):
+            with SlateClient(sock, name="prom") as client:
+                client.launch("MM")
+                fleet = client.metrics()
         text = to_prometheus(fleet["registry"])
         assert validate_prometheus(text) == []
         assert "repro_fleet_shard_0_sim_skew" in text
+        assert "# TYPE repro_serve_launches counter" in text
+        assert "# TYPE repro_serve_latency_launch histogram" in text

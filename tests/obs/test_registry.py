@@ -129,23 +129,3 @@ class TestSchedulerMirrors:
         assert reg.counter("scheduler.solo_launches").value == solo_before + 1
         # The instance view still works (compat surface).
         assert rt.scheduler.solo_launches == 1
-
-    def test_cluster_scheduler_stats_shim_still_works(self):
-        from repro.kernels import blackscholes
-        from repro.sim import Environment
-        from repro.slate.cluster import SlateCluster
-
-        env = Environment()
-        cluster = SlateCluster(env, num_devices=2)
-        stats = cluster.scheduler_stats()
-        assert stats == {
-            "decisions": 0,
-            "solo_launches": 0,
-            "corun_launches": 0,
-            "resizes": 0,
-            "preemptions": 0,
-            "rejections": 0,
-            "waiting": 0,
-            "running": 0,
-            "policy": "table1",
-        }

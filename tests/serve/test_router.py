@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import trace as obs_trace
 from repro.serve.client import SlateClient
 from repro.serve.protocol import (
     BackpressureError,
@@ -162,8 +163,11 @@ class TestRouterUnit:
         with pytest.raises(ValueError):
             PlacementRouter(0)
 
-    def test_class_aware_is_contention_alias(self):
-        assert PlacementRouter(2, placement="class-aware").placement == "contention"
+    def test_class_aware_is_not_a_router_placement(self):
+        # ``class-aware`` names SlateCluster's device placement; the router
+        # scores shards with ``contention`` and accepts no alias for it.
+        with pytest.raises(ValueError):
+            PlacementRouter(2, placement="class-aware")
 
 
 class TestShardedServer:
@@ -236,6 +240,32 @@ class TestShardedServer:
                 stats = client.stats()["server"]
         assert stats["sim_time"] > 0.0
         assert pong["sim_time"] == stats["sim_time"]
+
+    def test_hinted_kernel_is_profiled_offline_at_hello(self, sock_path):
+        """A ``kernel_hint`` outside the preloaded benchmark kernels gets
+        its offline profile at ``hello``: the first launch runs solo
+        because the device is idle, not as a first-run profiling pass."""
+        with ServerThread(ServeConfig(socket_path=sock_path)):
+            with obs_trace.capture() as sink:
+                with SlateClient(sock_path, name="pf", kernel_hint="PF") as client:
+                    client.launch("PF")
+        decisions = [
+            (e.name, e.args["kernel"], e.args["reason"])
+            for e in sink.events
+            if e.name.startswith("decide.")
+        ]
+        assert decisions == [("decide.solo", "PF", "device idle")]
+
+    def test_router_place_stamped_with_the_placed_shards_clock(self, sock_path):
+        with ServerThread(ServeConfig(socket_path=sock_path, shards=2)) as server:
+            with SlateClient(sock_path, name="busy", shard=0) as busy:
+                busy.launch("RG")
+            assert server.shards[0].env.now > 0.0
+            with obs_trace.capture() as sink:
+                with SlateClient(sock_path, name="idle", shard=1):
+                    pass
+        places = [e for e in sink.events if e.name == "router.place"]
+        assert [(e.args["shard"], e.ts) for e in places] == [(1, 0.0)]
 
 
 class TestShardDraining:

@@ -16,6 +16,7 @@ from repro.serve.client import SlateClient
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     MessageStream,
+    ProtocolError,
     ServerBusyError,
     SessionLimitError,
     SessionStateError,
@@ -92,6 +93,22 @@ class TestTypedErrors:
                 # The daemon survives and the session still works.
                 assert client.launch("BS").kernel == "BS"
                 assert client.stats()["session"]["errors"] == 1
+            assert server.driver.sim_errors == 0
+
+    @pytest.mark.parametrize("task_size", [0, -3, 2.5, "10"])
+    def test_bad_task_size_is_a_protocol_error(self, sock_path, task_size):
+        """A size the scheduler cannot dispatch is refused before
+        admission: nothing is queued and the shard keeps serving."""
+        with ServerThread(ServeConfig(socket_path=sock_path)) as server:
+            with SlateClient(sock_path) as client:
+                with pytest.raises(ProtocolError, match="task_size"):
+                    client.launch("MM", task_size=task_size)
+            assert _wait_until(lambda: server.inflight == 0)
+            assert _wait_until(lambda: server.session_count == 0)
+            sched = server.stats()["scheduler"]
+            assert sched["decisions"] == 0 and sched["solo_launches"] == 0
+            with SlateClient(sock_path) as client:
+                assert client.launch("MM").task_size == 10
             assert server.driver.sim_errors == 0
 
     def test_unknown_kernel_on_register(self, sock_path):
@@ -218,7 +235,7 @@ class TestConcurrentSessions:
             assert not errors, errors
             assert _wait_until(lambda: server.session_count == 0)
             assert _wait_until(lambda: server.inflight == 0)
-            sched = server.cluster.scheduler_stats()
+            sched = server.stats()["scheduler"]
             assert sched["waiting"] == 0 and sched["running"] == 0
             assert server._m_launches.value - launches0 == self.N_CLIENTS * self.LAUNCHES
             assert server._m_opened.value - opened0 == self.N_CLIENTS
@@ -241,7 +258,7 @@ class TestConcurrentSessions:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
-            assert server.cluster.scheduler_stats()["corun_launches"] > 0
+            assert server.stats()["scheduler"]["corun_launches"] > 0
 
     def test_mid_flight_disconnect_reaps_after_drain(self, sock_path):
         """A client that fires a launch and vanishes must not leak its
@@ -260,7 +277,7 @@ class TestConcurrentSessions:
                 f"leaked sessions: {server.session_count}"
             )
             assert server.inflight == 0
-            sched = server.cluster.scheduler_stats()
+            sched = server.stats()["scheduler"]
             assert sched["waiting"] == 0 and sched["running"] == 0
             # The launch itself drained through the scheduler.
             assert sched["decisions"] >= 1
@@ -274,23 +291,11 @@ class TestConcurrentSessions:
             client._stream.sock.close()
             assert _wait_until(lambda: server.session_count == 0)
 
-    def test_multi_device_placement(self, sock_path):
-        with ServerThread(
-            ServeConfig(socket_path=sock_path, num_devices=2, placement="round-robin")
-        ) as server:
-            with SlateClient(sock_path) as a, SlateClient(sock_path) as b:
-                a.launch("BS")
-                b.launch("GS")
-                devices = set(server.cluster.placements.values())
-            assert devices == {0, 1}
-
     def test_rate_trace_bounded_by_log_limit(self, sock_path):
         """Every epoch samples the device rate trace; a long-lived daemon
         must keep only its last ``log_limit`` samples."""
         limit = 8
-        config = ServeConfig(
-            socket_path=sock_path, shards=2, num_devices=2, log_limit=limit
-        )
+        config = ServeConfig(socket_path=sock_path, shards=2, log_limit=limit)
         with ServerThread(config) as server:
             with SlateClient(sock_path, name="a") as a, SlateClient(
                 sock_path, name="b"
@@ -298,11 +303,7 @@ class TestConcurrentSessions:
                 for _ in range(3 * limit):
                     a.launch("BS")
                     b.launch("RG")
-            gpus = [
-                shard.cluster.runtime(i).gpu
-                for shard in server.shards
-                for i in range(shard.cluster.num_devices)
-            ]
+            gpus = [shard.runtime.gpu for shard in server.shards]
             assert max(len(gpu.rate_trace) for gpu in gpus) == limit
             for gpu in gpus:
                 assert len(gpu.rate_trace) <= limit
@@ -361,7 +362,7 @@ class TestServerShutdown:
         client.launch("RG")
         thread.stop()  # graceful: drains, cancels the open connection
         assert server.session_count == 0
-        sched = server.cluster.scheduler_stats()
+        sched = server.stats()["scheduler"]
         assert sched["waiting"] == 0 and sched["running"] == 0
 
     def test_socket_removed_on_shutdown(self, sock_path):

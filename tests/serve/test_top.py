@@ -22,7 +22,6 @@ def canned_feed():
     reg.counter("serve.launches").inc(42)
     reg.counter("obs.trace.dropped").inc(0)
     reg.counter("scheduler.rejections").inc(3)
-    reg.gauge("monitor.covered_sms").set(14.0)
     h = reg.histogram("serve.latency.launch")
     for v in (0.001, 0.002, 0.004, 0.010):
         h.observe(v)
@@ -38,7 +37,6 @@ def canned_feed():
                     "inflight": 1,
                     "sim_time": 7.5,
                     "sim_skew": 0.0,
-                    "scrape_age": 0.1,
                     "stats": {
                         "occupancy": {"covered_sms": 10, "num_sms": 15},
                         "scheduler": {"rejections": 3},
@@ -49,7 +47,6 @@ def canned_feed():
                     "inflight": 0,
                     "sim_time": 6.0,
                     "sim_skew": 1.5,
-                    "scrape_age": 0.2,
                     "stats": {
                         "occupancy": {"covered_sms": 0, "num_sms": 15},
                         "scheduler": {"rejections": 0},
@@ -96,7 +93,6 @@ class TestRender:
         # Telemetry health line.
         assert "trace-dropped 0" in text
         assert "admission-rejections 3" in text
-        assert "monitor covered_sms 14.0" in text
 
     def test_width_clips_lines(self):
         text = render(canned_feed(), width=30)

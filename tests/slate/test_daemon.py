@@ -158,6 +158,42 @@ class TestEndToEnd:
         assert "BS" in rt.profiles and "RG" in rt.profiles
 
 
+class TestLaunchValidation:
+    def test_task_size_below_one_raises_at_the_call(self):
+        """A bad size fails the launching session at once; the scheduler
+        never sees the ticket, so the running kernel completes and no
+        counter moves for it."""
+        env = Environment()
+        rt = SlateRuntime(env)
+        mm = sgemm()
+        rt.preload_profiles([mm])
+        good, bad = rt.create_session("good"), rt.create_session("bad")
+        raised = []
+
+        def first(env):
+            ticket = yield from good.launch(mm)
+            yield from good.synchronize()
+            return ticket
+
+        def second(env):
+            yield env.timeout(0.1e-3)
+            with pytest.raises(ValueError, match="task_size"):
+                yield from bad.launch(mm, task_size=0)
+            raised.append(env.now)
+
+        proc = env.process(first(env))
+        env.process(second(env))
+        env.run()
+        assert raised == [0.1e-3]
+        assert proc.value.done.ok and proc.value.counters is not None
+        assert bad._pending == []
+        sched = rt.scheduler
+        assert (sched.decisions_total, sched.solo_launches, sched.corun_launches) == (
+            1, 1, 0
+        )
+        assert sched.waiting_count == 0 and sched.running_count == 0
+
+
 class TestArgumentTranslation:
     """The daemon's hash table: client addresses -> GPU pointers (§IV-A1)."""
 

@@ -2,8 +2,9 @@
 
 The device defers the expensive part of every mutation (rate derivation,
 completion-timer rescheduling, trace sampling) into one end-of-timestep
-epoch flush (``SimulatedGPU._epoch_recompute``); ``REPRO_NO_EPOCH_BATCH=1``
-restores the recompute-per-mutation seed behavior.  The contract is strict
+epoch flush (``SimulatedGPU._epoch_recompute``); setting
+``SimulatedGPU.EPOCH_BATCH = False`` restores the recompute-per-mutation
+seed behavior.  The contract is strict
 equivalence: on any workload — in particular bursty same-timestamp
 arrival storms, where a single epoch absorbs many submissions and
 completions — the batched engine must make byte-identical scheduling
@@ -12,12 +13,11 @@ decisions to the sequential one, under every registered policy.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gpu.device import SimulatedGPU
 from repro.slate.policy import policy_names
 from repro.slate.scheduler import SlateScheduler, SlateTicket
 
@@ -45,16 +45,12 @@ def _trace(workload, **kwargs):
 
 def batched_and_sequential(workload, **kwargs):
     """The workload's decision trace with epoch batching on, then off."""
-    saved = os.environ.pop("REPRO_NO_EPOCH_BATCH", None)
+    batched = _trace(workload, **kwargs)
+    SimulatedGPU.EPOCH_BATCH = False
     try:
-        batched = _trace(workload, **kwargs)
-        os.environ["REPRO_NO_EPOCH_BATCH"] = "1"
         sequential = _trace(workload, **kwargs)
     finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_EPOCH_BATCH", None)
-        else:  # pragma: no cover - only when the caller pre-set the var
-            os.environ["REPRO_NO_EPOCH_BATCH"] = saved
+        SimulatedGPU.EPOCH_BATCH = True
     return batched, sequential
 
 

@@ -1,5 +1,7 @@
 """Task-size auto-tuner tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import TITAN_XP, CostModel
@@ -64,25 +66,9 @@ class TestChoices:
 
 
 class TestDaemonIntegration:
-    def test_auto_daemon_uses_tuned_sizes(self):
-        env = Environment()
-        rt = SlateRuntime(env, auto_task_size=True)
-        gs = gaussian()
-        rt.preload_profiles([gs])
-        session = rt.create_session("app")
-
-        def app(env):
-            ticket = yield from session.launch(gs)
-            yield from session.synchronize()
-            return ticket
-
-        ticket = env.run(until=env.process(app(env)))
-        assert ticket.task_size == auto_task_size(gs).task_size
-        assert ticket.task_size >= 10
-
     def test_explicit_size_overrides_tuner(self):
         env = Environment()
-        rt = SlateRuntime(env, auto_task_size=True)
+        rt = SlateRuntime(env)
         gs = gaussian()
         rt.preload_profiles([gs])
         session = rt.create_session("app")
@@ -111,8 +97,10 @@ class TestDaemonIntegration:
     def test_auto_tuning_improves_gs_app(self):
         from repro.workloads.harness import app_for, run_solo
 
-        default, _ = run_solo("Slate", app_for("GS"))
-        tuned, _ = run_solo("Slate", app_for("GS"), auto_task_size=True)
+        app = app_for("GS")
+        size = auto_task_size(app.kernel).task_size
+        default, _ = run_solo("Slate", app)
+        tuned, _ = run_solo("Slate", replace(app, task_size=size))
         assert tuned.kernel_exec_time < default.kernel_exec_time
 
 

@@ -27,11 +27,11 @@ class TestParser:
 
     def test_serve_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--socket", "/tmp/s.sock", "--devices", "2",
+            ["serve", "--socket", "/tmp/s.sock", "--shards", "2",
              "--max-inflight", "8", "--duration", "0.5"]
         )
         assert args.socket == "/tmp/s.sock"
-        assert args.devices == 2
+        assert args.shards == 2
         assert args.max_inflight == 8
         assert args.duration == 0.5
 
@@ -140,7 +140,8 @@ class TestTraceAndTune:
                     "bursty",
                     "--seed",
                     "2",
-                    "--chrome",
+                    "--export",
+                    "perfetto",
                     str(chrome),
                 ]
             )
@@ -149,8 +150,10 @@ class TestTraceAndTune:
         out = capsys.readouterr().out
         assert "SM allocation timeline" in out
         assert "utilization" in out
-        events = json.loads(chrome.read_text())
-        assert events and all(e["ph"] == "X" for e in events)
+        events = json.loads(chrome.read_text())["traceEvents"]
+        # The per-SM tracks carry the allocation intervals.
+        sm_spans = [e for e in events if e.get("cat") == "sm"]
+        assert sm_spans and all(e["ph"] == "X" for e in sm_spans)
 
     def test_trace_under_cuda(self, capsys):
         from repro.__main__ import main

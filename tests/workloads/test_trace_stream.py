@@ -87,9 +87,9 @@ class TestReplayStream:
         assert summary.apps == 6
         assert len(cluster.placements) == 6
         assert set(cluster.placements.values()) <= {0, 1}
-        totals = cluster.scheduler_stats()
-        assert totals["solo_launches"] + totals["corun_launches"] == 12
-        assert totals["waiting"] == 0 and totals["running"] == 0
+        scheds = [cluster.runtime(i).scheduler for i in range(cluster.num_devices)]
+        assert sum(s.solo_launches + s.corun_launches for s in scheds) == 12
+        assert all(s.waiting_count == 0 and s.running_count == 0 for s in scheds)
 
     def test_cluster_requires_slate(self):
         with pytest.raises(ValueError):
