@@ -538,10 +538,11 @@ class SimulatedGPU:
         self._memo_config = memo_config(device, costs)
         #: One :class:`_Allocation` per (work identity, allocation shape).
         #: Repeated launches of one spec share a ``KernelWork`` (see
-        #: ``KernelSpec.work``), so a record is built once per work and
-        #: shape, not once per execution.  Records pin their works; a
-        #: server resolving a fresh spec per request builds one per
-        #: launch, so the map is dropped whole past 256 records.
+        #: ``KernelSpec.work``; ``by_name`` shares one spec per name), so a
+        #: record is built once per work and shape, not once per execution.
+        #: Records pin their works; a caller that builds fresh works (such
+        #: as ``KernelSpec.scaled`` per launch) builds one per launch, so
+        #: the map is dropped whole past 256 records.
         self._allocations: dict[tuple, _Allocation] = {}
         #: Timestamp of the last full progress settle; a second settle at
         #: the same instant is a no-op (dt == 0 for every kernel) and skips.

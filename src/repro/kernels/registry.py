@@ -48,12 +48,21 @@ _EXTRAS: dict[str, Callable[[], KernelSpec]] = {
     "KM": kmeans,
 }
 
+#: One shared default-parameter spec per upper-cased name, built once.
+_SPECS: dict[str, KernelSpec] = {
+    key: factory() for key, factory in {**BENCHMARKS, **_EXTRAS}.items()
+}
+
 
 def by_name(name: str) -> KernelSpec:
-    """Resolve a benchmark short name to a default-parameter spec."""
-    key = name.upper()
-    factory = BENCHMARKS.get(key) or _EXTRAS.get(key)
-    if factory is None:
-        known = ", ".join([*BENCHMARKS, *_EXTRAS])
+    """Resolve a benchmark short name to its shared default-parameter spec.
+
+    Every caller gets the same frozen spec, so its ``work()`` and the
+    device records keyed on that work are built once; call a factory in
+    :data:`BENCHMARKS` for a fresh copy.
+    """
+    spec = _SPECS.get(name.upper())
+    if spec is None:
+        known = ", ".join(_SPECS)
         raise UnknownKernelError(f"unknown benchmark {name!r}; known: {known}")
-    return factory()
+    return spec

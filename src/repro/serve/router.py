@@ -7,7 +7,7 @@ one discrete-event engine.  Sharding splits the fleet into N independent
 scheduler), and :class:`~repro.serve.server.SimDriver` — fronted by a
 :class:`PlacementRouter` that decides, once per session at ``hello``,
 which shard a client lands on.  Each shard is a set of objects plus its
-own driver task inside the daemon's asyncio loop (:class:`InLoopShard`):
+own driver inside the daemon's asyncio loop (:class:`InLoopShard`):
 one process, shared wall clock, fully-consistent router bookkeeping.
 
 Placement
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import time
 from collections import deque
 from typing import Optional
 
@@ -73,7 +72,8 @@ class RouteDecision:
 
 
 class _ShardBook:
-    """Router-side bookkeeping for one shard."""
+    """The one ledger of a shard's open sessions and in-flight launches
+    (placement load, admission and the daemon's stats all read it)."""
 
     __slots__ = ("index", "residents", "sessions", "inflight", "draining", "placed")
 
@@ -229,10 +229,6 @@ class PlacementRouter:
         book.sessions = max(0, book.sessions - 1)
         book.residents.pop(session, None)
 
-    def note_launch(self, index: int, delta: int) -> None:
-        book = self.shards[index]
-        book.inflight = max(0, book.inflight + delta)
-
     def set_draining(self, index: int, draining: bool = True) -> None:
         self.shards[index].draining = draining
 
@@ -263,19 +259,10 @@ class InLoopShard:
         )
         self.runtime.preload_profiles([by_name(n) for n in SHORT_NAMES])
         self.driver = SimDriver(self.env)
-        self._task: Optional[asyncio.Task] = None
 
     def start(self) -> None:
-        self._task = asyncio.create_task(self.driver.run())
-
-    async def stop(self, drain_timeout: float = 10.0) -> None:
-        deadline = time.monotonic() + drain_timeout
-        while self.driver.pending and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
-        self.driver.stop()
-        if self._task is not None:
-            await self._task
-            self._task = None
+        """Bind the shard's driver to the running event loop."""
+        self.driver.loop = asyncio.get_running_loop()
 
     def stats(self) -> dict:
         sched = self.runtime.scheduler

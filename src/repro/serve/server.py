@@ -9,11 +9,15 @@ around the simulator:
   gets a handler task and (after ``hello``) one :class:`~repro.slate.daemon.
   SlateSession` from its shard's :class:`~repro.slate.daemon.SlateRuntime`,
   mirroring the paper's one-session-per-client-process design (§IV-A2).
-* :class:`SimDriver` steps a discrete-event engine in bounded batches,
-  yielding to the loop between batches so new frames keep flowing while the
-  simulated GPU grinds.  Request handlers never call ``env.run`` — they
-  submit a process generator and await an :class:`asyncio.Future` resolved
-  when the sim process finishes.
+* :class:`SimDriver` steps a discrete-event engine from loop callbacks,
+  a bounded batch per callback, so new frames keep flowing while the
+  simulated GPU grinds; with no events pending nothing is scheduled.
+  Request handlers never call ``env.run`` — they submit a process
+  generator and await an :class:`asyncio.Future` resolved when the sim
+  process finishes.
+* Kernel names resolve through :func:`~repro.kernels.registry.by_name`
+  to one shared spec each, so repeat launches reuse the spec's work and
+  the device's record for it, as an offline run does.
 * Simulated time only advances while there is simulated work: the wall
   clock between requests does not leak into simulated results, so a served
   run's sim-side numbers line up with an in-process (pure DES) run of the
@@ -39,7 +43,8 @@ per-session cap (``session_inflight``).  A launch over any bound is
 rejected *immediately* with a structured backpressure reply
 (``ServerBusy`` / ``SessionLimit``) carrying a ``retry_after`` hint —
 the daemon never buffers unbounded work, clients decide whether to back
-off or shed.
+off or shed.  The router's per-shard books are the one ledger of open
+sessions and in-flight launches that these checks and ``stats`` read.
 
 Session reaping
 ---------------
@@ -55,6 +60,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -152,27 +158,28 @@ class ServeConfig:
 class SimDriver:
     """Advance the discrete-event engine cooperatively inside asyncio.
 
-    Handlers call :meth:`submit` with a process generator; the driver task
-    steps the engine whenever events are pending and resolves the returned
-    future with the generator's return value (or its exception).  The
-    generator runs under a guard, so a failing request can never crash the
-    engine loop for everyone else.
+    Handlers call :meth:`submit` with a process generator; the driver
+    steps the engine from loop callbacks while events are pending and
+    resolves the returned future with the generator's return value (or
+    its exception).  The generator runs under a guard, so a failing
+    request can never crash the engine loop for everyone else.
     """
 
-    #: Engine events stepped per scheduling of the driver task — the
-    #: trade-off between sim throughput and socket latency.
+    #: Engine events stepped per loop callback — the trade-off between
+    #: sim throughput and socket latency.
     STEP_BATCH = 512
 
     def __init__(self, env: Environment) -> None:
         self.env = env
         self.pending = 0
         self.sim_errors = 0
-        self._wake = asyncio.Event()
-        self._stopped = False
+        #: The daemon's event loop, bound by :meth:`InLoopShard.start`.
+        self.loop: Optional[asyncio.AbstractEventLoop] = None
+        self._scheduled = False
 
     def submit(self, gen: Generator) -> "asyncio.Future":
         """Run ``gen`` as a sim process; the future resolves on completion."""
-        future = asyncio.get_running_loop().create_future()
+        future = self.loop.create_future()
 
         def guarded() -> Generator:
             self.pending += 1
@@ -190,35 +197,29 @@ class SimDriver:
                 self.pending -= 1
 
         self.env.process(guarded())
-        self._wake.set()
+        if not self._scheduled:
+            self._scheduled = True
+            self.loop.call_soon(self._pump)
         return future
 
-    def stop(self) -> None:
-        self._stopped = True
-        self._wake.set()
-
-    async def run(self) -> None:
-        """The driver task: step while work is pending, sleep while idle."""
+    def _pump(self) -> None:
+        """Step up to ``STEP_BATCH`` events; call again while work remains."""
         env = self.env
         inf = float("inf")
-        while not self._stopped:
-            if env.peek() == inf:
-                self._wake.clear()
-                # Re-check after clearing: submit() may have raced us.
-                if env.peek() == inf and not self._stopped:
-                    await self._wake.wait()
-                continue
-            steps = self.STEP_BATCH
-            while steps > 0 and env.peek() != inf:
-                try:
-                    env.step()
-                except Exception:
-                    # A failed event outside any guarded process; count it
-                    # and keep serving (the guilty request already got its
-                    # error through the guard, or was fire-and-forget).
-                    self.sim_errors += 1
-                steps -= 1
-            await asyncio.sleep(0)
+        steps = self.STEP_BATCH
+        while steps > 0 and env.peek() != inf:
+            try:
+                env.step()
+            except Exception:
+                # A failed event outside any guarded process; count it
+                # and keep serving (the guilty request already got its
+                # error through the guard, or was fire-and-forget).
+                self.sim_errors += 1
+            steps -= 1
+        if env.peek() == inf:
+            self._scheduled = False
+        else:
+            self.loop.call_soon(self._pump)
 
 
 def _sum_scheduler_stats(blocks: list[dict]) -> dict:
@@ -333,15 +334,13 @@ class SlateServer:
 
     @property
     def inflight(self) -> int:
-        return sum(s.inflight for s in self._sessions.values())
+        return sum(book.inflight for book in self.router.shards)
 
     def shard_inflight(self, index: int) -> int:
-        return sum(
-            s.inflight for s in self._sessions.values() if s.shard == index
-        )
+        return self.router.shards[index].inflight
 
     def shard_sessions(self, index: int) -> int:
-        return sum(1 for s in self._sessions.values() if s.shard == index)
+        return self.router.shards[index].sessions
 
     @property
     def sim_time(self) -> float:
@@ -353,8 +352,8 @@ class SlateServer:
         blocks = []
         for book in self.router.shards:
             block = self.shards[book.index].stats()
-            block["sessions"] = self.shard_sessions(book.index)
-            block["inflight"] = self.shard_inflight(book.index)
+            block["sessions"] = book.sessions
+            block["inflight"] = book.inflight
             block["draining"] = book.draining
             block["placed"] = book.placed
             blocks.append(block)
@@ -437,8 +436,6 @@ class SlateServer:
         for sess in list(self._sessions.values()):
             sess.connected = False
             self._finalize(sess, force=True)
-        for shard in self.shards:
-            await shard.stop(drain_timeout)
         if os.path.exists(self.config.socket_path):
             os.unlink(self.config.socket_path)
 
@@ -686,7 +683,8 @@ class SlateServer:
         return {"kernel": spec.name, "compile_time": compile_time}
 
     def _admit(self, sess: _Session) -> None:
-        if self.router.shards[sess.shard].draining:
+        book = self.router.shards[sess.shard]
+        if book.draining:
             raise ShardDrainingError(
                 f"shard {sess.shard} is draining; reconnect to be placed "
                 "elsewhere",
@@ -699,10 +697,9 @@ class SlateServer:
                 f"{total} launches in flight (max {self.config.max_inflight})",
                 retry_after=0.02,
             )
-        shard_total = self.shard_inflight(sess.shard)
-        if shard_total >= self._shard_limit:
+        if book.inflight >= self._shard_limit:
             raise ServerBusyError(
-                f"shard {sess.shard} has {shard_total} launches in flight "
+                f"shard {sess.shard} has {book.inflight} launches in flight "
                 f"(max {self._shard_limit})",
                 retry_after=0.02,
             )
@@ -745,16 +742,23 @@ class SlateServer:
 
     async def _op_launch(self, sess: _Session, rid, params: dict) -> dict:
         spec = self._resolve_spec(params)
-        self._note_observed_class(sess, spec)
         task_size = params.get("task_size")
         if task_size is not None and (type(task_size) is not int or task_size < 1):
             raise ProtocolError(
                 f"launch task_size must be an integer >= 1, got {task_size!r}"
             )
-        priority = int(params.get("priority", 0))
+        priority = params.get("priority", 0)
+        if type(priority) is not int:
+            raise ProtocolError(f"launch priority must be an integer, got {priority!r}")
         deadline = params.get("deadline")
         if deadline is not None:
+            if type(deadline) not in (int, float) or not math.isfinite(deadline):
+                raise ProtocolError(
+                    "launch deadline must be a finite number or null, "
+                    f"got {deadline!r}"
+                )
             deadline = float(deadline)
+        self._note_observed_class(sess, spec)
         self._admit(sess)
         env = self._shard_env(sess)
         slate = sess.slate
@@ -782,19 +786,18 @@ class SlateServer:
                 )
             return ticket, t0, env.now
 
+        book = self.router.shards[shard_index]
         sess.inflight += 1
-        self.router.note_launch(shard_index, 1)
+        book.inflight += 1
         self._g_inflight.set(self.inflight)
-        self._g_shard_inflight[shard_index].set(self.shard_inflight(shard_index))
+        self._g_shard_inflight[shard_index].set(book.inflight)
         try:
             ticket, sim_start, sim_end = await self._shard_driver(sess).submit(gen())
         finally:
             sess.inflight -= 1
-            self.router.note_launch(shard_index, -1)
+            book.inflight -= 1
             self._g_inflight.set(self.inflight)
-            self._g_shard_inflight[shard_index].set(
-                self.shard_inflight(shard_index)
-            )
+            self._g_shard_inflight[shard_index].set(book.inflight)
             self._finalize(sess)
         sess.launches += 1
         self._m_launches.inc()

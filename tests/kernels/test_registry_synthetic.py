@@ -5,6 +5,7 @@ import pytest
 from repro.config import TITAN_XP, CostModel
 from repro.gpu.device import ExecutionMode, SimulatedGPU
 from repro.kernels import BENCHMARKS, SHORT_NAMES, by_name, stream, synthetic
+from repro.kernels.registry import UnknownKernelError
 from repro.sim import Environment
 
 
@@ -20,8 +21,12 @@ class TestRegistry:
         assert by_name("stream").name == "STREAM"
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError, match="unknown benchmark"):
+        with pytest.raises(UnknownKernelError, match="unknown benchmark"):
             by_name("nope")
+
+    def test_by_name_shares_one_spec_per_name(self):
+        assert by_name("mm") is by_name("MM")
+        assert by_name("MM").work() is by_name("mm").work()
 
     def test_factories_produce_fresh_specs(self):
         a, b = BENCHMARKS["BS"](), BENCHMARKS["BS"]()

@@ -5,6 +5,7 @@ Every test runs a real server on a Unix socket (in a background thread via
 path ``repro serve`` exercises, minus the process boundary.
 """
 
+import asyncio
 import socket
 import threading
 import time
@@ -23,7 +24,7 @@ from repro.serve.protocol import (
     VersionMismatchError,
     request,
 )
-from repro.serve.server import ServeConfig, ServerThread
+from repro.serve.server import ServeConfig, ServerThread, SimDriver
 
 
 @pytest.fixture
@@ -109,6 +110,36 @@ class TestTypedErrors:
             assert sched["decisions"] == 0 and sched["solo_launches"] == 0
             with SlateClient(sock_path) as client:
                 assert client.launch("MM").task_size == 10
+            assert server.driver.sim_errors == 0
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("priority", "abc"),
+            ("priority", 2.7),
+            ("priority", "7"),
+            ("priority", True),
+            ("deadline", "soon"),
+            ("deadline", float("nan")),
+            ("deadline", float("inf")),
+        ],
+    )
+    def test_bad_priority_or_deadline_is_a_protocol_error(
+        self, sock_path, field, value
+    ):
+        """Neither is coerced: a value the scheduler would misread is
+        refused before admission and the shard keeps serving."""
+        with ServerThread(ServeConfig(socket_path=sock_path)) as server:
+            with SlateClient(sock_path) as client:
+                with pytest.raises(ProtocolError, match=field):
+                    client.launch("MM", **{field: value})
+            assert _wait_until(lambda: server.session_count == 0)
+            assert server.inflight == 0
+            sched = server.stats()["scheduler"]
+            assert sched["decisions"] == 0 and sched["solo_launches"] == 0
+            with SlateClient(sock_path) as client:
+                reply = client.launch("MM", priority=3, deadline=1e9)
+                assert reply.priority == 3
             assert server.driver.sim_errors == 0
 
     def test_unknown_kernel_on_register(self, sock_path):
@@ -307,6 +338,121 @@ class TestConcurrentSessions:
             assert max(len(gpu.rate_trace) for gpu in gpus) == limit
             for gpu in gpus:
                 assert len(gpu.rate_trace) <= limit
+
+
+class TestServedLaunchReuse:
+    """A served launch reuses its kernel's spec and device record."""
+
+    @pytest.mark.parametrize("shards,hint", [(1, None), (2, "MM")])
+    def test_repeat_launches_share_one_allocation_record(
+        self, sock_path, shards, hint
+    ):
+        config = ServeConfig(socket_path=sock_path, shards=shards)
+        with ServerThread(config) as server:
+            with SlateClient(sock_path, kernel_hint=hint) as client:
+                for _ in range(10):
+                    client.launch("MM")
+                gpu = server.shards[client.shard].runtime.gpu
+                assert len(gpu._allocations) == 1
+
+
+class TestDriverAndLedger:
+    def test_one_event_per_pump_still_serves(self, sock_path):
+        """With one event per loop callback every launch needs the
+        driver to reschedule itself; all of them still complete."""
+        errors: list[str] = []
+
+        def one_client(i: int) -> None:
+            try:
+                with SlateClient(sock_path, name=f"c{i}") as client:
+                    for kernel in ("MM", "RG", "BS"):
+                        assert client.launch(kernel).kernel == kernel
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(f"client {i}: {type(exc).__name__}: {exc}")
+
+        batch = SimDriver.STEP_BATCH
+        SimDriver.STEP_BATCH = 1
+        try:
+            with ServerThread(ServeConfig(socket_path=sock_path)):
+                threads = [
+                    threading.Thread(target=one_client, args=(i,)) for i in range(2)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert not errors, errors
+                with SlateClient(sock_path) as client:
+                    stats = client.stats()["server"]
+                assert stats["sim_pending"] == 0
+                assert stats["sim_errors"] == 0
+        finally:
+            SimDriver.STEP_BATCH = batch
+
+    @staticmethod
+    def _check_ledger(server) -> int:
+        """Assert the stats ledger equals a recount of the session table;
+        returns the in-flight total."""
+        stats = server.stats()
+        sessions = list(server._sessions.values())
+        assert stats["inflight"] == sum(s.inflight for s in sessions)
+        assert stats["sessions"] == len(sessions)
+        for row in stats["shards"]:
+            resident = [s for s in sessions if s.shard == row["shard"]]
+            assert row["inflight"] == sum(s.inflight for s in resident)
+            assert row["sessions"] == len(resident)
+        return stats["inflight"]
+
+    def test_ledger_matches_the_session_table_and_drains(self, sock_path):
+        config = ServeConfig(socket_path=sock_path, shards=2)
+        done = threading.Event()
+        errors: list[str] = []
+
+        async def sample(server) -> int:
+            # Runs on the daemon's loop between its callbacks, so every
+            # sample sees a consistent state.
+            peak = 0
+            while not done.is_set():
+                peak = max(peak, self._check_ledger(server))
+                await asyncio.sleep(0)
+            return peak
+
+        def one_client(i: int) -> None:
+            try:
+                with SlateClient(sock_path, name=f"c{i}") as client:
+                    for _ in range(8):
+                        client.launch("MM" if i else "RG")
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(f"client {i}: {type(exc).__name__}: {exc}")
+
+        thread = ServerThread(config)
+        with thread as server:
+            sampler = asyncio.run_coroutine_threadsafe(sample(server), thread._loop)
+            threads = [
+                threading.Thread(target=one_client, args=(i,)) for i in range(2)
+            ]
+            for t in threads:
+                t.start()
+            # The third session fires a launch and vanishes mid-flight.
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.connect(sock_path)
+            sock.settimeout(5.0)
+            stream = MessageStream(sock)
+            stream.send(request(1, "hello", version=PROTOCOL_VERSION))
+            assert stream.recv()["ok"]
+            stream.send(request(2, "launch", kernel="MM"))
+            sock.close()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert not errors, errors
+            assert _wait_until(lambda: server.session_count == 0)
+            done.set()
+            assert sampler.result(timeout=10) >= 1
+            assert self._check_ledger(server) == 0
+            for row in server.stats()["shards"]:
+                assert row["inflight"] == 0 and row["sessions"] == 0
 
 
 class TestPlacementStaleness:
