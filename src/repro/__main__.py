@@ -372,7 +372,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import UnknownExperimentError, iter_battery
+    from repro.experiments.runner import iter_battery
 
     lines = [
         "# Slate reproduction — full experiment report",
@@ -380,13 +380,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "Generated by `python -m repro report`.",
         "",
     ]
-    try:
-        for run in iter_battery(args.keys or None, jobs=args.jobs):
-            print(f"ran {run.key}: {run.title} [{run.elapsed:.2f}s]")
-            lines += [f"## {run.title}", "", "```", run.formatted, "```", ""]
-    except UnknownExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for run in iter_battery(args.keys or None, jobs=args.jobs):
+        print(f"ran {run.key}: {run.title} [{run.elapsed:.2f}s]")
+        lines += [f"## {run.title}", "", "```", run.formatted, "```", ""]
     text = "\n".join(lines)
     with open(args.output, "w") as fh:
         fh.write(text)
@@ -798,9 +794,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _user_errors() -> tuple[type, ...]:
+    """Errors caused by what the user asked for, reported without a traceback:
+    an unknown kernel or experiment name, or a typed refusal from the daemon
+    (every class an error reply decodes to, ``UnknownKernelError`` included).
+
+    Called from an ``except`` clause, so the imports run only on that path.
+    """
+    from repro.experiments.runner import UnknownExperimentError
+    from repro.serve.protocol import ERROR_TYPES
+
+    return (UnknownExperimentError, *ERROR_TYPES.values())
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _user_errors() as exc:
+        # args[0], not str(exc): a KeyError subclass would print its repr.
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

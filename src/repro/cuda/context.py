@@ -1,8 +1,8 @@
-"""CUDA contexts and streams.
+"""CUDA contexts.
 
-A context owns device allocations and streams.  Vanilla CUDA gives each
-host process its own context — the very thing that forces the hardware to
-time-slice between processes.  MPS and Slate funnel many processes' work
+A context owns device allocations.  Vanilla CUDA gives each host process
+its own context — the very thing that forces the hardware to time-slice
+between processes.  MPS and Slate funnel many processes' work
 into a single context, which is what unlocks concurrent kernels (§IV-A).
 """
 
@@ -13,32 +13,11 @@ import itertools
 from repro.cuda.errors import CudaContextDestroyed
 from repro.cuda.memory_manager import DeviceMemoryManager, DevicePointer
 
-__all__ = ["CudaContext", "CudaStream"]
-
-
-class CudaStream:
-    """An ordered work queue within a context (identity object here).
-
-    Kernel ordering is enforced by the runtimes' dispatchers; the stream
-    object carries identity and bookkeeping.
-    """
-
-    _ids = itertools.count(1)
-
-    def __init__(self, context: "CudaContext") -> None:
-        self.id = next(self._ids)
-        self.context = context
-        self.launches = 0
-        #: Tail of the stream's work chain: the most recently enqueued
-        #: operation's completion event (kernels and async copies).
-        self.last_op = None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<CudaStream #{self.id} ctx={self.context.id}>"
+__all__ = ["CudaContext"]
 
 
 class CudaContext:
-    """A CUDA context: allocation namespace + streams + liveness."""
+    """A CUDA context: allocation namespace + liveness."""
 
     _ids = itertools.count(1)
 
@@ -47,8 +26,6 @@ class CudaContext:
         self.owner = owner
         self._memory = memory
         self._allocations: list[DevicePointer] = []
-        self.default_stream = CudaStream(self)
-        self._streams: list[CudaStream] = [self.default_stream]
         self._alive = True
 
     @property
@@ -58,12 +35,6 @@ class CudaContext:
     def _check_alive(self) -> None:
         if not self._alive:
             raise CudaContextDestroyed(f"context {self.id} ({self.owner}) destroyed")
-
-    def create_stream(self) -> CudaStream:
-        self._check_alive()
-        stream = CudaStream(self)
-        self._streams.append(stream)
-        return stream
 
     def alloc(self, nbytes: int) -> DevicePointer:
         self._check_alive()

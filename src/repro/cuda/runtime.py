@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from repro.config import CostModel, DeviceConfig, HostConfig, TITAN_XP
-from repro.cuda.context import CudaContext, CudaStream
+from repro.cuda.context import CudaContext
 from repro.cuda.memory_manager import DeviceMemoryManager, DevicePointer
 from repro.cuda.module import NvrtcCompiler
 from repro.gpu.device import ExecutionMode, KernelCounters, SimulatedGPU
@@ -33,16 +33,9 @@ class LaunchTicket:
     context: CudaContext
     done: Event
     enqueued_at: float
-    stream: Optional["CudaStream"] = None
     started_at: Optional[float] = None
     counters: Optional[KernelCounters] = None
     seq: int = field(default_factory=itertools.count().__next__)
-
-    @property
-    def queue_delay(self) -> float:
-        if self.started_at is None:
-            raise RuntimeError("ticket has not started")
-        return self.started_at - self.enqueued_at
 
 
 class CudaSession:
@@ -76,102 +69,18 @@ class CudaSession:
         yield from self.runtime.api_call_cost()
         yield from self.runtime.pcie.transfer(nbytes)
 
-    def memcpy_d2d(self, nbytes: float) -> Generator:
-        """cudaMemcpy device->device: moves data through the GPU's DRAM.
-
-        Modelled as a streaming kernel on the device — a D2D copy reads
-        and writes device memory, so it contends for DRAM bandwidth with
-        whatever else is running (unlike PCIe transfers).
-        """
+    def launch(self, spec: KernelSpec) -> Generator:
+        """Asynchronous kernel launch; returns a :class:`LaunchTicket`."""
         yield from self.runtime.api_call_cost()
-        yield from self.runtime.device_copy(nbytes)
-
-    def memset(self, ptr: DevicePointer, value: int = 0) -> Generator:
-        """cudaMemset: writes the allocation through device bandwidth."""
-        yield from self.runtime.api_call_cost()
-        yield from self.runtime.device_copy(ptr.size / 2)
-
-    def create_stream(self) -> "CudaStream":
-        """cudaStreamCreate: a new work queue within this context."""
-        return self.context.create_stream()
-
-    def launch(self, spec: KernelSpec, stream: Optional["CudaStream"] = None) -> Generator:
-        """Asynchronous kernel launch; returns a :class:`LaunchTicket`.
-
-        ``stream`` defaults to the context's default stream.  Kernels on
-        *different* streams of the same context may execute concurrently
-        (Hyper-Q) when the dispatcher finds them adjacent in the queue;
-        same-stream kernels are strictly ordered.
-        """
-        yield from self.runtime.api_call_cost()
-        target = stream if stream is not None else self.context.default_stream
-        if target.context is not self.context:
-            from repro.cuda.errors import CudaInvalidValue
-
-            raise CudaInvalidValue("stream belongs to a different context")
-        target.launches += 1
         ticket = LaunchTicket(
             spec=spec,
             context=self.context,
             done=self.runtime.env.event(),
             enqueued_at=self.runtime.env.now,
-            stream=target,
         )
         self._pending.append(ticket)
-        target.last_op = ticket.done
         yield self.runtime.submit(ticket)
         return ticket
-
-    def memcpy_h2d_async(
-        self, nbytes: float, stream: Optional["CudaStream"] = None
-    ) -> Generator:
-        """cudaMemcpyAsync host->device: returns a completion event.
-
-        The copy is ordered after the stream's previously enqueued work
-        and runs on the copy engine concurrently with kernels on *other*
-        streams (the overlap cudaMemcpyAsync exists for).
-        """
-        yield from self.runtime.api_call_cost()
-        return self._enqueue_async_copy(nbytes, stream)
-
-    def memcpy_d2h_async(
-        self, nbytes: float, stream: Optional["CudaStream"] = None
-    ) -> Generator:
-        """cudaMemcpyAsync device->host: returns a completion event."""
-        yield from self.runtime.api_call_cost()
-        return self._enqueue_async_copy(nbytes, stream)
-
-    def _enqueue_async_copy(self, nbytes: float, stream: Optional["CudaStream"]):
-        target = stream if stream is not None else self.context.default_stream
-        prev = target.last_op
-        done = self.runtime.env.event()
-        target.last_op = done
-        self.runtime.env.process(self._async_copy(prev, nbytes, done))
-        return done
-
-    def _async_copy(self, prev, nbytes: float, done) -> Generator:
-        if prev is not None and not prev.processed:
-            yield prev
-        yield from self.runtime.pcie.transfer(nbytes)
-        done.succeed(self.runtime.env.now)
-
-    def create_event(self):
-        """cudaEventCreate."""
-        from repro.cuda.event import CudaEvent
-
-        return CudaEvent(self.runtime.env)
-
-    def record_event(self, event, stream: Optional["CudaStream"] = None) -> None:
-        """cudaEventRecord: fire when the stream's current chain drains."""
-        target = stream if stream is not None else self.context.default_stream
-        event.record(target, target.last_op)
-
-    def stream_synchronize(self, stream: Optional["CudaStream"] = None) -> Generator:
-        """cudaStreamSynchronize: wait for one stream's chain."""
-        yield from self.runtime.api_call_cost()
-        target = stream if stream is not None else self.context.default_stream
-        if target.last_op is not None and not target.last_op.processed:
-            yield target.last_op
 
     def synchronize(self) -> Generator:
         """cudaDeviceSynchronize: wait for all of this session's launches."""
@@ -208,8 +117,6 @@ class VanillaCudaRuntime:
         self._queue: Store = Store(env)
         self._last_context: Optional[CudaContext] = None
         self.context_switches = 0
-        #: Kernels co-executed through Hyper-Q (same context, many streams).
-        self.hyperq_coruns = 0
         env.process(self._dispatch_loop())
 
     # -- session management ------------------------------------------------
@@ -227,35 +134,13 @@ class VanillaCudaRuntime:
         """Enqueue a launch for the device dispatcher."""
         return self._queue.put(ticket)
 
-    def device_copy(self, nbytes: float) -> Generator:
-        """Run a D2D data movement as a streaming micro-kernel."""
-        from repro.gpu.occupancy import BlockResources
-        from repro.gpu.device import KernelWork
-
-        if nbytes < 0:
-            raise ValueError(f"negative copy size {nbytes}")
-        # Read + write traffic, split over enough blocks to stream well.
-        num_blocks = max(1, int(nbytes // (256 * 1024)) + 1)
-        work = KernelWork(
-            name="__memcpy_d2d__",
-            num_blocks=num_blocks,
-            block=BlockResources(threads_per_block=256, registers_per_thread=16),
-            flops_per_block=0.0,
-            bytes_per_block=2.0 * nbytes / num_blocks,
-            time_cv=0.0,
-        )
-        handle = self.gpu.launch(work, mode=ExecutionMode.HARDWARE)
-        yield handle.done
-
     # -- dispatch ----------------------------------------------------------
 
     def _dispatch_loop(self) -> Generator:
-        """Serialize contexts; Hyper-Q co-runs streams within a context.
+        """Serialize launches, time-slicing between contexts.
 
         Kernels from different processes (contexts) time-slice with a
-        context-switch cost.  Within one context, kernels already waiting
-        on *different streams* are launched together — the Hyper-Q
-        behaviour that Slate and MPS build on (§I).
+        context-switch cost; each launch gets the whole SM array.
         """
         while True:
             ticket: LaunchTicket = yield self._queue.get()
@@ -266,43 +151,13 @@ class VanillaCudaRuntime:
                 self.context_switches += 1
                 yield self.env.timeout(self.costs.context_switch_overhead)
             self._last_context = ticket.context
-            batch = [ticket]
-            # Hyper-Q: greedily pull same-context, distinct-stream kernels
-            # that are already enqueued (up to the hardware queue count).
-            streams_in_batch = {ticket.stream}
-            for queued in list(self._queue.items):
-                if len(batch) >= self.device.num_hw_queues:
-                    break
-                if (
-                    queued.context is ticket.context
-                    and queued.stream not in streams_in_batch
-                ):
-                    self._queue.items.remove(queued)
-                    batch.append(queued)
-                    streams_in_batch.add(queued.stream)
-            if len(batch) > 1:
-                self.hyperq_coruns += len(batch) - 1
             yield self.env.timeout(self.costs.kernel_launch_overhead)
-            # Concurrent kernels share the SM array: model the hardware's
-            # slot interleaving as an even spatial split.
-            n = self.device.num_sms
-            chunk = n // len(batch)
-            handles = []
-            for i, t in enumerate(batch):
-                low = i * chunk
-                high = n if i == len(batch) - 1 else (i + 1) * chunk
-                t.started_at = self.env.now
-                handles.append(
-                    (
-                        t,
-                        self.gpu.launch(
-                            t.spec.work(),
-                            sm_ids=range(low, high),
-                            mode=ExecutionMode.HARDWARE,
-                        ),
-                    )
-                )
-            for t, handle in handles:
-                counters = yield handle.done
-                t.counters = counters
-                t.done.succeed(counters)
+            ticket.started_at = self.env.now
+            handle = self.gpu.launch(
+                ticket.spec.work(),
+                sm_ids=range(0, self.device.num_sms),
+                mode=ExecutionMode.HARDWARE,
+            )
+            counters = yield handle.done
+            ticket.counters = counters
+            ticket.done.succeed(counters)

@@ -341,7 +341,7 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
     """
     header = (
         f"{'experiment':<14}{'events':>12}{'heap pk':>9}{'t/o reused':>12}"
-        f"{'recomp':>8}{'skip':>7}{'wfill':>7}{'hits':>7}"
+        f"{'recomp':>8}{'skip':>7}{'wfill':>7}"
         f"{'rmemo':>8}{'rm%':>6}{'occ%':>6}"
         f"{'epochs':>9}{'mut/ep':>8}{'scal':>7}"
         f"{'slices':>8}{'slcpre':>8}"
@@ -350,7 +350,7 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
     lines = [header, "-" * len(header)]
     totals = {
         "events": 0, "reused": 0, "recomp": 0, "skip": 0, "wfill": 0,
-        "hits": 0, "rhits": 0, "rmiss": 0, "ohits": 0, "omiss": 0,
+        "rhits": 0, "rmiss": 0, "ohits": 0, "omiss": 0,
         "marks": 0, "flushes": 0, "scal": 0, "slices": 0, "slcpre": 0,
     }
     wall = 0.0
@@ -372,7 +372,6 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
             f"{s.get('rate_recomputes', 0):>8,}"
             f"{s.get('rate_recomputes_skipped', 0):>7,}"
             f"{s.get('waterfill_calls', 0):>7,}"
-            f"{s.get('waterfill_cache_hits', 0):>7,}"
             f"{rhits:>8,}"
             f"{_hit_rate(rhits, rmiss):>6}"
             f"{_hit_rate(ohits, omiss):>6}"
@@ -389,7 +388,6 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
         totals["recomp"] += s.get("rate_recomputes", 0)
         totals["skip"] += s.get("rate_recomputes_skipped", 0)
         totals["wfill"] += s.get("waterfill_calls", 0)
-        totals["hits"] += s.get("waterfill_cache_hits", 0)
         totals["rhits"] += rhits
         totals["rmiss"] += rmiss
         totals["ohits"] += ohits
@@ -404,7 +402,7 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
     lines.append(
         f"{'total':<14}{totals['events']:>12,}{'':>9}{totals['reused']:>12,}"
         f"{totals['recomp']:>8,}{totals['skip']:>7,}{totals['wfill']:>7,}"
-        f"{totals['hits']:>7,}{totals['rhits']:>8,}"
+        f"{totals['rhits']:>8,}"
         f"{_hit_rate(totals['rhits'], totals['rmiss']):>6}"
         f"{_hit_rate(totals['ohits'], totals['omiss']):>6}"
         f"{totals['flushes']:>9,}"

@@ -24,7 +24,7 @@ from repro.gpu.occupancy import (
     occupancy_cache_info,
     reset_occupancy_cache,
 )
-from repro.gpu.memory import BandwidthArbiter, FlowDemand, waterfill
+from repro.gpu.memory import FlowDemand, waterfill
 from repro.gpu.rates import (
     RateInput,
     RateOutput,
@@ -43,7 +43,6 @@ from repro.gpu.device import (
 )
 
 __all__ = [
-    "BandwidthArbiter",
     "BlockResources",
     "ExecutionMode",
     "FlowDemand",

@@ -20,8 +20,9 @@ the kernel's water-filled share of DRAM bandwidth, where
 
 DRAM traffic per block is the kernel's L2 traffic filtered by the
 order-sensitive locality model (:mod:`repro.gpu.cache`) and divided by the
-kernel's DRAM access efficiency (coalescing quality).  Demands are allocated
-max-min fairly by :class:`repro.gpu.memory.BandwidthArbiter`.
+kernel's DRAM access efficiency (coalescing quality).  Demands are
+water-filled max-min fairly in :mod:`repro.gpu.rates` (via
+:func:`repro.gpu.memory.waterfill`).
 
 Completion adds a *tail* term modelling the ragged final wave: partial last
 wave plus an extreme-value straggler estimate from the per-block time

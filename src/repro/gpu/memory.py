@@ -4,7 +4,7 @@ Concurrent kernels contend for device memory bandwidth.  We model DRAM as a
 fluid resource shared among *flows* (one per running kernel).  Each flow has
 a demand — the byte rate it would consume if bandwidth were unlimited, which
 is itself capped by the number of SMs the kernel occupies times the per-SM
-issue limit.  The arbiter allocates bandwidth max-min fairly: flows that
+issue limit.  :func:`waterfill` allocates bandwidth max-min fairly: flows that
 demand less than the fair share keep their full demand, and the surplus is
 redistributed among the rest ("water-filling").
 
@@ -21,9 +21,9 @@ reproduces the two behaviours the paper leans on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-__all__ = ["FlowDemand", "waterfill", "BandwidthArbiter"]
+__all__ = ["FlowDemand", "waterfill"]
 
 _EPS = 1e-12
 
@@ -88,70 +88,3 @@ def waterfill(demands: Sequence[FlowDemand], capacity: float) -> dict[object, fl
             budget -= f.demand
         active = [f for f in active if f.demand > fair + _EPS]
     return alloc
-
-
-class BandwidthArbiter:
-    """Stateful wrapper around :func:`waterfill` for the device executor.
-
-    Tracks registered flows and recomputes the allocation whenever the flow
-    set or a demand changes; exposes per-flow achieved bandwidth and the
-    throttle fraction used for the "memory throttle stall" counter
-    (Table III reports 26.1% for Gaussian under CUDA and 0% under Slate).
-
-    The allocation is cached: re-registering a flow at its current demand is
-    a no-op, so callers may publish demands every epoch without forcing a
-    water-fill per call.  ``stats`` (optional) is an
-    :class:`repro.sim.engine.EnvironmentStats` whose ``waterfill_calls`` /
-    ``waterfill_cache_hits`` counters record recomputations vs. skips.
-    """
-
-    def __init__(self, capacity: float, stats=None) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.stats = stats
-        self._demands: dict[object, float] = {}
-        self._alloc: dict[object, float] = {}
-
-    def set_demand(self, key: object, demand: float) -> None:
-        """Register or update a flow's demand, recomputing only on change."""
-        if demand < 0:
-            raise ValueError(f"negative demand {demand}")
-        demands = self._demands
-        if key in demands and demands[key] == demand:
-            # Unchanged input: the cached allocation is still exact.
-            if self.stats is not None:
-                self.stats.waterfill_cache_hits += 1
-            return
-        demands[key] = demand
-        self._recompute()
-
-    def remove(self, key: object) -> None:
-        """Remove a flow (no-op if absent) and recompute allocations."""
-        if self._demands.pop(key, None) is not None:
-            self._recompute()
-
-    def _recompute(self) -> None:
-        if self.stats is not None:
-            self.stats.waterfill_calls += 1
-        flows = [FlowDemand(k, d) for k, d in self._demands.items()]
-        self._alloc = waterfill(flows, self.capacity)
-
-    def allocation(self, key: object) -> float:
-        """Achieved bytes/s for ``key`` (0 if not registered)."""
-        return self._alloc.get(key, 0.0)
-
-    def throttle_fraction(self, key: object) -> float:
-        """Fraction of the flow's demand it is *not* receiving, in [0, 1]."""
-        demand = self._demands.get(key, 0.0)
-        if demand <= _EPS:
-            return 0.0
-        return max(0.0, 1.0 - self.allocation(key) / demand)
-
-    @property
-    def total_allocated(self) -> float:
-        return sum(self._alloc.values())
-
-    def snapshot(self) -> Mapping[object, float]:
-        """Current allocation by flow key (copy)."""
-        return dict(self._alloc)

@@ -1,16 +1,15 @@
 """Unified observability: structured tracing + the process-wide metrics registry.
 
 The reproduction used to have disconnected observability surfaces
-(``Environment.stats``, ``sim.tracing.Tracer``, the scheduler's
-decision/allocation logs, the rate-memo counters).  This package gives
-them one home:
+(``Environment.stats``, the scheduler's decision/allocation logs, the
+rate-memo counters).  This package gives them one home:
 
 * :mod:`repro.obs.trace` — a process-wide :class:`~repro.obs.trace.TraceSink`
   with a span/instant/counter event API.  Instrumentation sits at every
-  interesting boundary (engine dispatch, scheduler decisions, resizes,
-  epochs, task-queue pulls) behind a module-level
-  ``ENABLED`` flag, so the disabled path is a single attribute check —
-  no allocation, no behavioural change, golden results untouched.
+  interesting boundary (scheduler decisions, resizes, epochs, task-queue
+  pulls) behind a module-level ``ENABLED`` flag, so the disabled path is a
+  single attribute check — no allocation, no behavioural change, golden
+  results untouched.
 * :mod:`repro.obs.export` — exporters: Chrome trace-event JSON (loads in
   Perfetto / ``chrome://tracing``, one track per SM plus one per tenant)
   and a JSONL stream with run metadata.
@@ -58,7 +57,6 @@ from repro.obs.registry import (
 )
 from repro.obs.trace import (
     NULL_SINK,
-    EnvTracerAdapter,
     NullSink,
     TraceEvent,
     TraceSink,
@@ -70,7 +68,6 @@ from repro.obs.validate import validate_chrome_trace, validate_prometheus
 
 __all__ = [
     "Counter",
-    "EnvTracerAdapter",
     "FlightRecorder",
     "Gauge",
     "Histogram",

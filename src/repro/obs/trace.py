@@ -4,8 +4,9 @@ Event model
 -----------
 A :class:`TraceEvent` is one timestamped observation on a *track*.  Tracks
 are addressed by ``(pid, tid)`` pairs — ``pid`` names a track *group*
-(``"scheduler"``, ``"device"``, ``"tenants"``, ``"daemon"``, ``"engine"``) and ``tid`` a row within it (a tenant name, ``"decisions"``,
-an SM index).  Phases follow the Chrome trace-event vocabulary:
+(``"scheduler"``, ``"device"``, ``"tenants"``, ``"daemon"``) and ``tid`` a
+row within it (a tenant name, ``"decisions"``, an SM index).  Phases follow
+the Chrome trace-event vocabulary:
 
 ========  =====================================================
 ``ph``    meaning
@@ -59,7 +60,6 @@ __all__ = [
     "DETAILED",
     "ENABLED",
     "NULL_SINK",
-    "EnvTracerAdapter",
     "NullSink",
     "TraceEvent",
     "TraceSink",
@@ -132,9 +132,9 @@ class TraceSink:
     ----------
     limit:
         Maximum number of events retained; ``None`` keeps everything.
-        When the bound is hit the oldest half is discarded (the same
-        policy as :class:`repro.sim.tracing.Tracer`) and :attr:`dropped`
-        counts every discarded event — truncation is never silent.
+        When the bound is hit the oldest half is discarded and
+        :attr:`dropped` counts every discarded event — truncation is never
+        silent.
     metadata:
         Run metadata carried into every exporter output (config
         fingerprint, seed, git revision — see
@@ -295,34 +295,3 @@ def span(name: str, env, pid: str, tid, **args) -> Iterator[None]:
     finally:
         if ENABLED:
             _sink.complete(name, start, env.now - start, pid, tid, **args)
-
-
-class EnvTracerAdapter:
-    """Bridge the engine's ``tracer`` hook into the trace sink.
-
-    The sim engine's only instrumentation point is the
-    ``Environment(tracer=...)`` hook (kept deliberately out of the inlined
-    run loop); this adapter satisfies that protocol and forwards every
-    processed event as an instant on the ``("engine", "events")`` track::
-
-        env = Environment(tracer=EnvTracerAdapter())
-
-    ``predicate`` filters like :class:`repro.sim.tracing.Tracer`'s.  Note
-    that installing any tracer routes the engine through its per-event
-    ``step()`` path — use only when engine-level dispatch detail is worth
-    that cost.
-    """
-
-    def __init__(self, predicate=None) -> None:
-        self.predicate = predicate
-        self.forwarded = 0
-
-    def record(self, time: float, event: Any) -> None:
-        if not ENABLED:
-            return
-        if self.predicate is not None and not self.predicate(event):
-            return
-        self.forwarded += 1
-        _sink.instant(
-            "engine.event", time, "engine", "events", kind=type(event).__name__
-        )

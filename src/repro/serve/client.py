@@ -260,10 +260,6 @@ class SlateClient:
         jitter = self._backoff_rng.random()
         return min(retry_after + jitter * busy_backoff * (2 ** retries), 1.0)
 
-    def sync(self) -> dict:
-        """Wait for every outstanding launch of this session."""
-        return self._call("sync")
-
     def stats(self) -> dict:
         """Server + session statistics snapshot."""
         return self._call("stats")

@@ -104,7 +104,7 @@ MAX_FRAME = 1 << 20
 
 #: Operations the daemon understands (see ``docs/serving.md``).
 OPS = frozenset(
-    {"hello", "register", "launch", "sync", "stats", "metrics", "ping", "bye"}
+    {"hello", "register", "launch", "stats", "metrics", "ping", "bye"}
 )
 
 _LEN = struct.Struct("!I")

@@ -570,8 +570,6 @@ class SlateServer:
                 result = await self._op_register(sess, params)
             elif op == "launch":
                 result = await self._op_launch(sess, rid, params)
-            elif op == "sync":
-                result = await self._op_sync(sess)
             else:  # bye
                 result = {"bye": True}
         except asyncio.CancelledError:
@@ -815,18 +813,6 @@ class SlateServer:
         if ticket.counters is not None:
             result["sim_exec"] = ticket.counters.elapsed
         return result
-
-    async def _op_sync(self, sess: _Session) -> dict:
-        slate = sess.slate
-        env = self._shard_env(sess)
-
-        def gen() -> Generator:
-            t0 = env.now
-            yield from slate.synchronize()
-            return env.now - t0
-
-        waited = await self._shard_driver(sess).submit(gen())
-        return {"waited": waited, "sim_time": env.now}
 
     def _op_stats(self, sess: Optional[_Session]) -> dict:
         session_block = None

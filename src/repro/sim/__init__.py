@@ -13,9 +13,9 @@ Design notes
 * Processes are generators driven by the environment.  A process yields
   events; when a yielded event is processed the generator is resumed with the
   event's value (or the exception is thrown into it).
-* :meth:`Process.interrupt` delivers an :class:`~repro.sim.interrupts.Interrupt`
-  exception into a process even while it waits, which is how the Slate
-  runtime models ``retreat`` signals terminating persistent GPU workers.
+* There are no process interrupts: Slate's ``retreat`` is modelled by the
+  device (:meth:`repro.gpu.device.SimulatedGPU.resize`), not by throwing
+  into worker processes.
 * The event queue is ordered by ``(time, priority, sequence)`` so that
   simultaneous events are processed deterministically in scheduling order.
 """
@@ -29,35 +29,27 @@ from repro.sim.engine import (
 )
 from repro.sim.events import (
     AllOf,
-    AnyOf,
     Event,
     EventPriority,
+    SimulationError,
     Timeout,
 )
-from repro.sim.interrupts import Interrupt
 from repro.sim.process import Process
-from repro.sim.resources import PriorityResource, Resource
-from repro.sim.store import FilterStore, PriorityStore, Store
-from repro.sim.tracing import TraceRecord, Tracer
+from repro.sim.resources import Resource
+from repro.sim.store import Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "EnvironmentStats",
     "Event",
     "EventPriority",
     "aggregate_stats",
     "reset_aggregate_stats",
-    "FilterStore",
-    "Interrupt",
-    "PriorityResource",
-    "PriorityStore",
     "Process",
     "Resource",
+    "SimulationError",
     "StopSimulation",
     "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
 ]

@@ -45,8 +45,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.sim.events import AllOf, AnyOf, Event, EventPriority, Timeout
-from repro.sim.interrupts import SimulationError
+from repro.sim.events import AllOf, Event, EventPriority, SimulationError, Timeout
 from repro.sim.process import Process
 
 __all__ = [
@@ -92,9 +91,9 @@ class EnvironmentStats:
     rate_recomputes_skipped:
         Epoch boundaries where the rate inputs were unchanged and the
         re-derivation was skipped (incremental-recompute fast path).
-    waterfill_calls / waterfill_cache_hits:
-        :class:`~repro.gpu.memory.BandwidthArbiter` recomputations vs.
-        allocations served from its demand-keyed cache.
+    waterfill_calls:
+        :func:`~repro.gpu.memory.waterfill` invocations inside
+        :func:`~repro.gpu.rates.derive_rates` (two per full derivation).
     rate_memo_hits / rate_memo_misses:
         Rate derivations served from the co-run-signature memo vs. full
         derivations (only lookups that were handed a stats object are
@@ -102,11 +101,6 @@ class EnvironmentStats:
         ``hits + misses == rate_recomputes`` while the memo is on; the
         module-level :func:`~repro.gpu.rates.rates_cache_info` counts
         every lookup).
-    trace_dropped:
-        Records the attached :class:`~repro.sim.tracing.Tracer` discarded
-        at its ``limit`` bound (0 when no tracer is attached) — a nonzero
-        value means timeline assertions may be looking at a truncated
-        record stream.
     epoch_marks / epoch_flushes:
         Device mutations deferred into a decision epoch vs. end-of-timestep
         epoch flushes actually performed (see
@@ -132,10 +126,8 @@ class EnvironmentStats:
         "rate_recomputes",
         "rate_recomputes_skipped",
         "waterfill_calls",
-        "waterfill_cache_hits",
         "rate_memo_hits",
         "rate_memo_misses",
-        "trace_dropped",
         "epoch_marks",
         "epoch_flushes",
         "rate_vector_evals",
@@ -152,10 +144,8 @@ class EnvironmentStats:
         "rate_recomputes",
         "rate_recomputes_skipped",
         "waterfill_calls",
-        "waterfill_cache_hits",
         "rate_memo_hits",
         "rate_memo_misses",
-        "trace_dropped",
         "epoch_marks",
         "epoch_flushes",
         "rate_vector_evals",
@@ -221,11 +211,6 @@ class Environment:
     initial_time:
         Starting value of the simulated clock (seconds by convention
         throughout this project).
-    tracer:
-        Optional :class:`repro.sim.tracing.Tracer` recording every processed
-        event for debugging and test assertions.  A tracer may retain event
-        references, so the Timeout free list is not fed while tracing (the
-        refcount gate would reject pooled candidates anyway).
     """
 
     __slots__ = (
@@ -235,13 +220,12 @@ class Environment:
         "_eoe_hooks",
         "_processing",
         "_eid",
-        "tracer",
         "stats",
         "_timeout_pool",
         "_flushed",
     )
 
-    def __init__(self, initial_time: float = 0.0, tracer: Any = None) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         #: Same-timestamp fast lane: every delay-0 NORMAL trigger lands here
@@ -264,7 +248,6 @@ class Environment:
         #: without bound (no overflow) and is never reset — recycled Timeout
         #: instances draw fresh ids, so heap ordering stays total.
         self._eid = 0
-        self.tracer = tracer
         self.stats = EnvironmentStats()
         self._timeout_pool: list[Timeout] = []
         self._flushed = self.stats.snapshot()
@@ -360,8 +343,6 @@ class Environment:
         stats.events_processed += 1
 
         callbacks, event.callbacks = event.callbacks, None
-        if self.tracer is not None:
-            self.tracer.record(self._now, event)
         self._processing = True
         try:
             for callback in callbacks:
@@ -420,10 +401,6 @@ class Environment:
         pooled = 0
         peak = stats.heap_peak
         try:
-            if self.tracer is not None:
-                # Tracing path: per-event bookkeeping lives in step().
-                while True:
-                    self.step()
             self._processing = True
             pending = len(queue) + len(fifo)
             while pending or hooks:
@@ -483,12 +460,6 @@ class Environment:
                     "simulation ended before the awaited event triggered"
                 )
             return None
-        except EmptySchedule:
-            if stop is not None and not stop.triggered and isinstance(until, Event):
-                raise SimulationError(
-                    "simulation ended before the awaited event triggered"
-                ) from None
-            return None
         except StopSimulation as exc:
             event = exc.args[0]
             if event is stop and not isinstance(until, Event):
@@ -510,12 +481,6 @@ class Environment:
         # sit on the hottest allocation path): every pooled timeout that is
         # no longer in the free list has been handed back out exactly once.
         self.stats.timeouts_reused = self.stats.timeouts_pooled - len(self._timeout_pool)
-        # Tracer truncation is likewise derived at flush: the tracer owns
-        # the authoritative count, the stats field mirrors it.
-        if self.tracer is not None:
-            dropped = getattr(self.tracer, "dropped", None)
-            if dropped is not None:
-                self.stats.trace_dropped = dropped
         after = self.stats.snapshot()
         _AGGREGATE.accumulate(self._flushed, after)
         self._flushed = after
@@ -564,10 +529,6 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Spawn a process driving ``generator``."""
         return Process(self, generator)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when any of ``events`` fires."""
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all of ``events`` have fired."""

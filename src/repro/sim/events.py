@@ -13,21 +13,29 @@ import enum
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
-from repro.sim.interrupts import SimulationError
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
 
-__all__ = ["Event", "Timeout", "AnyOf", "AllOf", "ConditionValue", "EventPriority"]
+__all__ = [
+    "AllOf",
+    "ConditionValue",
+    "Event",
+    "EventPriority",
+    "SimulationError",
+    "Timeout",
+]
+
+
+class SimulationError(Exception):
+    """Base class for errors raised by the simulation engine itself."""
 
 
 class EventPriority(enum.IntEnum):
     """Ordering of simultaneous events.
 
-    ``URGENT`` is used for interrupts so that they are delivered before
-    ordinary events scheduled at the same timestamp — matching the intuition
-    that e.g. a Slate retreat signal observed "now" beats a task completion
-    that would commit "now".
+    ``URGENT`` events are processed before ordinary events scheduled at the
+    same timestamp; :meth:`Environment.run` uses it so ``run(until=t)``
+    stops the clock *before* the events at exactly ``t``.
     """
 
     URGENT = 0
@@ -131,9 +139,6 @@ class Event:
     def __and__(self, other: "Event") -> "AllOf":
         return AllOf(self.env, [self, other])
 
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = (
             "processed" if self.processed else "triggered" if self.triggered else "pending"
@@ -218,8 +223,11 @@ class ConditionValue:
         return f"ConditionValue({self.items()!r})"
 
 
-class Condition(Event):
-    """Base class for ``AnyOf`` / ``AllOf`` composite events."""
+class AllOf(Event):
+    """Triggers once all of the given events have triggered.
+
+    Fails as soon as any member fails (the member is defused).
+    """
 
     __slots__ = ("_events", "_count")
 
@@ -243,9 +251,6 @@ class Condition(Event):
             # Degenerate empty condition triggers immediately.
             self.succeed(ConditionValue([]))
 
-    def _evaluate(self, count: int, total: int) -> bool:
-        raise NotImplementedError
-
     def _check(self, event: Event) -> None:
         if self.triggered:
             return
@@ -254,28 +259,8 @@ class Condition(Event):
             self.fail(event._value)
             return
         self._count += 1
-        if self._evaluate(self._count, len(self._events)):
-            # Only events whose callbacks have run (or the one firing right
-            # now) contribute a value; a Timeout is *triggered* at creation
-            # but must not count until it is processed.
-            self.succeed(
-                ConditionValue([e for e in self._events if e.processed or e is event])
-            )
-
-
-class AnyOf(Condition):
-    """Triggers as soon as any of the given events triggers."""
-
-    __slots__ = ()
-
-    def _evaluate(self, count: int, total: int) -> bool:
-        return count >= 1
-
-
-class AllOf(Condition):
-    """Triggers once all of the given events have triggered."""
-
-    __slots__ = ()
-
-    def _evaluate(self, count: int, total: int) -> bool:
-        return count == total
+        if self._count == len(self._events):
+            # _check only ever sees processed events (the constructor skips
+            # pending ones; callbacks run once the engine detached them), so
+            # every member has a value by now.
+            self.succeed(ConditionValue(self._events))

@@ -10,10 +10,9 @@ wait on each other.
 from __future__ import annotations
 
 from types import GeneratorType
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Generator
 
-from repro.sim.events import Event, EventPriority
-from repro.sim.interrupts import Interrupt, SimulationError
+from repro.sim.events import Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -28,7 +27,7 @@ class Process(Event):
     with any uncaught exception the generator raises.
     """
 
-    __slots__ = ("_generator", "_send", "_throw", "_target", "_started")
+    __slots__ = ("_generator", "_send", "_throw")
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not isinstance(generator, GeneratorType):
@@ -39,9 +38,6 @@ class Process(Event):
         # so the attribute lookups add up across millions of events.
         self._send = generator.send
         self._throw = generator.throw
-        # The event this process currently waits for (None => being resumed
-        # right now or not yet started).
-        self._target: Event | None = None
 
         # Kick the process off via an initialisation event so that it starts
         # executing from within the event loop, not synchronously here.
@@ -50,45 +46,11 @@ class Process(Event):
         init._value = None
         init.callbacks.append(self._resume)
         env.schedule(init)
-        self._target = init
-        self._started = False
-
-    # -- introspection ---------------------------------------------------
-
-    @property
-    def is_alive(self) -> bool:
-        """Whether the generator has not yet terminated."""
-        return not self.triggered
-
-    @property
-    def target(self) -> Event | None:
-        """The event this process is currently waiting on."""
-        return self._target
-
-    # -- control -----------------------------------------------------------
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process as soon as possible.
-
-        The interrupt is delivered with URGENT priority at the current
-        simulation time.  Interrupting a dead process raises
-        :class:`SimulationError`; interrupting a process that is currently
-        being resumed is delivered on its next suspension.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        if self._target is not None and isinstance(self._target, _InterruptEvent):
-            # Already has a pending interrupt; chain a second one.
-            pass
-        interrupt_event = _InterruptEvent(self.env, self, Interrupt(cause))
-        self.env.schedule(interrupt_event, priority=EventPriority.URGENT)
 
     # -- engine plumbing ----------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        self._target = None
-        self._started = True
         send = self._send
         while True:
             try:
@@ -128,48 +90,10 @@ class Process(Event):
             if callbacks is not None:
                 # Event not yet processed: subscribe and suspend.
                 callbacks.append(self._resume)
-                self._target = next_event
                 return
 
             # Event already processed: loop immediately with its outcome.
             event = next_event
-
-
-class _InterruptEvent(Event):
-    """Internal event that delivers an interrupt into a process."""
-
-    __slots__ = ("_process",)
-
-    def __init__(self, env: "Environment", process: Process, cause: Interrupt) -> None:
-        super().__init__(env)
-        self._process = process
-        self._ok = False
-        self._value = cause
-        self._defused = True
-        self.callbacks = [self._deliver]
-
-    def _deliver(self, event: Event) -> None:
-        process = self._process
-        if not process.is_alive:
-            # Process terminated between scheduling and delivery; drop it.
-            return
-        if not process._started:
-            # The generator has not run yet (its init event is still
-            # queued): delivering now would raise at the function header,
-            # outside any try block.  Requeue with normal priority so the
-            # interrupt lands right after the first suspension.
-            retry = _InterruptEvent(self.env, process, self._value)
-            self.env.schedule(retry, priority=EventPriority.NORMAL)
-            return
-        if process._target is not None:
-            # Detach the process from whatever it was waiting on.
-            target = process._target
-            if target.callbacks is not None:
-                try:
-                    target.callbacks.remove(process._resume)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-        process._resume(self)
 
 
 def _failed_stub(env: "Environment", exc: BaseException) -> Event:

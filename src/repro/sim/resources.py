@@ -1,4 +1,4 @@
-"""Shared-resource primitives: counted and priority resources.
+"""Shared-resource primitive: a counted resource with FIFO granting.
 
 A :class:`Resource` models a pool of identical service slots (e.g. the single
 serialization point of a GPU atomic unit, or the PCIe copy engine).  Requests
@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import itertools
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.sim.events import Event, _PENDING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
 
-__all__ = ["Resource", "PriorityResource", "Request", "Release"]
+__all__ = ["Resource", "Request", "Release"]
 
 
 class Request(Event):
@@ -94,7 +94,7 @@ class Resource:
         self.env = env
         self._capacity = capacity
         self._counter = itertools.count()
-        # Min-heap of pending requests keyed by (priority..., seq).
+        # Min-heap of pending requests keyed by request sequence number.
         self._waiting: list[tuple] = []
         self._users: set[Request] = set()
 
@@ -115,9 +115,6 @@ class Resource:
         return len(self._waiting)
 
     # -- operations ---------------------------------------------------------
-
-    def _make_key(self, seq: int):
-        return seq
 
     def request(self) -> Request:
         """Claim a slot; the returned event fires once the slot is granted."""
@@ -157,23 +154,3 @@ class Resource:
             req = heappop(waiting)[1]
             users.add(req)
             req.succeed(req)
-
-
-class PriorityResource(Resource):
-    """Resource whose waiting queue is ordered by a numeric priority.
-
-    Lower priority values are served first; ties are FIFO.
-    """
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._next_priority: Optional[float] = None
-
-    def request(self, priority: float = 0.0) -> Request:  # type: ignore[override]
-        req = Request(self, (priority, next(self._counter)))
-        if len(self._users) < self._capacity:
-            self._users.add(req)
-            req.succeed(req)
-        else:
-            heappush(self._waiting, (req.key, req))
-        return req

@@ -7,16 +7,14 @@ queues, daemon command pipes, and the device-side task queues.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.events import Event, _PENDING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
 
-__all__ = ["Store", "FilterStore", "PriorityStore", "StorePut", "StoreGet"]
+__all__ = ["Store", "StorePut", "StoreGet"]
 
 
 class StorePut(Event):
@@ -36,15 +34,14 @@ class StorePut(Event):
 class StoreGet(Event):
     """Pending ``get`` operation; fires with the retrieved item."""
 
-    __slots__ = ("filter",)
+    __slots__ = ()
 
-    def __init__(self, env: "Environment", filter: Optional[Callable[[Any], bool]] = None) -> None:
+    def __init__(self, env: "Environment") -> None:
         self.env = env
         self.callbacks = []
         self._value = _PENDING
         self._ok = True
         self._defused = False
-        self.filter = filter
 
 
 class Store:
@@ -69,7 +66,7 @@ class Store:
         # item directly; only fall into the dispatch loop when a blocked
         # getter may now be servable.
         if not self._putters and len(self.items) < self.capacity:
-            self._insert(item)
+            self.items.append(item)
             event.succeed()
             if self._getters:
                 self._dispatch()
@@ -84,7 +81,7 @@ class Store:
         # Fast path mirror of put(): items on hand and no getter queued
         # ahead — serve immediately, then unblock putters if space freed.
         if not self._getters and self.items:
-            event.succeed(self._extract(event))
+            event.succeed(self.items.pop(0))
             if self._putters:
                 self._dispatch()
         else:
@@ -96,22 +93,16 @@ class Store:
 
     def _do_put(self, event: StorePut) -> bool:
         if len(self.items) < self.capacity:
-            self._insert(event.item)
+            self.items.append(event.item)
             event.succeed()
             return True
         return False
 
     def _do_get(self, event: StoreGet) -> bool:
         if self.items:
-            event.succeed(self._extract(event))
+            event.succeed(self.items.pop(0))
             return True
         return False
-
-    def _insert(self, item: Any) -> None:
-        self.items.append(item)
-
-    def _extract(self, event: StoreGet) -> Any:
-        return self.items.pop(0)
 
     def _dispatch(self) -> None:
         progressed = True
@@ -135,66 +126,3 @@ class Store:
                     progressed = True
                 else:
                     break
-
-
-class FilterStore(Store):
-    """Store whose getters may select items with a predicate."""
-
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:  # type: ignore[override]
-        event = StoreGet(self.env, filter)
-        self._getters.append(event)
-        self._dispatch()
-        return event
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if event.filter is None:
-            return super()._do_get(event)
-        for i, item in enumerate(self.items):
-            if event.filter(item):
-                self.items.pop(i)
-                event.succeed(item)
-                return True
-        return False
-
-    def _dispatch(self) -> None:
-        # Filtered getters must each be examined: one blocked getter must not
-        # starve another whose predicate matches.
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters:
-                put = self._putters[0]
-                if put.triggered or self._do_put(put):
-                    self._putters.pop(0)
-                    progressed = True
-                else:
-                    break
-            remaining: list[StoreGet] = []
-            for get in self._getters:
-                if get.triggered:
-                    progressed = True
-                    continue
-                if self._do_get(get):
-                    progressed = True
-                else:
-                    remaining.append(get)
-            self._getters = remaining
-
-
-class PriorityStore(Store):
-    """Store returning the smallest item first (heap-ordered).
-
-    Items must be comparable, or wrapped in ``(priority, payload)`` tuples;
-    a monotone sequence number breaks ties to keep ordering deterministic.
-    """
-
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        super().__init__(env, capacity)
-        self._seq = itertools.count()
-
-    def _insert(self, item: Any) -> None:
-        heapq.heappush(self.items, (item, next(self._seq)))
-
-    def _extract(self, event: StoreGet) -> Any:
-        item, _ = heapq.heappop(self.items)
-        return item

@@ -3,7 +3,7 @@
 Subsystems (paper section in parentheses):
 
 * :mod:`repro.slate.source` — the FLEX-scanner analogue and code injector
-  that rewrite user kernels (Listings 1-3, §IV-B).
+  that rewrite user kernels (Listings 1-2, §IV-B).
 * :mod:`repro.slate.transform` — the semantic grid transformation
   ``K(B, T) -> K*(B*, T)`` with exact block-index reconstruction (§III-A).
 * :mod:`repro.slate.taskqueue` — the ``slateIdx`` task queue with
@@ -19,10 +19,8 @@ Subsystems (paper section in parentheses):
   with caching (§IV-A).
 """
 
-from repro.slate import api
 from repro.slate.classify import IntensityClass, classify
 from repro.slate.cluster import SlateCluster
-from repro.slate.dispatch import DispatchKernel
 from repro.slate.daemon import SlateRuntime, SlateSession
 from repro.slate.policy import (
     DEFAULT_POLICY,
@@ -57,8 +55,6 @@ __all__ = [
     "DEFAULT_POLICY",
     "POLICIES",
     "AdmissionRejected",
-    "api",
-    "DispatchKernel",
     "EdfPolicy",
     "FairSharePolicy",
     "GridTransform",

@@ -21,11 +21,8 @@ from dataclasses import dataclass, field
 __all__ = [
     "InjectionError",
     "KernelSource",
-    "PRAGMA",
     "inject",
-    "inject_static",
     "scan_kernels",
-    "scan_pragmas",
 ]
 
 #: Built-in variables the injector must replace to preserve user semantics.
@@ -178,64 +175,3 @@ def inject(kernel: KernelSource) -> str:
         f"{_LOOP_TAIL}"
         "}\n"
     )
-
-
-#: The OMP-like pragma marking a kernel for static transformation (§IV-B:
-#: "Alternatively, Slate can perform code injection statically using an
-#: OMP-like pragma method, which is less transparent").
-PRAGMA = "#pragma slate transform"
-
-_PRAGMA_RE = re.compile(
-    r"^[ \t]*#pragma[ \t]+slate[ \t]+transform[ \t]*(?P<opts>[^\n]*)$",
-    re.MULTILINE,
-)
-
-
-def scan_pragmas(source: str) -> list[tuple[str, dict[str, str]]]:
-    """Find ``#pragma slate transform`` annotations and their options.
-
-    Returns ``(kernel_name, options)`` for the kernel definition following
-    each pragma.  Options are ``key(value)`` tokens, e.g.
-    ``#pragma slate transform task_size(20)``.
-    """
-    annotations: list[tuple[str, dict[str, str]]] = []
-    for match in _PRAGMA_RE.finditer(source):
-        rest = source[match.end():]
-        kernel_match = _KERNEL_RE.search(rest)
-        if kernel_match is None:
-            raise InjectionError(
-                "pragma 'slate transform' not followed by a __global__ kernel"
-            )
-        # The pragma must annotate the *next* kernel, not one further down:
-        # nothing but whitespace/comments may precede it.
-        prefix = rest[: kernel_match.start()]
-        if re.sub(r"//[^\n]*|\s+", "", prefix):
-            raise InjectionError(
-                "pragma 'slate transform' not directly above a __global__ kernel"
-            )
-        options = dict(re.findall(r"(\w+)\(([^)]*)\)", match.group("opts")))
-        annotations.append((kernel_match.group("name"), options))
-    return annotations
-
-
-def inject_static(source: str) -> str:
-    """Statically transform the pragma-annotated kernels of a source file.
-
-    The static path of §IV-B: kernels marked with ``#pragma slate
-    transform`` are rewritten at build time (no FLEX scan or NVRTC at run
-    time), unannotated kernels pass through untouched, and the pragma
-    lines are consumed.  Returns the full transformed translation unit.
-    """
-    annotated = {name for name, _ in scan_pragmas(source)}
-    out = _PRAGMA_RE.sub("", source)
-    for kernel in scan_kernels(out):
-        if kernel.name not in annotated:
-            continue
-        # Replace the original definition with the transformed one.
-        match = re.search(
-            r"__global__\s+void\s+" + re.escape(kernel.name) + r"\s*\([^)]*\)\s*\{",
-            out,
-        )
-        end = _match_braces(out, out.index("{", match.start()))
-        out = out[: match.start()] + inject(kernel) + out[end:]
-    return out

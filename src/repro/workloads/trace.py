@@ -10,7 +10,6 @@ resizing all get exercised with more than two tenants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -22,13 +21,10 @@ from repro.workloads.harness import make_runtime
 
 __all__ = [
     "TraceEntry",
-    "TraceReplaySummary",
     "generate_bursty_trace",
     "generate_heavy_tailed_trace",
     "generate_trace",
-    "iter_trace",
     "replay_trace",
-    "replay_trace_stream",
 ]
 
 
@@ -66,39 +62,6 @@ def generate_trace(
     return entries
 
 
-def iter_trace(
-    n_apps: int,
-    mean_interarrival: float = 20e-3,
-    benchmarks: tuple[str, ...] = SHORT_NAMES,
-    reps: int = 8,
-    seed: int = 0,
-) -> Iterator[TraceEntry]:
-    """Streaming Poisson trace: entries are produced one at a time.
-
-    The O(1)-memory sibling of :func:`generate_trace` for million-launch
-    traces: nothing is materialized up front — each :class:`TraceEntry`
-    (and its :class:`AppSpec`) is constructed lazily when the consumer
-    advances the generator.  Deterministic per seed, but *not*
-    draw-for-draw identical to ``generate_trace`` with the same seed: the
-    batch generator draws all arrival gaps before any benchmark picks,
-    while the stream interleaves them (it cannot know ``n_apps`` draws
-    ahead without materializing).
-    """
-    if n_apps < 1:
-        raise ValueError("n_apps must be >= 1")
-    if mean_interarrival <= 0:
-        raise ValueError("mean_interarrival must be positive")
-    rng = np.random.default_rng(seed)
-    arrival = 0.0
-    for i in range(n_apps):
-        arrival += float(rng.exponential(mean_interarrival))
-        bench = benchmarks[int(rng.integers(len(benchmarks)))]
-        yield TraceEntry(
-            arrival=arrival,
-            app=AppSpec(name=f"{bench}@{i}", kernel=by_name(bench), reps=reps),
-        )
-
-
 def replay_trace(
     runtime_name: str,
     trace: list[TraceEntry],
@@ -126,113 +89,6 @@ def replay_trace(
         procs.append(env.process(arrival_proc(env, entry)))
     env.run(until=env.all_of(procs))
     return {p.value.name: p.value for p in procs}, runtime
-
-
-@dataclass
-class TraceReplaySummary:
-    """Aggregate outcome of a streamed trace replay (O(1) memory)."""
-
-    apps: int = 0
-    launches: int = 0
-    #: Completion time of the last application (simulated seconds).
-    makespan: float = 0.0
-    #: Sum over apps of (end - arrival); divide by ``apps`` for the mean.
-    total_turnaround: float = 0.0
-    #: Sum of device-side kernel execution time across all apps.
-    total_kernel_time: float = 0.0
-
-    @property
-    def mean_turnaround(self) -> float:
-        return self.total_turnaround / self.apps if self.apps else 0.0
-
-
-def replay_trace_stream(
-    runtime_name: str,
-    entries: Iterable[TraceEntry],
-    device: DeviceConfig = TITAN_XP,
-    preload_profiles: bool = True,
-    preload_benchmarks: tuple[str, ...] = SHORT_NAMES,
-    results_sink: Optional[dict] = None,
-    num_devices: int = 1,
-    placement: str = "class-aware",
-    **runtime_kwargs,
-) -> tuple[TraceReplaySummary, object]:
-    """Replay a trace *stream* without ever materializing it.
-
-    The streaming sibling of :func:`replay_trace`: ``entries`` may be any
-    iterable (typically :func:`iter_trace`); a feeder process pulls one
-    entry at a time, sleeps until its arrival, and spawns the application —
-    so a million-entry trace holds O(in-flight apps) state, not O(trace).
-    Per-app :class:`AppResult`\\ s are folded into a
-    :class:`TraceReplaySummary` and dropped, unless ``results_sink`` (a
-    dict) is given to collect them.
-
-    Profiles cannot be preloaded by scanning the trace (that would consume
-    it), so ``preload_benchmarks`` names the kernels to seed up front —
-    offline profiling runs on a private environment and costs the replayed
-    scenario nothing.
-
-    ``num_devices > 1`` replays across a :class:`repro.slate.cluster.SlateCluster`
-    (``runtime_name`` must then be ``"Slate"``) with the given placement
-    policy; sessions carry the kernel as a placement hint.  For truly long
-    traces pass ``log_limit=...``/``rate_trace_limit=...`` through
-    ``runtime_kwargs`` to bound the daemon's in-memory logs.
-    """
-    env = Environment()
-    if num_devices > 1:
-        if runtime_name != "Slate":
-            raise ValueError("multi-device replay requires the Slate runtime")
-        from repro.slate.cluster import SlateCluster
-
-        runtime = SlateCluster(
-            env,
-            num_devices=num_devices,
-            device=device,
-            placement=placement,
-            **runtime_kwargs,
-        )
-    else:
-        runtime = make_runtime(runtime_name, env, device=device, **runtime_kwargs)
-    if preload_profiles and hasattr(runtime, "preload_profiles"):
-        runtime.preload_profiles([by_name(b) for b in preload_benchmarks])
-
-    summary = TraceReplaySummary()
-    state = {"spawned": 0, "done": 0, "feeding": True}
-    finished = env.event()
-
-    def _maybe_finish() -> None:
-        if not state["feeding"] and state["done"] == state["spawned"]:
-            finished.succeed()
-
-    def app_proc(env, entry: TraceEntry):
-        if num_devices > 1:
-            session = runtime.create_session(entry.app.name, spec_hint=entry.app.kernel)
-        else:
-            session = runtime.create_session(entry.app.name)
-        result = yield from run_application(env, session, entry.app, runtime.costs)
-        summary.apps += 1
-        summary.launches += result.launches
-        summary.makespan = max(summary.makespan, result.end)
-        summary.total_turnaround += result.end - entry.arrival
-        summary.total_kernel_time += result.kernel_exec_time
-        if results_sink is not None:
-            results_sink[result.name] = result
-        state["done"] += 1
-        _maybe_finish()
-
-    def feeder(env):
-        for entry in entries:
-            if entry.arrival > env.now:
-                yield env.timeout(entry.arrival - env.now)
-            state["spawned"] += 1
-            env.process(app_proc(env, entry))
-        state["feeding"] = False
-        # Covers the empty-trace and everything-already-done cases too.
-        _maybe_finish()
-
-    env.process(feeder(env))
-    env.run(until=finished)
-    return summary, runtime
 
 
 def generate_bursty_trace(

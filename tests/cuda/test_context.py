@@ -1,8 +1,8 @@
-"""Direct CudaContext / CudaStream unit tests."""
+"""Direct CudaContext unit tests."""
 
 import pytest
 
-from repro.cuda.context import CudaContext, CudaStream
+from repro.cuda.context import CudaContext
 from repro.cuda.errors import CudaContextDestroyed
 from repro.cuda.memory_manager import DeviceMemoryManager
 
@@ -12,11 +12,6 @@ def make_context(capacity=1 << 20, owner="test"):
 
 
 class TestContext:
-    def test_default_stream_exists(self):
-        ctx = make_context()
-        assert isinstance(ctx.default_stream, CudaStream)
-        assert ctx.default_stream.context is ctx
-
     def test_alloc_tracked_per_context(self):
         mm = DeviceMemoryManager(1 << 20)
         a, b = CudaContext(mm, "a"), CudaContext(mm, "b")
@@ -44,8 +39,9 @@ class TestContext:
 
     def test_operations_after_destroy_rejected(self):
         ctx = make_context()
+        ptr = ctx.alloc(1)
         ctx.destroy()
-        for op in (lambda: ctx.alloc(1), ctx.create_stream):
+        for op in (lambda: ctx.alloc(1), lambda: ctx.free(ptr)):
             with pytest.raises(CudaContextDestroyed):
                 op()
 
@@ -60,17 +56,3 @@ class TestContext:
         a, b = make_context(owner="x"), make_context(owner="y")
         assert a.id != b.id
         assert a.owner == "x"
-
-
-class TestStream:
-    def test_create_stream_registers(self):
-        ctx = make_context()
-        s1, s2 = ctx.create_stream(), ctx.create_stream()
-        assert s1.id != s2.id
-        assert s1.context is ctx
-
-    def test_fresh_stream_chain_is_empty(self):
-        ctx = make_context()
-        stream = ctx.create_stream()
-        assert stream.last_op is None
-        assert stream.launches == 0

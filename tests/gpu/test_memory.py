@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.gpu.memory import BandwidthArbiter, FlowDemand, waterfill
+from repro.gpu.memory import FlowDemand, waterfill
 
 
 class TestWaterfillUnit:
@@ -91,35 +91,3 @@ def test_waterfill_is_max_min_fair(demands, capacity):
     for t in throttled:
         for other in flows:
             assert alloc[t.key] >= alloc[other.key] - tol
-
-
-class TestBandwidthArbiter:
-    def test_throttle_fraction(self):
-        arb = BandwidthArbiter(100.0)
-        arb.set_demand("a", 80.0)
-        arb.set_demand("b", 80.0)
-        assert arb.allocation("a") == pytest.approx(50.0)
-        assert arb.throttle_fraction("a") == pytest.approx(1 - 50 / 80)
-
-    def test_removal_redistributes(self):
-        arb = BandwidthArbiter(100.0)
-        arb.set_demand("a", 80.0)
-        arb.set_demand("b", 80.0)
-        arb.remove("b")
-        assert arb.allocation("a") == pytest.approx(80.0)
-        assert arb.throttle_fraction("a") == 0.0
-
-    def test_unknown_key_is_zero(self):
-        arb = BandwidthArbiter(100.0)
-        assert arb.allocation("nope") == 0.0
-        assert arb.throttle_fraction("nope") == 0.0
-
-    def test_total_allocated(self):
-        arb = BandwidthArbiter(100.0)
-        arb.set_demand("a", 30.0)
-        arb.set_demand("b", 200.0)
-        assert arb.total_allocated == pytest.approx(100.0)
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            BandwidthArbiter(0.0)

@@ -87,7 +87,7 @@ class TestSources:
         assert {"engine", "rates_memo", "occupancy_cache"} <= set(reg.source_names())
         engine = reg.source_snapshot("engine")
         assert "events_processed" in engine
-        assert "trace_dropped" in engine
+        assert "epoch_flushes" in engine
 
     def test_engine_source_tracks_aggregate(self):
         from repro.sim import Environment, aggregate_stats

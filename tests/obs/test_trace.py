@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import trace as obs_trace
-from repro.obs.trace import NULL_SINK, EnvTracerAdapter, NullSink, TraceSink
+from repro.obs.trace import NULL_SINK, NullSink, TraceSink
 from repro.sim import Environment
 
 
@@ -105,40 +105,3 @@ class TestSpan:
         env = Environment()
         with obs_trace.span("work", env, "daemon", "compile"):
             pass  # must not raise or record anywhere
-
-
-class TestEnvTracerAdapter:
-    def test_engine_events_forwarded_as_instants(self):
-        adapter = EnvTracerAdapter()
-        env = Environment(tracer=adapter)
-
-        def proc(env):
-            yield env.timeout(1.0)
-            yield env.timeout(1.0)
-
-        with obs_trace.capture() as sink:
-            env.run(until=env.process(proc(env)))
-        engine = sink.of_track("engine", "events")
-        assert engine and all(e.name == "engine.event" for e in engine)
-        assert adapter.forwarded == len(engine)
-        kinds = {e.args["kind"] for e in engine}
-        assert "Timeout" in kinds
-
-    def test_adapter_respects_disabled(self):
-        adapter = EnvTracerAdapter()
-        env = Environment(tracer=adapter)
-        env.run(until=1.0)
-        assert adapter.forwarded == 0
-
-    def test_adapter_predicate_filters(self):
-        from repro.sim import Timeout
-
-        adapter = EnvTracerAdapter(predicate=lambda e: not isinstance(e, Timeout))
-        env = Environment(tracer=adapter)
-
-        def proc(env):
-            yield env.timeout(1.0)
-
-        with obs_trace.capture() as sink:
-            env.run(until=env.process(proc(env)))
-        assert all(e.args["kind"] != "Timeout" for e in sink.of_track("engine"))

@@ -68,13 +68,6 @@ class TestBasicLifecycle:
                 assert first["compile_time"] > 0
                 assert again["compile_time"] == 0  # code cache hit
 
-    def test_sync_waits_out_the_session(self, sock_path):
-        with ServerThread(ServeConfig(socket_path=sock_path)):
-            with SlateClient(sock_path) as client:
-                client.launch("RG")
-                out = client.sync()
-                assert out["sim_time"] >= 0.0
-
     def test_sim_time_does_not_advance_while_idle(self, sock_path):
         """Wall-clock gaps between requests must not leak into sim time."""
         with ServerThread(ServeConfig(socket_path=sock_path)):
@@ -171,6 +164,21 @@ class TestTypedErrors:
             reply = stream.recv()
             assert reply["ok"] is False
             assert reply["error"]["type"] == "SessionState"
+            sock.close()
+
+    def test_unknown_op_rejected_then_dropped(self, sock_path):
+        with ServerThread(ServeConfig(socket_path=sock_path)):
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.connect(sock_path)
+            sock.settimeout(5.0)
+            stream = MessageStream(sock)
+            stream.send(request(1, "hello", version=PROTOCOL_VERSION))
+            assert stream.recv()["ok"] is True
+            stream.send(request(2, "sync"))
+            reply = stream.recv()
+            assert reply["ok"] is False
+            assert reply["error"]["type"] == "UnknownOperation"
+            assert sock.recv(1) == b""
             sock.close()
 
     def test_double_hello_rejected(self, sock_path):

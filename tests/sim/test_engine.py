@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.sim import Environment, Event, Interrupt, Timeout, Tracer
+from repro.sim import Environment, Event, SimulationError
 from repro.sim.engine import EmptySchedule
-from repro.sim.interrupts import SimulationError
 
 
 class TestClockAndTimeouts:
@@ -252,81 +251,6 @@ class TestProcesses:
         assert order == ["a", "b", "c"]
 
 
-class TestInterrupts:
-    def test_interrupt_wakes_sleeping_process(self):
-        env = Environment()
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-                return "slept"
-            except Interrupt as i:
-                return ("interrupted", i.cause, env.now)
-
-        def interrupter(env, victim):
-            yield env.timeout(3)
-            victim.interrupt("retreat")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert victim.value == ("interrupted", "retreat", 3.0)
-
-    def test_interrupt_dead_process_rejected(self):
-        env = Environment()
-
-        def quick(env):
-            yield env.timeout(1)
-
-        p = env.process(quick(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_uncaught_interrupt_fails_process(self):
-        env = Environment()
-
-        def sleeper(env):
-            yield env.timeout(100)
-
-        def interrupter(env, victim):
-            yield env.timeout(1)
-            victim.interrupt("kill")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        with pytest.raises(Interrupt):
-            env.run()
-
-    def test_interrupted_process_can_continue(self):
-        env = Environment()
-
-        def worker(env):
-            done = 0
-            while done < 3:
-                try:
-                    yield env.timeout(10)
-                    done += 1
-                except Interrupt:
-                    # Resume waiting after the interruption.
-                    pass
-            return (done, env.now)
-
-        def pester(env, victim):
-            yield env.timeout(5)
-            victim.interrupt()
-
-        w = env.process(worker(env))
-        env.process(pester(env, w))
-        env.run()
-        # Interrupt at t=5 aborts the first 10s wait; three full waits follow.
-        assert w.value == (3, pytest.approx(35.0))
-
-    def test_interrupt_cause_accessible(self):
-        exc = Interrupt({"reason": "resize", "sms": (0, 9)})
-        assert exc.cause == {"reason": "resize", "sms": (0, 9)}
-
-
 class TestConditions:
     def test_all_of_waits_for_all(self):
         env = Environment()
@@ -341,19 +265,6 @@ class TestConditions:
         env.run()
         assert p.value == (5.0, ["a", "b"])
 
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-
-        def proc(env):
-            t1 = env.timeout(2, value="fast")
-            t2 = env.timeout(5, value="slow")
-            result = yield env.any_of([t1, t2])
-            return (env.now, result.values())
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == (2.0, ["fast"])
-
     def test_operator_composition(self):
         env = Environment()
 
@@ -364,17 +275,6 @@ class TestConditions:
         p = env.process(proc(env))
         env.run()
         assert p.value == (2.0, [1, 2])
-
-    def test_or_operator(self):
-        env = Environment()
-
-        def proc(env):
-            res = yield env.timeout(1, value=1) | env.timeout(2, value=2)
-            return (env.now, res.values())
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == (1.0, [1])
 
     def test_empty_all_of_fires_immediately(self):
         env = Environment()
@@ -410,31 +310,3 @@ class TestConditions:
         t2 = env2.timeout(1)
         with pytest.raises(SimulationError):
             env1.all_of([t1, t2])
-
-
-class TestTracer:
-    def test_tracer_records_processed_events(self):
-        tracer = Tracer()
-        env = Environment(tracer=tracer)
-
-        def proc(env):
-            yield env.timeout(1)
-            yield env.timeout(2)
-
-        env.process(proc(env))
-        env.run()
-        kinds = [r.kind for r in tracer]
-        assert "Timeout" in kinds
-        assert len(tracer.of_kind("Timeout")) == 2
-        assert tracer.times() == sorted(tracer.times())
-
-    def test_tracer_predicate_filters(self):
-        tracer = Tracer(predicate=lambda e: isinstance(e, Timeout))
-        env = Environment(tracer=tracer)
-
-        def proc(env):
-            yield env.timeout(1)
-
-        env.process(proc(env))
-        env.run()
-        assert all(r.kind == "Timeout" for r in tracer)

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.sim import Environment, Event, Interrupt, Resource, Store, Tracer
+from repro.sim import Environment, Event, Resource, SimulationError, Store
 from repro.sim.engine import EmptySchedule
 from repro.sim.events import ConditionValue
-from repro.sim.interrupts import SimulationError
 
 
 class TestRunUntilEdges:
@@ -288,112 +287,12 @@ class TestProcessEdges:
         env.run()
         assert p.value == 7
 
-    def test_interrupt_queued_before_process_starts(self):
-        """Interrupting a just-created process delivers on first resume."""
-        env = Environment()
-
-        def victim(env):
-            try:
-                yield env.timeout(10)
-                return "slept"
-            except Interrupt as i:
-                return ("early", i.cause)
-
-        p = env.process(victim(env))
-        p.interrupt("now")
-        env.run()
-        assert p.value in (("early", "now"), "slept")
-        # Deterministically: the init event fires first, then the
-        # interrupt lands while the victim waits on its timeout.
-        assert p.value == ("early", "now")
-
-    def test_double_interrupt_delivers_both(self):
-        env = Environment()
-        causes = []
-
-        def victim(env):
-            for _ in range(2):
-                try:
-                    yield env.timeout(10)
-                except Interrupt as i:
-                    causes.append(i.cause)
-            yield env.timeout(0)
-            return causes
-
-        p = env.process(victim(env))
-
-        def attacker(env):
-            yield env.timeout(1)
-            p.interrupt("one")
-            p.interrupt("two")
-
-        env.process(attacker(env))
-        env.run()
-        assert p.value == ["one", "two"]
-
-    def test_target_property(self):
-        env = Environment()
-
-        def proc(env):
-            yield env.timeout(5)
-
-        p = env.process(proc(env))
-        env.run(until=1)
-        assert p.target is not None
-        assert p.is_alive
-
 
 class TestMiscEdges:
     def test_empty_schedule_step(self):
         env = Environment()
         with pytest.raises(EmptySchedule):
             env.step()
-
-    def test_tracer_limit_trims_oldest(self):
-        tracer = Tracer(limit=10)
-        env = Environment(tracer=tracer)
-        for i in range(25):
-            env.timeout(float(i))
-        env.run()
-        assert len(tracer) <= 10
-        # The survivors are the most recent records.
-        assert tracer.records[-1].time == 24.0
-
-    def test_tracer_counts_dropped_records(self):
-        tracer = Tracer(limit=10)
-        env = Environment(tracer=tracer)
-        for i in range(25):
-            env.timeout(float(i))
-        env.run()
-        # Every processed event is either retained or counted as dropped —
-        # truncation is observable, never silent.
-        assert tracer.dropped > 0
-        assert len(tracer) + tracer.dropped == 25
-
-    def test_tracer_without_truncation_drops_nothing(self):
-        tracer = Tracer()
-        env = Environment(tracer=tracer)
-        for i in range(5):
-            env.timeout(float(i))
-        env.run()
-        assert tracer.dropped == 0
-
-    def test_tracer_limit_one_stays_bounded(self):
-        tracer = Tracer(limit=1)
-        env = Environment(tracer=tracer)
-        for i in range(5):
-            env.timeout(float(i))
-        env.run()
-        assert len(tracer) == 1
-        assert tracer.dropped == 4
-
-    def test_dropped_count_reaches_env_stats(self):
-        tracer = Tracer(limit=10)
-        env = Environment(tracer=tracer)
-        for i in range(25):
-            env.timeout(float(i))
-        env.run()
-        assert env.stats.trace_dropped == tracer.dropped > 0
 
     def test_resource_release_of_unknown_request_is_safe(self):
         env = Environment()

@@ -3,18 +3,18 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Tracer
+from repro.sim import Environment
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=50))
 def test_clock_is_monotonic_over_arbitrary_timeouts(delays):
     """The simulated clock never moves backwards."""
-    tracer = Tracer()
-    env = Environment(tracer=tracer)
+    env = Environment()
+    times = []
     for d in delays:
-        env.timeout(d)
+        env.timeout(d).callbacks.append(lambda _ev: times.append(env.now))
     env.run()
-    times = tracer.times()
+    assert len(times) == len(delays)
     assert all(a <= b for a, b in zip(times, times[1:]))
     assert env.now == max(delays)
 
@@ -51,20 +51,28 @@ def test_identical_programs_produce_identical_timelines(seed_delays):
     """Two environments running the same program agree event-for-event."""
 
     def build():
-        tracer = Tracer()
-        env = Environment(tracer=tracer)
+        env = Environment()
+        timeline = []
 
-        def worker(env, delay, reps):
+        def worker(env, idx, delay, reps):
             for _ in range(reps):
-                yield env.timeout(delay)
+                timeout = env.timeout(delay)
+                timeout.callbacks.append(
+                    lambda _ev: timeline.append((env.now, "tick", idx))
+                )
+                yield timeout
 
-        for delay, reps in seed_delays:
-            env.process(worker(env, delay, reps))
+        for idx, (delay, reps) in enumerate(seed_delays):
+            proc = env.process(worker(env, idx, delay, reps))
+            proc.callbacks.append(
+                lambda _ev, idx=idx: timeline.append((env.now, "done", idx))
+            )
         env.run()
-        return [(r.time, r.kind) for r in tracer], env.now
+        return timeline, env.now
 
     first, second = build(), build()
     assert first == second
+    assert len(first[0]) == sum(reps for _, reps in seed_delays) + len(seed_delays)
 
 
 @given(

@@ -1,15 +1,8 @@
-"""Tests for Resource/PriorityResource and the Store family."""
+"""Tests for Resource and Store."""
 
 import pytest
 
-from repro.sim import (
-    Environment,
-    FilterStore,
-    PriorityResource,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from repro.sim import Environment, Resource, Store
 
 
 class TestResource:
@@ -121,32 +114,6 @@ class TestResource:
         assert order == ["a", "b", "c", "d"]
 
 
-class TestPriorityResource:
-    def test_priority_order(self):
-        env = Environment()
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(env, name, prio):
-            with res.request(priority=prio) as req:
-                yield req
-                order.append(name)
-                yield env.timeout(1)
-
-        def spawn(env):
-            # Hold the resource, then release with three queued users.
-            with res.request(priority=0) as req:
-                yield req
-                env.process(user(env, "low", 5))
-                env.process(user(env, "high", 1))
-                env.process(user(env, "mid", 3))
-                yield env.timeout(1)
-
-        env.process(spawn(env))
-        env.run()
-        assert order == ["high", "mid", "low"]
-
-
 class TestStore:
     def test_put_get_fifo(self):
         env = Environment()
@@ -210,85 +177,3 @@ class TestStore:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             Store(Environment(), capacity=0)
-
-
-class TestFilterStore:
-    def test_filter_selects_matching_item(self):
-        env = Environment()
-        store = FilterStore(env)
-
-        def producer(env):
-            yield store.put({"kind": "x", "n": 1})
-            yield store.put({"kind": "y", "n": 2})
-
-        def consumer(env):
-            item = yield store.get(lambda it: it["kind"] == "y")
-            return item["n"]
-
-        env.process(producer(env))
-        c = env.process(consumer(env))
-        env.run()
-        assert c.value == 2
-        assert len(store.items) == 1
-
-    def test_blocked_filter_does_not_starve_other_getters(self):
-        env = Environment()
-        store = FilterStore(env)
-
-        def never(env):
-            yield store.get(lambda it: it == "never-matches")
-
-        def wants_a(env):
-            item = yield store.get(lambda it: it == "a")
-            return (item, env.now)
-
-        env.process(never(env))
-        w = env.process(wants_a(env))
-
-        def producer(env):
-            yield env.timeout(1)
-            yield store.put("a")
-
-        env.process(producer(env))
-        env.run(until=10)
-        assert w.value == ("a", 1.0)
-
-
-class TestPriorityStore:
-    def test_smallest_first(self):
-        env = Environment()
-        store = PriorityStore(env)
-        got = []
-
-        def producer(env):
-            for v in (5, 1, 3):
-                yield store.put(v)
-
-        def consumer(env):
-            yield env.timeout(1)
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert got == [1, 3, 5]
-
-    def test_ties_are_fifo_stable(self):
-        env = Environment()
-        store = PriorityStore(env)
-        got = []
-
-        def producer(env):
-            yield store.put((1, "first"))
-            yield store.put((1, "second"))
-
-        def consumer(env):
-            yield env.timeout(1)
-            got.append((yield store.get()))
-            got.append((yield store.get()))
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert got == [(1, "first"), (1, "second")]

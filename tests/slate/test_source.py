@@ -115,66 +115,3 @@ class TestInjector:
         out = inject(scan_kernels(AXPY)[0])
         assert "threadIdx.x" in out
         assert "blockDim.x" in out
-
-
-PRAGMA_SOURCE = """
-// saxpy with a static transform annotation
-#pragma slate transform task_size(20)
-__global__ void axpy(float* y, const float* x, float a, int n)
-{
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < n) { y[i] += a * x[i]; }
-}
-
-__global__ void untouched(float* p) { p[blockIdx.x] = 1.f; }
-"""
-
-
-class TestStaticPragmaInjection:
-    def test_scan_pragmas(self):
-        from repro.slate.source import scan_pragmas
-
-        annotations = scan_pragmas(PRAGMA_SOURCE)
-        assert annotations == [("axpy", {"task_size": "20"})]
-
-    def test_pragma_without_kernel_rejected(self):
-        from repro.slate.source import scan_pragmas
-
-        with pytest.raises(InjectionError, match="not followed"):
-            scan_pragmas("#pragma slate transform\nint main() { return 0; }")
-
-    def test_pragma_must_be_adjacent(self):
-        from repro.slate.source import scan_pragmas
-
-        src = (
-            "#pragma slate transform\n"
-            "int helper() { return 1; }\n"
-            "__global__ void k(float* p) { p[blockIdx.x] = 0.f; }\n"
-        )
-        with pytest.raises(InjectionError, match="directly above"):
-            scan_pragmas(src)
-
-    def test_inject_static_rewrites_only_annotated(self):
-        from repro.slate.source import inject_static
-
-        out = inject_static(PRAGMA_SOURCE)
-        assert "axpy_slate" in out
-        assert "atomicAdd(&slateIdx, SLATE_ITERS)" in out
-        # The unannotated kernel survives verbatim.
-        assert "__global__ void untouched(float* p) { p[blockIdx.x] = 1.f; }" in out
-        # Pragma lines are consumed.
-        assert "#pragma slate" not in out
-        # Comments outside kernels survive.
-        assert "// saxpy with a static transform annotation" in out
-
-    def test_inject_static_no_pragmas_is_identity(self):
-        from repro.slate.source import inject_static
-
-        assert inject_static(AXPY) == AXPY
-
-    def test_multiple_pragmas(self):
-        from repro.slate.source import inject_static
-
-        src = PRAGMA_SOURCE + "\n#pragma slate transform\n" + AXPY.replace("axpy", "axpy2")
-        out = inject_static(src)
-        assert "axpy_slate" in out and "axpy2_slate" in out

@@ -5,7 +5,7 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.slate.source import inject, inject_static, scan_kernels
+from repro.slate.source import inject, scan_kernels
 
 identifier = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True)
 
@@ -62,28 +62,3 @@ def test_injection_removes_all_grid_builtins(data):
         assert "threadIdx.x" in out
     # The transformed kernel is renamed and takes the SM bounds first.
     assert f"{name}_slate(const uint sm_low, const uint sm_high" in out
-
-
-@given(data=kernel_source())
-@settings(max_examples=60)
-def test_static_injection_roundtrip(data):
-    name, text = data
-    annotated = f"#pragma slate transform\n{text}"
-    out = inject_static(annotated)
-    assert f"{name}_slate" in out
-    assert "#pragma slate" not in out
-    # Re-scanning the output finds exactly one (transformed) kernel.
-    rescanned = scan_kernels(out)
-    assert [k.name for k in rescanned] == [f"{name}_slate"]
-
-
-@given(
-    data=kernel_source(),
-    host_code=st.from_regex(r"[a-z ={};0-9\n]{0,80}", fullmatch=True),
-)
-@settings(max_examples=60)
-def test_surrounding_host_code_untouched_by_static_injection(data, host_code):
-    name, text = data
-    source = f"{host_code}\n{text}"
-    out = inject_static(source)  # no pragmas: identity
-    assert out == source

@@ -217,16 +217,17 @@ class TestTraceAndTune:
         assert validate_file(out) == []
 
 
+@pytest.fixture
+def live_server(tmp_path):
+    from repro.serve.server import ServeConfig, ServerThread
+
+    sock = str(tmp_path / "slate.sock")
+    assert len(sock) < 100
+    with ServerThread(ServeConfig(socket_path=sock)):
+        yield sock
+
+
 class TestServeCommands:
-    @pytest.fixture
-    def live_server(self, tmp_path):
-        from repro.serve.server import ServeConfig, ServerThread
-
-        sock = str(tmp_path / "slate.sock")
-        assert len(sock) < 100
-        with ServerThread(ServeConfig(socket_path=sock)):
-            yield sock
-
     def test_client_command_end_to_end(self, capsys, live_server):
         assert main(
             ["client", "MM", "--socket", live_server, "--reps", "2"]
@@ -264,6 +265,31 @@ class TestServeCommands:
         )
         assert rc == 1
         assert "could not connect" in capsys.readouterr().err
+
+
+class TestUserErrors:
+    """A mistyped name or a refused request exits 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "XX"],
+            ["tune", "XX"],
+            ["pair", "MM", "XX"],
+            ["loadgen", "--mix", "XX:1"],
+            ["client", "XX", "--socket", "{socket}"],
+            ["client", "MM", "--task-size", "0", "--socket", "{socket}"],
+        ],
+        ids=["profile", "tune", "pair", "loadgen", "client-kernel", "client-task-size"],
+    )
+    def test_reported_without_traceback(self, argv, capsys, request):
+        if "{socket}" in argv:
+            sock = request.getfixturevalue("live_server")
+            argv = [sock if a == "{socket}" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err + captured.out
 
 
 class TestObsCommand:

@@ -7,7 +7,7 @@ from repro.cuda import VanillaCudaRuntime
 from repro.cuda.errors import CudaContextDestroyed, CudaOutOfMemory
 from repro.kernels import quasirandom, synthetic
 from repro.mps import MpsRuntime
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 from repro.slate import SlateRuntime
 
 
@@ -125,61 +125,3 @@ class TestDegenerateWorkloads:
             yield from session.synchronize()
 
         env.run(until=env.process(app(env)))
-
-
-class TestInterruptedWorkloads:
-    def test_app_process_interrupt_mid_kernel(self):
-        """Killing an application process mid-launch leaves the device
-        consistent (the kernel still drains; no double-completion)."""
-        env = Environment()
-        rt = SlateRuntime(env)
-        spec = quasirandom(num_blocks=48_000)
-        rt.preload_profiles([spec])
-        session = rt.create_session("victim")
-
-        def app(env):
-            try:
-                yield from session.launch(spec)
-                yield from session.synchronize()
-            except Interrupt:
-                session.close()
-                return "killed"
-            return "finished"
-
-        proc = env.process(app(env))
-
-        def killer(env):
-            yield env.timeout(1e-3)
-            proc.interrupt("sigkill")
-
-        env.process(killer(env))
-        env.run()
-        assert proc.value == "killed"
-        assert rt.memory.used == 0  # close() freed everything
-
-    def test_engine_survives_many_interrupts(self):
-        env = Environment()
-        survived = []
-
-        def worker(env, idx):
-            total = 0.0
-            while total < 10:
-                try:
-                    yield env.timeout(1.0)
-                    total += 1.0
-                except Interrupt:
-                    total += 0.25
-            survived.append(idx)
-
-        workers = [env.process(worker(env, i)) for i in range(5)]
-
-        def chaos(env):
-            for round_ in range(20):
-                yield env.timeout(0.7)
-                for w in workers:
-                    if w.is_alive:
-                        w.interrupt("chaos")
-
-        env.process(chaos(env))
-        env.run()
-        assert sorted(survived) == [0, 1, 2, 3, 4]

@@ -75,6 +75,18 @@ class TestReplay:
         _, runtime = replay_trace("Slate", trace)
         assert runtime.memory.used == 0
 
+    def test_bounded_logs_with_full_decision_count(self):
+        """log_limit bounds memory while decisions_total counts everything."""
+        trace = generate_trace(8, mean_interarrival=1e-3, reps=3, seed=9)
+        results, runtime = replay_trace(
+            "Slate", trace, log_limit=2, rate_trace_limit=2
+        )
+        sched = runtime.scheduler
+        assert len(results) == 8
+        assert len(sched.decision_log) <= 2
+        assert len(runtime.gpu.rate_trace) <= 2
+        assert sched.decisions_total >= 8 * 3
+
 
 class TestBurstyTrace:
     def test_structure(self):
