@@ -1,37 +1,41 @@
 """Telemetry-plane overhead benchmarks.
 
-Not a paper experiment — the engineering guardrail for PR 9's fleet
+Not a paper experiment — the engineering guardrail for the fleet
 telemetry: the always-on flight recorder and the metric gauges ride the
-scheduler's hot path, so their cost is measured against the exact same
-100k-launch churn that ``test_scheduler_perf.py`` gates.  Two configs run
-interleaved (recorder uninstalled vs installed) and the min-of-reps
-per-launch cost must stay within 5% — the acceptance bound for "obs
-enabled" — while the disabled path simply *is* the scheduler baseline.
+scheduler's hot path, so their cost is measured on a 100k-launch
+scheduler churn.  Two configs run interleaved (recorder uninstalled vs
+installed) and the best paired per-launch ratio must stay within 5% —
+the acceptance bound for "obs enabled".  The disabled path is the
+scheduler and device path the end-to-end ``trace_pair`` workload gates
+(``benchmarks/e2e/``); this bench keeps only the in-bench asserts.
 
-Emits ``benchmarks/BENCH_obs.json`` (same row shape as the other BENCH
-files) so CI can diff it against the committed baseline with
-``benchmarks/check_regression.py``.
+    PYTHONPATH=src python -m pytest benchmarks/test_obs_perf.py -q
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
-import pytest
-
-from benchmarks.test_scheduler_perf import _scheduler_churn
+from repro.config import CostModel, TITAN_XP
+from repro.gpu.device import SimulatedGPU
 from repro.gpu.occupancy import reset_occupancy_cache
 from repro.gpu.rates import reset_rates_cache
+from repro.kernels.registry import by_name
 from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.obs.registry import Histogram
+from repro.sim import Environment
+from repro.slate.profiler import ProfileTable, offline_profile
+from repro.slate.scheduler import SlateScheduler, SlateTicket
 
-BENCH_JSON = Path(__file__).parent / "BENCH_obs.json"
-
-#: Churn size for the overhead gate; matches a BENCH_scheduler point.
+#: Churn size for the overhead gate.
 CHURN_N = 100_000
+
+#: Complementary pair (compute-heavy + light) so corun decisions happen.
+CHURN_SPECS = ("BS", "RG")
+
+#: Arrival burst: a standing queue deep enough to stress its ordering.
+BURST = 2048
 
 #: Interleaved repetitions; the gate takes the best *paired* ratio so
 #: machine-wide drift between reps cancels instead of masquerading as
@@ -42,13 +46,47 @@ REPS = 3
 OVERHEAD_GATE = 1.05
 
 
-@pytest.fixture(scope="session")
-def obs_bench_json():
-    records: dict[str, dict] = {}
-    yield records
-    if records:
-        BENCH_JSON.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
-        print(f"\nobs overhead written to {BENCH_JSON}")
+def _scheduler_churn(n_launches: int, burst: int = BURST):
+    """Drive the scheduler with a bursty launch stream until drained.
+
+    Submits ``burst`` tickets at a time (alternating a compute-heavy and a
+    light kernel, profiles preloaded so the Table-I corun path engages),
+    waits for the burst to drain, repeats.  Logs are bounded the way a
+    long-trace deployment would run (``log_limit=64``).
+    """
+    env = Environment()
+    costs = CostModel()
+    gpu = SimulatedGPU(env, TITAN_XP, costs, rate_trace_limit=64)
+    profiles = ProfileTable(TITAN_XP)
+    specs = [by_name(s) for s in CHURN_SPECS]
+    for spec in specs:
+        profiles.put(spec.name, offline_profile(spec, TITAN_XP, costs))
+    sched = SlateScheduler(
+        env, gpu, TITAN_XP, costs, profiles=profiles, log_limit=64
+    )
+
+    def submitter(env):
+        submitted = 0
+        while submitted < n_launches:
+            k = min(burst, n_launches - submitted)
+            last = None
+            for i in range(k):
+                spec = specs[(submitted + i) % len(specs)]
+                last = SlateTicket(
+                    spec=spec,
+                    profile_key=spec.name,
+                    done=env.event(),
+                    enqueued_at=env.now,
+                )
+                sched.submit(last)
+            submitted += k
+            yield last.done
+
+    env.process(submitter(env))
+    start = time.perf_counter()
+    env.run()
+    elapsed = time.perf_counter() - start
+    return env, sched, elapsed
 
 
 def _churn_once(n: int) -> float:
@@ -59,8 +97,8 @@ def _churn_once(n: int) -> float:
     return elapsed
 
 
-def test_flight_recorder_overhead_under_gate(obs_bench_json):
-    """Interleaved disabled/enabled churn; gate the min-of-reps ratio."""
+def test_flight_recorder_overhead_under_gate():
+    """Interleaved disabled/enabled churn; gate the best paired ratio."""
     obs_recorder.uninstall()
     obs_trace.set_sink(None)
     disabled, enabled, events = [], [], 0
@@ -75,34 +113,20 @@ def test_flight_recorder_overhead_under_gate(obs_bench_json):
         finally:
             obs_recorder.uninstall()
             obs_trace.set_sink(None)
-    d, e = min(disabled), min(enabled)
     # Each rep runs disabled-then-enabled back to back, so the per-pair
     # ratio sees the same machine conditions; the best pair is the
     # cleanest estimate of true recorder overhead.
     overhead = min(en / di for di, en in zip(disabled, enabled))
-    obs_bench_json[f"obs_disabled_churn_{CHURN_N}"] = {
-        "launches": CHURN_N,
-        "seconds": round(d, 4),
-        "launches_per_sec": round(CHURN_N / d),
-        "us_per_launch": round(d / CHURN_N * 1e6, 2),
-    }
-    obs_bench_json[f"obs_enabled_churn_{CHURN_N}"] = {
-        "launches": CHURN_N,
-        "seconds": round(e, 4),
-        "launches_per_sec": round(CHURN_N / e),
-        "us_per_launch": round(e / CHURN_N * 1e6, 2),
-        "ring_events": events,
-        "overhead_vs_disabled": round(overhead, 4),
-    }
     # The recorder actually saw the churn (ring filled + evictions).
     assert events > CHURN_N
     assert overhead <= OVERHEAD_GATE, (
         f"flight-recorder overhead {overhead:.3f}x exceeds {OVERHEAD_GATE}x "
-        f"(disabled {d:.3f}s vs enabled {e:.3f}s at {CHURN_N} launches)"
+        f"(disabled {min(disabled):.3f}s vs enabled {min(enabled):.3f}s "
+        f"at {CHURN_N} launches)"
     )
 
 
-def test_histogram_observe_throughput(obs_bench_json):
+def test_histogram_observe_throughput():
     """Raw Histogram.observe cost — the per-request serving-path add-on."""
     n = 1_000_000
     h = Histogram("bench")
@@ -116,11 +140,5 @@ def test_histogram_observe_throughput(obs_bench_json):
             observe(v)
         best = min(best, time.perf_counter() - start)
     assert h.count == n
-    obs_bench_json[f"histogram_observe_{n}"] = {
-        "observes": n,
-        "seconds": round(best, 4),
-        "observes_per_sec": round(n / best),
-        "ns_per_observe": round(best / n * 1e9, 1),
-    }
     # An observe is a log + dict bump; keep it well under a microsecond.
     assert best / n < 1e-6

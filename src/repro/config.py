@@ -143,8 +143,6 @@ class DeviceConfig:
     register_alloc_unit: int = 256
     #: Shared memory allocation granularity (bytes).
     shared_mem_alloc_unit: int = 256
-    #: Number of hardware work queues (Hyper-Q).
-    num_hw_queues: int = 32
 
     def __post_init__(self) -> None:
         if self.sm_flops is None:

@@ -3,8 +3,8 @@
 This package models the device resources that the paper identifies as the
 contended ones — SM compute slots, L2 cache, and DRAM bandwidth — plus the
 hardware mechanisms Slate works with or around: the gigathread block
-dispatcher, Hyper-Q work queues, occupancy limits, and the serialized atomic
-unit that Slate's software task queue hammers.
+dispatcher, occupancy limits, and the serialized atomic unit that Slate's
+software task queue hammers.
 
 Two executors are provided:
 

@@ -20,8 +20,7 @@ Two driving disciplines:
     load.
 
 The report aggregates wall-clock request latencies into p50/p90/p99 and
-requests/s — the numbers ``benchmarks/test_serve_perf.py`` pins into
-``BENCH_serve.json``.
+requests/s.
 
 Measurement hygiene: ``warmup`` requests per client are issued and
 discarded before the measurement clock starts, so connection setup,

@@ -281,11 +281,6 @@ class SlateServer:
         )
         self._shard_limit = config.shard_inflight_limit()
         self.shards = [InLoopShard(i, config) for i in range(config.shards)]
-        # Single-shard compatibility aliases (tests, tools, and the
-        # pre-shard API poke server.env/runtime/driver — shard 0).
-        self.env = self.shards[0].env
-        self.runtime = self.shards[0].runtime
-        self.driver = self.shards[0].driver
         self._sessions: dict[int, _Session] = {}
         self._sids = itertools.count(1)
         self._server: Optional[asyncio.AbstractServer] = None
@@ -605,6 +600,9 @@ class SlateServer:
                 f"client protocol version {version!r} not supported "
                 f"(server speaks {PROTOCOL_VERSION})"
             )
+        pin = params.get("shard")
+        if pin is not None and type(pin) is not int:
+            raise ProtocolError(f"hello shard must be an integer or null, got {pin!r}")
         if len(self._sessions) >= self.config.max_sessions:
             raise ServerBusyError(
                 f"session table full ({self.config.max_sessions})", retry_after=0.1
@@ -615,9 +613,6 @@ class SlateServer:
         hint = params.get("kernel_hint")
         candidate = self.router.classify(hint) if hint is not None else None
         affinity = params.get("affinity")
-        pin = params.get("shard")
-        if pin is not None:
-            pin = int(pin)
         shard_index = self.router.pick(
             session_name, candidate, affinity=affinity, pin=pin
         )
@@ -842,6 +837,11 @@ class SlateServer:
         and stats block, and the clocks are mirrored into the export as
         ``fleet.shard.<i>.sim_time`` / ``fleet.shard.<i>.sim_skew`` gauges.
         """
+        recent = params.get("recent")
+        if recent is not None and (type(recent) is not int or recent < 0):
+            raise ProtocolError(
+                f"metrics recent must be an integer >= 0 or null, got {recent!r}"
+            )
         recorder = get_recorder()
         if recorder is not None:
             recorder.evicted  # sync obs.recorder.evicted before the export
@@ -869,10 +869,9 @@ class SlateServer:
             "protocol": PROTOCOL_VERSION,
             "shard_count": self.router.num_shards,
         }
-        recent = params.get("recent")
         if recent:
             if recorder is not None:
-                limit = min(int(recent), self.RECENT_LIMIT)
+                limit = min(recent, self.RECENT_LIMIT)
                 result["recent"] = recorder.serialize(limit)
                 result["recorder"] = {
                     "size": len(recorder),

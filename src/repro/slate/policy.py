@@ -684,7 +684,12 @@ class OnlinePredictivePolicy(SchedulingPolicy):
         return super().split_pair(running, head, running_profile, head_profile)
 
     def reconsider(self) -> None:
-        """Mid-flight re-split: realign a running pair with fresh evidence."""
+        """Mid-flight re-split: realign a running pair with fresh evidence.
+
+        The pair need not hold the whole device (it may be what is left of
+        a wider co-run), so a re-split lays it out afresh: ``a`` gets
+        ``split.n_a`` SMs and ``b`` the rest, one contiguous range each.
+        """
         sched = self.scheduler
         running = sched.running_entries()
         if len(running) != 2:
@@ -694,19 +699,23 @@ class OnlinePredictivePolicy(SchedulingPolicy):
             return
         split = self._predicted_split(a.ticket, b.ticket)
         n = sched.device.num_sms
-        if abs(len(a.sms) - split.n_a) <= self.resplit_margin:
+        margin = self.resplit_margin
+        if (
+            abs(len(a.sms) - split.n_a) <= margin
+            and abs(len(b.sms) - (n - split.n_a)) <= margin
+        ):
             return
         self.resplits += 1
-        # Shrink-then-grow so the grants never overlap mid-resize: the
-        # shrinking tenant first retreats to a subset of the SMs it already
-        # holds, then the grower absorbs everything it freed.
-        if split.n_a < len(a.sms):
-            shrinker, grower, keep = a, b, split.n_a
-        else:
-            shrinker, grower, keep = b, a, n - split.n_a
-        kept = tuple(sorted(shrinker.sms)[:keep])
-        sched.resize_entry(shrinker, kept)
-        sched.resize_entry(grower, tuple(s for s in range(n) if s not in set(kept)))
+        # Each tenant keeps its side of the device, so at least one target
+        # is clear of the other tenant's current range; resizing that one
+        # first keeps the grants disjoint after every step.
+        left, right = sorted((a, b), key=lambda entry: entry.sms[0])
+        n_left = split.n_a if left is a else n - split.n_a
+        moves = [(left, range(n_left)), (right, range(n_left, n))]
+        if n_left > right.sms[0]:
+            moves.reverse()
+        for entry, sms in moves:
+            sched.resize_entry(entry, sms)
 
 
 #: Registry of shipped policies (``--policy`` values).

@@ -1,4 +1,7 @@
-"""Shape tests for the extension experiments (fig3/fig4/tab5/scaling/cluster)."""
+"""Shape tests for the extension experiments.
+
+fig3, fig4, tab5, scaling, cluster and retreat.
+"""
 
 import pytest
 
@@ -6,6 +9,7 @@ from repro.experiments import (
     cluster_study,
     fig3_transform,
     fig4_decisions,
+    retreat_vs_slice,
     scaling,
     tab5_operations,
 )
@@ -96,3 +100,30 @@ class TestClusterStudy:
     def test_format(self, result):
         out = cluster_study.format_result(result)
         assert "class-aware" in out and "GPU 0" in out
+
+
+class TestRetreatVsSlice:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return retreat_vs_slice.run()
+
+    def test_slice_edge_resizes_cut_the_repartition_stall(self, result):
+        retreat_stall = result.total_pair_stall("retreat")
+        assert retreat_stall > 0
+        assert result.total_pair_stall("slice-edge") < retreat_stall / 2
+
+    def test_slicing_tax_on_every_pair_stays_small(self, result):
+        for a, b in retreat_vs_slice.RESIZE_PAIRS:
+            pair = f"{a}-{b}"
+            classic = result.pair_row(pair, "retreat")
+            sliced = result.pair_row(pair, "slice-edge")
+            assert sliced.makespan <= classic.makespan * 1.06, pair
+            assert sliced.resizes == classic.resizes, pair
+
+    def test_slice_preemption_beats_drain_wait_for_the_vip(self, result):
+        drain = result.burst_row("drain-wait")
+        sliced = result.burst_row("slice-preempt")
+        assert sliced.vip_p99 < drain.vip_p99
+        assert sliced.vip_mean < drain.vip_mean
+        assert sliced.preemptions > 0 and sliced.slice_preempts > 0
+        assert drain.preemptions == 0

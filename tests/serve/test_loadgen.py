@@ -178,6 +178,23 @@ class TestEndToEnd:
             assert report.completed == 12
             assert report.errors == 0
 
+    def test_two_inflight_bound_still_completes_every_request(self, sock_path):
+        """Busy replies are cheap rejections, not queue buildup: under a
+        ``max_inflight=2`` bound, 4 clients x 40 requests all land."""
+        with ServerThread(ServeConfig(socket_path=sock_path, max_inflight=2)):
+            report = run_loadgen(
+                LoadGenConfig(
+                    socket_path=sock_path,
+                    clients=4,
+                    requests=40,
+                    warmup=4,
+                    busy_retries=100,
+                    processes=False,
+                )
+            )
+            assert report.completed == 160
+            assert report.errors == 0, report.error_messages
+
 
 class TestWarmupAndMixMode:
     def test_warmup_requests_excluded_from_stats(self, sock_path):

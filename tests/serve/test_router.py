@@ -7,8 +7,10 @@ the router never co-locates classes the active policy's
 fixed arrival sequence always places identically.
 """
 
+import statistics
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.obs import trace as obs_trace
 from repro.serve.client import SlateClient
+from repro.serve.loadgen import LoadGenConfig, run_loadgen
 from repro.serve.protocol import (
     BackpressureError,
     ProtocolError,
@@ -266,6 +269,91 @@ class TestShardedServer:
                     pass
         places = [e for e in sink.events if e.name == "router.place"]
         assert [(e.args["shard"], e.ts) for e in places] == [(1, 0.0)]
+
+
+#: Antagonist ladder: MM (M_M class) never co-runs with itself under
+#: Table I; RG (L_C) co-runs with anything.  Connections open one after
+#: another in this order, so both placements are deterministic.
+LADDER = ("MM", "MM", "RG", "RG", "MM", "MM", "RG", "RG")
+LADDER_LAUNCHES = 60
+#: Large MM task size, so device time dominates wire round-trips and the
+#: co-location penalty shows in the simulated latency.
+LADDER_MM_TASK_SIZE = 4096
+
+
+def _drive_ladder(sock_path, placement):
+    """Serve the ladder on 4 shards: ``(shard of each client, MM sim
+    latencies, completed launches)``."""
+    config = ServeConfig(socket_path=sock_path, shards=4, placement=placement)
+    with ServerThread(config):
+        clients = []
+        for index, kernel in enumerate(LADDER):
+            client = SlateClient(sock_path, name=f"c{index}", kernel_hint=kernel)
+            client.connect()
+            clients.append(client)
+
+        def drive(index):
+            kernel = LADDER[index]
+            task_size = LADDER_MM_TASK_SIZE if kernel == "MM" else None
+            return [
+                clients[index].launch(kernel, task_size=task_size, busy_retries=50)
+                for _ in range(LADDER_LAUNCHES)
+            ]
+
+        with ThreadPoolExecutor(len(clients)) as pool:
+            replies = list(pool.map(drive, range(len(clients))))
+        for client in clients:
+            client.close()
+    mm = [
+        reply.sim_latency
+        for kernel, batch in zip(LADDER, replies)
+        if kernel == "MM"
+        for reply in batch
+    ]
+    return [client.shard for client in clients], mm, sum(map(len, replies))
+
+
+class TestShardScalingAndPlacement:
+    """The simulated results of the sharded daemon under real load."""
+
+    def test_eight_shards_give_five_times_the_sim_throughput(self, tmp_path):
+        """64 client processes x 40 requests: N in-loop shards are N
+        independent simulated GPUs, so aggregate simulated throughput
+        scales with the shard count."""
+
+        def sim_throughput(shards):
+            path = str(tmp_path / f"s{shards}.sock")
+            with ServerThread(ServeConfig(socket_path=path, shards=shards)):
+                report = run_loadgen(
+                    LoadGenConfig(
+                        socket_path=path, clients=64, requests=40, warmup=5, seed=0
+                    )
+                )
+            assert report.completed == 64 * 40
+            assert report.errors == 0, report.error_messages
+            assert len(report.shards) == shards
+            return report.sim_requests_per_s
+
+        base = sim_throughput(1)
+        assert base > 0
+        assert sim_throughput(8) >= 5.0 * base
+
+    def test_contention_placement_beats_round_robin_on_antagonists(self, tmp_path):
+        """Round-robin pairs MM with MM, whose launches serialize on the
+        simulated device; contention placement pairs each MM with an RG.
+        Compared on MM sim latency: wall time on a small host is
+        placement-agnostic noise."""
+        rr_shards, rr_mm, rr_done = _drive_ladder(
+            str(tmp_path / "rr.sock"), "round-robin"
+        )
+        shards, mm, done = _drive_ladder(str(tmp_path / "ct.sock"), "contention")
+        assert rr_done == done == len(LADDER) * LADDER_LAUNCHES
+        assert rr_shards == [0, 1, 2, 3, 0, 1, 2, 3]
+        by_shard: dict[int, list[str]] = {}
+        for kernel, shard in zip(LADDER, shards):
+            by_shard.setdefault(shard, []).append(kernel)
+        assert all(sorted(v) == ["MM", "RG"] for v in by_shard.values()), by_shard
+        assert statistics.mean(mm) <= statistics.mean(rr_mm) * 0.95
 
 
 class TestShardDraining:

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.kernels.registry import UnknownKernelError
+from repro.obs import recorder as obs_recorder
 from repro.serve.client import SlateClient
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -87,7 +88,7 @@ class TestTypedErrors:
                 # The daemon survives and the session still works.
                 assert client.launch("BS").kernel == "BS"
                 assert client.stats()["session"]["errors"] == 1
-            assert server.driver.sim_errors == 0
+            assert server.shards[0].driver.sim_errors == 0
 
     @pytest.mark.parametrize("task_size", [0, -3, 2.5, "10"])
     def test_bad_task_size_is_a_protocol_error(self, sock_path, task_size):
@@ -103,7 +104,7 @@ class TestTypedErrors:
             assert sched["decisions"] == 0 and sched["solo_launches"] == 0
             with SlateClient(sock_path) as client:
                 assert client.launch("MM").task_size == 10
-            assert server.driver.sim_errors == 0
+            assert server.shards[0].driver.sim_errors == 0
 
     @pytest.mark.parametrize(
         "field,value",
@@ -133,7 +134,48 @@ class TestTypedErrors:
             with SlateClient(sock_path) as client:
                 reply = client.launch("MM", priority=3, deadline=1e9)
                 assert reply.priority == 3
-            assert server.driver.sim_errors == 0
+            assert server.shards[0].driver.sim_errors == 0
+
+    @pytest.mark.parametrize(
+        "op,field,value",
+        [
+            ("metrics", "recent", -1),
+            ("metrics", "recent", "abc"),
+            ("metrics", "recent", True),
+            ("metrics", "recent", 2.5),
+            ("hello", "shard", "x"),
+            ("hello", "shard", 0.7),
+            ("hello", "shard", True),
+        ],
+    )
+    def test_bad_recent_or_shard_is_a_protocol_error(
+        self, sock_path, op, field, value
+    ):
+        """Neither is coerced: a negative ``recent`` would slip past the
+        reply cap, and a coerced ``shard`` pins the session to a shard the
+        client never named.  The refusal comes before any state changes."""
+        obs_recorder.install(capacity=64)
+        try:
+            with ServerThread(ServeConfig(socket_path=sock_path, shards=2)) as server:
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                sock.connect(sock_path)
+                sock.settimeout(5.0)
+                params = {field: value}
+                if op == "hello":
+                    params["version"] = PROTOCOL_VERSION
+                stream = MessageStream(sock)
+                stream.send(request(1, op, **params))
+                reply = stream.recv()
+                sock.close()
+                assert reply["ok"] is False
+                assert reply["error"]["type"] == "ProtocolError"
+                assert field in reply["error"]["message"]
+                assert server.session_count == 0
+                with SlateClient(sock_path) as client:
+                    assert client.session == 1
+                    assert len(client.metrics(recent=5)["recent"]) <= 5
+        finally:
+            obs_recorder.uninstall()
 
     def test_unknown_kernel_on_register(self, sock_path):
         with ServerThread(ServeConfig(socket_path=sock_path)):

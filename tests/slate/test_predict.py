@@ -176,3 +176,55 @@ class TestOnlinePredictivePolicy:
         assert sum(row[1] == "corun" for row in predictive) < sum(
             row[1] == "corun" for row in table1
         )
+
+    def test_resplit_of_a_wide_corun_remnant_lands_on_the_prediction(
+        self, monkeypatch
+    ):
+        """A pair left over from a 3-wide co-run holds less than the whole
+        device.  Each re-split still gives the tenants exactly the predicted
+        counts, as one contiguous range each, and the grants stay disjoint
+        after every ``resize_entry``."""
+        from repro.slate.policy import OnlinePredictivePolicy
+        from repro.slate.scheduler import SlateScheduler
+        from repro.workloads.harness import app_for, run_many
+
+        resize_entry = SlateScheduler.resize_entry
+        reconsider = OnlinePredictivePolicy.reconsider
+        landed = []
+
+        def audited_resize(sched, entry, sms):
+            resize_entry(sched, entry, sms)
+            granted: set[int] = set()
+            for running in sched.running_entries():
+                grant = running.sms
+                assert grant == tuple(range(grant[0], grant[-1] + 1)), grant
+                assert not granted & set(grant), "overlapping SM grants"
+                granted |= set(grant)
+
+        def recorded_reconsider(policy):
+            before = policy.resplits
+            reconsider(policy)
+            if policy.resplits > before:
+                a, b = policy.scheduler.running_entries()
+                split = policy._predicted_split(a.ticket, b.ticket)
+                n = policy.scheduler.device.num_sms
+                landed.append(((len(a.sms), len(b.sms)), (split.n_a, n - split.n_a)))
+
+        monkeypatch.setattr(SlateScheduler, "resize_entry", audited_resize)
+        monkeypatch.setattr(OnlinePredictivePolicy, "reconsider", recorded_reconsider)
+        apps = [
+            app_for(b, name=f"{b}#{i}", reps=12)
+            for i, b in enumerate(("BS", "RG", "RG"))
+        ]
+        results, runtime = run_many(
+            "Slate", apps, policy="online-predictive", max_corun=3
+        )
+
+        assert landed
+        for held, predicted in landed:
+            assert held == predicted
+        sched = runtime.scheduler
+        assert sched.solo_launches + sched.corun_launches == 36
+        for result in results.values():
+            assert result.launches == 12 and result.rejected_launches == 0
+            assert len(result.counters) == 12

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.config import CostModel, TITAN_XP
 from repro.gpu.device import SimulatedGPU
+from repro.gpu.rates import rates_cache_info, reset_rates_cache
 from repro.kernels import blackscholes, quasirandom, transpose
 from repro.sim import Environment
 from repro.slate.profiler import offline_profile
@@ -146,3 +147,26 @@ class TestSchedulerIntegration:
         env.run()
         assert sched.decisions_total >= 5
         assert sched.solo_launches + sched.corun_launches == 5
+
+    def test_thousand_launch_burst_drains_with_bounded_logs(self):
+        """1k alternating BS/RG launches in one burst, logs bounded at 64:
+        each launch is decided once, everything drains, and the repeated
+        two-kernel mix is carried by the rate memo."""
+        reset_rates_cache()
+        bs, rg = blackscholes(), quasirandom()
+        env = Environment()
+        gpu = SimulatedGPU(env, TITAN_XP, CostModel(), rate_trace_limit=64)
+        sched = SlateScheduler(env, gpu, TITAN_XP, CostModel(), log_limit=64)
+        for spec in (bs, rg):
+            sched.profiles.put(spec.name, offline_profile(spec))
+        tickets = [ticket(env, (bs, rg)[i % 2]) for i in range(1000)]
+        for t in tickets:
+            sched.submit(t)
+        env.run()
+        assert sched.solo_launches + sched.corun_launches == 1000
+        assert all(t.done.ok for t in tickets)
+        assert sched.waiting_count == 0 and sched.running_count == 0
+        assert sched.decisions_total >= 1000
+        assert len(sched.decision_log) <= 64 and len(gpu.rate_trace) <= 64
+        memo = rates_cache_info()
+        assert memo["hits"] > memo["misses"]

@@ -210,6 +210,36 @@ def test_sliced_launch_pays_dispatch_gaps():
     assert env2.now >= env1.now + 7 * gpu2.costs.slice_dispatch_overhead
 
 
+def test_five_slice_grid_makespan_tax_stays_under_ten_percent():
+    """50 back-to-back launches of a ten-wave grid, whole vs in 5 slices
+    of two waves each: dispatch gaps and ragged tails cost simulated
+    time, but at most 10% of the whole-grid makespan."""
+
+    def makespan(slice_blocks):
+        env, gpu = make_gpu()
+
+        def driver(env):
+            for i in range(50):
+                kw = dict(mode=ExecutionMode.SLATE, task_size=10, inject_frac=0.03)
+                if slice_blocks is None:
+                    handle = gpu.launch(compute_work(f"k{i}"), **kw)
+                else:
+                    handle = gpu.launch_sliced(
+                        compute_work(f"k{i}"), slice_blocks=slice_blocks, **kw
+                    )
+                yield handle.done
+
+        env.process(driver(env))
+        env.run()
+        return env.now, env.stats.slice_dispatches
+
+    whole, whole_slices = makespan(None)
+    sliced, slices = makespan(9_600)
+    assert whole_slices == 0
+    assert slices == 50 * 5
+    assert whole < sliced <= whole * 1.10
+
+
 def test_mid_slice_resize_applies_at_edge_with_zero_stall():
     work = compute_work()
     env, gpu = make_gpu()
