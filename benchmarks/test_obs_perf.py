@@ -3,8 +3,9 @@
 Not a paper experiment — the engineering guardrail for the fleet
 telemetry: the always-on flight recorder and the metric gauges ride the
 scheduler's hot path, so their cost is measured on a 100k-launch
-scheduler churn.  Two configs run interleaved (recorder uninstalled vs
-installed) and the best paired per-launch ratio must stay within 5% —
+scheduler churn.  Two configs run interleaved (no sink vs the daemon's
+bounded, light-detail ring) and the best paired per-launch ratio must
+stay within 5% —
 the acceptance bound for "obs enabled".  The disabled path is the
 scheduler and device path the end-to-end ``trace_pair`` workload gates
 (``benchmarks/e2e/``); this bench keeps only the in-bench asserts.
@@ -21,7 +22,6 @@ from repro.gpu.device import SimulatedGPU
 from repro.gpu.occupancy import reset_occupancy_cache
 from repro.gpu.rates import reset_rates_cache
 from repro.kernels.registry import by_name
-from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.obs.registry import Histogram
 from repro.sim import Environment
@@ -99,19 +99,18 @@ def _churn_once(n: int) -> float:
 
 def test_flight_recorder_overhead_under_gate():
     """Interleaved disabled/enabled churn; gate the best paired ratio."""
-    obs_recorder.uninstall()
     obs_trace.set_sink(None)
     disabled, enabled, events = [], [], 0
     for _ in range(REPS):
         assert not obs_trace.ENABLED
         disabled.append(_churn_once(CHURN_N))
-        rec = obs_recorder.install(capacity=4096)
+        rec = obs_trace.TraceSink(capacity=4096, detail="light")
+        obs_trace.set_sink(rec)
         try:
             assert obs_trace.ENABLED
             enabled.append(_churn_once(CHURN_N))
             events = len(rec) + rec.evicted
         finally:
-            obs_recorder.uninstall()
             obs_trace.set_sink(None)
     # Each rep runs disabled-then-enabled back to back, so the per-pair
     # ratio sees the same machine conditions; the best pair is the

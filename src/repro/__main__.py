@@ -257,6 +257,10 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     if args.obs_command == "dump":
         recent = getattr(args, "recent", None)
         if recent:
+            if not args.socket:
+                print("error: --recent needs --socket (the flight recorder "
+                      "lives in the daemon)", file=sys.stderr)
+                return 2
             return _cmd_obs_dump_recent(args, recent)
         if args.socket:
             scrape = _obs_scrape(args.socket)
@@ -291,30 +295,20 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_dump_recent(args: argparse.Namespace, recent: int) -> int:
-    """Dump the flight recorder's recent events as Perfetto JSON."""
-    from repro.obs.export import write_chrome_trace
-    from repro.obs.recorder import events_from_wire, get_recorder
+    """Dump a daemon's recent trace events as Perfetto JSON."""
+    from repro.obs.export import decode_events, write_chrome_trace
 
     out = args.out or "flight-recent.json"
-    if args.socket:
-        scrape = _obs_scrape(args.socket, recent=recent)
-        if scrape is None:
-            print(f"could not scrape {args.socket}", file=sys.stderr)
-            return 1
-        events = scrape.get("recent") or []
-        sink = events_from_wire(
-            events, metadata={"source": args.socket, **(scrape.get("recorder") or {})}
-        )
-        write_chrome_trace(out, sink)
-        print(f"{len(events)} recent event(s) written to {out}")
-        return 0
-    recorder = get_recorder()
-    if recorder is None:
-        print("no flight recorder installed in this process "
-              "(use --socket to pull from a daemon)", file=sys.stderr)
+    scrape = _obs_scrape(args.socket, recent=recent)
+    if scrape is None:
+        print(f"could not scrape {args.socket}", file=sys.stderr)
         return 1
-    n = recorder.dump(out, reason="obs-dump")
-    print(f"{n} recent event(s) written to {out}")
+    events = scrape.get("recent") or []
+    sink = decode_events(
+        events, metadata={"source": args.socket, **(scrape.get("recorder") or {})}
+    )
+    write_chrome_trace(out, sink)
+    print(f"{len(events)} recent event(s) written to {out}")
     return 0
 
 
@@ -426,7 +420,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.obs import recorder as obs_recorder
     from repro.obs import trace as obs_trace
     from repro.obs.export import run_metadata, write_chrome_trace
     from repro.obs.registry import registry
@@ -452,17 +445,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     meta = run_metadata(
         command="serve", socket=args.socket, shards=args.shards,
     )
-    # Always-on flight recorder (bounded ring, ~free) stacked over the
-    # optional full-capture sink; dumped on crash or SIGUSR1.
-    sink = obs_trace.TraceSink(metadata=meta) if args.trace else None
+    # One sink: the full --trace capture, or else the always-on flight
+    # ring (bounded, light detail).  Its newest events feed the crash and
+    # SIGUSR1 dumps and the metrics op's ``recent`` reply.
     dump_path = config.flight_dump_path()
-    recorder = None
-    if dump_path is not None:
-        recorder = obs_recorder.install(
-            config.flight_recorder, forward=sink, metadata=meta
+    if args.trace:
+        sink = obs_trace.TraceSink(metadata=meta)
+    elif dump_path is not None:
+        sink = obs_trace.TraceSink(
+            capacity=config.flight_recorder, detail="light", metadata=meta
         )
-    elif sink is not None:
-        obs_trace.set_sink(sink)
+    else:
+        sink = None
+    obs_trace.set_sink(sink)
+
+    def dump(reason: str) -> None:
+        write_chrome_trace(
+            dump_path, sink, newest=config.flight_recorder, reason=reason,
+            flight_recorder=config.flight_recorder,
+        )
 
     async def serve(server: SlateServer) -> None:
         loop = asyncio.get_running_loop()
@@ -471,12 +472,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 loop.add_signal_handler(sig, server.request_stop)
             except NotImplementedError:  # pragma: no cover - non-POSIX
                 pass
-        if recorder is not None:
+        if dump_path is not None:
             try:
-                loop.add_signal_handler(
-                    signal.SIGUSR1,
-                    lambda: recorder.dump(dump_path, reason="SIGUSR1"),
-                )
+                loop.add_signal_handler(signal.SIGUSR1, dump, "SIGUSR1")
             except NotImplementedError:  # pragma: no cover - non-POSIX
                 pass
         print(f"slate daemon listening on {args.socket}", flush=True)
@@ -486,17 +484,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         asyncio.run(serve(server))
     except BaseException:
-        if recorder is not None:
+        if dump_path is not None:
             try:
-                recorder.dump(dump_path, reason="crash")
+                dump("crash")
             except Exception:  # pragma: no cover - dump must not mask the crash
                 pass
         raise
     finally:
-        if recorder is not None:
-            obs_recorder.uninstall()
         obs_trace.set_sink(None)
-    if sink is not None:
+    if args.trace:
         write_chrome_trace(args.trace, sink)
         print(f"perfetto trace written to {args.trace} ({len(sink)} events)")
     stats = server.stats()
@@ -708,8 +704,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SLO targets (JSON file or inline array; default: "
                         "built-in launch-latency targets)")
     p.add_argument("--flight-recorder", type=int, default=4096, metavar="N",
-                   help="always-on flight-recorder ring capacity "
-                        "(0 disables; dumped on crash/SIGUSR1)")
+                   help="always-on flight-recorder ring capacity, and the most "
+                        "events a crash/SIGUSR1 dump writes (0 disables both)")
     p.add_argument("--flight-dump", metavar="PATH", default=None,
                    help="flight-recorder dump path (default: <socket>.flight.json)")
     p.set_defaults(func=_cmd_serve)
@@ -760,8 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scrape a live daemon's aggregated fleet metrics "
                         "instead of this process's registry")
     q.add_argument("--recent", type=int, default=None, metavar="N",
-                   help="dump the last N flight-recorder events as Perfetto "
-                        "JSON instead of the registry")
+                   help="dump the daemon's last N trace events as Perfetto "
+                        "JSON instead of the registry (needs --socket)")
     q.add_argument("--out", default=None, metavar="PATH",
                    help="output path for --recent (default flight-recent.json)")
     q.set_defaults(func=_cmd_obs)

@@ -13,11 +13,10 @@ next time" (§V-A2).
 from repro.cuda.errors import CudaError, CudaInvalidValue, CudaOutOfMemory
 from repro.cuda.memory_manager import DeviceMemoryManager, DevicePointer
 from repro.cuda.context import CudaContext
-from repro.cuda.module import NvrtcCompiler, CompiledModule
+from repro.cuda.module import NvrtcCompiler
 from repro.cuda.runtime import LaunchTicket, VanillaCudaRuntime
 
 __all__ = [
-    "CompiledModule",
     "CudaContext",
     "CudaError",
     "CudaInvalidValue",

@@ -1,55 +1,38 @@
-"""NVRTC runtime-compilation model with a compile cache.
+"""NVRTC runtime-compilation cost model.
 
 The Slate daemon rewrites kernel sources and loads them through the NVIDIA
 Runtime Compiler; "a compiled kernel image can be further cached for later
-use by the same user" (§IV-B).  We model compilation as a fixed time cost,
-paid once per distinct (kernel, transformation) pair, and expose the cache
-statistics the overhead experiment (Fig. 6) reports.
+use by the same user" (§IV-B).  We model compilation as a fixed time cost
+per call; the daemon's code cache (``SlateRuntime.injected_sources``)
+makes sure it is paid once per kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, Hashable
+from typing import Generator
 
 from repro.config import CostModel
 from repro.sim import Environment
 
-__all__ = ["CompiledModule", "NvrtcCompiler"]
-
-
-@dataclass(frozen=True)
-class CompiledModule:
-    """Handle to a loaded kernel image."""
-
-    key: Hashable
-    compile_time: float
-    from_cache: bool
+__all__ = ["NvrtcCompiler"]
 
 
 class NvrtcCompiler:
-    """Compile-and-cache service with simulated time costs."""
+    """Compile service with simulated time costs."""
 
     def __init__(self, env: Environment, costs: CostModel = CostModel()) -> None:
         self.env = env
         self.costs = costs
-        self._cache: dict[Hashable, CompiledModule] = {}
         self.compile_count = 0
-        self.cache_hits = 0
         self.total_compile_time = 0.0
         self.total_injection_time = 0.0
 
-    def compile(self, key: Hashable, inject: bool = True) -> Generator:
-        """Process generator: compile (or fetch) the module for ``key``.
+    def compile(self, inject: bool = True) -> Generator:
+        """Process generator: compile one module.
 
-        ``inject`` adds the FLEX-scan/code-injection cost on a cache miss —
-        the Slate path; plain module loads (MPS/CUDA) skip it.
+        ``inject`` adds the FLEX-scan/code-injection cost — the Slate path;
+        plain module loads skip it.
         """
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-
         duration = self.costs.nvrtc_compile_time
         if inject:
             duration += self.costs.code_injection_time
@@ -57,12 +40,3 @@ class NvrtcCompiler:
         yield self.env.timeout(duration)
         self.compile_count += 1
         self.total_compile_time += self.costs.nvrtc_compile_time
-        module = CompiledModule(key=key, compile_time=duration, from_cache=False)
-        self._cache[key] = CompiledModule(key=key, compile_time=0.0, from_cache=True)
-        return module
-
-    def is_cached(self, key: Hashable) -> bool:
-        return key in self._cache
-
-    def invalidate(self, key: Hashable) -> None:
-        self._cache.pop(key, None)

@@ -16,7 +16,6 @@ from typing import Generator, Optional
 from repro.config import CostModel, DeviceConfig, HostConfig, TITAN_XP
 from repro.cuda.context import CudaContext
 from repro.cuda.memory_manager import DeviceMemoryManager, DevicePointer
-from repro.cuda.module import NvrtcCompiler
 from repro.gpu.device import ExecutionMode, KernelCounters, SimulatedGPU
 from repro.gpu.pcie import PcieLink
 from repro.kernels.kernel import KernelSpec
@@ -113,7 +112,6 @@ class VanillaCudaRuntime:
         self.gpu = SimulatedGPU(env, device, costs)
         self.pcie = PcieLink(env, host)
         self.memory = DeviceMemoryManager(device.dram_capacity)
-        self.compiler = NvrtcCompiler(env, costs)
         self._queue: Store = Store(env)
         self._last_context: Optional[CudaContext] = None
         self.context_switches = 0

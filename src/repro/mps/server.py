@@ -15,7 +15,6 @@ from typing import Generator, Optional
 from repro.config import CostModel, DeviceConfig, HostConfig, TITAN_XP
 from repro.cuda.context import CudaContext
 from repro.cuda.memory_manager import DeviceMemoryManager, DevicePointer
-from repro.cuda.module import NvrtcCompiler
 from repro.cuda.runtime import LaunchTicket
 from repro.gpu.device import ExecutionMode, SimulatedGPU
 from repro.gpu.pcie import PcieLink
@@ -101,7 +100,6 @@ class MpsRuntime:
         self.gpu = SimulatedGPU(env, device, costs)
         self.pcie = PcieLink(env, host)
         self.memory = DeviceMemoryManager(device.dram_capacity)
-        self.compiler = NvrtcCompiler(env, costs)
         self.server_context = CudaContext(self.memory, owner="mps-server")
         self._queue: Store = Store(env)
         self.relayed_calls = 0

@@ -4,12 +4,14 @@ The reproduction used to have disconnected observability surfaces
 (``Environment.stats``, the scheduler's decision/allocation logs, the
 rate-memo counters).  This package gives them one home:
 
-* :mod:`repro.obs.trace` — a process-wide :class:`~repro.obs.trace.TraceSink`
-  with a span/instant/counter event API.  Instrumentation sits at every
+* :mod:`repro.obs.trace` — the process-wide :class:`~repro.obs.trace.TraceSink`
+  with an instant/span event API.  Instrumentation sits at every
   interesting boundary (scheduler decisions, resizes, epochs, task-queue
   pulls) behind a module-level ``ENABLED`` flag, so the disabled path is a
   single attribute check — no allocation, no behavioural change, golden
-  results untouched.
+  results untouched.  The same sink, bounded, is the serving daemon's
+  always-on flight ring, dumped to Perfetto on crash, ``SIGUSR1`` or
+  ``repro obs dump --socket S --recent N``.
 * :mod:`repro.obs.export` — exporters: Chrome trace-event JSON (loads in
   Perfetto / ``chrome://tracing``, one track per SM plus one per tenant)
   and a JSONL stream with run metadata.
@@ -24,9 +26,6 @@ rate-memo counters).  This package gives them one home:
   ``repro obs export --prom``.
 * :mod:`repro.obs.slo` — declarative SLO targets with sliding-window,
   multi-window burn-rate alerting surfaced as ``slo.*`` gauges.
-* :mod:`repro.obs.recorder` — the always-on flight recorder: a bounded
-  ring of recent trace events dumped to Perfetto on crash, ``SIGUSR1``,
-  or ``repro obs dump --recent``.
 
 Quick start::
 
@@ -46,7 +45,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import SLOTarget, SLOTracker, load_slo_config
 from repro.obs.registry import (
     Counter,
@@ -56,8 +54,6 @@ from repro.obs.registry import (
     registry,
 )
 from repro.obs.trace import (
-    NULL_SINK,
-    NullSink,
     TraceEvent,
     TraceSink,
     capture,
@@ -68,12 +64,9 @@ from repro.obs.validate import validate_chrome_trace, validate_prometheus
 
 __all__ = [
     "Counter",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_SINK",
-    "NullSink",
     "SLOTarget",
     "SLOTracker",
     "TraceEvent",

@@ -1,7 +1,7 @@
 """Prometheus text exposition of a metrics-registry state.
 
 :func:`to_prometheus` renders a ``MetricsRegistry.export_state()`` dict
-(or a ``snapshot()``) in the Prometheus text exposition format
+in the Prometheus text exposition format
 (``# TYPE`` comments, cumulative ``_bucket{le=...}`` series,
 ``_sum``/``_count``); :func:`repro.obs.validate.validate_prometheus`
 checks it.
@@ -64,11 +64,11 @@ def histogram_prom_lines(name: str, state: dict) -> list[str]:
 
 
 def to_prometheus(state: dict, namespace: str = "repro") -> str:
-    """Render a registry state dict as Prometheus text.
+    """Render a ``MetricsRegistry.export_state()`` dict as Prometheus text.
 
-    Accepts either ``export_state()`` output (full bucket state → real
-    histogram series) or ``snapshot()`` output (summaries → quantile
-    gauges), so both the local and the scraped paths expose the same way.
+    Every caller — the local registry and a daemon scrape alike — passes
+    full histogram bucket state, so histograms become real ``_bucket``
+    series.
     """
     lines: list[str] = []
     seen: set[str] = set()
@@ -89,13 +89,7 @@ def to_prometheus(state: dict, namespace: str = "repro") -> str:
         if name in seen:
             continue
         seen.add(name)
-        if "buckets" in hstate:
-            lines.extend(histogram_prom_lines(name, hstate))
-        else:  # summary-only snapshot: expose the quantiles as gauges
-            for key in ("p50", "p90", "p99", "p999", "mean"):
-                if key in hstate and hstate[key] is not None:
-                    emit(f"{name}_{key}", "gauge", hstate[key])
-            emit(f"{name}_count", "gauge", hstate.get("count", 0))
+        lines.extend(histogram_prom_lines(name, hstate))
     for sname, fields in sorted(state.get("sources", {}).items()):
         for fname, value in sorted(fields.items()):
             if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -26,7 +26,9 @@ JSONL
 ``{"type": "meta", ...}`` record with the run metadata, then one
 ``{"type": "event", ...}`` record per trace event (timestamps kept in
 simulated seconds) — grep/jq-friendly, and loss-free for downstream
-tooling.
+tooling.  An event line is :func:`encode_event`'s record, the same record
+the daemon's ``metrics`` op returns in its ``recent`` reply;
+:func:`decode_events` turns either back into a sink.
 """
 
 from __future__ import annotations
@@ -37,9 +39,11 @@ import subprocess
 import sys
 from typing import Optional
 
-from repro.obs.trace import ALLOCATION_EVENT, TraceSink
+from repro.obs.trace import ALLOCATION_EVENT, TraceEvent, TraceSink
 
 __all__ = [
+    "decode_events",
+    "encode_event",
     "run_metadata",
     "to_chrome_events",
     "write_chrome_trace",
@@ -170,16 +174,15 @@ def _thread_name(pid: int, tid, name: str) -> dict:
     }
 
 
-def to_chrome_events(sink: TraceSink, end_time: Optional[float] = None) -> list[dict]:
-    """Convert a sink's events to Chrome trace-event dicts (microseconds).
+def to_chrome_events(source: list[TraceEvent]) -> list[dict]:
+    """Convert trace events to Chrome trace-event dicts (microseconds).
 
     Allocation snapshot events become the per-SM occupancy tracks; every
     other event maps 1:1.  ``tid`` values are kept stable per track row;
     string tids (tenant names) are enumerated into integers with
     ``thread_name`` metadata preserving the label.
     """
-    if end_time is None:
-        end_time = sink.end_time()
+    end_time = max((e.ts + e.dur for e in source), default=0.0)
 
     pids: dict[str, int] = {}
     events: list[dict] = []
@@ -207,7 +210,7 @@ def to_chrome_events(sink: TraceSink, end_time: Optional[float] = None) -> list[
             events.append(_thread_name(pid, tids[key], label))
         return tids[key]
 
-    for event in sink.events:
+    for event in source:
         if event.name == ALLOCATION_EVENT and event.args:
             allocations.append((event.ts, event.args["allocation"]))
             continue
@@ -237,44 +240,67 @@ def to_chrome_events(sink: TraceSink, end_time: Optional[float] = None) -> list[
 
 
 def write_chrome_trace(
-    path, sink: TraceSink, end_time: Optional[float] = None
+    path, sink: TraceSink, newest: Optional[int] = None, **metadata
 ) -> int:
-    """Write the sink as Chrome trace-event JSON; returns the event count.
+    """Write the sink's ``newest`` N events (all when ``None``) as Chrome
+    trace-event JSON; returns the trace-event count.
 
-    The output object form carries the sink's run metadata and the
-    ``dropped`` count (so a truncated trace is never mistaken for a
-    complete one).
+    The output metadata is the sink's run metadata, then ``metadata``,
+    then ``dropped_events``: the events the sink saw that the file does
+    not hold (ring evictions, plus any older than the ``newest`` window),
+    so a truncated trace is never mistaken for a complete one.
     """
-    events = to_chrome_events(sink, end_time)
+    events = sink.events(newest)
+    chrome = to_chrome_events(events)
     payload = {
-        "traceEvents": events,
+        "traceEvents": chrome,
         "displayTimeUnit": "ms",
-        "metadata": {**sink.metadata, "dropped_events": sink.dropped},
+        "metadata": {
+            **sink.metadata, **metadata,
+            "dropped_events": sink.pushed - len(events),
+        },
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
-    return len(events)
+    return len(chrome)
+
+
+def encode_event(event: TraceEvent) -> dict:
+    """One event as a JSON-safe record, timestamps in simulated seconds."""
+    name, ph, ts, pid, tid, dur, args = event
+    record = {"name": name, "ph": ph, "ts": ts, "pid": pid, "tid": tid}
+    if ph == "X":
+        record["dur"] = dur
+    if args:
+        record["args"] = args
+    return record
+
+
+def decode_events(records: list[dict], metadata: Optional[dict] = None) -> TraceSink:
+    """Rebuild a sink from :func:`encode_event` records (a ``recent``
+    reply, or the event lines of a JSONL export)."""
+    sink = TraceSink(metadata=metadata)
+    sink.ring.extend(
+        TraceEvent(
+            rec.get("name", "?"), rec.get("ph", "i"), rec.get("ts", 0.0),
+            rec.get("pid", "?"), rec.get("tid", "?"),
+            rec.get("dur", 0.0), rec.get("args"),
+        )
+        for rec in records
+    )
+    sink.pushed = len(sink.ring)
+    return sink
 
 
 def write_jsonl(path, sink: TraceSink) -> int:
     """Write the sink as a JSONL stream (see module docstring); event count."""
-    n = 0
+    events = sink.events()
     with open(path, "w") as fh:
-        meta = {"type": "meta", "dropped_events": sink.dropped, **sink.metadata}
+        meta = {
+            "type": "meta", "dropped_events": sink.pushed - len(events),
+            **sink.metadata,
+        }
         fh.write(json.dumps(meta) + "\n")
-        for event in sink.events:
-            record = {
-                "type": "event",
-                "name": event.name,
-                "ph": event.ph,
-                "ts": event.ts,
-                "pid": event.pid,
-                "tid": event.tid,
-            }
-            if event.ph == "X":
-                record["dur"] = event.dur
-            if event.args:
-                record["args"] = event.args
-            fh.write(json.dumps(record) + "\n")
-            n += 1
-    return n
+        for event in events:
+            fh.write(json.dumps({"type": "event", **encode_event(event)}) + "\n")
+    return len(events)

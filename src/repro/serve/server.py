@@ -69,7 +69,7 @@ from typing import Generator, Optional
 from repro.kernels.kernel import KernelSpec
 from repro.kernels.registry import by_name
 from repro.obs import trace as obs_trace
-from repro.obs.recorder import get_recorder
+from repro.obs.export import encode_event
 from repro.obs.registry import registry as obs_registry
 from repro.obs.slo import DEFAULT_TARGETS, SLOTracker, load_slo_config
 from repro.serve import protocol
@@ -89,7 +89,7 @@ from repro.serve.protocol import (
     validate_request,
 )
 from repro.serve.router import InLoopShard, PlacementRouter
-from repro.sim import Environment
+from repro.sim import Environment, EnvironmentStats
 from repro.slate.daemon import SlateSession
 
 __all__ = ["ServeConfig", "ServerThread", "SimDriver", "SlateServer"]
@@ -130,8 +130,9 @@ class ServeConfig:
     #: SLO targets: a JSON path/text for :func:`repro.obs.slo.load_slo_config`,
     #: or ``None`` for :data:`repro.obs.slo.DEFAULT_TARGETS`.
     slo: Optional[str] = None
-    #: Flight-recorder ring capacity (recent trace events kept even with
-    #: the full sink disabled); ``0`` disables the recorder.
+    #: Flight-recorder size: the always-on ring keeps this many recent
+    #: trace events, and crash/``SIGUSR1`` dumps write at most this many
+    #: (the newest of a ``--trace`` capture); ``0`` disables both.
     flight_recorder: int = 4096
     #: Where crash/``SIGUSR1`` ring dumps land; default
     #: ``<socket_path>.flight.json``.
@@ -836,20 +837,27 @@ class SlateServer:
         (and its skew behind the fleet max), sessions, in-flight launches
         and stats block, and the clocks are mirrored into the export as
         ``fleet.shard.<i>.sim_time`` / ``fleet.shard.<i>.sim_skew`` gauges.
+        Shards are only ever stepped, so their engines never fold into the
+        process aggregate behind the ``engine`` source: their counters are
+        added to that block here.
         """
         recent = params.get("recent")
         if recent is not None and (type(recent) is not int or recent < 0):
             raise ProtocolError(
                 f"metrics recent must be an integer >= 0 or null, got {recent!r}"
             )
-        recorder = get_recorder()
-        if recorder is not None:
-            recorder.evicted  # sync obs.recorder.evicted before the export
+        sink = obs_trace.get_sink()
+        if sink is not None:
+            sink.evicted  # sync obs.recorder.evicted before the export
         state = obs_registry().export_state()
         gauges = state["gauges"]
+        engine = EnvironmentStats()
+        zero = engine.snapshot()
+        engine.accumulate(zero, state["sources"]["engine"])
         sim_time = self.sim_time
         shards: dict[str, dict] = {}
         for shard in self.shards:
+            engine.accumulate(zero, shard.env.stats.snapshot())
             skew = sim_time - shard.env.now
             gauges[f"fleet.shard.{shard.index}.sim_time"] = shard.env.now
             gauges[f"fleet.shard.{shard.index}.sim_skew"] = skew
@@ -860,6 +868,7 @@ class SlateServer:
                 "inflight": self.shard_inflight(shard.index),
                 "stats": shard.stats(),
             }
+        state["sources"]["engine"] = engine.snapshot()
         result = {
             "registry": state,
             "shards": shards,
@@ -870,13 +879,13 @@ class SlateServer:
             "shard_count": self.router.num_shards,
         }
         if recent:
-            if recorder is not None:
+            if sink is not None:
                 limit = min(recent, self.RECENT_LIMIT)
-                result["recent"] = recorder.serialize(limit)
+                result["recent"] = [encode_event(e) for e in sink.events(limit)]
                 result["recorder"] = {
-                    "size": len(recorder),
-                    "capacity": recorder.capacity,
-                    "evicted": recorder.evicted,
+                    "size": len(sink),
+                    "capacity": sink.capacity,
+                    "evicted": sink.evicted,
                 }
             else:
                 result["recent"] = []

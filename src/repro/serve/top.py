@@ -182,13 +182,12 @@ def render(feed: Optional[dict], width: int = 100) -> str:
                 f"  burn {burn_text or '-'}  [{flag}]"
             )
 
-    # Telemetry health: trace loss and ring evictions should stay 0/known.
-    dropped = counters.get("obs.trace.dropped", 0)
+    # Telemetry health.
     evicted = counters.get("obs.recorder.evicted", 0)
     rejections = counters.get("scheduler.rejections", 0)
     lines.append("")
     lines.append(
-        f"telemetry: trace-dropped {dropped} | recorder-evicted {evicted}"
+        f"telemetry: recorder-evicted {evicted}"
         f" | admission-rejections {rejections}"
     )
     return "\n".join(line[:width] for line in lines)

@@ -1,4 +1,4 @@
-"""NVRTC compiler-cache and PCIe link tests."""
+"""NVRTC compile-cost and PCIe link tests."""
 
 import pytest
 
@@ -15,30 +15,12 @@ class TestNvrtc:
         nv = NvrtcCompiler(env, costs)
 
         def proc(env):
-            module = yield from nv.compile("kernelA")
-            return module
+            yield from nv.compile()
 
-        p = env.process(proc(env))
-        module = env.run(until=p)
-        assert not module.from_cache
+        env.run(until=env.process(proc(env)))
         assert env.now == pytest.approx(
             costs.nvrtc_compile_time + costs.code_injection_time
         )
-
-    def test_cache_hit_is_free(self):
-        env = Environment()
-        nv = NvrtcCompiler(env)
-
-        def proc(env):
-            yield from nv.compile("k")
-            t_after_first = env.now
-            module = yield from nv.compile("k")
-            return t_after_first, env.now, module
-
-        t1, t2, module = env.run(until=env.process(proc(env)))
-        assert t1 == t2  # no extra time
-        assert module.from_cache
-        assert nv.cache_hits == 1
         assert nv.compile_count == 1
 
     def test_no_injection_for_plain_load(self):
@@ -47,24 +29,11 @@ class TestNvrtc:
         nv = NvrtcCompiler(env, costs)
 
         def proc(env):
-            yield from nv.compile("k", inject=False)
+            yield from nv.compile(inject=False)
 
         env.run(until=env.process(proc(env)))
         assert env.now == pytest.approx(costs.nvrtc_compile_time)
         assert nv.total_injection_time == 0.0
-
-    def test_invalidate_forces_recompile(self):
-        env = Environment()
-        nv = NvrtcCompiler(env)
-
-        def proc(env):
-            yield from nv.compile("k")
-            nv.invalidate("k")
-            assert not nv.is_cached("k")
-            yield from nv.compile("k")
-
-        env.run(until=env.process(proc(env)))
-        assert nv.compile_count == 2
 
 
 class TestPcie:

@@ -41,15 +41,6 @@ class TestPrometheus:
         assert "repro_engine_events 42" in text
         assert "name" not in text.split("repro_engine_events")[1].splitlines()[0]
 
-    def test_snapshot_shape_falls_back_to_quantile_gauges(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
-        h.observe(0.5)
-        text = to_prometheus(reg.snapshot())  # summaries, not bucket states
-        assert "repro_lat_p99" in text
-        assert "repro_lat_bucket" not in text
-        assert validate_prometheus(text) == []
-
     def test_merged_fleet_state_validates(self, tmp_path):
         """The daemon's fleet view (the shared registry's export plus the
         per-shard clock gauges) renders as valid Prometheus text."""

@@ -5,6 +5,7 @@ import json
 from repro.kernels import blackscholes, quasirandom
 from repro.obs import trace as obs_trace
 from repro.obs.export import (
+    decode_events,
     run_metadata,
     to_chrome_events,
     write_chrome_trace,
@@ -39,7 +40,7 @@ def _corun_capture():
 class TestChromeExport:
     def test_corun_trace_is_valid_and_complete(self):
         sink = _corun_capture()
-        events = to_chrome_events(sink)
+        events = to_chrome_events(sink.events())
         assert validate_chrome_trace(events) == []
 
         names = {
@@ -72,12 +73,12 @@ class TestChromeExport:
 
     def test_instants_carry_thread_scope(self):
         sink = _corun_capture()
-        instants = [e for e in to_chrome_events(sink) if e["ph"] == "i"]
+        instants = [e for e in to_chrome_events(sink.events()) if e["ph"] == "i"]
         assert instants and all(e["s"] == "t" for e in instants)
 
     def test_timestamps_in_microseconds(self):
         sink = _corun_capture()
-        events = [e for e in to_chrome_events(sink) if e["ph"] != "M"]
+        events = [e for e in to_chrome_events(sink.events()) if e["ph"] != "M"]
         # The replay spans milliseconds of simulated time, so microsecond
         # timestamps must reach into the hundreds.
         assert max(e["ts"] for e in events) > 100.0
@@ -99,13 +100,13 @@ class TestChromeExport:
         assert validate_file(path) == []
 
     def test_dropped_count_surfaces_in_metadata(self, tmp_path):
-        sink = TraceSink(limit=4)
+        sink = TraceSink(capacity=4)
         for i in range(9):
             sink.instant(f"e{i}", float(i), "scheduler", "queue")
         path = tmp_path / "dropped.json"
         write_chrome_trace(path, sink)
         payload = json.loads(path.read_text())
-        assert payload["metadata"]["dropped_events"] == sink.dropped > 0
+        assert payload["metadata"]["dropped_events"] == sink.evicted == 5
 
 
 class TestJsonl:
@@ -118,8 +119,12 @@ class TestJsonl:
         assert lines[0]["seed"] == 3
         events = [line for line in lines[1:] if line["type"] == "event"]
         assert len(events) == count == len(sink)
+        assert lines[0]["dropped_events"] == 0
         # JSONL keeps simulated seconds.
         assert all(e["ts"] < 1.0 for e in events)
+        # The event lines decode back to the captured events.
+        decoded = decode_events(events).events()
+        assert [e[:6] for e in decoded] == [e[:6] for e in sink.events()]
 
 
 class TestRunMetadata:

@@ -4,10 +4,10 @@ client-side/server-side percentile cross-check."""
 
 import pytest
 
-from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
-from repro.obs.recorder import events_from_wire
+from repro.obs.export import decode_events
 from repro.obs.registry import Histogram, registry
+from repro.obs.trace import TraceSink
 from repro.serve.client import SlateClient
 from repro.serve.loadgen import (
     LoadGenConfig,
@@ -63,25 +63,51 @@ class TestMetricsOp:
         assert fetch_server_metrics(str(tmp_path / "nope.sock")) is None
 
     def test_recent_without_recorder_is_empty(self, sock_path):
-        obs_recorder.uninstall()
+        obs_trace.set_sink(None)
         with ServerThread(ServeConfig(socket_path=sock_path)):
             m = fetch_server_metrics(sock_path, recent=10)
         assert m["recent"] == []
         assert m["recorder"] is None
 
     def test_recent_flight_events_over_wire(self, sock_path):
-        rec = obs_recorder.install(capacity=512)
+        rec = TraceSink(capacity=512, detail="light")
+        obs_trace.set_sink(rec)
         try:
             obs_trace.instant("unit.sentinel", 1.0, "p", "t")
             with ServerThread(ServeConfig(socket_path=sock_path)):
                 m = fetch_server_metrics(sock_path, recent=500)
         finally:
-            obs_recorder.uninstall()
             obs_trace.set_sink(None)
         assert m["recorder"]["capacity"] == 512
         assert m["recorder"]["size"] == len(rec)
-        sink = events_from_wire(m["recent"])
-        assert "unit.sentinel" in {e.name for e in sink.events}
+        sink = decode_events(m["recent"])
+        assert "unit.sentinel" in {e.name for e in sink.events()}
+
+    def test_recent_from_a_full_capture(self, sock_path):
+        """With ``--trace`` the one sink is the unbounded capture: the
+        reply takes its newest events and reports no capacity."""
+        with obs_trace.capture() as sink:
+            with ServerThread(ServeConfig(socket_path=sock_path)):
+                with SlateClient(sock_path, name="t") as client:
+                    client.launch("MM")
+                m = fetch_server_metrics(sock_path, recent=3)
+        assert m["recorder"]["capacity"] is None
+        assert m["recorder"]["evicted"] == 0
+        assert len(m["recent"]) == 3
+        assert len(sink) > 3
+
+    def test_engine_source_counts_served_work(self, sock_path):
+        """Shards are only stepped, so their engine counters never reach
+        the process aggregate; the reply adds them to the engine block."""
+        with ServerThread(ServeConfig(socket_path=sock_path, shards=2)) as server:
+            before = fetch_server_metrics(sock_path)["registry"]["sources"]["engine"]
+            with SlateClient(sock_path, name="e") as client:
+                for _ in range(4):
+                    client.launch("MM")
+            after = fetch_server_metrics(sock_path)["registry"]["sources"]["engine"]
+            peaks = [shard.env.stats.heap_peak for shard in server.shards]
+        assert after["events_processed"] > before["events_processed"]
+        assert after["heap_peak"] >= max(peaks) > 0
 
 
 class TestFleetView:

@@ -254,7 +254,7 @@ class TestShardedServer:
                     client.launch("PF")
         decisions = [
             (e.name, e.args["kernel"], e.args["reason"])
-            for e in sink.events
+            for e in sink.events()
             if e.name.startswith("decide.")
         ]
         assert decisions == [("decide.solo", "PF", "device idle")]
@@ -267,7 +267,7 @@ class TestShardedServer:
             with obs_trace.capture() as sink:
                 with SlateClient(sock_path, name="idle", shard=1):
                     pass
-        places = [e for e in sink.events if e.name == "router.place"]
+        places = [e for e in sink.events() if e.name == "router.place"]
         assert [(e.args["shard"], e.ts) for e in places] == [(1, 0.0)]
 
 

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.kernels.registry import UnknownKernelError
-from repro.obs import recorder as obs_recorder
+from repro.obs import trace as obs_trace
 from repro.serve.client import SlateClient
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -154,7 +154,7 @@ class TestTypedErrors:
         """Neither is coerced: a negative ``recent`` would slip past the
         reply cap, and a coerced ``shard`` pins the session to a shard the
         client never named.  The refusal comes before any state changes."""
-        obs_recorder.install(capacity=64)
+        obs_trace.set_sink(obs_trace.TraceSink(capacity=64, detail="light"))
         try:
             with ServerThread(ServeConfig(socket_path=sock_path, shards=2)) as server:
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -175,7 +175,7 @@ class TestTypedErrors:
                     assert client.session == 1
                     assert len(client.metrics(recent=5)["recent"]) <= 5
         finally:
-            obs_recorder.uninstall()
+            obs_trace.set_sink(None)
 
     def test_unknown_kernel_on_register(self, sock_path):
         with ServerThread(ServeConfig(socket_path=sock_path)):

@@ -20,7 +20,7 @@ def sock_path(tmp_path):
 def canned_feed():
     reg = MetricsRegistry()
     reg.counter("serve.launches").inc(42)
-    reg.counter("obs.trace.dropped").inc(0)
+    reg.counter("obs.recorder.evicted").inc(7)
     reg.counter("scheduler.rejections").inc(3)
     h = reg.histogram("serve.latency.launch")
     for v in (0.001, 0.002, 0.004, 0.010):
@@ -91,7 +91,7 @@ class TestRender:
         assert text.index("30s:3.10x") < text.index("120s:1.00x")
         assert "[BURNING]" in text
         # Telemetry health line.
-        assert "trace-dropped 0" in text
+        assert "recorder-evicted 7" in text
         assert "admission-rejections 3" in text
 
     def test_width_clips_lines(self):

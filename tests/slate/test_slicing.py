@@ -396,7 +396,6 @@ def test_sliced_nway4_counters_match_golden():
 
 def test_taskqueue_pull_instants_are_detailed_only():
     """A light recorder keeps no per-slice pulls; the counter still counts."""
-    from repro.obs import recorder as obs_recorder
     from repro.obs import trace as obs_trace
     from repro.obs.registry import registry
 
@@ -411,17 +410,18 @@ def test_taskqueue_pull_instants_are_detailed_only():
         env.run(until=handle.done)
 
     before = pulls.value
-    recorder = obs_recorder.install(capacity=4096)
+    recorder = obs_trace.TraceSink(capacity=4096, detail="light")
+    obs_trace.set_sink(recorder)
     try:
         assert obs_trace.ENABLED and not obs_trace.DETAILED
         sliced_launch()
     finally:
-        obs_recorder.uninstall()
+        obs_trace.set_sink(None)
     assert pulls.value - before == 8
     assert not [e for e in recorder.events() if e.name == "taskqueue.pull"]
     with obs_trace.capture() as sink:
         sliced_launch()
-    assert sum(e.name == "taskqueue.pull" for e in sink.events) == 8
+    assert sum(e.name == "taskqueue.pull" for e in sink.events()) == 8
 
 
 # -- scheduler integration: byte-identity ------------------------------------

@@ -303,6 +303,38 @@ class TestObsCommand:
         assert set(snapshot) == {"counters", "gauges", "histograms", "sources"}
         assert "engine" in snapshot["sources"]
 
+    def test_obs_dump_recent_needs_socket(self, capsys, tmp_path):
+        """The flight recorder lives in the daemon, so ``--recent``
+        without ``--socket`` is a usage error."""
+        from repro.__main__ import main
+
+        out = tmp_path / "recent.json"
+        assert main(["obs", "dump", "--recent", "5", "--out", str(out)]) == 2
+        assert "--socket" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_obs_dump_recent_over_socket(self, capsys, tmp_path):
+        from repro.__main__ import main
+        from repro.obs import trace as obs_trace
+        from repro.obs.validate import validate_file
+        from repro.serve.client import SlateClient
+        from repro.serve.server import ServeConfig, ServerThread
+
+        sock = str(tmp_path / "slate.sock")
+        out = tmp_path / "recent.json"
+        obs_trace.set_sink(obs_trace.TraceSink(capacity=64, detail="light"))
+        try:
+            with ServerThread(ServeConfig(socket_path=sock)):
+                with SlateClient(sock, name="r") as client:
+                    client.launch("MM")
+                argv = ["obs", "dump", "--socket", sock, "--recent", "2",
+                        "--out", str(out)]
+                assert main(argv) == 0
+        finally:
+            obs_trace.set_sink(None)
+        assert "2 recent event(s)" in capsys.readouterr().out
+        assert validate_file(out) == []
+
     def test_obs_validate_accepts_good_trace(self, capsys, tmp_path):
         from repro.__main__ import main
 
