@@ -503,8 +503,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"sim time {stats['sim_time'] * 1e3:.1f} ms"
     )
     if args.dump_metrics:
+        snapshot = registry().snapshot()
+        snapshot["sources"]["engine"] = server.engine_stats()
         with open(args.dump_metrics, "w") as fh:
-            fh.write(registry().to_json())
+            json.dump(snapshot, fh, indent=2, sort_keys=True)
         print(f"metrics snapshot written to {args.dump_metrics}")
     return 0
 

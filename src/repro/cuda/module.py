@@ -24,19 +24,11 @@ class NvrtcCompiler:
         self.env = env
         self.costs = costs
         self.compile_count = 0
-        self.total_compile_time = 0.0
-        self.total_injection_time = 0.0
 
-    def compile(self, inject: bool = True) -> Generator:
-        """Process generator: compile one module.
-
-        ``inject`` adds the FLEX-scan/code-injection cost — the Slate path;
-        plain module loads skip it.
-        """
-        duration = self.costs.nvrtc_compile_time
-        if inject:
-            duration += self.costs.code_injection_time
-            self.total_injection_time += self.costs.code_injection_time
-        yield self.env.timeout(duration)
+    def compile(self) -> Generator:
+        """Process generator: scan, inject and compile one module (the
+        Slate path: NVRTC compile plus the FLEX-scan/code-injection cost)."""
+        yield self.env.timeout(
+            self.costs.nvrtc_compile_time + self.costs.code_injection_time
+        )
         self.compile_count += 1
-        self.total_compile_time += self.costs.nvrtc_compile_time

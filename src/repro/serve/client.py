@@ -130,7 +130,13 @@ class SlateClient:
                 params["affinity"] = self.affinity
             if self.shard_pin is not None:
                 params["shard"] = self.shard_pin
-            result = self._call("hello", **params)
+            try:
+                result = self._call("hello", **params)
+            except BaseException:
+                # A refused handshake leaves no half-open client behind.
+                self._stream = None
+                sock.close()
+                raise
             self.session = result["session"]
             self.session_name = result["name"]
             self.shard = result["shard"]

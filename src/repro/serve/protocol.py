@@ -108,6 +108,9 @@ OPS = frozenset(
 )
 
 _LEN = struct.Struct("!I")
+#: One compact JSON encoder for every frame: ``json.dumps`` with the same
+#: separators gives the same bytes but builds a new encoder per call.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 # -- typed errors ------------------------------------------------------------
@@ -230,7 +233,7 @@ def error_from_reply(reply: dict) -> Exception:
 
 def encode_frame(msg: dict) -> bytes:
     """Serialize one message to its wire frame."""
-    payload = json.dumps(msg, separators=(",", ":")).encode("utf-8")
+    payload = _encode_json(msg).encode("utf-8")
     if len(payload) > MAX_FRAME:
         raise FrameError(f"frame payload of {len(payload)} bytes exceeds {MAX_FRAME}")
     return _LEN.pack(len(payload)) + payload

@@ -5,16 +5,22 @@ Architecture
 One asyncio event loop owns everything — there are no threads and no locks
 around the simulator:
 
-* ``asyncio.start_unix_server`` accepts client connections; each connection
-  gets a handler task and (after ``hello``) one :class:`~repro.slate.daemon.
-  SlateSession` from its shard's :class:`~repro.slate.daemon.SlateRuntime`,
-  mirroring the paper's one-session-per-client-process design (§IV-A2).
+* ``loop.create_unix_server`` accepts client connections; each connection
+  is one :class:`asyncio.Protocol` (``_Connection``) and, after ``hello``,
+  holds one :class:`~repro.slate.daemon.SlateSession` from its shard's
+  :class:`~repro.slate.daemon.SlateRuntime`, mirroring the paper's
+  one-session-per-client-process design (§IV-A2).  A connection serves
+  its frames one at a time, in arrival order: a request that needs the
+  simulator is the one in flight, and the frames behind it wait (with
+  reading paused) until its reply is written.
 * :class:`SimDriver` steps a discrete-event engine from loop callbacks,
   a bounded batch per callback, so new frames keep flowing while the
   simulated GPU grinds; with no events pending nothing is scheduled.
-  Request handlers never call ``env.run`` — they submit a process
-  generator and await an :class:`asyncio.Future` resolved when the sim
-  process finishes.
+  Requests never call ``env.run`` — they submit a process generator with
+  a completion callback, called after the step batch in which the
+  process finished; the callback writes the reply and serves the
+  connection's next frame.  A served launch thus takes two loop passes:
+  the read that submits it, and the pump that completes it.
 * Kernel names resolve through :func:`~repro.kernels.registry.by_name`
   to one shared spec each, so repeat launches reuse the spec's work and
   the device's record for it, as an offline run does.
@@ -63,8 +69,9 @@ import itertools
 import math
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from repro.kernels.kernel import KernelSpec
 from repro.kernels.registry import by_name
@@ -89,7 +96,8 @@ from repro.serve.protocol import (
     validate_request,
 )
 from repro.serve.router import InLoopShard, PlacementRouter
-from repro.sim import Environment, EnvironmentStats
+from repro.sim import Environment, EnvironmentStats, aggregate_stats
+from repro.sim.engine import EmptySchedule
 from repro.slate.daemon import SlateSession
 
 __all__ = ["ServeConfig", "ServerThread", "SimDriver", "SlateServer"]
@@ -159,11 +167,14 @@ class ServeConfig:
 class SimDriver:
     """Advance the discrete-event engine cooperatively inside asyncio.
 
-    Handlers call :meth:`submit` with a process generator; the driver
-    steps the engine from loop callbacks while events are pending and
-    resolves the returned future with the generator's return value (or
-    its exception).  The generator runs under a guard, so a failing
-    request can never crash the engine loop for everyone else.
+    Requests call :meth:`submit` with a process generator and a completion
+    callback.  The engine is stepped from loop callbacks while events are
+    pending and, after the step batch in which the process finished,
+    ``done(result, None)`` is called with the generator's return value or
+    ``done(None, exc)`` with its exception — outside any engine step, so
+    a callback may submit more work.  The generator runs under a guard,
+    so a failing request can never crash the engine loop for everyone
+    else.
     """
 
     #: Engine events stepped per loop callback — the trade-off between
@@ -177,50 +188,52 @@ class SimDriver:
         #: The daemon's event loop, bound by :meth:`InLoopShard.start`.
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self._scheduled = False
+        #: (done, result, exc) of processes finished in the current batch.
+        self._finished: list = []
 
-    def submit(self, gen: Generator) -> "asyncio.Future":
-        """Run ``gen`` as a sim process; the future resolves on completion."""
-        future = self.loop.create_future()
+    def submit(
+        self, gen: Generator, done: Callable[[object, Optional[BaseException]], None]
+    ) -> None:
+        """Run ``gen`` as a sim process; ``done`` is called on completion."""
+        finished = self._finished
 
         def guarded() -> Generator:
-            self.pending += 1
             try:
                 result = yield from gen
             except Exception as exc:
-                if not future.done():
-                    future.set_exception(exc)
-                else:  # pragma: no cover - future cancelled under shutdown
-                    self.sim_errors += 1
+                finished.append((done, None, exc))
             else:
-                if not future.done():
-                    future.set_result(result)
+                finished.append((done, result, None))
             finally:
                 self.pending -= 1
 
+        self.pending += 1
         self.env.process(guarded())
         if not self._scheduled:
             self._scheduled = True
             self.loop.call_soon(self._pump)
-        return future
 
     def _pump(self) -> None:
-        """Step up to ``STEP_BATCH`` events; call again while work remains."""
-        env = self.env
-        inf = float("inf")
-        steps = self.STEP_BATCH
-        while steps > 0 and env.peek() != inf:
+        """Step up to ``STEP_BATCH`` events, then complete what finished;
+        call again while work remains."""
+        step = self.env.step
+        for _ in range(self.STEP_BATCH):
             try:
-                env.step()
+                step()
+            except EmptySchedule:
+                self._scheduled = False
+                break
             except Exception:
                 # A failed event outside any guarded process; count it
                 # and keep serving (the guilty request already got its
                 # error through the guard, or was fire-and-forget).
                 self.sim_errors += 1
-            steps -= 1
-        if env.peek() == inf:
-            self._scheduled = False
         else:
             self.loop.call_soon(self._pump)
+        finished = self._finished
+        while finished:
+            done, result, exc = finished.pop(0)
+            done(result, exc)
 
 
 def _sum_scheduler_stats(blocks: list[dict]) -> dict:
@@ -266,6 +279,107 @@ class _Session:
         self.stale = False
 
 
+class _Connection(asyncio.Protocol):
+    """One client connection: frames in, replies out, in arrival order.
+
+    At most one request is in flight per connection.  Frames that arrive
+    behind it wait in ``queue`` with reading paused, and serving pauses
+    while the transport is over its write high-water mark, so a client
+    that writes without reading fills its socket buffers and blocks
+    instead of growing the daemon's.
+    """
+
+    def __init__(self, server: "SlateServer") -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.sess: Optional[_Session] = None
+        self.decoder = FrameDecoder()
+        #: Decoded frames not yet served (a FrameError ends the stream).
+        self.queue: deque = deque()
+        #: A request is in flight on the simulator.
+        self.busy = False
+        #: Reading paused because frames wait in ``queue``.
+        self.paused = False
+        #: Writing paused: the transport is over its high-water mark.
+        self.blocked = False
+        #: Nothing more will be read (peer EOF or a bad frame).
+        self.eof = False
+        self.closed = False
+
+    # -- asyncio.Protocol ----------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._conns.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            self.queue.extend(self.decoder.feed(data))
+        except FrameError as exc:
+            # Answered in order behind what came before it; then the
+            # connection closes (a torn stream cannot be resynchronized).
+            self.queue.append(exc)
+            self.eof = True
+        self.serve()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        # Keep the transport open to answer what was already read.
+        return self.busy or bool(self.queue)
+
+    def pause_writing(self) -> None:
+        self.blocked = True
+
+    def resume_writing(self) -> None:
+        self.blocked = False
+        self.serve()
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.closed = True
+        self.server._conns.discard(self)
+        sess = self.sess
+        if sess is not None:
+            sess.connected = False
+            self.server._finalize(sess)
+
+    # -- serving ---------------------------------------------------------------
+
+    def serve(self) -> None:
+        """Serve queued frames until one goes in flight, then adjust reading."""
+        queue = self.queue
+        server = self.server
+        while queue and not (self.busy or self.blocked or self.closed):
+            msg = queue.popleft()
+            if isinstance(msg, FrameError):
+                server._m_errors.inc()
+                self.send(error_reply(None, msg))
+                self.close()
+            else:
+                server._dispatch(self, msg)
+        if self.closed:
+            return
+        if queue:
+            if not self.paused:
+                self.paused = True
+                self.transport.pause_reading()
+        elif self.eof:
+            if not self.busy:
+                self.close()
+        elif self.paused:
+            self.paused = False
+            self.transport.resume_reading()
+
+    def send(self, msg: dict) -> None:
+        if not self.closed:
+            self.transport.write(protocol.encode_frame(msg))
+
+    def close(self) -> None:
+        """Close after the replies already written (no more frames served)."""
+        if not self.closed:
+            self.closed = True
+            self.transport.close()
+
+
 class SlateServer:
     """The daemon: N shards (runtime + scheduler + engine) behind a
     placement router behind a Unix socket."""
@@ -285,7 +399,8 @@ class SlateServer:
         self._sessions: dict[int, _Session] = {}
         self._sids = itertools.count(1)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        #: Open connections (shutdown closes them).
+        self._conns: set[_Connection] = set()
         self._stop = asyncio.Event()
         self.started_at = 0.0
         # Serving metrics (process-wide registry; see docs/serving.md).
@@ -355,6 +470,18 @@ class SlateServer:
             blocks.append(block)
         return blocks
 
+    def engine_stats(self) -> dict:
+        """Engine counters of the whole daemon: the process aggregate plus
+        every shard's (shards are only ever stepped, so their engines never
+        fold into the aggregate).  The ``metrics`` scrape and
+        ``repro serve --dump-metrics`` both report this block."""
+        engine = EnvironmentStats()
+        zero = engine.snapshot()
+        engine.accumulate(zero, aggregate_stats().snapshot())
+        for shard in self.shards:
+            engine.accumulate(zero, shard.env.stats.snapshot())
+        return engine.snapshot()
+
     def stats(self) -> dict:
         """Server-level snapshot (the ``stats`` op's result body)."""
         shards = self._shard_blocks()
@@ -387,7 +514,10 @@ class SlateServer:
             os.unlink(path)
         for shard in self.shards:
             shard.start()
-        self._server = await asyncio.start_unix_server(self._handle, path=path)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_unix_server(
+            lambda: _Connection(self), path=path
+        )
         self.started_at = time.monotonic()
 
     def request_stop(self) -> None:
@@ -412,10 +542,10 @@ class SlateServer:
             await self.shutdown()
 
     async def shutdown(self, drain_timeout: float = 10.0) -> None:
-        """Graceful stop: no new connections, drain in-flight sim work."""
+        """Graceful stop: stop listening, drain in-flight sim work, close
+        every connection, then finalize what their sessions left behind."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
             self._server = None
         deadline = time.monotonic() + drain_timeout
         while (
@@ -423,12 +553,11 @@ class SlateServer:
             and time.monotonic() < deadline
         ):
             await asyncio.sleep(0.01)
-        pending_tasks = list(self._conn_tasks)
-        for task in pending_tasks:
-            task.cancel()
-        if pending_tasks:
-            await asyncio.gather(*pending_tasks, return_exceptions=True)
-        # Finalize anything a cancelled handler left behind.
+        for conn in list(self._conns):
+            conn.closed = True
+            conn.transport.abort()
+        # Let every aborted transport's connection_lost run.
+        await asyncio.sleep(0)
         for sess in list(self._sessions.values()):
             sess.connected = False
             self._finalize(sess, force=True)
@@ -485,71 +614,20 @@ class SlateServer:
 
     # -- connection handling ----------------------------------------------
 
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        decoder = FrameDecoder()
-        sess: Optional[_Session] = None
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    break
-                try:
-                    messages = decoder.feed(data)
-                except FrameError as exc:
-                    self._m_errors.inc()
-                    await self._send(writer, error_reply(None, exc))
-                    break
-                stop = False
-                for msg in messages:
-                    sess, stop = await self._dispatch(msg, writer, sess)
-                    if stop:
-                        break
-                if stop:
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            if sess is not None:
-                sess.connected = False
-                self._finalize(sess)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    async def _send(self, writer: asyncio.StreamWriter, msg: dict) -> bool:
-        try:
-            writer.write(protocol.encode_frame(msg))
-            await writer.drain()
-            return True
-        except (ConnectionResetError, BrokenPipeError):
-            return False
-
-    async def _dispatch(
-        self,
-        msg: dict,
-        writer: asyncio.StreamWriter,
-        sess: Optional[_Session],
-    ) -> tuple[Optional[_Session], bool]:
-        """Handle one request; returns (session, close-connection?)."""
+    def _dispatch(self, conn: _Connection, msg: dict) -> None:
+        """Serve one request: reply now, or put it in flight on the sim."""
         self._m_requests.inc()
         t0 = time.monotonic()
         rid = msg.get("id")
-        op = "?"
         try:
             rid, op, params = validate_request(msg)
+            sess = conn.sess
             if op == "hello":
                 if sess is not None:
                     raise SessionStateError(
                         f"session {sess.name} is already open on this connection"
                     )
-                sess, result = self._op_hello(params)
+                conn.sess, result = self._op_hello(params)
             elif op == "ping":
                 result = {"pong": True, "sim_time": self.sim_time}
             elif op == "stats":
@@ -562,35 +640,66 @@ class SlateServer:
                 result = self._op_metrics(params)
             elif sess is None:
                 raise SessionStateError(f"op {op!r} requires a hello first")
-            elif op == "register":
-                result = await self._op_register(sess, params)
             elif op == "launch":
-                result = await self._op_launch(sess, rid, params)
+                self._op_launch(conn, rid, params, t0)
+                return
+            elif op == "register":
+                self._op_register(conn, rid, params, t0)
+                return
             else:  # bye
                 result = {"bye": True}
-        except asyncio.CancelledError:
-            raise
+            self._reply(conn, op, rid, result, t0)
         except Exception as exc:
-            self._m_errors.inc()
-            if sess is not None:
-                sess.errors += 1
-            if isinstance(exc, BackpressureError):
-                self._m_busy.inc()
-            await self._send(writer, error_reply(rid, exc))
-            # Protocol violations poison the stream; typed app errors don't.
-            fatal = isinstance(exc, ProtocolError) and not isinstance(
-                exc, (VersionMismatchError,)
-            )
-            return sess, fatal
-        histogram = self._h_latency.get(op)
-        if histogram is not None:
-            wall = time.monotonic() - t0
-            histogram.observe(wall)
-            # Score against any SLO targeting this op's wall latency
-            # (dict-lookup no-op for untracked metrics).
-            self.slo.record(f"serve.latency.{op}", wall)
-        delivered = await self._send(writer, ok_reply(rid, result))
-        return sess, (op == "bye" or not delivered)
+            self._reply_error(conn, rid, exc)
+            return
+        if op == "bye":
+            conn.close()
+
+    def _submit(
+        self, conn: _Connection, op: str, rid, t0: float, gen: Generator,
+        build: Callable[[object], dict], release: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """Put ``gen`` in flight for ``conn``; its reply is ``build(result)``.
+
+        ``SimDriver`` calls back after the step batch the process finished in:
+        ``release`` runs first, then the reply (or a typed error, also when
+        ``build`` fails) is written and the connection serves its next
+        frame.
+        """
+
+        def done(value, exc: Optional[BaseException]) -> None:
+            conn.busy = False
+            if release is not None:
+                release()
+            try:
+                if exc is not None:
+                    raise exc
+                self._reply(conn, op, rid, build(value), t0)
+            except Exception as err:
+                self._reply_error(conn, rid, err)
+            conn.serve()
+
+        conn.busy = True
+        self._shard_driver(conn.sess).submit(gen, done)
+
+    def _reply(self, conn: _Connection, op: str, rid, result: dict, t0: float) -> None:
+        wall = time.monotonic() - t0
+        self._h_latency[op].observe(wall)
+        # Score against any SLO targeting this op's wall latency
+        # (dict-lookup no-op for untracked metrics).
+        self.slo.record(f"serve.latency.{op}", wall)
+        conn.send(ok_reply(rid, result))
+
+    def _reply_error(self, conn: _Connection, rid, exc: Exception) -> None:
+        self._m_errors.inc()
+        if conn.sess is not None:
+            conn.sess.errors += 1
+        if isinstance(exc, BackpressureError):
+            self._m_busy.inc()
+        conn.send(error_reply(rid, exc))
+        # Protocol violations poison the stream; typed app errors don't.
+        if isinstance(exc, ProtocolError) and not isinstance(exc, VersionMismatchError):
+            conn.close()
 
     # -- operations --------------------------------------------------------
 
@@ -663,7 +772,8 @@ class SlateServer:
             raise ProtocolError(f"launch/register needs a kernel name, got {kernel!r}")
         return by_name(kernel)
 
-    async def _op_register(self, sess: _Session, params: dict) -> dict:
+    def _op_register(self, conn: _Connection, rid, params: dict, t0: float) -> None:
+        sess = conn.sess
         spec = self._resolve_spec(params)
         env = self._shard_env(sess)
 
@@ -673,8 +783,10 @@ class SlateServer:
             yield from sess.slate.runtime.prepare_kernel(spec)
             return env.now - t0
 
-        compile_time = await self._shard_driver(sess).submit(gen())
-        return {"kernel": spec.name, "compile_time": compile_time}
+        def build(compile_time) -> dict:
+            return {"kernel": spec.name, "compile_time": compile_time}
+
+        self._submit(conn, "register", rid, t0, gen(), build)
 
     def _admit(self, sess: _Session) -> None:
         book = self.router.shards[sess.shard]
@@ -734,7 +846,8 @@ class SlateServer:
                     observed=str(observed),
                 )
 
-    async def _op_launch(self, sess: _Session, rid, params: dict) -> dict:
+    def _op_launch(self, conn: _Connection, rid, params: dict, t0: float) -> None:
+        sess = conn.sess
         spec = self._resolve_spec(params)
         task_size = params.get("task_size")
         if task_size is not None and (type(task_size) is not int or task_size < 1):
@@ -785,30 +898,34 @@ class SlateServer:
         book.inflight += 1
         self._g_inflight.set(self.inflight)
         self._g_shard_inflight[shard_index].set(book.inflight)
-        try:
-            ticket, sim_start, sim_end = await self._shard_driver(sess).submit(gen())
-        finally:
+
+        def release() -> None:
             sess.inflight -= 1
             book.inflight -= 1
             self._g_inflight.set(self.inflight)
             self._g_shard_inflight[shard_index].set(book.inflight)
             self._finalize(sess)
-        sess.launches += 1
-        self._m_launches.inc()
-        self._h_sim_latency.observe(sim_end - sim_start)
-        self.slo.record("serve.sim_latency.launch", sim_end - sim_start)
-        result = {
-            "kernel": spec.name,
-            "task_size": ticket.task_size,
-            "priority": ticket.priority,
-            "sim_submitted": sim_start,
-            "sim_started": ticket.started_at,
-            "sim_finished": sim_end,
-            "preemptions": ticket.preemptions,
-        }
-        if ticket.counters is not None:
-            result["sim_exec"] = ticket.counters.elapsed
-        return result
+
+        def build(value) -> dict:
+            ticket, sim_start, sim_end = value
+            sess.launches += 1
+            self._m_launches.inc()
+            self._h_sim_latency.observe(sim_end - sim_start)
+            self.slo.record("serve.sim_latency.launch", sim_end - sim_start)
+            result = {
+                "kernel": spec.name,
+                "task_size": ticket.task_size,
+                "priority": ticket.priority,
+                "sim_submitted": sim_start,
+                "sim_started": ticket.started_at,
+                "sim_finished": sim_end,
+                "preemptions": ticket.preemptions,
+            }
+            if ticket.counters is not None:
+                result["sim_exec"] = ticket.counters.elapsed
+            return result
+
+        self._submit(conn, "launch", rid, t0, gen(), build, release)
 
     def _op_stats(self, sess: Optional[_Session]) -> dict:
         session_block = None
@@ -837,9 +954,8 @@ class SlateServer:
         (and its skew behind the fleet max), sessions, in-flight launches
         and stats block, and the clocks are mirrored into the export as
         ``fleet.shard.<i>.sim_time`` / ``fleet.shard.<i>.sim_skew`` gauges.
-        Shards are only ever stepped, so their engines never fold into the
-        process aggregate behind the ``engine`` source: their counters are
-        added to that block here.
+        The ``engine`` source is :meth:`engine_stats`, which adds the
+        shards' engines to the process aggregate.
         """
         recent = params.get("recent")
         if recent is not None and (type(recent) is not int or recent < 0):
@@ -850,14 +966,11 @@ class SlateServer:
         if sink is not None:
             sink.evicted  # sync obs.recorder.evicted before the export
         state = obs_registry().export_state()
+        state["sources"]["engine"] = self.engine_stats()
         gauges = state["gauges"]
-        engine = EnvironmentStats()
-        zero = engine.snapshot()
-        engine.accumulate(zero, state["sources"]["engine"])
         sim_time = self.sim_time
         shards: dict[str, dict] = {}
         for shard in self.shards:
-            engine.accumulate(zero, shard.env.stats.snapshot())
             skew = sim_time - shard.env.now
             gauges[f"fleet.shard.{shard.index}.sim_time"] = shard.env.now
             gauges[f"fleet.shard.{shard.index}.sim_skew"] = skew
@@ -868,7 +981,6 @@ class SlateServer:
                 "inflight": self.shard_inflight(shard.index),
                 "stats": shard.stats(),
             }
-        state["sources"]["engine"] = engine.snapshot()
         result = {
             "registry": state,
             "shards": shards,

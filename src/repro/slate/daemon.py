@@ -293,7 +293,7 @@ class SlateRuntime:
         kernel: KernelSource = kernels[0]
         transformed = inject(kernel)
         t0 = self.env.now
-        yield from self.compiler.compile(inject=True)
+        yield from self.compiler.compile()
         obs_registry().counter("daemon.compiles").inc()
         if obs_trace.ENABLED:
             obs_trace.complete(

@@ -51,10 +51,6 @@ class KernelSource:
     def uses_2d_grid(self) -> bool:
         return "blockIdx.y" in self.builtins_used or "gridDim.y" in self.builtins_used
 
-    def cache_key(self) -> tuple[str, int]:
-        """Key for the NVRTC compile cache (name + body hash)."""
-        return (self.name, hash(self.body))
-
 
 def _match_braces(text: str, open_index: int) -> int:
     """Index just past the brace matching ``text[open_index]`` ('{')."""

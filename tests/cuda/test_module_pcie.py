@@ -23,18 +23,6 @@ class TestNvrtc:
         )
         assert nv.compile_count == 1
 
-    def test_no_injection_for_plain_load(self):
-        env = Environment()
-        costs = CostModel()
-        nv = NvrtcCompiler(env, costs)
-
-        def proc(env):
-            yield from nv.compile(inject=False)
-
-        env.run(until=env.process(proc(env)))
-        assert env.now == pytest.approx(costs.nvrtc_compile_time)
-        assert nv.total_injection_time == 0.0
-
 
 class TestPcie:
     def test_transfer_time_model(self):

@@ -2,8 +2,15 @@
 fleet view it returns, flight events over the wire, and the loadgen
 client-side/server-side percentile cross-check."""
 
+import json
+import os
+import signal
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.obs import trace as obs_trace
 from repro.obs.export import decode_events
 from repro.obs.registry import Histogram, registry
@@ -108,6 +115,31 @@ class TestMetricsOp:
             peaks = [shard.env.stats.heap_peak for shard in server.shards]
         assert after["events_processed"] > before["events_processed"]
         assert after["heap_peak"] >= max(peaks) > 0
+
+
+    def test_dump_metrics_at_exit_reports_served_engine_work(self, tmp_path):
+        """``repro serve --dump-metrics`` writes the same engine block as
+        the scrape, so the shards' work is in the file too."""
+        sock = str(tmp_path / "d.sock")
+        dump = tmp_path / "metrics.json"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--socket", sock,
+             "--shards", "2", "--dump-metrics", str(dump)],
+            stdout=subprocess.DEVNULL, env=env,
+        )
+        try:
+            with SlateClient(sock, connect_retries=600) as client:
+                for _ in range(5):
+                    client.launch("MM")
+                scrape = client.metrics()["registry"]["sources"]["engine"]
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        dumped = json.loads(dump.read_text())["sources"]["engine"]
+        assert dumped["events_processed"] > 0
+        assert dumped["events_processed"] == scrape["events_processed"]
 
 
 class TestFleetView:

@@ -66,6 +66,22 @@ class TestFraming:
         assert out == msgs
         assert decoder.buffered == 0
 
+    @pytest.mark.parametrize(
+        "msg",
+        [
+            request(7, "launch", kernel="MM", task_size=10, deadline=None),
+            ok_reply(3, {"shards": {"0": {"stats": {"scheduler": [1, 2.5, None]}}}}),
+            error_reply("r-1", ServerBusyError("busy", retry_after=0.02)),
+            {"name": "tenant ü ☃ 𝄞", "params": {"affinity": "é\n\t\"q\""}},
+            {"floats": [0.1, 1 / 3, -0.0, 1e300, 5e-324, float("inf"),
+                        float("-inf"), float("nan")]},
+        ],
+    )
+    def test_frames_match_json_dumps_byte_for_byte(self, msg):
+        """The shared encoder gives the bytes ``json.dumps`` gives."""
+        payload = json.dumps(msg, separators=(",", ":")).encode("utf-8")
+        assert encode_frame(msg) == struct.pack("!I", len(payload)) + payload
+
     def test_partial_frame_is_buffered_not_decoded(self):
         frame = encode_frame({"id": 1, "op": "ping", "params": {}})
         decoder = FrameDecoder()

@@ -20,9 +20,11 @@ from repro.serve.protocol import (
     MessageStream,
     ProtocolError,
     ServerBusyError,
+    ServerError,
     SessionLimitError,
     SessionStateError,
     VersionMismatchError,
+    encode_frame,
     request,
 )
 from repro.serve.server import ServeConfig, ServerThread, SimDriver
@@ -225,10 +227,9 @@ class TestTypedErrors:
 
     def test_double_hello_rejected(self, sock_path):
         with ServerThread(ServeConfig(socket_path=sock_path)):
-            client = SlateClient(sock_path)
-            client.connect()
-            with pytest.raises(SessionStateError):
-                client._call("hello", version=PROTOCOL_VERSION)
+            with SlateClient(sock_path) as client:
+                with pytest.raises(SessionStateError):
+                    client._call("hello", version=PROTOCOL_VERSION)
 
     def test_malformed_frame_gets_error_reply(self, sock_path):
         with ServerThread(ServeConfig(socket_path=sock_path)) as server:
@@ -388,6 +389,93 @@ class TestConcurrentSessions:
             assert max(len(gpu.rate_trace) for gpu in gpus) == limit
             for gpu in gpus:
                 assert len(gpu.rate_trace) <= limit
+
+
+class TestConnectionContract:
+    """One request in flight per connection, replies in request order,
+    bounded buffering, and a failed reply that does not end the session."""
+
+    def test_pipelined_launches_are_served_one_at_a_time(self, sock_path):
+        config = ServeConfig(socket_path=sock_path)
+        launches = 40
+        # Served concurrently, launch 33 would be refused with SessionLimit.
+        assert launches > config.session_inflight
+        frames = [request(0, "hello", version=PROTOCOL_VERSION)]
+        frames += [request(i, "launch", kernel="MM") for i in range(1, launches + 1)]
+        with ServerThread(config):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.connect(sock_path)
+                sock.settimeout(30.0)
+                sock.sendall(b"".join(encode_frame(f) for f in frames))
+                stream = MessageStream(sock)
+                replies = [stream.recv() for _ in frames]
+        assert [r["ok"] for r in replies] == [True] * len(frames), [
+            r["error"] for r in replies if not r["ok"]
+        ]
+        assert [r["id"] for r in replies] == list(range(launches + 1))
+
+    def test_a_client_that_does_not_read_is_blocked_not_buffered(self, sock_path):
+        """The daemon stops reading while its replies go unread, so the
+        writer blocks once the socket buffers fill; then every reply
+        arrives, in order."""
+        count = 20_000
+        data = b"".join(encode_frame(request(i, "ping")) for i in range(count))
+        assert len(data) == 788_890
+        with ServerThread(ServeConfig(socket_path=sock_path)):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.connect(sock_path)
+                sock.settimeout(1.0)
+                sent = 0
+                try:
+                    while sent < len(data):
+                        sent += sock.send(data[sent:])
+                except TimeoutError:
+                    pass
+                assert sent < len(data)
+                ids: list = []
+
+                def read_replies() -> None:
+                    stream = MessageStream(sock)
+                    for _ in range(count):
+                        reply = stream.recv()
+                        assert reply["ok"]
+                        ids.append(reply["id"])
+
+                sock.settimeout(60.0)
+                reader = threading.Thread(target=read_replies)
+                reader.start()
+                sock.sendall(data[sent:])
+                reader.join(timeout=60.0)
+                assert not reader.is_alive()
+        assert ids == list(range(count))
+
+    def test_failed_reply_is_typed_and_the_connection_serves_on(
+        self, sock_path, monkeypatch
+    ):
+        class FailingOnce:
+            """The launch-reply histogram, failing its first observation."""
+
+            def __init__(self, histogram) -> None:
+                self.histogram = histogram
+                self.failed = False
+
+            def observe(self, value) -> None:
+                if not self.failed:
+                    self.failed = True
+                    raise RuntimeError("reply build failed")
+                self.histogram.observe(value)
+
+        with ServerThread(ServeConfig(socket_path=sock_path)) as server:
+            monkeypatch.setattr(
+                server, "_h_sim_latency", FailingOnce(server._h_sim_latency)
+            )
+            with SlateClient(sock_path) as client:
+                with pytest.raises(ServerError, match="reply build failed"):
+                    client.launch("MM")
+                assert client.launch("MM").kernel == "MM"
+                assert client.stats()["session"]["errors"] == 1
+            assert _wait_until(lambda: server.session_count == 0)
+            assert server.inflight == 0
 
 
 class TestServedLaunchReuse:
@@ -556,10 +644,11 @@ class TestServerShutdown:
         client = SlateClient(sock_path)
         client.connect()
         client.launch("RG")
-        thread.stop()  # graceful: drains, cancels the open connection
+        thread.stop()  # graceful: drains, closes the open connection
         assert server.session_count == 0
         sched = server.stats()["scheduler"]
         assert sched["waiting"] == 0 and sched["running"] == 0
+        client.close()
 
     def test_socket_removed_on_shutdown(self, sock_path):
         import os

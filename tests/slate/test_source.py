@@ -60,13 +60,6 @@ class TestScanner:
     def test_no_kernels_in_host_code(self):
         assert scan_kernels("int main() { return 0; }") == []
 
-    def test_cache_key_stable_and_body_sensitive(self):
-        k1 = scan_kernels(AXPY)[0]
-        k2 = scan_kernels(AXPY)[0]
-        k3 = scan_kernels(AXPY.replace("a * x[i]", "a + x[i]"))[0]
-        assert k1.cache_key() == k2.cache_key()
-        assert k1.cache_key() != k3.cache_key()
-
     def test_unbalanced_braces_detected(self):
         with pytest.raises(InjectionError):
             scan_kernels("__global__ void broken(int n) { if (n) {")
