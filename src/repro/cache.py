@@ -20,6 +20,11 @@ Design rules:
   reports.
 * **Writes are atomic** (temp file + ``os.replace``) so concurrent runner
   workers can share one cache directory without corrupting entries.
+* **Each file is read once per instance.**  A :class:`JsonCache` keeps
+  every payload it has read from disk and serves later gets of that key
+  from memory; ``put`` does not fill this store and ``clear`` drops it.
+  The process-wide profile cache is one instance, so a cached profile is
+  opened once per process however many runtimes preload it.
 
 Layout on disk::
 
@@ -73,6 +78,8 @@ class JsonCache:
         self.enabled = cache_enabled() if enabled is None else bool(enabled)
         self.hits = 0
         self.misses = 0
+        #: Payloads read from disk, by fingerprint (never filled by ``put``).
+        self._read: dict[str, Any] = {}
 
     @property
     def directory(self) -> Path:
@@ -87,12 +94,19 @@ class JsonCache:
     def get(self, *key_parts: Any) -> Optional[dict]:
         """The cached payload for ``key_parts``, or ``None`` on a miss.
 
-        Corrupt entries (interrupted writes from an older, non-atomic
-        writer, disk faults) are treated as misses and removed.
+        A key's file is read at most once per instance; later hits return
+        the same payload object, which callers must not mutate.  Corrupt
+        entries (interrupted writes from an older, non-atomic writer, disk
+        faults) are treated as misses and removed.
         """
         if not self.enabled:
             return None
-        path = self.path_for(*key_parts)
+        key = fingerprint(*key_parts)
+        payload = self._read.get(key)
+        if payload is not None:
+            self.hits += 1
+            return payload
+        path = self.directory / f"{key}.json"
         try:
             with open(path) as fh:
                 payload = json.load(fh)
@@ -107,6 +121,7 @@ class JsonCache:
                 pass
             return None
         self.hits += 1
+        self._read[key] = payload
         return payload
 
     def put(self, payload: dict, *key_parts: Any) -> None:
@@ -132,6 +147,7 @@ class JsonCache:
 
     def clear(self) -> int:
         """Delete every entry in this namespace; returns the count removed."""
+        self._read.clear()
         removed = 0
         if self.directory.is_dir():
             for entry in self.directory.glob("*.json"):

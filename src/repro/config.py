@@ -72,13 +72,27 @@ def _canonical(obj: Any) -> Any:
 
     Dataclasses are tagged with their class name so two configs with equal
     field values but different types (e.g. a DeviceConfig and a look-alike)
-    fingerprint differently.
+    fingerprint differently.  A frozen dataclass whose fields all hash
+    (every field immutable) is rendered once and keeps its rendering, the
+    way :meth:`repro.kernels.kernel.KernelSpec.work` keeps its work;
+    callers must not mutate what this returns.
     """
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {
+        kept = getattr(obj, "__dict__", {}).get("_canonical")
+        if kept is not None:
+            return kept
+        values = {f.name: getattr(obj, f.name) for f in fields(obj)}
+        rendered = {
             "__class__": type(obj).__name__,
-            **{f.name: _canonical(getattr(obj, f.name)) for f in fields(obj)},
+            **{name: _canonical(v) for name, v in values.items()},
         }
+        if type(obj).__dataclass_params__.frozen and hasattr(obj, "__dict__"):
+            try:
+                hash(tuple(values.values()))
+            except TypeError:  # a mutable field (PolicyTable's dict)
+                return rendered
+            object.__setattr__(obj, "_canonical", rendered)
+        return rendered
     if isinstance(obj, enum.Enum):
         return [type(obj).__name__, obj.value]
     if isinstance(obj, dict):

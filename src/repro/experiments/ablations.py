@@ -28,7 +28,7 @@ from repro.sim import Environment
 from repro.slate.classify import IntensityClass as C
 from repro.slate.policy import PolicyTable
 from repro.slate.scheduler import DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC
-from repro.workloads.harness import app_for, run_pair, run_solo
+from repro.workloads.harness import app_for, app_times
 from repro.workloads.pairings import all_pairings, pairing_label
 
 __all__ = [
@@ -53,7 +53,7 @@ NEVER_CORUN = PolicyTable(table={(a, b): "solo" for a in C for b in C})
 
 def _solo_baselines(device: DeviceConfig) -> dict[str, float]:
     return {
-        bench: run_solo("CUDA", app_for(bench), device=device)[0].app_time
+        bench: app_times("CUDA", app_for(bench), device=device)[bench]
         for bench in SHORT_NAMES
     }
 
@@ -62,10 +62,9 @@ def _pair_antt(
     a: str, b: str, solo: dict[str, float], device: DeviceConfig, **slate_kwargs
 ) -> float:
     na, nb = (a, b) if a != b else (a, f"{b}#2")
-    results, _ = run_pair(
+    shared = app_times(
         "Slate", app_for(a, name=na), app_for(b, name=nb), device=device, **slate_kwargs
     )
-    shared = {na: results[na].app_time, nb: results[nb].app_time}
     return antt(shared, {na: solo[a], nb: solo[b]})
 
 

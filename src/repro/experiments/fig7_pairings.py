@@ -15,7 +15,7 @@ from repro.config import CostModel, DeviceConfig, TITAN_XP
 from repro.kernels.registry import SHORT_NAMES
 from repro.metrics.antt import antt
 from repro.metrics.report import format_table
-from repro.workloads.harness import app_for, run_pair, run_solo
+from repro.workloads.harness import app_for, app_times
 from repro.workloads.pairings import all_pairings, pairing_label
 
 __all__ = ["PairingRow", "Fig7Result", "run", "format_result"]
@@ -69,7 +69,7 @@ def _solo_time(
     hit = cache.get(*cache_key)
     if hit is not None:
         return float(hit["app_time"])
-    app_time = run_solo("CUDA", app, device=device)[0].app_time
+    app_time = app_times("CUDA", app, device=device)[bench]
     cache.put({"app_time": app_time}, *cache_key)
     return app_time
 
@@ -89,8 +89,7 @@ def _pair_times(
     hit = cache.get(*cache_key)
     if hit is not None:
         return {na: float(hit["times"][na]), nb: float(hit["times"][nb])}
-    results, _ = run_pair(runtime, app_a, app_b, device=device)
-    times = {na: results[na].app_time, nb: results[nb].app_time}
+    times = app_times(runtime, app_a, app_b, device=device)
     cache.put({"times": times}, *cache_key)
     return times
 

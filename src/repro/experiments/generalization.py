@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.config import DeviceConfig, TESLA_V100, TITAN_XP
 from repro.metrics.antt import antt
 from repro.metrics.report import format_table
-from repro.workloads.harness import app_for, run_pair, run_solo
+from repro.workloads.harness import app_for, app_times
 from repro.workloads.pairings import pairing_label
 
 __all__ = ["GeneralizationResult", "run", "format_result", "PAIRS"]
@@ -46,7 +46,7 @@ def run() -> GeneralizationResult:
     tables: dict[str, dict[str, dict[str, float]]] = {}
     for device_name, device in DEVICES.items():
         solo = {
-            bench: run_solo("CUDA", app_for(bench), device=device)[0].app_time
+            bench: app_times("CUDA", app_for(bench), device=device)[bench]
             for bench in {b for pair in PAIRS for b in pair}
         }
         rows: dict[str, dict[str, float]] = {}
@@ -54,10 +54,7 @@ def run() -> GeneralizationResult:
             a, b = pair
             per_runtime = {}
             for runtime in ("CUDA", "MPS", "Slate"):
-                results, _ = run_pair(
-                    runtime, app_for(a), app_for(b, name=b), device=device
-                )
-                shared = {k: v.app_time for k, v in results.items()}
+                shared = app_times(runtime, app_for(a), app_for(b), device=device)
                 per_runtime[runtime] = antt(shared, {a: solo[a], b: solo[b]})
             rows[pairing_label(pair)] = per_runtime
         tables[device_name] = rows

@@ -31,7 +31,7 @@ from repro.config import DeviceConfig, TITAN_XP
 from repro.metrics.fairness import fairness_index
 from repro.metrics.report import format_table
 from repro.slate.policy import policy_names
-from repro.workloads.harness import app_for, run_solo
+from repro.workloads.harness import app_for, app_times
 from repro.workloads.trace import TraceEntry, generate_trace, replay_trace
 
 __all__ = [
@@ -126,8 +126,9 @@ def solo_baseline(
     for entry in trace:
         bench = entry.app.name.split("@")[0]
         if bench not in solo_by_bench:
-            result, _ = run_solo("Slate", app_for(bench, reps=reps), device=device)
-            solo_by_bench[bench] = result.app_time
+            solo_by_bench[bench] = app_times(
+                "Slate", app_for(bench, reps=reps), device=device
+            )[bench]
         solo[entry.app.name] = solo_by_bench[bench]
     return solo
 

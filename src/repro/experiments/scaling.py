@@ -27,7 +27,7 @@ from typing import Sequence
 from repro.config import DeviceConfig, TITAN_XP
 from repro.metrics.antt import antt
 from repro.metrics.report import format_table
-from repro.workloads.harness import app_for, run_pair, run_solo
+from repro.workloads.harness import app_for, app_times, run_pair
 
 __all__ = ["ScalingPoint", "ScalingResult", "run", "format_result"]
 
@@ -76,7 +76,7 @@ def run(
     for n in sm_counts:
         device = base_device.with_sms(n)
         solo = {
-            bench: run_solo("CUDA", app_for(bench), device=device)[0].app_time
+            bench: app_times("CUDA", app_for(bench), device=device)[bench]
             for bench in (a, b)
         }
         antts = {}

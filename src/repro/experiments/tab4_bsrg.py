@@ -19,7 +19,7 @@ from repro.kernels.quasirandom import quasirandom
 from repro.metrics.antt import antt
 from repro.metrics.report import format_table
 from repro.workloads.app import AppResult, AppSpec
-from repro.workloads.harness import run_pair, run_solo
+from repro.workloads.harness import app_times, run_pair
 
 __all__ = ["Tab4Result", "PAPER_TABLE_IV", "run", "format_result"]
 
@@ -84,7 +84,7 @@ def run(device: DeviceConfig = TITAN_XP) -> Tab4Result:
         AppSpec(name="RG", kernel=quasirandom()),
     )
     solo = {
-        a.name: run_solo("CUDA", a, device=device)[0].app_time for a in apps
+        a.name: app_times("CUDA", a, device=device)[a.name] for a in apps
     }
     mps_results, _ = run_pair("MPS", *apps, device=device)
     slate_results, _ = run_pair("Slate", *apps, device=device)

@@ -4,7 +4,9 @@ from repro.workloads.app import AppResult, AppSpec, run_application
 from repro.workloads.harness import (
     RUNTIMES,
     app_for,
+    app_times,
     make_runtime,
+    reset_app_times,
     run_many,
     run_pair,
     run_solo,
@@ -17,8 +19,10 @@ __all__ = [
     "RUNTIMES",
     "all_pairings",
     "app_for",
+    "app_times",
     "make_runtime",
     "pairing_label",
+    "reset_app_times",
     "run_application",
     "run_many",
     "run_pair",

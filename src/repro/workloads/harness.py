@@ -3,13 +3,24 @@
 This is the entry point the experiments and benchmarks share: it builds a
 fresh simulation per scenario (so runs never contaminate each other),
 drives the application processes, and returns their timing breakdowns.
+
+Experiments that need only the apps' times call :func:`app_times`, which
+simulates each distinct scenario once per process and keeps just the
+floats (see its docstring).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.config import CostModel, DeviceConfig, HostConfig, TITAN_XP
+from repro.config import (
+    CostModel,
+    DeviceConfig,
+    HostConfig,
+    TITAN_XP,
+    cache_enabled,
+    fingerprint,
+)
 from repro.cuda.runtime import VanillaCudaRuntime
 from repro.kernels.registry import by_name
 from repro.mps.server import MpsRuntime
@@ -17,7 +28,16 @@ from repro.sim import Environment
 from repro.slate.daemon import SlateRuntime
 from repro.workloads.app import AppResult, AppSpec, run_application
 
-__all__ = ["RUNTIMES", "app_for", "make_runtime", "run_many", "run_pair", "run_solo"]
+__all__ = [
+    "RUNTIMES",
+    "app_for",
+    "app_times",
+    "make_runtime",
+    "reset_app_times",
+    "run_many",
+    "run_pair",
+    "run_solo",
+]
 
 #: The three schedulers the evaluation compares (§V-A2).
 RUNTIMES = {
@@ -142,3 +162,47 @@ def run_many(
         procs.append(env.process(staged(env)))
     env.run(until=env.all_of(procs))
     return {p.value.name: p.value for p in procs}, runtime
+
+
+#: App times of each scenario :func:`app_times` has simulated, by fingerprint.
+_app_times: dict[str, dict[str, float]] = {}
+
+
+def app_times(
+    runtime_name: str, *apps: AppSpec, device: DeviceConfig = TITAN_XP, **runtime_kwargs
+) -> dict[str, float]:
+    """``{app name: app_time}`` of one or two apps run solo or as a pair.
+
+    Runs the same :func:`run_solo` or :func:`run_pair` as a direct call, so
+    every number is bit-identical to one, but simulates each distinct input
+    once per process: the times are kept under the :func:`fingerprint` of
+    the runtime, the apps, the device and ``runtime_kwargs``, the key the
+    on-disk caches use.  Only the floats are kept, never a runtime or its
+    results.  ``runtime_kwargs`` must therefore be values the fingerprint
+    renders in full (names, enums, frozen dataclasses such as a
+    ``PolicyTable``, scalars), not stateful objects such as a policy
+    instance.  ``REPRO_NO_CACHE=1`` simulates every call;
+    :func:`reset_app_times` forgets what is kept.
+    """
+    if len(apps) not in (1, 2):
+        raise ValueError(f"app_times runs one or two apps, got {len(apps)}")
+    key = None
+    if cache_enabled():
+        key = fingerprint(runtime_name, apps, device, sorted(runtime_kwargs.items()))
+        kept = _app_times.get(key)
+        if kept is not None:
+            return dict(kept)
+    if len(apps) == 1:
+        result, _ = run_solo(runtime_name, apps[0], device=device, **runtime_kwargs)
+        times = {apps[0].name: result.app_time}
+    else:
+        results, _ = run_pair(runtime_name, *apps, device=device, **runtime_kwargs)
+        times = {name: result.app_time for name, result in results.items()}
+    if key is not None:
+        _app_times[key] = times
+    return dict(times)
+
+
+def reset_app_times() -> None:
+    """Forget every scenario :func:`app_times` has kept."""
+    _app_times.clear()

@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments import runner
 from repro.slate import profiler
+from repro.workloads.harness import reset_app_times
 
 
 @pytest.fixture
@@ -30,15 +31,20 @@ def fresh_cache(tmp_path, monkeypatch):
 
 class TestWarmCache:
     def test_full_battery_second_run_does_zero_profile_simulations(self, fresh_cache):
+        # Each battery starts with an empty app-time memo, so the batteries
+        # below compare real simulations, not kept app times.
+        reset_app_times()
         runner.run_all(jobs=1)  # cold: populates the cache
         assert profiler.PROFILE_SIMULATIONS.value > 0
 
         profiler.PROFILE_SIMULATIONS.reset()
+        reset_app_times()
         cold = runner.run_battery(jobs=1)
         assert profiler.PROFILE_SIMULATIONS.value == 0, (
             "warm-cache battery re-ran offline profiling simulations"
         )
         # ... and the warm results are byte-identical to a fresh battery.
+        reset_app_times()
         warm = runner.run_battery(jobs=1)
         for a, b in zip(cold, warm):
             assert a.key == b.key

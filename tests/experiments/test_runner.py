@@ -169,6 +169,26 @@ class TestProfile:
         assert [r.stats for r in forked] == [r.stats for r in baseline]
         reset_aggregate_stats()
 
+    def test_profiled_experiment_simulates_scenarios_run_before_it(
+        self, monkeypatch, tmp_path
+    ):
+        """abl-policy runs fig7's CUDA solos and Slate pairs; a profiled fig7
+        after it must still report the engine work of all of them."""
+        from repro.workloads.harness import reset_app_times
+
+        def profiled_fig7(cache_dir: str) -> int:
+            # An empty on-disk cache, so none of fig7's cells is a hit.
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / cache_dir))
+            (run,) = runner.run_battery(["fig7"], jobs=1, profile=True)
+            return run.stats["events_processed"]
+
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        runner.run_battery(["abl-policy"], jobs=1)
+        after_ablation = profiled_fig7("a")
+        reset_app_times()
+        alone = profiled_fig7("b")
+        assert after_ablation == alone > 0
+
     def test_format_profile_table_shape(self):
         runs = runner.run_battery(["fig1", "fig3"], jobs=1, profile=True)
         table = runner.format_profile_table(runs)

@@ -115,6 +115,30 @@ class TestJsonCacheProperties:
         assert not path.exists()
         assert cache.misses == 1
 
+    def test_file_is_read_once(self, tmp_path):
+        cache = JsonCache("t", root=tmp_path, enabled=True)
+        cache.put({"x": 1}, "k")
+        assert cache.get("k") == {"x": 1}
+        cache.path_for("k").unlink()
+        # The payload read from disk is kept: the key is still a hit.
+        assert cache.get("k") == {"x": 1}
+        assert cache.hits == 2 and cache.misses == 0
+        # Another instance reads the disk, where the entry is gone.
+        assert JsonCache("t", root=tmp_path, enabled=True).get("k") is None
+
+    def test_put_does_not_fill_the_kept_store(self, tmp_path):
+        cache = JsonCache("t", root=tmp_path, enabled=True)
+        cache.put({"x": 1}, "k")
+        cache.path_for("k").unlink()
+        assert cache.get("k") is None
+
+    def test_clear_forgets_kept_payloads(self, tmp_path):
+        cache = JsonCache("t", root=tmp_path, enabled=True)
+        cache.put({"x": 1}, "k")
+        assert cache.get("k") == {"x": 1}
+        assert cache.clear() == 1
+        assert cache.get("k") is None
+
     def test_clear_empties_namespace_only(self, tmp_path):
         a = JsonCache("a", root=tmp_path, enabled=True)
         b = JsonCache("b", root=tmp_path, enabled=True)
@@ -126,11 +150,33 @@ class TestJsonCacheProperties:
 
 class TestFingerprint:
     def test_stable_across_calls_and_processes(self):
-        # Pure function of the canonical JSON: pin one value so an
-        # accidental canonicalization change shows up here.
-        fp = fingerprint("x", 1, 2.5)
-        assert fp == fingerprint("x", 1, 2.5)
-        assert len(fp) == 24 and int(fp, 16) >= 0
+        # Pure function of the canonical JSON: pin values so an accidental
+        # canonicalization change (which would re-key every on-disk cache)
+        # shows up here.  Each is checked twice, because a frozen config
+        # keeps its rendering after the first call.
+        from repro.kernels.registry import by_name
+
+        pinned = {
+            ("x", 1, 2.5): "62f375df9f780eb3c890db25",
+            (TITAN_XP,): "9a07c322be65ab639c45f31f",
+            (CostModel(),): "a6fd790b3ae9854d5bb8b09e",
+            (
+                "offline_profile", by_name("BS"), TITAN_XP, CostModel(), 10, "device",
+            ): "b0b6f14dd9a21fb5491f516b",
+        }
+        for parts, digest in pinned.items():
+            assert fingerprint(*parts) == digest
+            assert fingerprint(*parts) == digest
+
+    def test_mutable_config_is_rendered_afresh(self):
+        # PolicyTable has a dict field, so its rendering is never kept.
+        from repro.slate.classify import IntensityClass as C
+        from repro.slate.policy import PolicyTable
+
+        policy = PolicyTable(table={(C.H_C, C.H_M): "corun"})
+        before = fingerprint(policy)
+        policy.table[(C.H_C, C.H_M)] = "solo"
+        assert fingerprint(policy) != before
 
     def test_sensitive_to_every_dataclass_field(self):
         from dataclasses import replace

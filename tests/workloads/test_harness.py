@@ -6,12 +6,14 @@ from repro.workloads import (
     AppSpec,
     all_pairings,
     app_for,
+    app_times,
     make_runtime,
     pairing_label,
+    reset_app_times,
     run_pair,
     run_solo,
 )
-from repro.sim import Environment
+from repro.sim import Environment, aggregate_stats
 
 
 class TestPairings:
@@ -146,3 +148,83 @@ class TestRunMany:
         many, _ = run_many("CUDA", [app_for("RG", reps=2)])
         solo, _ = run_solo("CUDA", app_for("RG", reps=2))
         assert many["RG"].app_time == pytest.approx(solo.app_time)
+
+
+class TestAppTimes:
+    """The in-process app-time memo: one simulation per distinct input."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        reset_app_times()
+        yield
+        reset_app_times()
+
+    @staticmethod
+    def events_of(*args, **kwargs) -> tuple[dict, int]:
+        before = aggregate_stats().events_processed
+        times = app_times(*args, **kwargs)
+        return times, aggregate_stats().events_processed - before
+
+    def test_same_numbers_as_run_solo_and_run_pair(self):
+        solo, _ = run_solo("CUDA", app_for("RG", reps=2))
+        assert app_times("CUDA", app_for("RG", reps=2)) == {"RG": solo.app_time}
+        pair, _ = run_pair("Slate", app_for("BS", reps=2), app_for("RG", reps=2))
+        times = app_times("Slate", app_for("BS", reps=2), app_for("RG", reps=2))
+        assert list(times) == ["BS", "RG"]
+        assert times == {name: r.app_time for name, r in pair.items()}
+
+    def test_repeated_input_simulates_once(self):
+        apps = (app_for("BS", reps=2), app_for("RG", reps=2))
+        first, events = self.events_of("Slate", *apps)
+        assert events > 0
+        # Equal by value, not the same objects: the key is the fingerprint.
+        again, events = self.events_of("Slate", app_for("BS", reps=2), app_for("RG", reps=2))
+        assert events == 0
+        assert again == first
+
+    def test_different_device_runtime_or_kwargs_miss(self):
+        from repro.config import TITAN_XP
+        from repro.experiments.ablations import ALWAYS_CORUN
+
+        apps = (app_for("BS", reps=2), app_for("RG", reps=2))
+        self.events_of("Slate", *apps)
+        for runtime, kwargs in (
+            ("MPS", {}),
+            ("Slate", {"device": TITAN_XP.with_sms(20)}),
+            ("Slate", {"policy": ALWAYS_CORUN}),
+            ("Slate", {"enable_grow": False}),
+        ):
+            _, events = self.events_of(runtime, *apps, **kwargs)
+            assert events > 0, (runtime, kwargs)
+            _, events = self.events_of(runtime, *apps, **kwargs)
+            assert events == 0, (runtime, kwargs)
+
+    def test_no_cache_simulates_every_call(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        app = app_for("RG", reps=2)
+        first, events_a = self.events_of("CUDA", app)
+        second, events_b = self.events_of("CUDA", app)
+        assert events_a == events_b > 0
+        assert first == second
+
+    def test_returns_a_fresh_copy(self):
+        app = app_for("RG", reps=2)
+        times = app_times("CUDA", app)
+        expected = dict(times)
+        times["RG"] = -1.0
+        times["extra"] = 0.0
+        assert app_times("CUDA", app) == expected
+
+    def test_reset_forgets_kept_times(self):
+        app = app_for("RG", reps=2)
+        self.events_of("CUDA", app)
+        reset_app_times()
+        _, events = self.events_of("CUDA", app)
+        assert events > 0
+
+    def test_one_or_two_apps_only(self):
+        with pytest.raises(ValueError, match="one or two apps"):
+            app_times("CUDA")
+        with pytest.raises(ValueError, match="one or two apps"):
+            app_times("CUDA", *(app_for(b, reps=1) for b in ("BS", "RG", "GS")))
