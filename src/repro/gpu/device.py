@@ -35,16 +35,22 @@ Host hot path
 Everything the device derives from an execution's *allocation* — its work,
 SM count, scheduling mode, task size, inject fraction and order factor —
 is computed once per distinct allocation into an :class:`_Allocation`
-record: the rate-memo signature, occupancy (``blocks_per_sm``), task count
-and parallelism, the settle constants (``1.0 + inject_frac``, the ldst
-factor) and the tail-drain factors.  An execution points at its record and
-gets a new one only where its SM count changes: at construction (which is
-every slice dispatch) and when a resize is adopted.  So an epoch only
-settles progress, probes the rate memo with the records' signatures and
-re-arms completion timers, and a slice edge only builds the next sub-grid
-execution.  The settle and tail expressions keep their original operand
-order; ``tests/slate/goldens/sliced_nway4_counters.json`` pins every
-counter they produce, bit for bit.
+record: the interned rate-memo signature id, occupancy (``blocks_per_sm``),
+task count and parallelism, the settle constants (``1.0 + inject_frac``,
+the ldst factor) and the tail-drain factors.  An execution points at its
+record and gets a new one only where its work or SM count changes: at
+construction, at a slice whose sub-grid or SM set differs from the last,
+and when a resize is adopted.  So an epoch only settles progress, probes
+the rate memo with one tuple of small ints (the device's config id and
+the records' signature ids) and re-arms completion timers.  A sliced
+launch runs every slice on one execution: an *interior* slice's finish
+calls the edge logic directly, with no ``done`` or ``tail_started``
+event, and the next slice re-arms that execution in place.  A finish
+settles but flushes no epoch: the execution left the active set at its
+tail entry, whose epoch already re-derived the survivors' rates.  The
+settle and tail expressions keep their original operand order;
+``tests/slate/goldens/sliced_nway4_counters.json`` pins every counter
+they produce, bit for bit.
 """
 
 from __future__ import annotations
@@ -65,8 +71,9 @@ from repro.gpu.rates import (
     SchedulingMode,
     derive_rates,
     memo_config,
-    memo_lookup,
     rate_input_signature,
+    rate_memo,
+    signature_id,
 )
 from repro.obs import trace as obs_trace
 from repro.obs.registry import registry as obs_registry
@@ -228,7 +235,7 @@ class _Allocation:
 
     __slots__ = (
         "work", "n_sms", "slate", "task_size", "inject_frac", "order_factor",
-        "blocks_per_sm", "n_tasks", "parallelism", "sig", "settle",
+        "blocks_per_sm", "n_tasks", "parallelism", "sid", "settle",
         "tail_frac", "sqrt_task", "spread",
     )
 
@@ -253,7 +260,8 @@ class _Allocation:
         self.parallelism = parallel = max(
             1, min(self.blocks_per_sm * n_sms, n_tasks)
         )
-        self.sig = rate_input_signature(_rate_input(self, None))
+        #: Interned rate signature: this record's part of a memo key.
+        self.sid = signature_id(rate_input_signature(_rate_input(self, None)))
         #: Operands of one progress settle, unpacked in one step.
         self.settle = (
             work.num_blocks,
@@ -301,7 +309,7 @@ class KernelExecution:
         "id", "gpu", "work", "sm_ids", "mode", "order_factor", "task_size",
         "inject_frac", "state", "blocks_done", "done", "tail_started",
         "counters", "_rates", "_alloc", "_last_settle", "_timer_gen",
-        "_timer_at", "_resize_target",
+        "_timer_at", "_resize_target", "_edge",
     )
 
     _ids = itertools.count(1)
@@ -342,6 +350,28 @@ class KernelExecution:
         #: pending timer instead of cancel-and-reschedule churn.
         self._timer_at: Optional[float] = None
         self._resize_target: tuple[int, ...] = sm_ids
+        #: The :class:`SlicedExecution` this execution runs an *interior*
+        #: slice of (one with an edge after it), else None.  Its finish
+        #: goes straight to the slice edge, with no ``done`` event.
+        self._edge: Optional["SlicedExecution"] = None
+
+    def _rearm(self, work: KernelWork, sm_ids: tuple[int, ...]) -> None:
+        """Run the next slice of a sliced launch: ``work`` on ``sm_ids``.
+
+        Progress, counters and rates start afresh.  ``_timer_gen`` keeps
+        counting, so a completion timer still queued from an earlier slice
+        stays stale.
+        """
+        now = self.gpu.env._now
+        self.work = work
+        self._bind(sm_ids)
+        self.state = ExecState.RUNNING
+        self.blocks_done = 0.0
+        self.counters = KernelCounters(work.name, now)
+        self._rates = _NO_RATES
+        self._last_settle = now
+        self._timer_at = None
+        self._resize_target = sm_ids
 
     def _bind(self, sm_ids: tuple[int, ...]) -> None:
         """Run on ``sm_ids``; the one place the allocation record changes."""
@@ -394,8 +424,9 @@ class SlicedExecution:
     """Handle for a Kernelet-style sliced launch (``launch_sliced``).
 
     The grid is partitioned by a :class:`repro.slate.slicing.KernelSlicer`
-    and dispatched slice by slice; each slice runs as an ordinary
-    :class:`KernelExecution` and consecutive slices are separated by one
+    and dispatched slice by slice; each slice runs on one
+    :class:`KernelExecution`, built for the first slice and re-armed for
+    each later one, and consecutive slices are separated by one
     ``costs.slice_dispatch_overhead`` gap.  Between slices the handle is at
     a *slice edge*: a resize or preemption requested mid-slice is recorded
     and takes effect at the next edge with no retreat drain — the whole
@@ -438,6 +469,8 @@ class SlicedExecution:
         self.n_tasks = math.ceil(work.num_blocks / task_size)
         #: The slice currently in flight (None at an edge / when paused).
         self.current: Optional[KernelExecution] = None
+        #: The one execution every slice runs on (None before the first).
+        self._exec: Optional[KernelExecution] = None
         self.slices_dispatched = 0
         self.completed_blocks = 0
         #: Where the *next* slice launches.
@@ -534,9 +567,11 @@ class SimulatedGPU:
         self._rates_epoch = -1
         self._epoch_batch = self.EPOCH_BATCH
         self._epoch_dirty = False
-        #: Config half of every rate-memo key this device builds
+        #: First element of every rate-memo key this device builds
         #: (``device`` and ``costs`` are fixed for the device's lifetime).
         self._memo_config = memo_config(device, costs)
+        #: The process-wide rate memo, probed inline by :meth:`_recompute`.
+        self._memo = rate_memo()
         #: One :class:`_Allocation` per (work identity, allocation shape).
         #: Repeated launches of one spec share a ``KernelWork`` (see
         #: ``KernelSpec.work``; ``by_name`` shares one spec per name), so a
@@ -688,15 +723,19 @@ class SimulatedGPU:
             if piece.count == wrapper.work.num_blocks
             else self._slice_work(wrapper.work, piece.count)
         )
-        execution = KernelExecution(
-            self,
-            work,
-            wrapper._sm_ids,
-            wrapper.mode,
-            wrapper.order_factor,
-            wrapper.task_size,
-            wrapper.inject_frac,
-        )
+        execution = wrapper._exec
+        if execution is None:
+            execution = wrapper._exec = KernelExecution(
+                self,
+                work,
+                wrapper._sm_ids,
+                wrapper.mode,
+                wrapper.order_factor,
+                wrapper.task_size,
+                wrapper.inject_frac,
+            )
+        else:
+            execution._rearm(work, wrapper._sm_ids)
         wrapper.current = execution
         wrapper.slices_dispatched += 1
         self._running[execution.id] = execution
@@ -714,21 +753,28 @@ class SimulatedGPU:
                 count=piece.count,
                 sms=len(wrapper._sm_ids),
             )
-        execution.done.callbacks.append(
-            lambda ev, w=wrapper, p=piece: self._on_slice_done(w, p, ev._value)
-        )
         if wrapper.slicer.exhausted:
-            # Final slice: its tail is the launch's tail.
+            # Final slice: its completion and tail are the launch's, and
+            # they travel through the execution's events as an unsliced
+            # launch's do.
+            execution._edge = None
+            execution.done.callbacks.append(
+                lambda _ev, w=wrapper: self._on_slice_done(w)
+            )
             execution.tail_started.callbacks.append(
                 lambda _ev, w=wrapper: _trigger_inline(w.tail_started)
             )
+        else:
+            # Interior slice: nothing listens to its events, so its finish
+            # calls the edge logic directly (see _finish).
+            execution._edge = wrapper
         self._epoch_recompute()
 
-    def _on_slice_done(
-        self, wrapper: SlicedExecution, piece, counters: KernelCounters
-    ) -> None:
+    def _on_slice_done(self, wrapper: SlicedExecution) -> None:
+        k = wrapper.current
         wrapper.current = None
-        wrapper.completed_blocks += piece.count
+        wrapper.completed_blocks += k.work.num_blocks
+        counters = k.counters
         agg = wrapper.counters
         agg.blocks_executed += counters.blocks_executed
         agg.flops += counters.flops
@@ -978,7 +1024,7 @@ class SimulatedGPU:
         """Recompute now, or defer to the end of the current timestep.
 
         Inside the engine's event loop every mutation (launch, resize,
-        pause, resume, completion) *settles* progress immediately — counters
+        pause, resume, tail entry) *settles* progress immediately — counters
         and ``blocks_done`` are always current — but the expensive part
         (rate derivation + completion-timer rescheduling + trace sample) is
         batched into one :meth:`_flush_epoch` per device per timestep via
@@ -1051,18 +1097,22 @@ class SimulatedGPU:
                     "epochs",
                     active=len(active),
                 )
-            sigs = tuple([k._alloc.sig for k in active])
-            rates = memo_lookup((sigs, self._memo_config), stats)
-            if rates is None:
+            key = (self._memo_config, *[k._alloc.sid for k in active])
+            memo = self._memo
+            rates = memo.data.get(key)
+            if rates is not None:
+                memo.hits += 1
+                stats.rate_memo_hits += 1
+            else:
                 # RateInput objects are needed only on a memo miss; the
-                # common path goes signature -> shared rates directly.
+                # common path goes interned ids -> shared rates directly.
                 # derive_rates counts the miss, derives and memoizes.
                 outputs = derive_rates(
                     [_rate_input(k._alloc, k.id) for k in active],
                     self.device,
                     self.costs,
                     stats=stats,
-                    signatures=sigs,
+                    key=key,
                 )
                 rates = [outputs[k.id] for k in active]
             sample = {}
@@ -1219,7 +1269,7 @@ class SimulatedGPU:
                 tail=tail,
             )
         k.counters.busy_time += tail
-        if not k.tail_started.triggered:
+        if k._edge is None and not k.tail_started.triggered:
             k.tail_started.succeed()
         self._epoch_recompute()
         self.env.timeout(tail).callbacks.append(lambda _e: self._finish(k))
@@ -1228,8 +1278,13 @@ class SimulatedGPU:
         k.state = ExecState.DONE
         k.counters.end_time = self.env.now
         self._running.pop(k.id, None)
-        # Freed SMs / bandwidth benefit the survivors immediately.
-        self._epoch_recompute()
+        # The execution left the active set at tail entry, whose epoch
+        # already gave its SMs and bandwidth to the survivors: settle, but
+        # no flush (it would re-derive nothing).
+        self._settle_all()
+        if k._edge is not None:
+            self._on_slice_done(k._edge)
+            return
         if not k.tail_started.triggered:  # pragma: no cover - defensive
             k.tail_started.succeed()
         k.done.succeed(k.counters)

@@ -16,6 +16,7 @@ mode and task size — derive each kernel's steady block-completion rate:
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -30,10 +31,11 @@ __all__ = [
     "derive_rates",
     "configure_rates_cache",
     "memo_config",
-    "memo_lookup",
     "rate_input_signature",
+    "rate_memo",
     "rates_cache_info",
     "reset_rates_cache",
+    "signature_id",
 ]
 
 _EPS = 1e-12
@@ -96,82 +98,74 @@ def _block_time_unconstrained(inp: RateInput, device: DeviceConfig, costs: CostM
 
 
 class _RatesMemo:
-    """Bounded LRU memo over :func:`derive_rates`: the rate path's one result cache.
+    """Bounded memo over :func:`derive_rates`: the rate path's one result cache.
 
     Long traces repeat the same co-run signatures endlessly (the same
-    kernels on the same SM splits), so the pure derivation is cached on the
-    *canonical* input tuple: each :class:`RateInput` with its opaque ``key``
-    replaced by its position, plus the device and cost-model identities
-    (see :func:`memo_config`).  Values are the per-position
-    :class:`RateOutput` tuple — frozen, so sharing cached instances is safe.
+    kernels on the same SM splits), so the pure derivation is cached under
+    a tuple of small interned ints: the config id of the device and cost
+    model (:func:`memo_config`), then one signature id per input in input
+    order (:func:`signature_id`).  An input's opaque ``key`` never enters
+    it, so renamed kernels with identical physics share an entry.  Values
+    are the per-position :class:`RateOutput` tuple — frozen, so sharing
+    cached instances is safe.  A hit leaves the order alone: past
+    ``maxsize`` the entry stored first is evicted.
     """
 
-    __slots__ = ("maxsize", "hits", "misses", "_data")
+    __slots__ = ("maxsize", "hits", "misses", "data")
 
     def __init__(self, maxsize: int = 4096) -> None:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._data: OrderedDict = OrderedDict()
-
-    def get(self, key, stats=None):
-        """Cached outputs for ``key`` (a counted hit), else ``None``.
-
-        Only hits are counted here; :func:`derive_rates` counts the miss it
-        then derives.  ``stats`` (optional) is an
-        :class:`repro.sim.engine.EnvironmentStats` whose ``rate_memo_hits``
-        advances in step.
-        """
-        data = self._data
-        entry = data.get(key)
-        if entry is not None:
-            data.move_to_end(key)
-            self.hits += 1
-            if stats is not None:
-                stats.rate_memo_hits += 1
-        return entry
+        #: key -> outputs.  A hit is one ``data.get(key)``; whoever probes
+        #: counts it (:func:`derive_rates`, or the device inline).
+        self.data: OrderedDict = OrderedDict()
 
     def put(self, key, value) -> None:
-        data = self._data
+        data = self.data
         data[key] = value
         if len(data) > self.maxsize:
             data.popitem(last=False)
 
     def clear(self) -> None:
-        self._data.clear()
+        self.data.clear()
         self.hits = 0
         self.misses = 0
 
-    def invalidate(self) -> None:
-        """Drop entries but keep the hit/miss counters running."""
-        self._data.clear()
-
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self.data)
 
 
 _MEMO = _RatesMemo()
 
-#: Strong references to every device/cost-model object whose ``id`` appears
-#: in a stored memo key.  Hashing the full frozen dataclasses on every lookup
-#: is the dominant memo cost, so keys carry ``id(obj)`` instead — valid only
-#: while the object is pinned alive here.  Pins are taken when an entry is
-#: stored and dropped only together with every entry, so a key in the memo
-#: always names live objects and a lookup by a live object's id cannot match
-#: a recycled one.  Bounded: past ``_PIN_LIMIT`` distinct objects the pins
-#: *and* the memo are dropped together.
+#: Interned ids, all drawn from one counter that is never reset.  An id
+#: dropped with its table is never issued again, so an id a caller kept
+#: (the device keeps them on its allocation records) still names the same
+#: inputs and config; it only misses until its entry is derived again.
+_next_id = itertools.count(1).__next__
+#: :func:`rate_input_signature` tuple -> id.  Keyed by value: nothing to
+#: pin.  Past ``_SIG_LIMIT`` signatures everything interned is dropped.
+_SIG_IDS: dict[tuple, int] = {}
+_SIG_LIMIT = 1 << 16
+#: ``(id(device), id(costs))`` -> id.  Hashing the frozen dataclasses on
+#: every lookup would cost more than the rest of a probe, so the config
+#: enters by identity: equal-valued but distinct objects get distinct ids
+#: (they miss, never corrupt).
+_CONFIG_IDS: dict[tuple[int, int], int] = {}
+#: Strong references to every device and cost-model object whose ``id`` is
+#: in a :data:`_CONFIG_IDS` key, so no other object can take that id while
+#: the key exists.  Bounded: past ``_PIN_LIMIT`` objects the pins, both
+#: intern tables and the memo entries are dropped together.
 _PINS: dict[int, object] = {}
 _PIN_LIMIT = 128
 
 
-def _pin(device: DeviceConfig, costs: CostModel) -> None:
-    if id(device) in _PINS and id(costs) in _PINS:
-        return
-    if len(_PINS) + 2 > _PIN_LIMIT:
-        _PINS.clear()
-        _MEMO.invalidate()
-    _PINS[id(device)] = device
-    _PINS[id(costs)] = costs
+def _drop_interned() -> None:
+    """Forget every interned id, pin and memo entry (the counters run on)."""
+    _SIG_IDS.clear()
+    _CONFIG_IDS.clear()
+    _PINS.clear()
+    _MEMO.data.clear()
 
 
 def configure_rates_cache(maxsize: int | None = 4096) -> None:
@@ -181,9 +175,9 @@ def configure_rates_cache(maxsize: int | None = 4096) -> None:
 
 
 def reset_rates_cache() -> None:
-    """Drop every memo entry and zero the hit/miss counters."""
+    """Drop every memo entry and interned id, and zero the hit/miss counters."""
+    _drop_interned()
     _MEMO.clear()
-    _PINS.clear()
 
 
 def rates_cache_info() -> dict[str, int]:
@@ -196,13 +190,16 @@ def rates_cache_info() -> dict[str, int]:
     }
 
 
+def rate_memo() -> _RatesMemo:
+    """The process-wide rate memo (for a caller that probes it inline)."""
+    return _MEMO
+
+
 def rate_input_signature(inp: RateInput) -> tuple:
     """Flat hashable fingerprint of one input, with its opaque ``key`` dropped.
 
-    Locality is flattened to its scalar fields so memo lookups hash plain
-    numbers, never dataclasses.  Callers that rebuild the same
-    :class:`RateInput` every epoch (the device does) can cache this tuple
-    and pass it to :func:`derive_rates` via ``signatures``.
+    Locality is flattened to its scalar fields, so interning hashes plain
+    numbers, never dataclasses.
     """
     loc = inp.locality
     return (
@@ -223,20 +220,33 @@ def rate_input_signature(inp: RateInput) -> tuple:
     )
 
 
-def memo_config(device: DeviceConfig, costs: CostModel) -> tuple[int, int]:
-    """The config half of a memo key: device and cost-model identities.
+def signature_id(signature: tuple) -> int:
+    """The interned id of one :func:`rate_input_signature` tuple."""
+    sid = _SIG_IDS.get(signature)
+    if sid is None:
+        if len(_SIG_IDS) >= _SIG_LIMIT:
+            _drop_interned()
+        sid = _SIG_IDS[signature] = _next_id()
+    return sid
 
-    Keys are ``(signatures, memo_config(device, costs))``.  A caller that
-    derives against one fixed device and cost model (the simulated GPU)
-    builds this half once, probes :func:`memo_lookup` with it, and builds
-    :class:`RateInput` objects for :func:`derive_rates` only on a miss.
+
+def memo_config(device: DeviceConfig, costs: CostModel) -> int:
+    """The config id that leads every memo key for ``device`` and ``costs``.
+
+    Pins both objects.  A caller that derives against one fixed device and
+    cost model (the simulated GPU) takes it once, interns each input's
+    signature once (:func:`signature_id`), and so builds a key
+    ``(config id, *signature ids)`` from ints alone.
     """
-    return (id(device), id(costs))
-
-
-#: ``memo_lookup(key, stats=None)``: memoized per-position outputs for
-#: ``key`` (a counted hit), else ``None`` (see :meth:`_RatesMemo.get`).
-memo_lookup = _MEMO.get
+    key = (id(device), id(costs))
+    cid = _CONFIG_IDS.get(key)
+    if cid is None:
+        if len(_PINS) + 2 > _PIN_LIMIT:
+            _drop_interned()
+        _PINS[id(device)] = device
+        _PINS[id(costs)] = costs
+        cid = _CONFIG_IDS[key] = _next_id()
+    return cid
 
 
 def derive_rates(
@@ -244,19 +254,17 @@ def derive_rates(
     device: DeviceConfig,
     costs: CostModel,
     stats=None,
-    signatures: tuple | None = None,
+    key: tuple[int, ...] | None = None,
 ) -> dict[object, RateOutput]:
     """Derive every kernel's rate given the full co-residency picture.
 
-    The derivation is pure, so results are memoized on the canonical input
-    signature (see :class:`_RatesMemo`); call :func:`configure_rates_cache`
-    with ``0`` to force full derivations.
+    The derivation is pure, so results are memoized under interned ids of
+    the inputs and config (see :class:`_RatesMemo`); call
+    :func:`configure_rates_cache` with ``0`` to force full derivations.
 
-    ``signatures`` (optional) is the precomputed
-    ``tuple(rate_input_signature(i) for i in inputs)`` — hot callers cache
-    the per-input tuples to keep the memo lookup allocation-free.  The
-    device and cost model enter the key by *identity* (see ``_PINS``), so
-    equal-valued but distinct config objects miss, never corrupt.
+    ``key`` (optional) is the precomputed memo key
+    ``(memo_config(device, costs), *signature ids of inputs)`` — the
+    device builds it from ids kept on its allocation records.
 
     ``stats`` (optional) is an :class:`repro.sim.engine.EnvironmentStats`;
     when given, memo hits and misses are counted in its ``rate_memo_hits``
@@ -269,16 +277,21 @@ def derive_rates(
     if not memo.maxsize:
         outputs = _derive_rates_scalar(inputs, device, costs, stats)
         return {inp.key: out for inp, out in zip(inputs, outputs)}
-    if signatures is None:
-        signatures = tuple(rate_input_signature(i) for i in inputs)
-    key = (signatures, memo_config(device, costs))
-    outputs = memo.get(key, stats)
-    if outputs is None:
+    if key is None:
+        key = (
+            memo_config(device, costs),
+            *[signature_id(rate_input_signature(i)) for i in inputs],
+        )
+    outputs = memo.data.get(key)
+    if outputs is not None:
+        memo.hits += 1
+        if stats is not None:
+            stats.rate_memo_hits += 1
+    else:
         memo.misses += 1
         if stats is not None:
             stats.rate_memo_misses += 1
         outputs = _derive_rates_scalar(inputs, device, costs, stats)
-        _pin(device, costs)
         memo.put(key, outputs)
     return {inp.key: out for inp, out in zip(inputs, outputs)}
 

@@ -79,7 +79,10 @@ class EnvironmentStats:
     Attributes
     ----------
     events_processed:
-        Events whose callbacks have been invoked.
+        Events whose callbacks have been invoked.  A kernel costs its
+        completion timer, ``tail_started``, its tail timer and ``done``;
+        an interior slice of a sliced launch costs three (completion,
+        tail and dispatch-gap timers) and fires no events of its own.
     heap_peak:
         Largest number of simultaneously pending events observed.
     timeouts_pooled:
@@ -105,7 +108,9 @@ class EnvironmentStats:
         Device mutations deferred into a decision epoch vs. end-of-timestep
         epoch flushes actually performed (see
         :meth:`Environment.at_timestep_end` and ``docs/api.md``); the ratio
-        ``marks / flushes`` is the average epoch batch size.
+        ``marks / flushes`` is the average epoch batch size.  A kernel's
+        finish is no mutation (it left the active set at its tail entry):
+        it settles progress but neither marks nor flushes.
     rate_scalar_evals:
         Full rate derivations (:mod:`repro.gpu.rates` has one evaluator).
     rate_vector_evals:

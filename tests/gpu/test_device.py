@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import TITAN_XP, CostModel
 from repro.gpu.cache import LocalityModel
-from repro.gpu.device import ExecutionMode, KernelWork, SimulatedGPU
+from repro.gpu.device import ExecState, ExecutionMode, KernelWork, SimulatedGPU
 from repro.gpu.occupancy import BlockResources
 from repro.sim import Environment
 
@@ -396,3 +396,70 @@ class TestRateTraceAndEdges:
         assert gpu.sm_range(29, 29) == (29,)
         with pytest.raises(ValueError):
             gpu.sm_range(10, 5)
+
+
+class TestCompletionTimerResidue:
+    """The two branches of ``SimulatedGPU._on_timer`` for work left over."""
+
+    def test_sub_resolution_remainder_completes_at_once(self):
+        """Deep into a trace the clock's float64 step outgrows the slack.
+
+        At t = 1e9 s one ulp is ~1.2e-7 s.  The completion instant rounds
+        down and leaves ~0.34 blocks, whose catch-up delay is below the
+        clock's resolution: a timer at ``now + delay == now`` would settle
+        nothing and respin forever, so the kernel drains its tail now.
+        """
+        env = Environment(initial_time=1e9)
+        gpu = SimulatedGPU(env, TITAN_XP, CostModel())
+        at_tail = []
+        begin_tail = gpu._begin_tail
+
+        def recording_begin_tail(k):
+            at_tail.append((env.now, k.blocks_remaining, k._rates.rate))
+            begin_tail(k)
+
+        gpu._begin_tail = recording_begin_tail
+        handle = gpu.launch(compute_work())
+        counters = env.run(until=handle.done)
+        ((now, left, rate),) = at_tail
+        assert left > 1e-6
+        assert now + left / rate == now
+        # Completion timer, tail_started, tail timer and done: no respin.
+        assert env.stats.events_processed == 4
+        assert counters.blocks_executed == pytest.approx(3000, abs=1.0)
+
+    def test_live_timer_with_work_left_reschedules(self):
+        """A live timer that fires with real work left re-arms for it.
+
+        The completion instant carries one rounding, which leaves at most
+        half a clock step of catch-up delay, and that lands on ``now``
+        (the branch above).  So no simulation reaches this numerical-slack
+        branch on its own; the test fires the live timer at mid-run.
+        """
+        work = compute_work()
+        ref_env, ref_gpu = make_gpu()
+        ref = ref_gpu.launch(work)
+        ref_env.run(until=ref.done)
+
+        env, gpu = make_gpu()
+        rescheduled = []
+        schedule = gpu._schedule_completion
+
+        def recording_schedule(k):
+            rescheduled.append(env.now)
+            schedule(k)
+
+        gpu._schedule_completion = recording_schedule
+        handle = gpu.launch(work)
+        due = handle._timer_at
+        env.run(until=due / 2)
+        gpu._on_timer(handle, handle._timer_gen)
+        assert rescheduled == [due / 2]
+        assert handle.state is ExecState.RUNNING
+        assert handle._timer_at == pytest.approx(due, rel=1e-12)
+        counters = env.run(until=handle.done)
+        assert counters.blocks_executed == pytest.approx(3000)
+        assert env.now == pytest.approx(ref_env.now, rel=1e-12)
+        # The replaced timer still fired at ``due``; its generation was
+        # dead, so it re-armed nothing.
+        assert rescheduled == [due / 2]

@@ -2,13 +2,17 @@
 
 ``derive_rates`` is pure, so memoized and uncached calls must agree
 exactly — on single kernels, on fig7-style co-run pairings, on a 4-way
-co-run through the simulated device, and across cache-key
-canonicalization (per-kernel keys are positionised, so renaming a kernel
-still hits).  ``configure_rates_cache(0)`` must force full derivations,
-and long runs must actually *hit* (>50% on the fig7 grid).  The rate path
-is pure Python: the trace and serve entry points never import numpy.
+co-run through the simulated device, on the sliced and unsliced 4-wide
+goldens, and across cache-key canonicalization (per-kernel keys are
+positionised, so renaming a kernel still hits).  Keys are interned ids:
+equal-valued but distinct config objects never share one, and an id is
+never issued twice.  ``configure_rates_cache(0)`` must force full
+derivations, and long runs must actually *hit* (>50% on the fig7 grid).
+The rate path is pure Python: the trace and serve entry points never
+import numpy.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -25,16 +29,28 @@ from repro.gpu.occupancy import (
     occupancy_cache_info,
     reset_occupancy_cache,
 )
+from repro.gpu import rates
 from repro.gpu.rates import (
     RateInput,
     SchedulingMode,
     configure_rates_cache,
     derive_rates,
+    memo_config,
+    rate_input_signature,
     rates_cache_info,
     reset_rates_cache,
+    signature_id,
 )
 from repro.kernels.registry import by_name
 from repro.sim import Environment
+from repro.slate.scheduler import SlateScheduler, SlateTicket
+
+from tests.slate.difftrace import (
+    load_golden,
+    nway4_workload,
+    scheduler_trace,
+    sliced_nway4_counters,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -110,6 +126,73 @@ class TestMemoEquivalence:
         assert out1["k"].block_time != out2["k"].block_time
 
 
+class TestMemoKey:
+    def test_equal_but_distinct_cost_models_never_share_an_entry(self):
+        first, second = CostModel(), CostModel()
+        assert first == second and first is not second
+        inp = [make_input()]
+        for costs in (first, second, first, second):
+            derive_rates(inp, TITAN_XP, costs)
+        info = rates_cache_info()
+        assert (info["hits"], info["misses"], info["currsize"]) == (2, 2, 2)
+        assert memo_config(TITAN_XP, first) != memo_config(TITAN_XP, second)
+
+    def test_dropped_ids_are_never_issued_again(self):
+        """A caller that kept an id (the device does) keeps a true name."""
+        costs = CostModel()
+        sig = rate_input_signature(make_input())
+        config_id, sig_id = memo_config(TITAN_XP, costs), signature_id(sig)
+        assert (memo_config(TITAN_XP, costs), signature_id(sig)) == (
+            config_id,
+            sig_id,
+        )
+        reset_rates_cache()
+        fresh = {memo_config(TITAN_XP, costs), signature_id(sig)}
+        assert fresh.isdisjoint({config_id, sig_id})
+
+    def test_pin_overflow_drops_pins_ids_and_entries_together(self):
+        """Past the pin bound everything interned goes; results stay exact.
+
+        A device interns its config and signatures once, so it keeps ids
+        from before the drop; they still name its own inputs.
+        """
+        configure_rates_cache(0)
+        _, _, counters_off = four_way_corun()
+        configure_rates_cache(4096)
+        env = Environment()
+        gpu = SimulatedGPU(env, TITAN_XP, CostModel())
+        inp = [make_input()]
+        for _ in range(rates._PIN_LIMIT):
+            derive_rates(inp, TITAN_XP, CostModel())
+        assert len(rates._PINS) <= rates._PIN_LIMIT
+        assert rates_cache_info()["currsize"] < rates._PIN_LIMIT
+        assert id(gpu.costs) not in rates._PINS
+        _, _, counters_on = four_way_corun(env, gpu)
+        assert counters_on == counters_off
+
+
+class TestMemoOffGoldens:
+    """The 4-wide goldens hold with every derivation a full one."""
+
+    def test_sliced_nway4_counters_match_golden_with_memo_off(self):
+        configure_rates_cache(0)
+        record, sched = sliced_nway4_counters()
+        assert sched.env.stats.rate_memo_hits == 0
+        assert sched.env.stats.rate_scalar_evals == sched.env.stats.rate_recomputes
+        assert json.loads(json.dumps(record)) == load_golden("sliced_nway4_counters")
+
+    def test_nway4_decision_trace_matches_golden_with_memo_off(self):
+        configure_rates_cache(0)
+        rows, _ = scheduler_trace(
+            nway4_workload(),
+            SlateScheduler,
+            SlateTicket,
+            max_corun=4,
+            enable_preemption=True,
+        )
+        assert rows == load_golden("decision_trace_nway4")
+
+
 class TestMemoKnobs:
     def test_maxsize_zero_disables(self):
         configure_rates_cache(0)
@@ -119,29 +202,33 @@ class TestMemoKnobs:
         info = rates_cache_info()
         assert info["hits"] == 0 and info["misses"] == 0 and info["currsize"] == 0
 
-    def test_lru_evicts_oldest_at_maxsize(self):
+    def test_evicts_first_stored_at_maxsize(self):
+        """A hit does not refresh an entry: eviction follows store order."""
         configure_rates_cache(2)
         costs = CostModel()
         a, b, c = make_input(flops=1e6), make_input(flops=2e6), make_input(flops=3e6)
         derive_rates([a], TITAN_XP, costs)  # miss
         derive_rates([b], TITAN_XP, costs)  # miss
-        derive_rates([a], TITAN_XP, costs)  # hit; a now most-recent
-        derive_rates([c], TITAN_XP, costs)  # miss; evicts b
-        derive_rates([b], TITAN_XP, costs)  # miss again
+        derive_rates([a], TITAN_XP, costs)  # hit; a keeps its place
+        derive_rates([c], TITAN_XP, costs)  # miss; evicts a, stored first
+        derive_rates([b], TITAN_XP, costs)  # hit
+        derive_rates([a], TITAN_XP, costs)  # miss again; evicts b
         info = rates_cache_info()
-        assert info["hits"] == 1
+        assert info["hits"] == 2
         assert info["misses"] == 4
         assert info["currsize"] == 2
 
 
-def four_way_corun():
+def four_way_corun(env=None, gpu=None):
     """Four Slate kernels on disjoint SM ranges, each relaunched back to back.
 
     Relaunches and completions repeat co-run signatures, so a run with the
-    memo on both misses and hits.  Returns (env, gpu, counters per launch).
+    memo on both misses and hits.  Runs on a fresh device unless ``env``
+    and ``gpu`` are given.  Returns (env, gpu, counters per launch).
     """
-    env = Environment()
-    gpu = SimulatedGPU(env, TITAN_XP, CostModel())
+    if gpu is None:
+        env = Environment()
+        gpu = SimulatedGPU(env, TITAN_XP, CostModel())
     counters = []
 
     def tenant(bench, sms, reps):

@@ -1,6 +1,6 @@
 """Kernelet-style slicing: tiling properties, identity, and invariants.
 
-Three proof obligations for the slicing subsystem
+The proof obligations of the slicing subsystem
 (``repro/slate/slicing.py`` + the sliced dispatch path in
 ``repro/gpu/device.py``):
 
@@ -14,11 +14,15 @@ Three proof obligations for the slicing subsystem
   every allocation change;
 * a sliced 4-wide co-run reproduces its pinned golden — decisions, final
   clock and every ticket counter — bit for bit, so a host-side speed-up
-  of the device's settle/slice path cannot drift a single float.
+  of the device's settle/slice path cannot drift a single float;
+* a slice edge costs an exact number of engine events and epoch flushes,
+  and the one execution a sliced launch re-arms per slice never mistakes
+  an earlier slice's stale completion timer for its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -355,6 +359,108 @@ def test_resume_before_edge_cancels_pending_pause():
     assert env.stats.slice_preempts == 0, "cancelled pause must never fire"
     assert counters.blocks_executed == pytest.approx(48_000)
     assert handle.state is ExecState.DONE
+
+
+def test_solo_sliced_launch_event_and_flush_budget():
+    """What the engine pays per slice edge, pinned exactly.
+
+    An interior slice costs three events (its completion timer, its tail
+    timer and the dispatch-gap timer) and two epoch flushes (its dispatch
+    and its tail entry).  The final slice also fires its ``tail_started``
+    and ``done`` events, as an unsliced launch does.  The first dispatch
+    happens outside the run loop, so it recomputes inline, unflushed.
+    """
+    env, gpu = make_gpu()
+    handle = gpu.launch_sliced(
+        compute_work(), mode=ExecutionMode.SLATE, task_size=10, slice_blocks=6000
+    )
+    env.run(until=handle.done)
+    assert handle.slices_dispatched == 8
+    assert env.stats.events_processed == 7 * 3 + 4
+    assert env.stats.epoch_flushes == 7 + 8
+
+
+def test_forced_freeze_resize_and_resume_leave_stale_timers_harmless():
+    """A completion timer of slice 1 outlives it on the shared execution.
+
+    ``a`` starts on SMs 0-14 beside a memory-heavy ``b`` on 15-29, so its
+    first completion timer is set at the contended rate.  ``a`` is frozen
+    mid-slice (``pause(at_edge=False)``); ``b`` finishes meanwhile; ``a``
+    is resized to all SMs (adopted at the next edge) and resumed at the
+    uncontended rate.  Slice 1 then ends before that first timer is due,
+    so the timer is still queued when slice 2 re-arms the same execution.
+    It must stay stale: each slice completes on exactly one live timer,
+    and every counter equals the values recorded before slices shared an
+    execution.
+    """
+    env, gpu = make_gpu()
+    executions = set()
+    gens_at_dispatch = []
+    dispatch = gpu._dispatch_slice
+
+    def recording_dispatch(wrapper):
+        dispatch(wrapper)
+        executions.add(wrapper.current)
+        gens_at_dispatch.append(wrapper.current._timer_gen)
+
+    fired = []  # (generation, live generation, slices dispatched)
+    on_timer = gpu._on_timer
+
+    def recording_on_timer(k, gen):
+        if k in executions:
+            fired.append((gen, k._timer_gen, len(gens_at_dispatch)))
+        on_timer(k, gen)
+
+    gpu._dispatch_slice = recording_dispatch
+    gpu._on_timer = recording_on_timer
+    b = gpu.launch(
+        compute_work("b", num_blocks=480, flops_per_block=1e5, bytes_per_block=4e6),
+        gpu.sm_range(15, 29),
+        mode=ExecutionMode.SLATE,
+        task_size=10,
+    )
+    a = gpu.launch_sliced(
+        compute_work("a", flops_per_block=1e5, bytes_per_block=1e6),
+        gpu.sm_range(0, 14),
+        mode=ExecutionMode.SLATE,
+        task_size=10,
+        slice_blocks=12_000,
+    )
+    env.timeout(0.5e-3).callbacks.append(lambda _e: gpu.pause(a, at_edge=False))
+    env.timeout(16e-3).callbacks.append(
+        lambda _e: (gpu.resize(a, gpu.sm_range(0, 29), notify=False), gpu.resume(a))
+    )
+    done = []
+    a.done.callbacks.append(done.append)
+    counters = env.run(until=a.done)
+
+    assert b.counters.end_time < 16e-3, "b must leave while a is frozen"
+    assert len(executions) == 1 and a.slices_dispatched == 4
+    # A timer no newer than the generation at the latest dispatch was set
+    # before that slice was armed.
+    assert [
+        n for gen, _, n in fired if n > 1 and gen <= gens_at_dispatch[n - 1]
+    ], "no stale timer outlived its slice"
+    assert sum(gen == live for gen, live, _ in fired) == 4
+    assert len(done) == 1 and a.completed_blocks == 48_000
+    assert a.state is ExecState.DONE
+    assert env.now == 0.11823731180096818
+    assert b.counters.end_time == 0.010990261091684174
+    assert dataclasses.asdict(counters) == {
+        "name": "a",
+        "start_time": 0.0,
+        "end_time": 0.11823731180096818,
+        "blocks_executed": 48000.0,
+        "flops": 4800000000.0,
+        "bytes_l2": 48000000000.0,
+        "bytes_dram": 48000000000.0,
+        "instructions": 0.0,
+        "ldst": 0.0,
+        "mem_throttle_time": 0.05498783010327212,
+        "busy_time": 0.10273131180096814,
+        "resizes": 1,
+        "resize_stall": 0.0,
+    }
 
 
 def test_sliced_launch_requires_slate_mode():
