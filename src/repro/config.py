@@ -67,54 +67,72 @@ def cache_dir() -> Path:
     return base / "repro-slate"
 
 
-def _canonical(obj: Any) -> Any:
-    """A JSON-serializable, order-stable rendering of ``obj`` for hashing.
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` as a callable.
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-    Dataclasses are tagged with their class name so two configs with equal
-    field values but different types (e.g. a DeviceConfig and a look-alike)
-    fingerprint differently.  A frozen dataclass whose fields all hash
-    (every field immutable) is rendered once and keeps its rendering, the
-    way :meth:`repro.kernels.kernel.KernelSpec.work` keeps its work;
-    callers must not mutate what this returns.
+
+def _canonical(obj: Any) -> str:
+    """The canonical JSON text of ``obj``: its part of a :func:`fingerprint`.
+
+    The text is byte-identical to ``json.dumps(r, sort_keys=True,
+    separators=(",", ":"))`` of a plain rendering ``r``: a dataclass is a
+    dict of its fields plus a ``"__class__"`` tag with its class name (so
+    two configs with equal field values but different types fingerprint
+    differently), an enum is ``[class name, value]``, a dict is keyed by
+    ``str(key)``, a set is sorted, any other container is a list, and any
+    other non-scalar object is its ``repr``.  A frozen dataclass whose
+    fields all hash (every field immutable) is rendered once and keeps its
+    text, the way :meth:`repro.kernels.kernel.KernelSpec.work` keeps its
+    work; one with a mutable field (``PolicyTable``'s dict) is rendered on
+    every call.
     """
     if is_dataclass(obj) and not isinstance(obj, type):
         kept = getattr(obj, "__dict__", {}).get("_canonical")
         if kept is not None:
             return kept
         values = {f.name: getattr(obj, f.name) for f in fields(obj)}
-        rendered = {
-            "__class__": type(obj).__name__,
-            **{name: _canonical(v) for name, v in values.items()},
-        }
+        text = _json_object(
+            {
+                "__class__": _json(type(obj).__name__),
+                **{name: _canonical(v) for name, v in values.items()},
+            }
+        )
         if type(obj).__dataclass_params__.frozen and hasattr(obj, "__dict__"):
             try:
                 hash(tuple(values.values()))
             except TypeError:  # a mutable field (PolicyTable's dict)
-                return rendered
-            object.__setattr__(obj, "_canonical", rendered)
-        return rendered
+                return text
+            object.__setattr__(obj, "_canonical", text)
+        return text
     if isinstance(obj, enum.Enum):
-        return [type(obj).__name__, obj.value]
+        return _json([type(obj).__name__, obj.value])
     if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
+        return _json_object({str(k): _canonical(v) for k, v in obj.items()})
     if isinstance(obj, (list, tuple, set, frozenset, range)):
         items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_canonical(v) for v in items]
+        return "[" + ",".join([_canonical(v) for v in items]) + "]"
     if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    return repr(obj)
+        return _json(obj)
+    return _json(repr(obj))
+
+
+def _json_object(members: dict[str, str]) -> str:
+    """A JSON object from already-rendered member texts, keys sorted."""
+    return "{" + ",".join(
+        [f"{_json(k)}:{v}" for k, v in sorted(members.items())]
+    ) + "}"
 
 
 def fingerprint(*parts: Any) -> str:
     """Stable hex digest of a sequence of configuration objects.
 
-    Accepts (nested) dataclasses, enums, containers and scalars.  Floats
-    round-trip through JSON's shortest-repr encoding, so any numeric change
-    — however small — yields a different fingerprint.
+    Accepts (nested) dataclasses, enums, containers and scalars.  The
+    payload is the JSON list of the parts' :func:`_canonical` texts, so a
+    frozen config contributes the text it keeps.  Floats use JSON's
+    shortest-repr encoding, so any numeric change — however small — yields
+    a different fingerprint.
     """
-    payload = json.dumps(
-        [_canonical(p) for p in parts], sort_keys=True, separators=(",", ":")
-    )
+    payload = "[" + ",".join([_canonical(p) for p in parts]) + "]"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 GIGA = 1e9

@@ -15,7 +15,7 @@ from repro.config import CostModel, DeviceConfig, TITAN_XP
 from repro.kernels.registry import SHORT_NAMES
 from repro.metrics.antt import antt
 from repro.metrics.report import format_table
-from repro.workloads.harness import app_for, app_times
+from repro.workloads.harness import DEFAULT_COSTS, app_for, app_times
 from repro.workloads.pairings import all_pairings, pairing_label
 
 __all__ = ["PairingRow", "Fig7Result", "run", "format_result"]
@@ -69,7 +69,7 @@ def _solo_time(
     hit = cache.get(*cache_key)
     if hit is not None:
         return float(hit["app_time"])
-    app_time = app_times("CUDA", app, device=device)[bench]
+    app_time = app_times("CUDA", app, device=device, costs=costs)[bench]
     cache.put({"app_time": app_time}, *cache_key)
     return app_time
 
@@ -89,7 +89,7 @@ def _pair_times(
     hit = cache.get(*cache_key)
     if hit is not None:
         return {na: float(hit["times"][na]), nb: float(hit["times"][nb])}
-    times = app_times(runtime, app_a, app_b, device=device)
+    times = app_times(runtime, app_a, app_b, device=device, costs=costs)
     cache.put({"times": times}, *cache_key)
     return times
 
@@ -101,7 +101,7 @@ def run(device: DeviceConfig = TITAN_XP) -> Fig7Result:
     deterministic simulation, cached on disk keyed by the apps, runtime
     and device/cost-model fingerprint (see :mod:`repro.cache`).
     """
-    costs = CostModel()
+    costs = DEFAULT_COSTS
     cache = JsonCache("fig7")
     solo = {bench: _solo_time(bench, device, costs, cache) for bench in SHORT_NAMES}
     rows = []

@@ -226,22 +226,25 @@ def _run_one_profiled(key: str) -> tuple[str, Any, float, dict[str, int]]:
 
     The process-wide aggregate is reset before the experiment so the
     snapshot afterwards is exactly this experiment's engine work.  The
-    rate-derivation memo, occupancy caches and the harness's app-time memo
-    are also cleared, so each experiment's hit rates start cold, it
-    simulates every scenario it reads (however many earlier experiments ran
-    the same one), and serial/parallel runs report identical counters.
+    rate-derivation memo, occupancy caches, the predictive-split memo and
+    the harness's app-time memo are also cleared, so each experiment's hit
+    rates start cold, it simulates every scenario and runs every split
+    search it reads (however many earlier experiments ran the same one),
+    and serial/parallel runs report identical counters.
     Valid under ``--jobs``: pool workers each own a per-process aggregate
     and run one experiment at a time.
     """
     from repro.gpu.occupancy import occupancy_cache_info, reset_occupancy_cache
     from repro.gpu.rates import reset_rates_cache
     from repro.sim import aggregate_stats, reset_aggregate_stats
+    from repro.slate.predict import choose_partition_predictive
     from repro.workloads.harness import reset_app_times
 
     outer = aggregate_stats().snapshot()
     reset_aggregate_stats()
     reset_rates_cache()
     reset_occupancy_cache()
+    choose_partition_predictive.cache_clear()
     reset_app_times()
     key, result, elapsed, _ = _run_one(key)
     stats = aggregate_stats().snapshot()

@@ -142,29 +142,23 @@ _MEMO = _RatesMemo()
 #: dropped with its table is never issued again, so an id a caller kept
 #: (the device keeps them on its allocation records) still names the same
 #: inputs and config; it only misses until its entry is derived again.
+#: Both tables are keyed by value, so equal inputs share an id.  Past
+#: either bound, both tables and the memo entries are dropped together.
 _next_id = itertools.count(1).__next__
-#: :func:`rate_input_signature` tuple -> id.  Keyed by value: nothing to
-#: pin.  Past ``_SIG_LIMIT`` signatures everything interned is dropped.
+#: :func:`rate_input_signature` tuple -> id.
 _SIG_IDS: dict[tuple, int] = {}
 _SIG_LIMIT = 1 << 16
-#: ``(id(device), id(costs))`` -> id.  Hashing the frozen dataclasses on
-#: every lookup would cost more than the rest of a probe, so the config
-#: enters by identity: equal-valued but distinct objects get distinct ids
-#: (they miss, never corrupt).
-_CONFIG_IDS: dict[tuple[int, int], int] = {}
-#: Strong references to every device and cost-model object whose ``id`` is
-#: in a :data:`_CONFIG_IDS` key, so no other object can take that id while
-#: the key exists.  Bounded: past ``_PIN_LIMIT`` objects the pins, both
-#: intern tables and the memo entries are dropped together.
-_PINS: dict[int, object] = {}
-_PIN_LIMIT = 128
+#: ``(device, costs)`` -> id.  A caller takes its config id once (the
+#: device does, at construction), so hashing the two frozen dataclasses
+#: costs nothing per probe.
+_CONFIG_IDS: dict[tuple[DeviceConfig, CostModel], int] = {}
+_CONFIG_LIMIT = 1 << 10
 
 
 def _drop_interned() -> None:
-    """Forget every interned id, pin and memo entry (the counters run on)."""
+    """Forget every interned id and memo entry (the counters run on)."""
     _SIG_IDS.clear()
     _CONFIG_IDS.clear()
-    _PINS.clear()
     _MEMO.data.clear()
 
 
@@ -233,18 +227,17 @@ def signature_id(signature: tuple) -> int:
 def memo_config(device: DeviceConfig, costs: CostModel) -> int:
     """The config id that leads every memo key for ``device`` and ``costs``.
 
-    Pins both objects.  A caller that derives against one fixed device and
-    cost model (the simulated GPU) takes it once, interns each input's
+    Interned by value: equal-valued configs share an id, and so share memo
+    entries.  A caller that derives against one fixed device and cost
+    model (the simulated GPU) takes it once, interns each input's
     signature once (:func:`signature_id`), and so builds a key
     ``(config id, *signature ids)`` from ints alone.
     """
-    key = (id(device), id(costs))
+    key = (device, costs)
     cid = _CONFIG_IDS.get(key)
     if cid is None:
-        if len(_PINS) + 2 > _PIN_LIMIT:
+        if len(_CONFIG_IDS) >= _CONFIG_LIMIT:
             _drop_interned()
-        _PINS[id(device)] = device
-        _PINS[id(costs)] = costs
         cid = _CONFIG_IDS[key] = _next_id()
     return cid
 

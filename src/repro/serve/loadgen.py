@@ -28,10 +28,12 @@ process spawn, and first-launch effects never pollute throughput rows,
 and the aggregate rate is computed over the *measured* window (the
 longest per-client measuring span), not the fleet-spawn wall time.
 Besides wall-clock numbers the report carries the *simulated* aggregate:
-``sim_requests_per_s`` sums per-shard completed/sim-span rates — with N
-shards there are N independent simulated GPUs, so this is the capacity
-number sharding actually scales (wall-clock throughput on a small host
-is bounded by CPU cores; see ``benchmarks/README.md``).
+``sim_requests_per_s`` sums per-shard completed/sim-span rates.  It is
+simulated throughput under this host's batching, not a host-independent
+capacity: a served request enters its shard's simulation at whatever sim
+time the shard has reached, and each ``SimDriver._pump`` pass gathers as
+many launches as arrived since the last one, so the number (and its
+ratio across shard counts) moves with host timing.
 """
 
 from __future__ import annotations
@@ -333,8 +335,8 @@ class LoadGenReport:
     #: ``requests_per_s`` (excludes fleet spawn + warmup).
     measure_wall: float = 0.0
     #: Aggregate simulated throughput: per-shard completed/sim-span rates
-    #: summed.  N shards run N independent simulated GPUs, so this is the
-    #: capacity figure that scales with the shard count.
+    #: summed.  Simulated throughput under this host's batching: it
+    #: depends on how many launches each ``SimDriver._pump`` gathers.
     sim_requests_per_s: float = 0.0
     sim_latency_mean: float = 0.0
     sim_latency_p50: float = 0.0

@@ -287,19 +287,8 @@ class SchedulingPolicy:
             half = n // 2
             return tuple(range(half)), tuple(range(half, n))
         if sched.partition_strategy == "predictive":
-            from repro.slate.predict import choose_partition_predictive
-
-            split = choose_partition_predictive(
-                running.ticket.spec,
-                head.spec,
-                sched.device,
-                sched.costs,
-                task_size=head.task_size,
-            )
-            return (
-                tuple(range(split.n_a)),
-                tuple(range(split.n_a, n)),
-            )
+            split = self._predicted_split(running.ticket, head)
+            return tuple(range(split.n_a)), tuple(range(split.n_a, n))
         from repro.slate.partition import choose_partition
 
         partition, primary, _secondary = choose_partition(
@@ -308,6 +297,23 @@ class SchedulingPolicy:
         if primary is running_profile:
             return partition.primary_sms, partition.secondary_sms
         return partition.secondary_sms, partition.primary_sms
+
+    def _predicted_split(self, running_ticket, head_ticket):
+        """The predictive search's split for a running kernel and a newcomer.
+
+        ``choose_partition_predictive`` is memoized by value, so the
+        ``predictive`` strategy and ``online-predictive`` share one memo.
+        """
+        from repro.slate.predict import choose_partition_predictive
+
+        sched = self.scheduler
+        return choose_partition_predictive(
+            running_ticket.spec,
+            head_ticket.spec,
+            sched.device,
+            sched.costs,
+            task_size=head_ticket.task_size,
+        )
 
     def nway_shares(self, profiles: list) -> list[int]:
         """SM share per tenant for 3+-way co-residency: the most
@@ -597,8 +603,6 @@ class OnlinePredictivePolicy(SchedulingPolicy):
         self.resplit_margin = resplit_margin
         #: profile key -> (EMA of observed elapsed, observation count).
         self.observed: dict = {}
-        #: (kernel a, kernel b, task size) -> PredictedSplit memo.
-        self._splits: dict = {}
         self.repairings = 0
         self.resplits = 0
 
@@ -631,26 +635,6 @@ class OnlinePredictivePolicy(SchedulingPolicy):
         slices = max(1, min(64, round(ema / self.slice_target)))
         quota = -(-work.num_blocks // slices)
         return max(max(1, ticket.task_size), quota)
-
-    def _predicted_split(self, running_ticket, head_ticket):
-        from repro.slate.predict import choose_partition_predictive
-
-        key = (
-            running_ticket.spec.name,
-            head_ticket.spec.name,
-            head_ticket.task_size,
-        )
-        split = self._splits.get(key)
-        if split is None:
-            split = choose_partition_predictive(
-                running_ticket.spec,
-                head_ticket.spec,
-                self.scheduler.device,
-                self.scheduler.costs,
-                task_size=head_ticket.task_size,
-            )
-            self._splits[key] = split
-        return split
 
     # -- decisions ---------------------------------------------------------
 

@@ -10,12 +10,15 @@ toward the heuristic's asymmetry (finish the heavy kernel early so the
 survivor can grow onto the freed SMs).
 
 Exposed to the scheduler via ``partition_strategy="predictive"``; the
-ablation benchmark compares heuristic vs predictive vs even splits.
+ablation benchmark compares heuristic vs predictive vs even splits.  The
+search is pure, so :func:`choose_partition_predictive` is memoized by
+value: that strategy and the ``online-predictive`` policy share one memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.config import CostModel, DeviceConfig, TITAN_XP
 from repro.gpu.cache import ORDER_FACTORS
@@ -99,6 +102,7 @@ class PredictedSplit:
         )
 
 
+@lru_cache(maxsize=1024)
 def choose_partition_predictive(
     spec_a: KernelSpec,
     spec_b: KernelSpec,
@@ -115,6 +119,11 @@ def choose_partition_predictive(
     whose slower-normalized kernel is fastest (min-max tie-break), and then
     the most asymmetric one (earliest completion for one side enables the
     dynamic-resizing grow).
+
+    Every argument and the result are frozen, so the search is cached on
+    argument *values* (``lru_cache``, like ``partition._partition_cached``):
+    a battery asks for the same few splits hundreds of times.  Call
+    ``choose_partition_predictive.cache_clear()`` to forget them.
     """
     solo_a = _solo_rate(spec_a, device, costs, task_size)
     solo_b = _solo_rate(spec_b, device, costs, task_size)

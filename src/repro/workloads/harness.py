@@ -29,6 +29,7 @@ from repro.slate.daemon import SlateRuntime
 from repro.workloads.app import AppResult, AppSpec, run_application
 
 __all__ = [
+    "DEFAULT_COSTS",
     "RUNTIMES",
     "app_for",
     "app_times",
@@ -46,6 +47,11 @@ RUNTIMES = {
     "Slate": SlateRuntime,
 }
 
+#: The cost model of every runtime built without one.  One shared frozen
+#: object rather than a fresh ``CostModel()`` per runtime, so its
+#: fingerprint text is rendered once per process.
+DEFAULT_COSTS = CostModel()
+
 
 def make_runtime(
     name: str,
@@ -57,6 +63,7 @@ def make_runtime(
 ):
     """Instantiate one of the three runtimes on a fresh environment.
 
+    Without ``costs`` the runtime gets :data:`DEFAULT_COSTS`.
     ``runtime_kwargs`` are forwarded to the runtime constructor (e.g.
     Slate's ``policy``, ``partition_strategy`` or ``enable_grow`` — used by
     the ablation benchmarks).
@@ -65,7 +72,7 @@ def make_runtime(
         cls = RUNTIMES[name]
     except KeyError:
         raise KeyError(f"unknown runtime {name!r}; known: {sorted(RUNTIMES)}") from None
-    return cls(env, device=device, host=host, costs=costs or CostModel(), **runtime_kwargs)
+    return cls(env, device=device, host=host, costs=costs or DEFAULT_COSTS, **runtime_kwargs)
 
 
 def app_for(bench: str, name: Optional[str] = None, reps: Optional[int] = None) -> AppSpec:
@@ -169,16 +176,22 @@ _app_times: dict[str, dict[str, float]] = {}
 
 
 def app_times(
-    runtime_name: str, *apps: AppSpec, device: DeviceConfig = TITAN_XP, **runtime_kwargs
+    runtime_name: str,
+    *apps: AppSpec,
+    device: DeviceConfig = TITAN_XP,
+    costs: CostModel = DEFAULT_COSTS,
+    **runtime_kwargs,
 ) -> dict[str, float]:
     """``{app name: app_time}`` of one or two apps run solo or as a pair.
 
     Runs the same :func:`run_solo` or :func:`run_pair` as a direct call, so
     every number is bit-identical to one, but simulates each distinct input
     once per process: the times are kept under the :func:`fingerprint` of
-    the runtime, the apps, the device and ``runtime_kwargs``, the key the
-    on-disk caches use.  Only the floats are kept, never a runtime or its
-    results.  ``runtime_kwargs`` must therefore be values the fingerprint
+    the runtime, the apps, the device, the cost model and
+    ``runtime_kwargs``.  ``costs`` always enters the key, so a call that
+    passes the default shares entries with one that omits it.  Only the
+    floats are kept, never a runtime or its results.
+    ``runtime_kwargs`` must therefore be values the fingerprint
     renders in full (names, enums, frozen dataclasses such as a
     ``PolicyTable``, scalars), not stateful objects such as a policy
     instance.  ``REPRO_NO_CACHE=1`` simulates every call;
@@ -188,15 +201,21 @@ def app_times(
         raise ValueError(f"app_times runs one or two apps, got {len(apps)}")
     key = None
     if cache_enabled():
-        key = fingerprint(runtime_name, apps, device, sorted(runtime_kwargs.items()))
+        key = fingerprint(
+            runtime_name, apps, device, costs, sorted(runtime_kwargs.items())
+        )
         kept = _app_times.get(key)
         if kept is not None:
             return dict(kept)
     if len(apps) == 1:
-        result, _ = run_solo(runtime_name, apps[0], device=device, **runtime_kwargs)
+        result, _ = run_solo(
+            runtime_name, apps[0], device=device, costs=costs, **runtime_kwargs
+        )
         times = {apps[0].name: result.app_time}
     else:
-        results, _ = run_pair(runtime_name, *apps, device=device, **runtime_kwargs)
+        results, _ = run_pair(
+            runtime_name, *apps, device=device, costs=costs, **runtime_kwargs
+        )
         times = {name: result.app_time for name, result in results.items()}
     if key is not None:
         _app_times[key] = times

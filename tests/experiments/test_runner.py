@@ -189,6 +189,27 @@ class TestProfile:
         alone = profiled_fig7("b")
         assert after_ablation == alone > 0
 
+    def test_profiled_runs_in_a_row_report_identical_counters(self, monkeypatch):
+        """abl-partition runs predictive split searches; a second profiled
+        run must search again, not read the first run's memo (its
+        ``occupancy()`` lookups would go missing from the counters).  The
+        caches are off, also the process profile cache, so the first run's
+        offline profiles are not read back by the second."""
+        from repro.slate import profiler
+
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        profiler.configure_profile_cache(enabled=False)
+        try:
+            first, second = (
+                runner.run_battery(["abl-partition"], jobs=1, profile=True)[0]
+                for _ in range(2)
+            )
+        finally:
+            # Rebuilt from the unpatched environment at its next use.
+            profiler.reset_profile_cache()
+        assert first.stats["occupancy_cache_hits"] > 0
+        assert second.stats == first.stats
+
     def test_format_profile_table_shape(self):
         runs = runner.run_battery(["fig1", "fig3"], jobs=1, profile=True)
         table = runner.format_profile_table(runs)

@@ -4,9 +4,9 @@
 exactly — on single kernels, on fig7-style co-run pairings, on a 4-way
 co-run through the simulated device, on the sliced and unsliced 4-wide
 goldens, and across cache-key canonicalization (per-kernel keys are
-positionised, so renaming a kernel still hits).  Keys are interned ids:
-equal-valued but distinct config objects never share one, and an id is
-never issued twice.  ``configure_rates_cache(0)`` must force full
+positionised, so renaming a kernel still hits).  Keys are ids interned
+by value: equal-valued but distinct config objects share one, and an id
+is never issued twice.  ``configure_rates_cache(0)`` must force full
 derivations, and long runs must actually *hit* (>50% on the fig7 grid).
 The rate path is pure Python: the trace and serve entry points never
 import numpy.
@@ -119,7 +119,7 @@ class TestMemoEquivalence:
         assert (info["hits"], info["misses"]) == (1, 1)
 
     def test_distinct_cost_models_do_not_collide(self):
-        """Equal-valued configs may miss; different-valued must differ."""
+        """Different-valued configs never share an entry."""
         inp = [make_input(task_size=4, mode=SchedulingMode.SLATE)]
         out1 = derive_rates(inp, TITAN_XP, CostModel())
         out2 = derive_rates(inp, TITAN_XP, CostModel(atomic_latency=5e-6))
@@ -127,15 +127,19 @@ class TestMemoEquivalence:
 
 
 class TestMemoKey:
-    def test_equal_but_distinct_cost_models_never_share_an_entry(self):
+    def test_equal_valued_configs_share_one_entry(self):
+        """The config enters the key by value: one derivation serves both."""
         first, second = CostModel(), CostModel()
         assert first == second and first is not second
         inp = [make_input()]
         for costs in (first, second, first, second):
             derive_rates(inp, TITAN_XP, costs)
         info = rates_cache_info()
-        assert (info["hits"], info["misses"], info["currsize"]) == (2, 2, 2)
-        assert memo_config(TITAN_XP, first) != memo_config(TITAN_XP, second)
+        assert (info["hits"], info["misses"], info["currsize"]) == (3, 1, 1)
+        assert memo_config(TITAN_XP, first) == memo_config(TITAN_XP, second)
+        device = TITAN_XP.with_sms(30)
+        assert device == TITAN_XP and device is not TITAN_XP
+        assert memo_config(device, second) == memo_config(TITAN_XP, first)
 
     def test_dropped_ids_are_never_issued_again(self):
         """A caller that kept an id (the device does) keeps a true name."""
@@ -150,8 +154,8 @@ class TestMemoKey:
         fresh = {memo_config(TITAN_XP, costs), signature_id(sig)}
         assert fresh.isdisjoint({config_id, sig_id})
 
-    def test_pin_overflow_drops_pins_ids_and_entries_together(self):
-        """Past the pin bound everything interned goes; results stay exact.
+    def test_config_overflow_drops_ids_and_entries_together(self):
+        """Past the config bound everything interned goes; results stay exact.
 
         A device interns its config and signatures once, so it keeps ids
         from before the drop; they still name its own inputs.
@@ -162,11 +166,11 @@ class TestMemoKey:
         env = Environment()
         gpu = SimulatedGPU(env, TITAN_XP, CostModel())
         inp = [make_input()]
-        for _ in range(rates._PIN_LIMIT):
-            derive_rates(inp, TITAN_XP, CostModel())
-        assert len(rates._PINS) <= rates._PIN_LIMIT
-        assert rates_cache_info()["currsize"] < rates._PIN_LIMIT
-        assert id(gpu.costs) not in rates._PINS
+        for i in range(rates._CONFIG_LIMIT):
+            derive_rates(inp, TITAN_XP, CostModel(grow_grace=float(i)))
+        assert len(rates._CONFIG_IDS) < rates._CONFIG_LIMIT
+        assert rates_cache_info()["currsize"] < rates._CONFIG_LIMIT
+        assert (TITAN_XP, gpu.costs) not in rates._CONFIG_IDS
         _, _, counters_on = four_way_corun(env, gpu)
         assert counters_on == counters_off
 

@@ -66,6 +66,40 @@ class TestChoosePredictive:
         assert split.predicted_stp < 1.15
 
 
+class TestSearchMemo:
+    def test_strategy_and_online_policy_run_one_search_per_input(self, monkeypatch):
+        """The ``predictive`` strategy and ``online-predictive`` share one
+        value-keyed memo: each distinct input is searched once, however often
+        either asks for it (each search takes both solo rates once)."""
+        from repro.slate import predict
+        from repro.workloads.harness import app_for, run_pair
+
+        cached = predict.choose_partition_predictive
+        solo_rate = predict._solo_rate
+        requests, searches = [], []
+
+        def requested(spec_a, spec_b, *args, **kwargs):
+            requests.append((spec_a, spec_b, args, tuple(sorted(kwargs.items()))))
+            return cached(spec_a, spec_b, *args, **kwargs)
+
+        def searched(spec, *args):
+            searches.append(spec.name)
+            return solo_rate(spec, *args)
+
+        monkeypatch.setattr(predict, "choose_partition_predictive", requested)
+        monkeypatch.setattr(predict, "_solo_rate", searched)
+        cached.cache_clear()
+        apps = (app_for("BS", reps=6), app_for("RG", reps=6))
+        run_pair("Slate", *apps, partition_strategy="predictive")
+        distinct = set(requests)
+        assert len(requests) > len(distinct) == len(searches) // 2 > 0
+        asked_by_strategy = len(requests)
+        run_pair("Slate", *apps, policy="online-predictive")
+        assert len(requests) > asked_by_strategy
+        assert set(requests) == distinct
+        assert len(searches) // 2 == len(distinct)
+
+
 class TestPredictionErrorBounds:
     """The analytic rate model vs the simulated GPU, on synthetic pairs.
 

@@ -9,13 +9,18 @@ Two invariants the caching layer stands on:
   cost model fingerprints to a different key, so hits can never be stale.
 """
 
+import enum
+import hashlib
 import json
 import tempfile
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import config
 from repro.cache import JsonCache
 from repro.config import CostModel, TITAN_XP, fingerprint
 from repro.gpu.occupancy import BlockResources
@@ -191,3 +196,120 @@ class TestFingerprint:
         # byte-identical cached results depend on.
         for value in (0.1, 1 / 3, 547.6e9, 2**-52):
             assert json.loads(json.dumps(value)) == value
+
+
+def dict_rendering(obj):
+    """The rendering a fingerprint hashed before frozen configs kept their
+    JSON text: the reference the kept text must match byte for byte."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            "__class__": type(obj).__name__,
+            **{f.name: dict_rendering(getattr(obj, f.name)) for f in fields(obj)},
+        }
+    if isinstance(obj, enum.Enum):
+        return [type(obj).__name__, obj.value]
+    if isinstance(obj, dict):
+        return {str(k): dict_rendering(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset, range)):
+        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+        return [dict_rendering(v) for v in items]
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    return repr(obj)
+
+
+def reference_json(obj) -> str:
+    return json.dumps(dict_rendering(obj), sort_keys=True, separators=(",", ":"))
+
+
+class Shade(enum.Enum):
+    DARK = "dark"
+    LIGHT = 2
+
+
+@dataclass(frozen=True)
+class Leaf:
+    x: float
+    name: str
+    flag: bool
+    n: int
+    shade: Optional[Shade]
+
+
+@dataclass(frozen=True)
+class Node:
+    leaf: Leaf
+    pair: tuple
+    ids: frozenset
+    z: float = 0.0
+
+
+@dataclass(frozen=True)
+class FrozenHolder:
+    """Frozen, but its dict field does not hash: rendered on every call."""
+
+    table: dict
+    node: Node
+
+
+@dataclass
+class MutableHolder:
+    node: Node
+    values: list
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), _floats, st.text(max_size=6),
+    st.sampled_from(Shade),
+)
+_keys = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.sampled_from(Shade))
+_leaves = st.builds(
+    Leaf, x=_floats, name=st.text(max_size=6), flag=st.booleans(),
+    n=st.integers(), shade=st.none() | st.sampled_from(Shade),
+)
+_nodes = st.builds(
+    Node, leaf=_leaves, pair=st.tuples(_scalars, _scalars),
+    ids=st.frozensets(st.integers(), max_size=4), z=_floats,
+)
+_values = st.recursive(
+    _scalars | _leaves | _nodes,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.tuples(children, children),
+        st.dictionaries(_keys, children, max_size=3),
+        st.builds(
+            FrozenHolder, table=st.dictionaries(_keys, children, max_size=3),
+            node=_nodes,
+        ),
+        st.builds(MutableHolder, node=_nodes, values=st.lists(children, max_size=3)),
+    ),
+    max_leaves=12,
+)
+
+
+class TestKeptText:
+    @settings(max_examples=200, deadline=None)
+    @given(parts=st.lists(_values, max_size=4))
+    def test_kept_text_equals_json_of_the_dict_rendering(self, parts):
+        """Every part renders to the reference text, on the first call and
+        again from what a frozen config kept, so every digest and on-disk
+        key is the one the dict rendering gave."""
+        expected = [reference_json(p) for p in parts]
+        payload = json.dumps(
+            [dict_rendering(p) for p in parts], sort_keys=True, separators=(",", ":")
+        )
+        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+        for _ in range(2):
+            assert [config._canonical(p) for p in parts] == expected
+            assert fingerprint(*parts) == digest
+
+    def test_only_frozen_hashable_dataclasses_keep_text(self):
+        leaf = Leaf(0.5, "a", True, 3, Shade.DARK)
+        node = Node(leaf, (1, "x"), frozenset({2, 1}))
+        holders = (FrozenHolder({"k": 1}, node), MutableHolder(node, [1.5]))
+        fingerprint(node, *holders)
+        assert node.__dict__["_canonical"] == reference_json(node)
+        assert leaf.__dict__["_canonical"] == reference_json(leaf)
+        for holder in holders:
+            assert "_canonical" not in holder.__dict__

@@ -200,6 +200,24 @@ class TestAppTimes:
             _, events = self.events_of(runtime, *apps, **kwargs)
             assert events == 0, (runtime, kwargs)
 
+    def test_default_cost_model_shares_entries_and_others_miss(self):
+        from dataclasses import replace
+
+        from repro.config import CostModel
+        from repro.workloads.harness import DEFAULT_COSTS
+
+        apps = (app_for("BS", reps=2), app_for("RG", reps=2))
+        omitted, events = self.events_of("Slate", *apps)
+        assert events > 0
+        # An equal-valued object shares the entry of the omitted default.
+        passed, events = self.events_of("Slate", *apps, costs=CostModel())
+        assert events == 0 and passed == omitted
+        costly = replace(DEFAULT_COSTS, pipe_roundtrip=10 * DEFAULT_COSTS.pipe_roundtrip)
+        slower, events = self.events_of("Slate", *apps, costs=costly)
+        assert events > 0 and slower != omitted
+        pair, _ = run_pair("Slate", *apps, costs=costly)
+        assert slower == {name: r.app_time for name, r in pair.items()}
+
     def test_no_cache_simulates_every_call(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         app = app_for("RG", reps=2)
