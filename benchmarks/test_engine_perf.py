@@ -149,14 +149,23 @@ def test_full_pairing_scenario_cost(benchmark):
     assert set(results) == {"BS", "RG"}
 
 
-# The heavier half of the battery: enough serial work (~2.5 s) that
-# sharding across workers must visibly win despite pool start-up cost.
+# The heavier half of the battery: enough serial work that sharding across
+# workers must visibly win despite pool start-up cost.
 _PARALLEL_KEYS = ["fig7", "abl-policy", "abl-partition", "validate", "scaling", "gen"]
+#: Alternating jobs=1/jobs=4 pairs; the median ratio is asserted, so one
+#: pair hit by host noise cannot decide the verdict.
+_PARALLEL_PAIRS = 5
 
 
 def test_parallel_runner_beats_serial(benchmark, monkeypatch):
-    """--jobs 4 must measurably beat --jobs 1 on the same (uncached) work."""
+    """--jobs 4 must measurably beat --jobs 1 on the same (uncached) work.
+
+    Timed the way the end-to-end compare times a change: alternating
+    pairs, and the median of the per-pair wall-time ratios must stay
+    under 0.75.
+    """
     import os
+    import statistics
     import time
 
     import pytest
@@ -167,34 +176,36 @@ def test_parallel_runner_beats_serial(benchmark, monkeypatch):
     # (workers inherit the environment through fork).
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
 
-    start = time.perf_counter()
-    serial = run_battery(_PARALLEL_KEYS, jobs=1)
-    serial_elapsed = time.perf_counter() - start
-
-    timing = {}
-
-    def parallel():
+    def timed(jobs):
         start = time.perf_counter()
-        runs = run_battery(_PARALLEL_KEYS, jobs=4)
-        timing["parallel"] = time.perf_counter() - start
-        return runs
+        runs = run_battery(_PARALLEL_KEYS, jobs=jobs)
+        return runs, time.perf_counter() - start
 
-    parallel_runs = benchmark.pedantic(parallel, rounds=1, iterations=1)
-    parallel_elapsed = timing["parallel"]
+    ratios = []
 
-    # Deterministic ordering and byte-identical output always hold...
-    assert [r.key for r in parallel_runs] == [r.key for r in serial]
-    for s, p in zip(serial, parallel_runs):
-        assert s.formatted == p.formatted
+    def pairs():
+        for _ in range(_PARALLEL_PAIRS):
+            serial, serial_elapsed = timed(1)
+            parallel_runs, parallel_elapsed = timed(4)
+            # Deterministic ordering and byte-identical output always hold...
+            assert [r.key for r in parallel_runs] == [r.key for r in serial]
+            for s, p in zip(serial, parallel_runs):
+                assert s.formatted == p.formatted
+            ratios.append(parallel_elapsed / serial_elapsed)
+
+    benchmark.pedantic(pairs, rounds=1, iterations=1)
+    ratio = statistics.median(ratios)
+    shown = ", ".join(f"{r:.2f}" for r in ratios)
     # ... the wall-clock win needs actual cores to shard across.
     cores = os.cpu_count() or 1
     if cores < 2:
         pytest.skip(
             f"only {cores} CPU core(s): process sharding cannot beat serial "
-            f"(jobs=4 {parallel_elapsed:.2f}s vs jobs=1 {serial_elapsed:.2f}s)"
+            f"(median jobs=4/jobs=1 wall-time ratio {ratio:.2f}; {shown})"
         )
-    assert parallel_elapsed < serial_elapsed * 0.75, (
-        f"jobs=4 took {parallel_elapsed:.2f}s vs jobs=1 {serial_elapsed:.2f}s"
+    assert ratio < 0.75, (
+        f"median jobs=4/jobs=1 wall-time ratio {ratio:.2f} over "
+        f"{_PARALLEL_PAIRS} pairs ({shown})"
     )
 
 

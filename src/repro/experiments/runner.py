@@ -227,16 +227,20 @@ def _run_one_profiled(key: str) -> tuple[str, Any, float, dict[str, int]]:
     The process-wide aggregate is reset before the experiment so the
     snapshot afterwards is exactly this experiment's engine work.  The
     rate-derivation memo, occupancy caches, the predictive-split memo and
-    the harness's app-time memo are also cleared, so each experiment's hit
-    rates start cold, it simulates every scenario and runs every split
-    search it reads (however many earlier experiments ran the same one),
-    and serial/parallel runs report identical counters.
+    the harness's app-time memo are also cleared, and the experiment runs
+    with a disabled profile cache (the previous one is restored
+    afterwards).  So each experiment's hit rates start cold, it simulates
+    every scenario, offline profile and split search it reads (however
+    many earlier experiments or runs ran the same one), and serial/parallel
+    runs report identical counters.  Figure 7's and the sweep's on-disk
+    result cells are still read; ``REPRO_NO_CACHE=1`` turns them off.
     Valid under ``--jobs``: pool workers each own a per-process aggregate
     and run one experiment at a time.
     """
     from repro.gpu.occupancy import occupancy_cache_info, reset_occupancy_cache
     from repro.gpu.rates import reset_rates_cache
     from repro.sim import aggregate_stats, reset_aggregate_stats
+    from repro.slate import profiler
     from repro.slate.predict import choose_partition_predictive
     from repro.workloads.harness import reset_app_times
 
@@ -246,7 +250,12 @@ def _run_one_profiled(key: str) -> tuple[str, Any, float, dict[str, int]]:
     reset_occupancy_cache()
     choose_partition_predictive.cache_clear()
     reset_app_times()
-    key, result, elapsed, _ = _run_one(key)
+    previous_profiles = profiler._default_cache
+    profiler.configure_profile_cache(enabled=False)
+    try:
+        key, result, elapsed, _ = _run_one(key)
+    finally:
+        profiler._default_cache = previous_profiles
     stats = aggregate_stats().snapshot()
     occ = occupancy_cache_info()
     stats["occupancy_cache_hits"] = occ["hits"]

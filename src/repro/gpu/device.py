@@ -45,10 +45,13 @@ the rate memo with one tuple of small ints (the device's config id and
 the records' signature ids) and re-arms completion timers.  A sliced
 launch runs every slice on one execution: an *interior* slice's finish
 calls the edge logic directly, with no ``done`` or ``tail_started``
-event, and the next slice re-arms that execution in place.  A finish
-settles but flushes no epoch: the execution left the active set at its
-tail entry, whose epoch already re-derived the survivors' rates.  The
-settle and tail expressions keep their original operand order;
+event, and the next slice re-arms that execution in place; the final
+slice shares the launch's own ``tail_started``.  A ``tail_started`` that
+nothing waits on is marked processed at tail entry, with no queue trip.
+A finish settles but flushes no epoch: the execution left the active set
+at its tail entry, whose epoch already re-derived the survivors' rates.
+``all_sms()`` returns one tuple built at construction.  The settle and
+tail expressions keep their original operand order;
 ``tests/slate/goldens/sliced_nway4_counters.json`` pins every counter
 they produce, bit for bit.
 """
@@ -97,7 +100,7 @@ def _trigger_inline(event: Event, value=None) -> None:
 
     Mirrors the engine's own processing (mark triggered, detach the callback
     list, invoke in order) without a trip through the event queue.  Used to
-    complete a :class:`SlicedExecution`'s facade events *inside* the final
+    complete a :class:`SlicedExecution`'s ``done`` *inside* the final
     slice's callback pass, so a single-slice launch delivers its completion
     at exactly the point in the callback sequence an unsliced launch would —
     the byte-identity tests pin this.
@@ -339,11 +342,11 @@ class KernelExecution:
         #: Fires when the kernel enters its drain tail (used by the MPS
         #: leftover policy to admit the next kernel into freed slots).
         self.tail_started: Event = Event(env)
-        self.counters = KernelCounters(work.name, env._now)
+        self.counters = KernelCounters(work.name, env.now)
         #: Rates from the last epoch that derived this execution: frozen
         #: memo values shared between executions, replaced wholesale.
         self._rates = _NO_RATES
-        self._last_settle = env._now
+        self._last_settle = env.now
         self._timer_gen = 0
         #: Absolute fire time of the live completion timer (None: no live
         #: timer).  Lets an epoch that re-derives the *same* rate keep the
@@ -362,7 +365,7 @@ class KernelExecution:
         counting, so a completion timer still queued from an earlier slice
         stays stale.
         """
-        now = self.gpu.env._now
+        now = self.gpu.env.now
         self.work = work
         self._bind(sm_ids)
         self.state = ExecState.RUNNING
@@ -439,7 +442,8 @@ class SlicedExecution:
     ``work``/``sm_ids``/``state``/``done``/``tail_started``/``counters``/
     ``mode``/``task_size``.  ``counters`` aggregates over all slices;
     ``done`` fires once the last slice drains, *inline* with that slice's
-    completion callbacks (see :func:`_trigger_inline`).
+    completion callbacks (see :func:`_trigger_inline`); ``tail_started`` is
+    the final slice's own (the execution holds this event).
     """
 
     _ids = itertools.count(1)
@@ -549,6 +553,7 @@ class SimulatedGPU:
         self.env = env
         self.device = device
         self.costs = costs
+        self._all_sms = tuple(range(device.num_sms))
         self._running: dict[int, KernelExecution] = {}
         #: Bound on the rate trace: ``None`` keeps every epoch sample, a
         #: positive N keeps the last N, 0 disables sampling — long traces
@@ -597,7 +602,7 @@ class SimulatedGPU:
     # -- public API -------------------------------------------------------
 
     def all_sms(self) -> tuple[int, ...]:
-        return tuple(range(self.device.num_sms))
+        return self._all_sms
 
     def sm_range(self, low: int, high: int) -> tuple[int, ...]:
         """SMs in the inclusive range [low, high] (Slate's sm_low/sm_high)."""
@@ -754,15 +759,14 @@ class SimulatedGPU:
                 sms=len(wrapper._sm_ids),
             )
         if wrapper.slicer.exhausted:
-            # Final slice: its completion and tail are the launch's, and
-            # they travel through the execution's events as an unsliced
-            # launch's do.
+            # Final slice: its completion and tail are the launch's.  Its
+            # tail entry fires the launch's own ``tail_started`` (shared,
+            # not forwarded), and its ``done`` travels through the
+            # execution's event as an unsliced launch's does.
             execution._edge = None
+            execution.tail_started = wrapper.tail_started
             execution.done.callbacks.append(
                 lambda _ev, w=wrapper: self._on_slice_done(w)
-            )
-            execution.tail_started.callbacks.append(
-                lambda _ev, w=wrapper: _trigger_inline(w.tail_started)
             )
         else:
             # Interior slice: nothing listens to its events, so its finish
@@ -913,7 +917,7 @@ class SimulatedGPU:
                 return
             execution._bind(execution._resize_target)
             execution.state = ExecState.RUNNING
-            execution._last_settle = self.env._now
+            execution._last_settle = self.env.now
             self._alloc_epoch += 1
             self._epoch_recompute()
             if resumed is not None:
@@ -1116,7 +1120,7 @@ class SimulatedGPU:
                 )
                 rates = [outputs[k.id] for k in active]
             sample = {}
-            now = env._now
+            now = env.now
             on_timer = self._on_timer
             # _schedule_completion, inlined over locals (same expressions).
             for k, r in zip(active, rates):
@@ -1140,10 +1144,10 @@ class SimulatedGPU:
                 )
             self._rates_epoch = self._alloc_epoch
         if trace_on:
-            self.rate_trace.append((env._now, sample))
+            self.rate_trace.append((env.now, sample))
 
     def _settle_all(self) -> None:
-        now = self.env._now
+        now = self.env.now
         if now == self._settled_at:
             # Already settled at this instant: dt is zero for every kernel
             # (kernels launched since initialise _last_settle to now), so a
@@ -1191,7 +1195,7 @@ class SimulatedGPU:
             k._timer_at = None
             return
         delay = k.blocks_remaining / k._rates.rate
-        at = self.env._now + delay
+        at = self.env.now + delay
         if at == k._timer_at:
             # The live timer already points at this exact instant (the rate
             # survived the epoch unchanged, progress settled consistently) —
@@ -1218,7 +1222,7 @@ class SimulatedGPU:
         remaining = k.blocks_remaining
         if remaining > 1e-6:
             rate = k._rates.rate
-            if rate <= _EPS or self.env._now + remaining / rate > self.env._now:
+            if rate <= _EPS or self.env.now + remaining / rate > self.env.now:
                 # Numerical slack: reschedule (or, with no throughput, wait
                 # for the next rate change to restart the timer).
                 self._schedule_completion(k)
@@ -1269,8 +1273,16 @@ class SimulatedGPU:
                 tail=tail,
             )
         k.counters.busy_time += tail
-        if k._edge is None and not k.tail_started.triggered:
-            k.tail_started.succeed()
+        if k._edge is None:
+            started = k.tail_started
+            if started.callbacks:
+                started.succeed()
+            else:
+                # Nobody waits on it: mark it processed in place, with no
+                # trip through the queue.  A process that yields it later
+                # resumes at once, as it would after the queue trip.
+                started._value = None
+                started.callbacks = None
         self._epoch_recompute()
         self.env.timeout(tail).callbacks.append(lambda _e: self._finish(k))
 
@@ -1285,6 +1297,4 @@ class SimulatedGPU:
         if k._edge is not None:
             self._on_slice_done(k._edge)
             return
-        if not k.tail_started.triggered:  # pragma: no cover - defensive
-            k.tail_started.succeed()
         k.done.succeed(k.counters)

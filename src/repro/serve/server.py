@@ -778,7 +778,7 @@ class SlateServer:
         env = self._shard_env(sess)
 
         def gen() -> Generator:
-            yield from sess.slate.pipe.command()
+            yield sess.slate.pipe.command()
             t0 = env.now
             yield from sess.slate.runtime.prepare_kernel(spec)
             return env.now - t0

@@ -80,9 +80,11 @@ class EnvironmentStats:
     ----------
     events_processed:
         Events whose callbacks have been invoked.  A kernel costs its
-        completion timer, ``tail_started``, its tail timer and ``done``;
-        an interior slice of a sliced launch costs three (completion,
-        tail and dispatch-gap timers) and fires no events of its own.
+        completion timer, its tail timer and ``done``, plus
+        ``tail_started`` only when something waits on it (otherwise it
+        is marked processed in place); an interior slice of a sliced
+        launch costs three (completion, tail and dispatch-gap timers) and
+        fires no events of its own.
     heap_peak:
         Largest number of simultaneously pending events observed.
     timeouts_pooled:
@@ -219,7 +221,7 @@ class Environment:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_queue",
         "_fifo",
         "_eoe_hooks",
@@ -231,7 +233,9 @@ class Environment:
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulated time: a plain attribute (every layer reads it
+        #: several times per launch), advanced only by the run loop.
+        self.now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         #: Same-timestamp fast lane: every delay-0 NORMAL trigger lands here
         #: in trigger order instead of paying two heap operations.  Ordering
@@ -259,11 +263,6 @@ class Environment:
 
     # -- clock & queue ---------------------------------------------------
 
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
-
     def schedule(
         self,
         event: Event,
@@ -277,7 +276,7 @@ class Environment:
             self._fifo.append(event)
             return
         self._eid += 1
-        heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heappush(self._queue, (self.now + delay, priority, self._eid, event))
 
     def at_timestep_end(self, hook: Callable[[], None]) -> None:
         """Run ``hook()`` once the current instant has no events left.
@@ -307,7 +306,7 @@ class Environment:
         and pending end-of-timestep hooks report ``now``.
         """
         if self._fifo or self._eoe_hooks:
-            return self._now
+            return self.now
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
@@ -324,18 +323,18 @@ class Environment:
             stats.heap_peak = pending
         while True:
             if fifo:
-                if queue and queue[0][0] <= self._now:
+                if queue and queue[0][0] <= self.now:
                     when, _, _, event = heappop(queue)
-                    self._now = when
+                    self.now = when
                 else:
                     event = fifo.popleft()
                 break
             if queue:
-                if self._eoe_hooks and queue[0][0] > self._now:
+                if self._eoe_hooks and queue[0][0] > self.now:
                     self._run_hooks()
                     continue
                 when, _, _, event = heappop(queue)
-                self._now = when
+                self.now = when
                 break
             if self._eoe_hooks:
                 self._run_hooks()
@@ -382,14 +381,14 @@ class Environment:
                 stop.callbacks.append(self._stop_simulation)
             else:
                 at = float(until)
-                if at < self._now:
-                    raise ValueError(f"until ({at}) is before current time ({self._now})")
+                if at < self.now:
+                    raise ValueError(f"until ({at}) is before current time ({self.now})")
                 stop = Event(self)
                 # Schedule with URGENT priority so the clock stops *before*
                 # events at exactly `at` are processed (simpy semantics).
                 stop._ok = True
                 stop._value = None
-                self.schedule(stop, delay=at - self._now, priority=EventPriority.URGENT)
+                self.schedule(stop, delay=at - self.now, priority=EventPriority.URGENT)
                 stop.callbacks.append(self._stop_simulation)
 
         stats = self.stats
@@ -416,18 +415,18 @@ class Environment:
                 # same-timestamp lane in trigger order, then end-of-timestep
                 # hooks; only once all three are empty does time advance.
                 if fifo:
-                    if queue and queue[0][0] <= self._now:
+                    if queue and queue[0][0] <= self.now:
                         when, _, _, event = pop(queue)
-                        self._now = when
+                        self.now = when
                     else:
                         event = fifo.popleft()
                 elif queue:
-                    if hooks and queue[0][0] > self._now:
+                    if hooks and queue[0][0] > self.now:
                         self._run_hooks()
                         pending = len(queue) + len(fifo)
                         continue
                     when, _, _, event = pop(queue)
-                    self._now = when
+                    self.now = when
                 else:
                     self._run_hooks()
                     pending = len(queue) + len(fifo)
@@ -527,7 +526,7 @@ class Environment:
                 self._fifo.append(timeout)
                 return timeout
             self._eid += 1
-            heappush(self._queue, (self._now + delay, _NORMAL, self._eid, timeout))
+            heappush(self._queue, (self.now + delay, _NORMAL, self._eid, timeout))
             return timeout
         return Timeout(self, delay, value)
 
@@ -541,4 +540,4 @@ class Environment:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         pending = len(self._queue) + len(self._fifo)
-        return f"<Environment now={self._now} pending={pending}>"
+        return f"<Environment now={self.now} pending={pending}>"

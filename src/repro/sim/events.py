@@ -172,7 +172,7 @@ class Timeout(Event):
             env._fifo.append(self)
             return
         env._eid += 1
-        heappush(env._queue, (env._now + delay, _NORMAL, env._eid, self))
+        heappush(env._queue, (env.now + delay, _NORMAL, env._eid, self))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Timeout delay={self.delay}>"

@@ -88,8 +88,8 @@ class SlateSession:
         association in its hash table and translates on every use
         (§IV-A1).  Use :meth:`device_pointer` to inspect the mapping.
         """
-        yield from self.pipe.command()
-        yield from self.buffers.handoff(nbytes)
+        yield self.pipe.command()
+        yield self.buffers.handoff(nbytes)
         ptr = self.runtime.server_context.alloc(nbytes)
         self._pointers.append(ptr)
         addr = self._next_client_addr
@@ -137,7 +137,7 @@ class SlateSession:
 
     def free(self, ptr: DevicePointer) -> Generator:
         """slateFree: drops the hash-table entry and the device memory."""
-        yield from self.pipe.command()
+        yield self.pipe.command()
         self._pointers.remove(ptr)
         addr = self._addr_of.pop(ptr.tag, None)
         if addr is not None:
@@ -146,14 +146,14 @@ class SlateSession:
 
     def memcpy_h2d(self, nbytes: float) -> Generator:
         """slateMemcpy host->device via the shared buffer (no extra copy)."""
-        yield from self.pipe.command()
-        yield from self.buffers.handoff(nbytes)
+        yield self.pipe.command()
+        yield self.buffers.handoff(nbytes)
         yield from self.runtime.pcie.transfer(nbytes)
 
     def memcpy_d2h(self, nbytes: float) -> Generator:
         """slateMemcpy device->host."""
-        yield from self.pipe.command()
-        yield from self.buffers.handoff(nbytes)
+        yield self.pipe.command()
+        yield self.buffers.handoff(nbytes)
         yield from self.runtime.pcie.transfer(nbytes)
 
     def launch(
@@ -178,7 +178,7 @@ class SlateSession:
             task_size = DEFAULT_TASK_SIZE
         elif task_size < 1:
             raise ValueError(f"task_size must be >= 1, got {task_size}")
-        yield from self.pipe.command()
+        yield self.pipe.command()
         if args is not None:
             self.translate_args(args)
         if obs_trace.ENABLED:
@@ -190,28 +190,37 @@ class SlateSession:
                 kernel=spec.name,
                 priority=priority,
             )
-        t0 = self.runtime.env.now
-        yield from self.runtime.prepare_kernel(spec)
-        self.compile_time += self.runtime.env.now - t0
-        yield self.runtime.env.timeout(self.runtime.costs.schedule_decision_time)
+        runtime = self.runtime
+        env = runtime.env
+        if spec.name not in runtime.injected_sources:
+            t0 = env.now
+            yield from runtime.prepare_kernel(spec)
+            self.compile_time += env.now - t0
+        yield env.timeout(runtime.costs.schedule_decision_time)
         ticket = SlateTicket(
             spec=spec,
             profile_key=spec.name,
-            done=self.runtime.env.event(),
-            enqueued_at=self.runtime.env.now,
+            done=env.event(),
+            enqueued_at=env.now,
             task_size=task_size,
             priority=priority,
             deadline=deadline,
         )
         self._pending.append(ticket)
-        self.runtime.scheduler.submit(ticket)
+        runtime.scheduler.submit(ticket)
         return ticket
 
     def synchronize(self) -> Generator:
-        """slateSynchronize: wait for this session's outstanding launches."""
-        yield from self.pipe.command()
+        """slateSynchronize: wait for this session's outstanding launches.
+
+        One outstanding launch is waited on directly; two or more through
+        one ``all_of``.
+        """
+        yield self.pipe.command()
         pending = [t.done for t in self._pending if not t.done.triggered]
-        if pending:
+        if len(pending) == 1:
+            yield pending[0]
+        elif pending:
             yield self.runtime.env.all_of(pending)
         self._pending = [t for t in self._pending if not t.done.processed]
 

@@ -8,11 +8,9 @@ cost and keeps counters for the overhead breakdown of Fig. 6.
 
 from __future__ import annotations
 
-from typing import Generator
-
 from repro.config import CostModel
 from repro.obs.registry import registry as obs_registry
-from repro.sim import Environment
+from repro.sim import Environment, Timeout
 
 __all__ = ["NamedPipe", "SharedBufferChannel"]
 
@@ -35,13 +33,13 @@ class NamedPipe:
         self._m_round_trips = reg.counter("ipc.pipe.round_trips")
         self._m_time = reg.gauge("ipc.pipe.time_total")
 
-    def command(self) -> Generator:
-        """Process generator: one command round trip."""
+    def command(self) -> Timeout:
+        """One command round trip: returns the timeout to ``yield``."""
         self.round_trips += 1
         self.total_time += self.costs.pipe_roundtrip
         self._m_round_trips.inc()
         self._m_time.inc(self.costs.pipe_roundtrip)
-        yield self.env.timeout(self.costs.pipe_roundtrip)
+        return self.env.timeout(self.costs.pipe_roundtrip)
 
 
 class SharedBufferChannel:
@@ -64,8 +62,9 @@ class SharedBufferChannel:
         self._m_bytes = reg.gauge("ipc.shared_buffer.bytes_total")
         self._m_time = reg.gauge("ipc.shared_buffer.time_total")
 
-    def handoff(self, nbytes: float) -> Generator:
-        """Process generator: map/bookkeep one buffer of ``nbytes``."""
+    def handoff(self, nbytes: float) -> Timeout:
+        """Map/bookkeep one buffer of ``nbytes``: returns the timeout to
+        ``yield``.  A negative size raises here, at the call."""
         if nbytes < 0:
             raise ValueError(f"negative buffer size {nbytes}")
         self.handoffs += 1
@@ -74,4 +73,4 @@ class SharedBufferChannel:
         self._m_handoffs.inc()
         self._m_bytes.inc(nbytes)
         self._m_time.inc(self.costs.shared_buffer_overhead)
-        yield self.env.timeout(self.costs.shared_buffer_overhead)
+        return self.env.timeout(self.costs.shared_buffer_overhead)

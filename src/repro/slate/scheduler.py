@@ -260,9 +260,6 @@ class SlateScheduler:
         self._m_resizes = reg.counter("scheduler.resizes")
         self._m_preemptions = reg.counter("scheduler.preemptions")
         self._m_rejections = reg.counter("scheduler.rejections")
-        #: SMs currently covered by running tenants (fleet dashboards read
-        #: this instead of walking the running set over the wire).
-        self._g_covered = reg.gauge("scheduler.covered_sms")
         # Stamp the active policy into the metrics registry so process-wide
         # dumps show which brains produced the numbers.
         reg.counter(f"scheduler.policy.{self.policy.name}").inc()
@@ -305,7 +302,6 @@ class SlateScheduler:
         return "\n".join(d.describe() for d in list(self.decision_log)[-last:])
 
     def _log_allocation(self) -> None:
-        self._g_covered.set(sum(len(r.sms) for r in self._running))
         # Allocation snapshots fire on every decision — micro-event rate,
         # so only a full-detail capture pays for them.
         tracing = obs_trace.DETAILED
@@ -557,23 +553,44 @@ class SlateScheduler:
         self.policy.reconsider()
         if not self.enable_grow:
             return
-        if len(self._running) == 1 and not self._can_schedule_more():
+        # ``_try_schedule`` returns only once ``_can_schedule_more()`` is
+        # False (or the queue is empty), and ``reconsider`` only resizes
+        # tenants, which no ``may_corun`` reads: the gate is not asked
+        # again here.
+        running = self._running
+        if len(running) == 1:
             # Grow the survivor onto the whole device (§III-C) — after a
             # short grace so a partner's imminent next launch (the looped
             # workloads' steady state) does not trigger grow-then-shrink
             # retreat churn.
-            survivor = self._running[0]
-            if survivor.sms != self.gpu.all_sms():
-                self.env.process(self._grow_after_grace(survivor))
-        elif len(self._running) >= 2 and not self._can_schedule_more():
+            survivor = running[0]
+            sms = survivor.sms
+            if sms != self.gpu.all_sms():
+                self.env.timeout(self.costs.grow_grace).callbacks.append(
+                    lambda _e: self._grow_after_grace(survivor, sms)
+                )
+        elif len(running) >= 2:
             # N-way: surviving tenants claim the freed SMs.
-            covered = sum(len(r.sms) for r in self._running)
+            covered = sum(len(r.sms) for r in running)
             if covered < self.device.num_sms:
-                self.env.process(self._rebalance_after_grace(len(self._running)))
+                count = len(running)
+                self.env.timeout(self.costs.grow_grace).callbacks.append(
+                    lambda _e: self._rebalance_after_grace(count)
+                )
 
-    def _grow_after_grace(self, survivor: _Running):
-        sms_at_schedule = survivor.sms
-        yield self.env.timeout(self.costs.grow_grace)
+    # The grace waits are timer callbacks, as completion is (see _launch).
+    # The grow wait captures the survivor's SMs when it is armed; a spawned
+    # waiter read them one queue hop later, at the same instant.  Nothing
+    # resizes a lone survivor within that hop: _on_completion runs from a
+    # ``done`` event, so every timer with a positive delay that is due at
+    # this instant has fired.  A resize needs a submit (which follows a
+    # ``schedule_decision_time`` timer), a grace timer (``grow_grace``),
+    # both positive in every shipped cost model, or another completion,
+    # whose kernel would still be in ``_running`` (no lone survivor).
+
+    def _grow_after_grace(
+        self, survivor: _Running, sms_at_schedule: tuple[int, ...]
+    ) -> None:
         still_running = len(self._running) == 1 and self._running[0] is survivor
         if not still_running or self._queue or survivor.sms != sms_at_schedule:
             return
@@ -583,8 +600,7 @@ class SlateScheduler:
         self.gpu.resize(survivor.handle, all_sms, notify=False)
         self._log_allocation()
 
-    def _rebalance_after_grace(self, survivor_count: int):
-        yield self.env.timeout(self.costs.grow_grace)
+    def _rebalance_after_grace(self, survivor_count: int) -> None:
         if len(self._running) != survivor_count or self._queue:
             return
         covered = sum(len(r.sms) for r in self._running)

@@ -210,6 +210,39 @@ class TestProfile:
         assert first.stats["occupancy_cache_hits"] > 0
         assert second.stats == first.stats
 
+    def test_profile_counters_do_not_depend_on_on_disk_profiles(
+        self, monkeypatch, tmp_path
+    ):
+        """A profiled run simulates every offline profile it asks for, so
+        its counters read the same on an empty cache directory, on one an
+        earlier run filled, and from pool workers.  The process's own
+        profile cache is back in place after each run."""
+        from repro.config import CACHE_DIR_ENV
+        from repro.slate import profiler
+
+        keys = ["tab4", "abl-resizing"]
+
+        def counters(jobs):
+            runs = runner.run_battery(keys, jobs=jobs, profile=True)
+            return [run.stats for run in runs]
+
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "serial"))
+        profiler.reset_profile_cache()
+        try:
+            cache = profiler.default_profile_cache()
+            fresh = counters(1)
+            assert profiler.default_profile_cache() is cache
+            refilled = counters(1)
+            monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "parallel"))
+            profiler.reset_profile_cache()
+            parallel = counters(2)
+        finally:
+            # Rebuilt from the unpatched environment at its next use.
+            profiler.reset_profile_cache()
+        assert refilled == fresh
+        assert parallel == fresh
+
     def test_format_profile_table_shape(self):
         runs = runner.run_battery(["fig1", "fig3"], jobs=1, profile=True)
         table = runner.format_profile_table(runs)

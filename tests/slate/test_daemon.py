@@ -158,6 +158,61 @@ class TestEndToEnd:
         assert "BS" in rt.profiles and "RG" in rt.profiles
 
 
+class TestSynchronize:
+    def test_waits_for_every_outstanding_launch(self):
+        """Two launches in flight: synchronize returns only once both
+        are done (one ``all_of``), then forgets them."""
+        env = Environment()
+        rt = SlateRuntime(env)
+        bs, rg = blackscholes(), quasirandom()
+        rt.preload_profiles([bs, rg])
+        s = rt.create_session("app")
+        seen = {}
+
+        def app(env):
+            first = yield from s.launch(bs)
+            second = yield from s.launch(rg)
+            yield from s.synchronize()
+            seen["at"] = env.now
+            seen["tickets"] = first, second
+
+        env.run(until=env.process(app(env)))
+        first, second = seen["tickets"]
+        assert first.done.processed and second.done.processed
+        assert seen["at"] == max(first.counters.end_time, second.counters.end_time)
+        assert first.counters.end_time != second.counters.end_time
+        assert s._pending == []
+
+    def test_pair_of_sessions_event_budget(self):
+        """What the engine pays for a pair driven through the Slate API,
+        pinned exactly: two sessions launch 10 kernels each with a
+        synchronize after every launch.  A launch costs its pipe and
+        decision timers, the device's completion and tail timers and
+        ``done``, the ticket's ``done`` and the synchronize's pipe timer;
+        a completion that leaves its partner on part of the device arms
+        one grace timer.
+        Nothing waits on ``tail_started``, so it takes no queue trip, and
+        synchronize waits on its one ticket without an ``all_of``."""
+        env = Environment()
+        rt = SlateRuntime(env)
+        bs, rg = blackscholes(), quasirandom()
+        rt.preload_profiles([bs, rg])
+
+        def app(env, name, spec):
+            s = rt.create_session(name)
+            for _ in range(10):
+                yield from s.launch(spec)
+                yield from s.synchronize()
+
+        env.process(app(env, "bs", bs))
+        env.process(app(env, "rg", rg))
+        env.run()
+        sched = rt.scheduler
+        assert (sched.solo_launches, sched.corun_launches) == (5, 15)
+        assert env.now == 0.043344996188956736
+        assert env.stats.events_processed == 179
+
+
 class TestLaunchValidation:
     def test_task_size_below_one_raises_at_the_call(self):
         """A bad size fails the launching session at once; the scheduler

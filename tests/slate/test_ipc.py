@@ -15,7 +15,7 @@ class TestNamedPipe:
 
         def proc(env):
             for _ in range(3):
-                yield from pipe.command()
+                yield pipe.command()
 
         env.run(until=env.process(proc(env)))
         assert env.now == pytest.approx(3e-4)
@@ -34,7 +34,7 @@ class TestSharedBuffer:
         def proc(env):
             for nbytes in (1 << 10, 1 << 30):
                 t0 = env.now
-                yield from chan.handoff(nbytes)
+                yield chan.handoff(nbytes)
                 times.append(env.now - t0)
 
         env.run(until=env.process(proc(env)))
@@ -46,7 +46,8 @@ class TestSharedBuffer:
         env = Environment()
         chan = SharedBufferChannel(env, CostModel())
         with pytest.raises(ValueError):
-            list(chan.handoff(-1))
+            chan.handoff(-1)
+        assert chan.handoffs == 0
 
 
 class TestRegistryMirroring:
@@ -66,7 +67,7 @@ class TestRegistryMirroring:
 
         def proc(env):
             for _ in range(5):
-                yield from pipe.command()
+                yield pipe.command()
 
         env.run(until=env.process(proc(env)))
         assert reg.counter("ipc.pipe.round_trips").value - trips0 == 5
@@ -83,8 +84,8 @@ class TestRegistryMirroring:
         chan = SharedBufferChannel(env, CostModel(shared_buffer_overhead=1e-5))
 
         def proc(env):
-            yield from chan.handoff(1 << 20)
-            yield from chan.handoff(1 << 10)
+            yield chan.handoff(1 << 20)
+            yield chan.handoff(1 << 10)
 
         env.run(until=env.process(proc(env)))
         assert reg.counter("ipc.shared_buffer.mappings").value - maps0 == 2

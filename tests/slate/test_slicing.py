@@ -366,9 +366,11 @@ def test_solo_sliced_launch_event_and_flush_budget():
 
     An interior slice costs three events (its completion timer, its tail
     timer and the dispatch-gap timer) and two epoch flushes (its dispatch
-    and its tail entry).  The final slice also fires its ``tail_started``
-    and ``done`` events, as an unsliced launch does.  The first dispatch
-    happens outside the run loop, so it recomputes inline, unflushed.
+    and its tail entry).  The final slice costs what an unsliced launch
+    does: its completion and tail timers and its ``done`` event; its
+    ``tail_started`` (the launch's own, which nothing waits on here) is
+    marked processed in place.  The first dispatch happens outside the run
+    loop, so it recomputes inline, unflushed.
     """
     env, gpu = make_gpu()
     handle = gpu.launch_sliced(
@@ -376,8 +378,46 @@ def test_solo_sliced_launch_event_and_flush_budget():
     )
     env.run(until=handle.done)
     assert handle.slices_dispatched == 8
-    assert env.stats.events_processed == 7 * 3 + 4
+    assert env.stats.events_processed == 7 * 3 + 3
     assert env.stats.epoch_flushes == 7 + 8
+
+
+def test_final_slice_fires_the_launchs_own_tail_started():
+    """The final slice shares its launch's ``tail_started`` (no forwarding
+    callback).  A waiter on a sliced launch resumes at the final slice's
+    tail entry; with a single slice it resumes exactly when a waiter on the
+    unsliced launch does, and both runs process the same events."""
+    work = compute_work()
+
+    def waited(slice_blocks):
+        env, gpu = make_gpu()
+        if slice_blocks is None:
+            h = gpu.launch(work, mode=ExecutionMode.SLATE, task_size=10)
+        else:
+            h = gpu.launch_sliced(
+                work, mode=ExecutionMode.SLATE, task_size=10,
+                slice_blocks=slice_blocks,
+            )
+        resumed = []
+
+        def waiter(env):
+            yield h.tail_started
+            resumed.append((env.now, h.state))
+
+        env.process(waiter(env))
+        env.run(until=h.done)
+        return h, resumed, env
+
+    h, resumed, _ = waited(24_000)
+    assert h.slices_dispatched == 2
+    assert h.current is None and h._exec.tail_started is h.tail_started
+    assert [state for _, state in resumed] == [ExecState.TAIL]
+    _, single, single_env = waited(WHOLE_GRID)
+    _, unsliced, unsliced_env = waited(None)
+    assert single == unsliced
+    assert (
+        single_env.stats.events_processed == unsliced_env.stats.events_processed
+    )
 
 
 def test_forced_freeze_resize_and_resume_leave_stale_timers_harmless():
