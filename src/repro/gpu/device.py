@@ -42,16 +42,23 @@ record and gets a new one only where its work or SM count changes: at
 construction, at a slice whose sub-grid or SM set differs from the last,
 and when a resize is adopted.  So an epoch only settles progress, probes
 the rate memo with one tuple of small ints (the device's config id and
-the records' signature ids) and re-arms completion timers.  A sliced
-launch runs every slice on one execution: an *interior* slice's finish
-calls the edge logic directly, with no ``done`` or ``tail_started``
-event, and the next slice re-arms that execution in place; the final
-slice shares the launch's own ``tail_started``.  A ``tail_started`` that
-nothing waits on is marked processed at tail entry, with no queue trip.
-A finish settles but flushes no epoch: the execution left the active set
-at its tail entry, whose epoch already re-derived the survivors' rates.
-``all_sms()`` returns one tuple built at construction.  The settle and
-tail expressions keep their original operand order;
+the records' signature ids), re-arms completion timers and appends one
+``(now, active, rates)`` record to the rate log, whose ``{kernel: rate}``
+dicts :attr:`SimulatedGPU.rate_trace` builds only when read.  The
+device's timers (completion, tail, dispatch gap, resize wake) are
+:meth:`~repro.sim.Environment.call_later` calls: no ``Timeout``, lambda
+or callbacks list, and queued where those timeouts were.  A sliced
+launch computes its tiling once (:func:`repro.slate.slicing.slice_plan`)
+and indexes it per slice, and runs every slice on one execution: an
+*interior* slice's finish calls the edge logic directly, with no
+``done`` or ``tail_started`` event, and the next slice re-arms that
+execution in place; the final slice shares the launch's own
+``tail_started``.  A ``tail_started`` that nothing waits on is marked
+processed at tail entry, with no queue trip.  A finish settles but
+flushes no epoch: the execution left the active set at its tail entry,
+whose epoch already re-derived the survivors' rates.  ``all_sms()``
+returns one tuple built at construction.  The settle and tail
+expressions keep their original operand order;
 ``tests/slate/goldens/sliced_nway4_counters.json`` pins every counter
 they produce, bit for bit.
 """
@@ -63,7 +70,7 @@ import itertools
 import math
 from collections import deque as _deque
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.config import CostModel, DeviceConfig, TITAN_XP
 from repro.gpu.cache import ORDER_FACTORS, LocalityModel
@@ -81,6 +88,9 @@ from repro.gpu.rates import (
 from repro.obs import trace as obs_trace
 from repro.obs.registry import registry as obs_registry
 from repro.sim import Environment, Event
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.slate.slicing import KernelSlice
 
 __all__ = [
     "ExecState",
@@ -426,8 +436,10 @@ class KernelExecution:
 class SlicedExecution:
     """Handle for a Kernelet-style sliced launch (``launch_sliced``).
 
-    The grid is partitioned by a :class:`repro.slate.slicing.KernelSlicer`
-    and dispatched slice by slice; each slice runs on one
+    The grid's tiling (:func:`repro.slate.slicing.slice_plan`, the
+    arithmetic of :meth:`~repro.slate.slicing.KernelSlicer.plan`) is
+    computed once, at launch, and dispatched slice by slice; each slice
+    runs on one
     :class:`KernelExecution`, built for the first slice and re-armed for
     each later one, and consecutive slices are separated by one
     ``costs.slice_dispatch_overhead`` gap.  Between slices the handle is at
@@ -457,7 +469,7 @@ class SlicedExecution:
         order_factor: float,
         task_size: int,
         inject_frac: float,
-        slicer,
+        plan: Sequence[KernelSlice],
     ) -> None:
         self.id = next(self._ids)
         self.gpu = gpu
@@ -466,7 +478,9 @@ class SlicedExecution:
         self.order_factor = order_factor
         self.task_size = task_size
         self.inject_frac = inject_frac
-        self.slicer = slicer
+        #: The launch's tiling; slice ``i`` is dispatched as ``plan[i]``.
+        self.plan = plan
+        self.num_slices = len(plan)
         self.done: Event = gpu.env.event()
         self.tail_started: Event = gpu.env.event()
         self.counters = KernelCounters(name=work.name, start_time=gpu.env.now)
@@ -475,6 +489,7 @@ class SlicedExecution:
         self.current: Optional[KernelExecution] = None
         #: The one execution every slice runs on (None before the first).
         self._exec: Optional[KernelExecution] = None
+        #: Slices dispatched so far, which is also the next slice's index.
         self.slices_dispatched = 0
         self.completed_blocks = 0
         #: Where the *next* slice launches.
@@ -488,6 +503,11 @@ class SlicedExecution:
         self._gap_gen = 0
 
     # -- convenience -----------------------------------------------------
+
+    @property
+    def exhausted(self) -> bool:
+        """Every slice is dispatched: the one in flight, if any, is final."""
+        return self.slices_dispatched == self.num_slices
 
     @property
     def sm_ids(self) -> tuple[int, ...]:
@@ -505,7 +525,7 @@ class SlicedExecution:
         if self._paused:
             return ExecState.PAUSED
         cur = self.current
-        if cur is not None and self.slicer.exhausted:
+        if cur is not None and self.exhausted:
             # Final slice: no edge remains, so the underlying retreat-model
             # state (RESIZING/TAIL/...) is the truth — exactly the unsliced
             # semantics the single-slice identity tests pin.
@@ -524,7 +544,7 @@ class SlicedExecution:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<SlicedExecution #{self.id} {self.work.name} "
-            f"slice {self.slicer.slices_emitted}/{self.slicer.num_slices} "
+            f"slice {self.slices_dispatched}/{self.num_slices} "
             f"sms={self.num_sms} state={self.state.value}>"
         )
 
@@ -559,10 +579,17 @@ class SimulatedGPU:
         #: positive N keeps the last N, 0 disables sampling — long traces
         #: cross millions of epoch boundaries.
         self.rate_trace_limit = rate_trace_limit
-        #: (time, {kernel name: blocks/s}) samples at every epoch boundary.
-        self.rate_trace: "list[tuple[float, dict[str, float]]] | _deque" = (
-            [] if rate_trace_limit is None else _deque(maxlen=rate_trace_limit)
+        #: One ``(time, active executions, their RateOutputs)`` record per
+        #: epoch (None: sampling off); :attr:`rate_trace` renders it.  Both
+        #: lists are shared, never copied: the derivation's own ``active``
+        #: list and the memo's rates.
+        self._rate_log: "list | _deque | None" = (
+            None
+            if rate_trace_limit == 0
+            else [] if rate_trace_limit is None else _deque(maxlen=rate_trace_limit)
         )
+        #: ``(active, rates)`` of the last rate derivation.
+        self._derived: tuple[list, list] = ([], [])
         #: Allocation-epoch counter: bumped by every mutation that changes
         #: the active ``(id, sm_ids)`` signature (launch, pause, resume,
         #: resize, tail entry).  ``_rates_epoch`` records the counter value
@@ -598,6 +625,7 @@ class SimulatedGPU:
         self._m_slice_dispatch = reg.counter("slice.dispatches")
         self._m_slice_preempt = reg.counter("slice.preempts")
         self._m_slice_resize = reg.counter("slice.resizes")
+        self._m_taskqueue_pulls = reg.counter("taskqueue.pulls")
 
     # -- public API -------------------------------------------------------
 
@@ -660,7 +688,6 @@ class SimulatedGPU:
         task_size: int = 1,
         inject_frac: float = 0.0,
         slice_blocks: Optional[int] = None,
-        slicer=None,
     ) -> SlicedExecution:
         """Begin executing ``work`` slice by slice (Kernelet-style).
 
@@ -668,12 +695,14 @@ class SimulatedGPU:
         consecutive blocks each, default
         :func:`repro.slate.slicing.default_slice_blocks`) dispatched back to
         back with a ``costs.slice_dispatch_overhead`` gap between them.
-        Returns a :class:`SlicedExecution` whose ``done`` event fires with
-        the aggregated :class:`KernelCounters` when the last slice drains.
+        The tiling is computed once, here, by
+        :func:`repro.slate.slicing.slice_plan`.  Returns a
+        :class:`SlicedExecution` whose ``done`` event fires with the
+        aggregated :class:`KernelCounters` when the last slice drains.
         Slicing rides on the persistent-worker task queue, so only Slate
         scheduling can be sliced.
         """
-        from repro.slate.slicing import KernelSlicer, default_slice_blocks
+        from repro.slate.slicing import default_slice_blocks, slice_plan
 
         if mode is not ExecutionMode.SLATE:
             raise ValueError("sliced dispatch requires Slate scheduling mode")
@@ -682,14 +711,11 @@ class SimulatedGPU:
         sms = self._checked_sms(sm_ids)
         if order_factor is None:
             order_factor = ORDER_FACTORS["slate"]
-        if slicer is None:
-            if slice_blocks is None:
-                slice_blocks = default_slice_blocks(work.num_blocks, task_size)
-            slicer = KernelSlicer(
-                work.num_blocks, slice_blocks, clock=lambda: self.env.now
-            )
+        if slice_blocks is None:
+            slice_blocks = default_slice_blocks(work.num_blocks, task_size)
+        plan = slice_plan(work.num_blocks, slice_blocks)
         wrapper = SlicedExecution(
-            self, work, sms, mode, order_factor, task_size, inject_frac, slicer
+            self, work, sms, mode, order_factor, task_size, inject_frac, plan
         )
         self._dispatch_slice(wrapper)
         return wrapper
@@ -722,12 +748,22 @@ class SimulatedGPU:
                     wrapper.work.name,
                     to_sms=len(wrapper._sm_ids),
                 )
-        piece = wrapper.slicer.next_slice()
-        work = (
-            wrapper.work
-            if piece.count == wrapper.work.num_blocks
-            else self._slice_work(wrapper.work, piece.count)
-        )
+        index = wrapper.slices_dispatched
+        _, start, count = wrapper.plan[index]
+        # Each slice is one pull of the slice-granular task queue: the
+        # counter and the detailed instant say so, as KernelSlicer's pulls do.
+        self._m_taskqueue_pulls.inc()
+        if obs_trace.DETAILED:
+            obs_trace.instant(
+                "taskqueue.pull",
+                self.env.now,
+                "device",
+                "taskqueue",
+                start=start,
+                count=count,
+            )
+        base = wrapper.work
+        work = base if count == base.num_blocks else self._slice_work(base, count)
         execution = wrapper._exec
         if execution is None:
             execution = wrapper._exec = KernelExecution(
@@ -742,7 +778,7 @@ class SimulatedGPU:
         else:
             execution._rearm(work, wrapper._sm_ids)
         wrapper.current = execution
-        wrapper.slices_dispatched += 1
+        wrapper.slices_dispatched = index + 1
         self._running[execution.id] = execution
         self._alloc_epoch += 1
         self.env.stats.slice_dispatches += 1
@@ -753,12 +789,12 @@ class SimulatedGPU:
                 self.env.now,
                 "device",
                 wrapper.work.name,
-                index=piece.index,
-                start=piece.start,
-                count=piece.count,
+                index=index,
+                start=start,
+                count=count,
                 sms=len(wrapper._sm_ids),
             )
-        if wrapper.slicer.exhausted:
+        if index + 1 == wrapper.num_slices:
             # Final slice: its completion and tail are the launch's.  Its
             # tail entry fires the launch's own ``tail_started`` (shared,
             # not forwarded), and its ``done`` travels through the
@@ -791,7 +827,7 @@ class SimulatedGPU:
         agg.resizes += counters.resizes
         agg.resize_stall += counters.resize_stall
         agg.end_time = counters.end_time
-        if wrapper.slicer.exhausted:
+        if wrapper.exhausted:
             wrapper._finished = True
             _trigger_inline(wrapper.done, agg)
             return
@@ -800,9 +836,11 @@ class SimulatedGPU:
             return
         # Inter-slice dispatch gap, then the next slice.
         wrapper._gap_gen += 1
-        gen = wrapper._gap_gen
-        self.env.timeout(self.costs.slice_dispatch_overhead).callbacks.append(
-            lambda _e: self._after_slice_gap(wrapper, gen)
+        self.env.call_later(
+            self.costs.slice_dispatch_overhead,
+            self._after_slice_gap,
+            wrapper,
+            wrapper._gap_gen,
         )
 
     def _after_slice_gap(self, wrapper: SlicedExecution, gen: int) -> None:
@@ -838,7 +876,7 @@ class SimulatedGPU:
             if resumed is not None:
                 resumed.succeed()
             return resumed
-        if wrapper.current is not None and wrapper.slicer.exhausted:
+        if wrapper.current is not None and wrapper.exhausted:
             # Final slice in flight: no edge remains — classic retreat.
             return self.resize(wrapper.current, sms, notify)
         # An edge remains (mid-slice, mid-gap, or paused): record the target;
@@ -910,21 +948,22 @@ class SimulatedGPU:
 
         delay = self.costs.retreat_latency + self.costs.kernel_launch_overhead
         execution.counters.resize_stall += delay
-        wake = self.env.timeout(delay)
-
-        def _finish(_event: Event) -> None:
-            if execution.state is not ExecState.RESIZING:
-                return
-            execution._bind(execution._resize_target)
-            execution.state = ExecState.RUNNING
-            execution._last_settle = self.env.now
-            self._alloc_epoch += 1
-            self._epoch_recompute()
-            if resumed is not None:
-                resumed.succeed()
-
-        wake.callbacks.append(_finish)
+        self.env.call_later(delay, self._end_resize, execution, resumed)
         return resumed
+
+    def _end_resize(
+        self, execution: KernelExecution, resumed: Optional[Event]
+    ) -> None:
+        """Resize wake: relaunch on the latest target range."""
+        if execution.state is not ExecState.RESIZING:
+            return
+        execution._bind(execution._resize_target)
+        execution.state = ExecState.RUNNING
+        execution._last_settle = self.env.now
+        self._alloc_epoch += 1
+        self._epoch_recompute()
+        if resumed is not None:
+            resumed.succeed()
 
     def pause(self, execution: KernelExecution, at_edge: bool = True) -> None:
         """Suspend a kernel (context switch); progress is frozen.
@@ -940,7 +979,7 @@ class SimulatedGPU:
             w = execution
             if w._finished or w._paused:
                 return
-            if w.current is not None and w.slicer.exhausted:
+            if w.current is not None and w.exhausted:
                 self.pause(w.current)  # final slice: no edge remains
                 return
             if w.current is None:
@@ -985,9 +1024,11 @@ class SimulatedGPU:
                 return
             w._paused = False
             w._gap_gen += 1
-            gen = w._gap_gen
-            self.env.timeout(self.costs.slice_dispatch_overhead).callbacks.append(
-                lambda _e: self._after_slice_gap(w, gen)
+            self.env.call_later(
+                self.costs.slice_dispatch_overhead,
+                self._after_slice_gap,
+                w,
+                w._gap_gen,
             )
             return
         if execution.state is not ExecState.PAUSED:
@@ -996,6 +1037,20 @@ class SimulatedGPU:
         execution._last_settle = self.env.now
         self._alloc_epoch += 1
         self._epoch_recompute()
+
+    @property
+    def rate_trace(self) -> list[tuple[float, dict[str, float]]]:
+        """``(time, {kernel name: blocks/s})`` at every epoch boundary.
+
+        Built from the epoch log when read (only tests and diagnostics
+        read it); ``rate_trace_limit`` bounds the log.
+        """
+        if self._rate_log is None:
+            return []
+        return [
+            (t, {k.work.name: r.rate for k, r in zip(active, rates)})
+            for t, active, rates in self._rate_log
+        ]
 
     @property
     def active_executions(self) -> list[KernelExecution]:
@@ -1071,80 +1126,80 @@ class SimulatedGPU:
         can change that set — so when the counter matches the epoch the
         current ``_rates`` were derived at, they are reused and the memo
         lookup is skipped.
-        Completion timers are still rescheduled and a ``rate_trace`` sample
-        is still appended — a skipped epoch is observationally identical to
-        a recomputed one.
+        A skipped epoch still logs a ``rate_trace`` record (the last
+        derivation's executions and rates), so it is observationally
+        identical to a recomputed one.
         """
         self._settle_all()
         env = self.env
-        running = ExecState.RUNNING
-        active = [k for k in self._running.values() if k.state is running]
         stats = env.stats
-        trace_on = self.rate_trace_limit != 0
+        log = self._rate_log
         if self._alloc_epoch == self._rates_epoch:
             stats.rate_recomputes_skipped += 1
             # Rates are unchanged, so each kernel's live timer already
             # points at the right absolute completion time — keep it
-            # instead of cancel-and-reschedule churn (an event allocation
-            # plus two heap operations per active kernel per epoch).
-            if trace_on:
-                sample = {k.work.name: k._rates.rate for k in active}
+            # instead of cancel-and-reschedule churn (a timer allocation
+            # plus two heap operations per active kernel per epoch).  No
+            # mutation since the last derivation means the same active
+            # executions with the same rates: log that pair again.
+            if log is not None:
+                log.append((env.now, *self._derived))
+            return
+        stats.rate_recomputes += 1
+        running = ExecState.RUNNING
+        active = [k for k in self._running.values() if k.state is running]
+        # Per-epoch instant: micro-event rate (several per launch),
+        # full-detail captures only.
+        if obs_trace.DETAILED:
+            obs_trace.instant(
+                "epoch",
+                env.now,
+                "device",
+                "epochs",
+                active=len(active),
+            )
+        key = (self._memo_config, *[k._alloc.sid for k in active])
+        memo = self._memo
+        rates = memo.data.get(key)
+        if rates is not None:
+            memo.hits += 1
+            stats.rate_memo_hits += 1
         else:
-            stats.rate_recomputes += 1
-            # Per-epoch instant: micro-event rate (several per launch),
-            # full-detail captures only.
-            if obs_trace.DETAILED:
-                obs_trace.instant(
-                    "epoch",
-                    env.now,
-                    "device",
-                    "epochs",
-                    active=len(active),
-                )
-            key = (self._memo_config, *[k._alloc.sid for k in active])
-            memo = self._memo
-            rates = memo.data.get(key)
-            if rates is not None:
-                memo.hits += 1
-                stats.rate_memo_hits += 1
-            else:
-                # RateInput objects are needed only on a memo miss; the
-                # common path goes interned ids -> shared rates directly.
-                # derive_rates counts the miss, derives and memoizes.
-                outputs = derive_rates(
-                    [_rate_input(k._alloc, k.id) for k in active],
-                    self.device,
-                    self.costs,
-                    stats=stats,
-                    key=key,
-                )
-                rates = [outputs[k.id] for k in active]
-            sample = {}
-            now = env.now
-            on_timer = self._on_timer
-            # _schedule_completion, inlined over locals (same expressions).
-            for k, r in zip(active, rates):
-                k._rates = r
-                rate = r.rate
-                sample[k.work.name] = rate
-                if rate <= _EPS:
-                    k._timer_gen += 1
-                    k._timer_at = None
-                    continue
-                remaining = k.work.num_blocks - k.blocks_done
-                delay = (remaining if remaining > 0.0 else 0.0) / rate
-                at = now + delay
-                if at == k._timer_at:
-                    # The live timer already points at this exact instant.
-                    continue
-                gen = k._timer_gen = k._timer_gen + 1
-                k._timer_at = at
-                env.timeout(delay).callbacks.append(
-                    lambda _e, k=k, gen=gen: on_timer(k, gen)
-                )
-            self._rates_epoch = self._alloc_epoch
-        if trace_on:
-            self.rate_trace.append((env.now, sample))
+            # RateInput objects are needed only on a memo miss; the
+            # common path goes interned ids -> shared rates directly.
+            # derive_rates counts the miss, derives and memoizes.
+            outputs = derive_rates(
+                [_rate_input(k._alloc, k.id) for k in active],
+                self.device,
+                self.costs,
+                stats=stats,
+                key=key,
+            )
+            rates = [outputs[k.id] for k in active]
+        now = env.now
+        on_timer = self._on_timer
+        call_later = env.call_later
+        # _schedule_completion, inlined over locals (same expressions).
+        for k, r in zip(active, rates):
+            k._rates = r
+            rate = r.rate
+            if rate <= _EPS:
+                k._timer_gen += 1
+                k._timer_at = None
+                continue
+            remaining = k.work.num_blocks - k.blocks_done
+            delay = (remaining if remaining > 0.0 else 0.0) / rate
+            at = now + delay
+            if at == k._timer_at:
+                # The live timer already points at this exact instant.
+                continue
+            gen = k._timer_gen = k._timer_gen + 1
+            k._timer_at = at
+            call_later(delay, on_timer, k, gen)
+        self._rates_epoch = self._alloc_epoch
+        self._derived = (active, rates)
+        if log is not None:
+            log.append((now, active, rates))
 
     def _settle_all(self) -> None:
         now = self.env.now
@@ -1202,9 +1257,8 @@ class SimulatedGPU:
             # keep it and skip the cancel/alloc/heap-push cycle.
             return
         k._timer_gen += 1
-        gen = k._timer_gen
         k._timer_at = at
-        self.env.timeout(delay).callbacks.append(lambda _e: self._on_timer(k, gen))
+        self.env.call_later(delay, self._on_timer, k, k._timer_gen)
 
     def _on_timer(self, k: KernelExecution, gen: int) -> None:
         # A pending epoch means some mutation this timestep would have
@@ -1284,7 +1338,7 @@ class SimulatedGPU:
                 started._value = None
                 started.callbacks = None
         self._epoch_recompute()
-        self.env.timeout(tail).callbacks.append(lambda _e: self._finish(k))
+        self.env.call_later(tail, self._finish, k)
 
     def _finish(self, k: KernelExecution) -> None:
         k.state = ExecState.DONE

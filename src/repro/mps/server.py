@@ -142,7 +142,11 @@ class MpsRuntime:
             handle = self.gpu.launch(work, mode=ExecutionMode.HARDWARE)
             if prev_done is not None and not prev_done.triggered:
                 self.tail_overlaps += 1
-            self.env.process(self._finish(ticket, handle))
+            # A plain ``done`` callback, as the Slate scheduler's: a spawned
+            # waiter would cost an initialisation and an exit event.
+            handle.done.callbacks.append(
+                lambda ev, ticket=ticket: self._finish(ticket, ev._value)
+            )
             prev_done = ticket.done
             # SMs this kernel's grid actually occupies.
             used_sms = min(
@@ -158,7 +162,6 @@ class MpsRuntime:
             # drain tail), then admit the next kernel.
             yield handle.tail_started
 
-    def _finish(self, ticket: LaunchTicket, handle) -> Generator:
-        counters = yield handle.done
+    def _finish(self, ticket: LaunchTicket, counters) -> None:
         ticket.counters = counters
         ticket.done.succeed(counters)

@@ -17,7 +17,7 @@ familiar idioms::
 Performance notes
 -----------------
 Every paper experiment is thousands of simulations, so the per-event cost
-here multiplies into the whole evaluation's wall-clock.  Three fast paths
+here multiplies into the whole evaluation's wall-clock.  Four fast paths
 keep it low (see ``docs/api.md`` for the full contract):
 
 * :meth:`Environment.run` inlines the hot loop — no per-event method call,
@@ -25,6 +25,10 @@ keep it low (see ``docs/api.md`` for the full contract):
   locals.  The loop drains same-timestamp batches exactly like repeated
   :meth:`step` calls would (ordering is carried by the heap key), just
   without re-entering the interpreter's call machinery per event.
+* :meth:`Environment.call_later` queues a plain ``fn(*args)`` callback
+  with no event object at all: the device's and the scheduler's internal
+  timers, which nothing else waits on, use it instead of a
+  :class:`Timeout` plus a callbacks list.
 * :meth:`Environment.timeout` recycles :class:`Timeout` instances through a
   free list.  A timeout is only pooled when the engine holds the *sole*
   remaining reference after its callbacks ran (refcount-gated), so user code
@@ -63,6 +67,9 @@ _NORMAL = int(EventPriority.NORMAL)
 _getrefcount = getattr(sys, "getrefcount", None)
 #: Upper bound on pooled Timeout instances kept per environment.
 _TIMEOUT_POOL_MAX = 1024
+#: A queued :meth:`Environment.call_later` call: ``(fn, args)``.  The run
+#: loop tells it from an event by its type.
+_Call = tuple
 
 
 class StopSimulation(Exception):
@@ -79,12 +86,13 @@ class EnvironmentStats:
     Attributes
     ----------
     events_processed:
-        Events whose callbacks have been invoked.  A kernel costs its
-        completion timer, its tail timer and ``done``, plus
-        ``tail_started`` only when something waits on it (otherwise it
-        is marked processed in place); an interior slice of a sliced
-        launch costs three (completion, tail and dispatch-gap timers) and
-        fires no events of its own.
+        Events whose callbacks have been invoked, plus
+        :meth:`Environment.call_later` calls made.  A kernel costs its
+        completion timer, its tail timer (both ``call_later`` calls) and
+        ``done``, plus ``tail_started`` only when something waits on it
+        (otherwise it is marked processed in place); an interior slice of
+        a sliced launch costs three calls (completion, tail and
+        dispatch-gap timers) and fires no events of its own.
     heap_peak:
         Largest number of simultaneously pending events observed.
     timeouts_pooled:
@@ -236,7 +244,9 @@ class Environment:
         #: Current simulated time: a plain attribute (every layer reads it
         #: several times per launch), advanced only by the run loop.
         self.now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        #: Heap of ``(time, priority, eid, item)``: an item is an
+        #: :class:`Event` or a ``(fn, args)`` pair from :meth:`call_later`.
+        self._queue: list[tuple[float, int, int, "Event | _Call"]] = []
         #: Same-timestamp fast lane: every delay-0 NORMAL trigger lands here
         #: in trigger order instead of paying two heap operations.  Ordering
         #: stays identical to the heap-only engine because a NORMAL heap
@@ -245,7 +255,7 @@ class Environment:
         #: lane was triggered — so draining heap-at-now before the lane
         #: replays the old event-id order exactly.  URGENT events always go
         #: through the heap and therefore still preempt the lane.
-        self._fifo: deque[Event] = deque()
+        self._fifo: "deque[Event | _Call]" = deque()
         #: End-of-timestep hooks: callbacks to run once the current instant
         #: has no events left, before the clock advances (decision epochs).
         self._eoe_hooks: list[Callable[[], None]] = []
@@ -346,9 +356,13 @@ class Environment:
             raise EmptySchedule()
         stats.events_processed += 1
 
-        callbacks, event.callbacks = event.callbacks, None
         self._processing = True
         try:
+            if type(event) is _Call:
+                fn, args = event
+                fn(*args)
+                return
+            callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)
         finally:
@@ -400,6 +414,7 @@ class Environment:
         # the pooling branch below is dead without a per-event None check.
         getref = _getrefcount if _getrefcount is not None else (lambda _obj: 0)
         timeout_cls = Timeout
+        call_type = _Call
         pop = heappop
         events = 0
         pooled = 0
@@ -432,6 +447,11 @@ class Environment:
                     pending = len(queue) + len(fifo)
                     continue
                 events += 1
+                if type(event) is call_type:
+                    fn, args = event
+                    fn(*args)
+                    pending = len(queue) + len(fifo)
+                    continue
                 callbacks = event.callbacks
                 event.callbacks = None
                 for callback in callbacks:
@@ -500,6 +520,28 @@ class Environment:
     def event(self) -> Event:
         """Create a new untriggered event."""
         return Event(self)
+
+    def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Call ``fn(*args)`` from the run loop ``delay`` from now.
+
+        A timer without an event: nothing can wait on it, cancel it or read
+        its value, so it skips the :class:`Timeout`, its callbacks list and
+        the pooling check.  It is queued exactly where
+        ``env.timeout(delay).callbacks.append(lambda _e: fn(*args))`` would
+        queue its timeout: it draws its event id from the same counter at
+        the same point, and a zero delay joins the same-timestamp lane.  So
+        swapping one for the other keeps every ordering.  The call counts
+        in ``stats.events_processed``, runs with the loop's processing flag
+        set (device mutations it makes are epoch-batched), and an exception
+        it raises propagates out of :meth:`run` or :meth:`step`.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay} while scheduling {fn!r}")
+        if not delay:
+            self._fifo.append((fn, args))
+            return
+        self._eid += 1
+        heappush(self._queue, (self.now + delay, _NORMAL, self._eid, (fn, args)))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` time units from now.

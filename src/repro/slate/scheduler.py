@@ -566,19 +566,19 @@ class SlateScheduler:
             survivor = running[0]
             sms = survivor.sms
             if sms != self.gpu.all_sms():
-                self.env.timeout(self.costs.grow_grace).callbacks.append(
-                    lambda _e: self._grow_after_grace(survivor, sms)
+                self.env.call_later(
+                    self.costs.grow_grace, self._grow_after_grace, survivor, sms
                 )
         elif len(running) >= 2:
             # N-way: surviving tenants claim the freed SMs.
             covered = sum(len(r.sms) for r in running)
             if covered < self.device.num_sms:
-                count = len(running)
-                self.env.timeout(self.costs.grow_grace).callbacks.append(
-                    lambda _e: self._rebalance_after_grace(count)
+                self.env.call_later(
+                    self.costs.grow_grace, self._rebalance_after_grace, len(running)
                 )
 
-    # The grace waits are timer callbacks, as completion is (see _launch).
+    # The grace waits are ``call_later`` timers (completion is a ``done``
+    # callback, see _launch).
     # The grow wait captures the survivor's SMs when it is armed; a spawned
     # waiter read them one queue hop later, at the same instant.  Nothing
     # resizes a lone survivor within that hop: _on_completion runs from a

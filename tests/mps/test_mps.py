@@ -177,3 +177,20 @@ class TestLeftoverSmallKernels:
         # The second kernel starts only in the first one's drain tail.
         duration = first_end - min(a0, b0)
         assert second_start > first_end - 0.25 * duration
+
+
+class TestCompletionCallback:
+    def test_pair_of_twenty_launches_event_budget_and_app_times(self):
+        """A launch finishes through a ``done`` callback, not a spawned
+        waiter process (which cost an initialisation and an exit event
+        each: 544 events here before).  Every simulated number stays put."""
+        from repro.workloads.harness import app_for, run_pair
+
+        results, runtime = run_pair(
+            "MPS", app_for("BS", reps=20), app_for("RG", reps=20)
+        )
+        assert runtime.env.stats.events_processed == 464
+        assert results["BS"].app_time == 0.1130699379956246
+        assert results["RG"].app_time == 0.1157364395605014
+        assert results["BS"].launches == results["RG"].launches == 20
+        assert runtime.tail_overlaps == 20

@@ -280,6 +280,9 @@ LADDER_LAUNCHES = 60
 #: Large MM task size, so device time dominates wire round-trips and the
 #: co-location penalty shows in the simulated latency.
 LADDER_MM_TASK_SIZE = 4096
+#: Mean MM sim latency (s) of the sim-time ladder under each placement.
+RR_MEAN = 0.17948013130433432
+CONTENTION_MEAN = 0.09016267928111597
 
 
 def _drive_ladder(sock_path, placement):
@@ -312,6 +315,60 @@ def _drive_ladder(sock_path, placement):
         for reply in batch
     ]
     return [client.shard for client in clients], mm, sum(map(len, replies))
+
+
+def _sim_time_ladder(placement):
+    """The ladder on 4 shards in sim time: ``(shard of each client, MM
+    sim latencies)``.
+
+    Placement is the daemon's (``PlacementRouter.pick`` and ``note_open``
+    with each client's hinted class, clients in ladder order), each shard
+    is a ``SlateRuntime`` built as ``InLoopShard`` builds it under the
+    default ``ServeConfig``, and each client is a sim process that issues
+    its next launch when the previous one completes.  A latency runs from
+    the sim time before ``session.launch`` to completion, as the daemon
+    measures it.  No socket, thread or wall clock is involved, so the
+    result is exact.
+    """
+    from repro.kernels.registry import SHORT_NAMES, by_name
+    from repro.sim import Environment
+    from repro.slate.daemon import SlateRuntime
+
+    router = PlacementRouter(4, placement=placement)
+    runtimes = []
+    for _ in range(4):
+        runtime = SlateRuntime(
+            Environment(), policy="table1", log_limit=256, rate_trace_limit=256
+        )
+        runtime.preload_profiles([by_name(n) for n in SHORT_NAMES])
+        runtimes.append(runtime)
+    mm: list[float] = []
+
+    def client(env, session, kernel):
+        spec = by_name(kernel)
+        task_size = LADDER_MM_TASK_SIZE if kernel == "MM" else None
+        for _ in range(LADDER_LAUNCHES):
+            t0 = env.now
+            ticket = yield from session.launch(spec, task_size=task_size)
+            if not ticket.done.triggered:
+                yield ticket.done
+            if kernel == "MM":
+                mm.append(env.now - t0)
+
+    shards = []
+    for index, kernel in enumerate(LADDER):
+        name = f"c{index}#{index + 1}"
+        candidate = router.classify(kernel)
+        shard = router.pick(name, candidate)
+        router.note_open(shard, name, candidate)
+        shards.append(shard)
+        runtime = runtimes[shard]
+        session = runtime.create_session(name)
+        runtime.env.process(client(runtime.env, session, kernel))
+    for runtime in runtimes:
+        runtime.env.run()
+    assert len(mm) == LADDER.count("MM") * LADDER_LAUNCHES
+    return shards, mm
 
 
 #: The shard-scaling load: 64 clients, each 5 warmup + 40 measured
@@ -416,22 +473,39 @@ class TestShardScalingAndPlacement:
         record_property("served_sim_ratio", ratio)
         print(f"served 8-shard/1-shard sim throughput ratio: {ratio:.2f}")
 
-    def test_contention_placement_beats_round_robin_on_antagonists(self, tmp_path):
+    def test_contention_placement_beats_round_robin_on_antagonists(self):
         """Round-robin pairs MM with MM, whose launches serialize on the
         simulated device; contention placement pairs each MM with an RG.
-        Compared on MM sim latency: wall time on a small host is
-        placement-agnostic noise."""
-        rr_shards, rr_mm, rr_done = _drive_ladder(
-            str(tmp_path / "rr.sock"), "round-robin"
-        )
-        shards, mm, done = _drive_ladder(str(tmp_path / "ct.sock"), "contention")
-        assert rr_done == done == len(LADDER) * LADDER_LAUNCHES
+        Compared on MM sim latency in the sim-time ladder: a served run's
+        sim latencies depend on how each ``SimDriver._pump`` batches
+        arrivals, which is host timing (see
+        ``test_served_ladder_places_and_completes``)."""
+        rr_shards, rr_mm = _sim_time_ladder("round-robin")
+        shards, mm = _sim_time_ladder("contention")
         assert rr_shards == [0, 1, 2, 3, 0, 1, 2, 3]
         by_shard: dict[int, list[str]] = {}
         for kernel, shard in zip(LADDER, shards):
             by_shard.setdefault(shard, []).append(kernel)
         assert all(sorted(v) == ["MM", "RG"] for v in by_shard.values()), by_shard
+        assert statistics.mean(rr_mm) == RR_MEAN
+        assert statistics.mean(mm) == CONTENTION_MEAN
         assert statistics.mean(mm) <= statistics.mean(rr_mm) * 0.95
+
+    def test_served_ladder_places_and_completes(self, tmp_path, record_property):
+        """The served ladder completes every launch under both placements
+        and places as the sim-time ladder does.  Its MM sim-latency ratio
+        moves with host batching, so it is reported
+        (``served_mm_latency_ratio``), not asserted."""
+        rr_shards, rr_mm, rr_done = _drive_ladder(
+            str(tmp_path / "rr.sock"), "round-robin"
+        )
+        shards, mm, done = _drive_ladder(str(tmp_path / "ct.sock"), "contention")
+        assert rr_done == done == len(LADDER) * LADDER_LAUNCHES
+        assert rr_shards == _sim_time_ladder("round-robin")[0]
+        assert shards == _sim_time_ladder("contention")[0]
+        ratio = statistics.mean(mm) / statistics.mean(rr_mm)
+        record_property("served_mm_latency_ratio", ratio)
+        print(f"served contention/round-robin MM sim latency ratio: {ratio:.3f}")
 
 
 class TestShardDraining:

@@ -570,6 +570,74 @@ def test_taskqueue_pull_instants_are_detailed_only():
     assert sum(e.name == "taskqueue.pull" for e in sink.events()) == 8
 
 
+@given(
+    shape=st.integers(min_value=1, max_value=6_000).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(min_value=max(1, n // 24), max_value=n + 500)
+        )
+    ),
+    resize_at=st.floats(min_value=0.0, max_value=1.0),
+    pause_at=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_sliced_launch_dispatches_exactly_the_slicers_plan(
+    shape, resize_at, pause_at
+):
+    """The device indexes the launch's tiling, computed once; what it
+    dispatches is ``KernelSlicer(num_blocks, slice_blocks).plan()``, with
+    or without a resize and an edge pause landing mid-run, and each slice
+    still counts one task-queue pull (counter and detailed instant)."""
+    from repro.obs import trace as obs_trace
+    from repro.obs.registry import registry
+
+    num_blocks, slice_blocks = shape
+    plan = [(s.start, s.count) for s in KernelSlicer(num_blocks, slice_blocks).plan()]
+    pulls = registry().counter("taskqueue.pulls")
+
+    def run(interrupt_span):
+        env, gpu = make_gpu()
+        before = pulls.value
+        with obs_trace.capture() as sink:
+            handle = gpu.launch_sliced(
+                compute_work(num_blocks=num_blocks),
+                mode=ExecutionMode.SLATE,
+                task_size=10,
+                slice_blocks=slice_blocks,
+            )
+            if interrupt_span is not None:
+                env.call_later(
+                    resize_at * interrupt_span,
+                    gpu.resize,
+                    handle,
+                    gpu.sm_range(0, 11),
+                    False,
+                )
+                env.call_later(pause_at * interrupt_span, gpu.pause, handle)
+                env.call_later(
+                    pause_at * interrupt_span + 1e-3, gpu.resume, handle
+                )
+            counters = env.run(until=handle.done)
+        events = sink.events()
+        dispatched = [
+            (e.args["start"], e.args["count"])
+            for e in events
+            if e.name == "slice.dispatch"
+        ]
+        pulled = [
+            (e.args["start"], e.args["count"])
+            for e in events
+            if e.name == "taskqueue.pull"
+        ]
+        assert dispatched == pulled == plan
+        assert pulls.value - before == len(plan)
+        assert handle.slices_dispatched == len(plan)
+        assert counters.blocks_executed == pytest.approx(num_blocks)
+        return env.now
+
+    span = run(None)
+    run(span)
+
+
 # -- scheduler integration: byte-identity ------------------------------------
 
 TRACE_WORKLOAD = [
