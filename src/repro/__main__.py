@@ -603,8 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", metavar="PATH",
         help=(
             "capture structured tracing across the battery and write a "
-            "Perfetto/chrome://tracing JSON here (forces --jobs 1; cached "
-            "experiments produce no events — use REPRO_NO_CACHE=1)"
+            "Perfetto/chrome://tracing JSON here (forces --jobs 1; "
+            "REPRO_NO_CACHE=1 also traces the offline profiling that cached "
+            "profiles skip)"
         ),
     )
     p.set_defaults(func=_cmd_experiments)

@@ -1,12 +1,11 @@
-"""Persistent on-disk result cache.
+"""Persistent on-disk store of offline kernel profiles.
 
 The Slate daemon amortizes first-run profiling with its kernel profile
 table (§IV-B): a kernel is profiled once, and every later scheduling
-decision reads the stored profile.  This module generalizes that idea to
-the whole reproduction: any deterministic, expensive simulation result —
-offline kernel profiles, sweep points, Figure-7 pairing cells — can be
-stored on disk keyed by a configuration fingerprint and reused across
-experiments, pytest sessions, and parallel runner workers.
+decision reads the stored profile, including profiles "obtained from its
+previous runs".  :class:`repro.slate.profiler.ProfileCache` keeps that
+table on disk through this module, so offline profiles are reused across
+experiments, pytest sessions and parallel runner workers.
 
 Design rules:
 
@@ -22,7 +21,8 @@ Design rules:
   workers can share one cache directory without corrupting entries.
 * **Each file is read once per instance.**  A :class:`JsonCache` keeps
   every payload it has read from disk and serves later gets of that key
-  from memory; ``put`` does not fill this store and ``clear`` drops it.
+  from memory.  ``put`` drops its key's kept payload without filling the
+  store (the next get reads the new file), and ``clear`` drops them all.
   The process-wide profile cache is one instance, so a cached profile is
   opened once per process however many runtimes preload it.
 
@@ -30,8 +30,6 @@ Layout on disk::
 
     <cache root>/                 # repro.config.cache_dir()
         profiles/<fingerprint>.json
-        sweep/<fingerprint>.json
-        fig7/<fingerprint>.json
 
 Set ``REPRO_CACHE_DIR`` to relocate the root, ``REPRO_NO_CACHE=1`` to
 bypass caching entirely, or delete the directory to force recomputation.
@@ -56,7 +54,7 @@ class JsonCache:
     Parameters
     ----------
     namespace:
-        Subdirectory under the cache root (``"profiles"``, ``"sweep"``, ...).
+        Subdirectory under the cache root (``"profiles"``).
     root:
         Cache root; defaults to :func:`repro.config.cache_dir` (which
         honours ``$REPRO_CACHE_DIR``).
@@ -125,12 +123,17 @@ class JsonCache:
         return payload
 
     def put(self, payload: dict, *key_parts: Any) -> None:
-        """Atomically store ``payload`` under the key of ``key_parts``."""
+        """Atomically store ``payload`` under the key of ``key_parts``.
+
+        A payload kept from an earlier :meth:`get` of the key is dropped,
+        so the next get reads what this call wrote.
+        """
         if not self.enabled:
             return
         directory = self.directory
         directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(*key_parts)
+        self._read.pop(path.stem, None)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

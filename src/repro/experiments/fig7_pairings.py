@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache import JsonCache
 from repro.config import CostModel, DeviceConfig, TITAN_XP
 from repro.kernels.registry import SHORT_NAMES
 from repro.metrics.antt import antt
@@ -61,17 +60,8 @@ class Fig7Result:
         return sum(r.gain(over) > 0 for r in self.rows)
 
 
-def _solo_time(
-    bench: str, device: DeviceConfig, costs: CostModel, cache: JsonCache
-) -> float:
-    app = app_for(bench)
-    cache_key = ("fig7-solo", "CUDA", app, device, costs)
-    hit = cache.get(*cache_key)
-    if hit is not None:
-        return float(hit["app_time"])
-    app_time = app_times("CUDA", app, device=device, costs=costs)[bench]
-    cache.put({"app_time": app_time}, *cache_key)
-    return app_time
+def _solo_time(bench: str, device: DeviceConfig, costs: CostModel) -> float:
+    return app_times("CUDA", app_for(bench), device=device, costs=costs)[bench]
 
 
 def _pair_times(
@@ -82,34 +72,26 @@ def _pair_times(
     nb: str,
     device: DeviceConfig,
     costs: CostModel,
-    cache: JsonCache,
 ) -> dict[str, float]:
     app_a, app_b = app_for(a, name=na), app_for(b, name=nb)
-    cache_key = ("fig7-pair", runtime, app_a, app_b, device, costs)
-    hit = cache.get(*cache_key)
-    if hit is not None:
-        return {na: float(hit["times"][na]), nb: float(hit["times"][nb])}
-    times = app_times(runtime, app_a, app_b, device=device, costs=costs)
-    cache.put({"times": times}, *cache_key)
-    return times
+    return app_times(runtime, app_a, app_b, device=device, costs=costs)
 
 
 def run(device: DeviceConfig = TITAN_XP) -> Fig7Result:
     """Run every pairing under every runtime; normalize to solo CUDA.
 
-    Each of the 45 pairing cells (and the 5 solo baselines) is a
-    deterministic simulation, cached on disk keyed by the apps, runtime
-    and device/cost-model fingerprint (see :mod:`repro.cache`).
+    Each of the 45 pairing cells and the 5 solo baselines is one
+    :func:`~repro.workloads.harness.app_times` scenario, simulated once
+    per process.
     """
     costs = DEFAULT_COSTS
-    cache = JsonCache("fig7")
-    solo = {bench: _solo_time(bench, device, costs, cache) for bench in SHORT_NAMES}
+    solo = {bench: _solo_time(bench, device, costs) for bench in SHORT_NAMES}
     rows = []
     for a, b in all_pairings():
         na, nb = (a, b) if a != b else (a, f"{b}#2")
         per_runtime = {}
         for runtime in RUNTIME_ORDER:
-            shared = _pair_times(runtime, a, b, na, nb, device, costs, cache)
+            shared = _pair_times(runtime, a, b, na, nb, device, costs)
             baseline = {na: solo[a], nb: solo[b]}
             per_runtime[runtime] = antt(shared, baseline)
         rows.append(PairingRow(pair=(a, b), antt_by_runtime=per_runtime))

@@ -231,11 +231,10 @@ def _run_one_profiled(key: str) -> tuple[str, Any, float, dict[str, int]]:
     with a disabled profile cache (the previous one is restored
     afterwards).  So each experiment's hit rates start cold, it simulates
     every scenario, offline profile and split search it reads (however
-    many earlier experiments or runs ran the same one), and serial/parallel
-    runs report identical counters.  Figure 7's and the sweep's on-disk
-    result cells are still read; ``REPRO_NO_CACHE=1`` turns them off.
-    Valid under ``--jobs``: pool workers each own a per-process aggregate
-    and run one experiment at a time.
+    many earlier experiments or runs ran the same one), and its counters
+    read the same on a warm cache directory, with ``REPRO_NO_CACHE=1``,
+    and in serial or parallel runs.  Valid under ``--jobs``: pool workers
+    each own a per-process aggregate and run one experiment at a time.
     """
     from repro.gpu.occupancy import occupancy_cache_info, reset_occupancy_cache
     from repro.gpu.rates import reset_rates_cache
@@ -290,7 +289,7 @@ def _fold_into_aggregate(stats: dict[str, int]) -> None:
     from repro.sim import aggregate_stats
 
     agg = aggregate_stats()
-    agg.accumulate({field: 0 for field in type(agg)._FIELDS}, stats)
+    agg.accumulate({field: 0 for field in agg.__slots__}, stats)
 
 
 def iter_battery(
@@ -357,7 +356,7 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
     """
     header = (
         f"{'experiment':<14}{'events':>12}{'heap pk':>9}{'t/o reused':>12}"
-        f"{'recomp':>8}{'skip':>7}{'wfill':>7}"
+        f"{'recomp':>8}{'wfill':>7}"
         f"{'rmemo':>8}{'rm%':>6}{'occ%':>6}"
         f"{'epochs':>9}{'mut/ep':>8}{'scal':>7}"
         f"{'slices':>8}{'slcpre':>8}"
@@ -365,7 +364,7 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
     )
     lines = [header, "-" * len(header)]
     totals = {
-        "events": 0, "reused": 0, "recomp": 0, "skip": 0, "wfill": 0,
+        "events": 0, "reused": 0, "recomp": 0, "wfill": 0,
         "rhits": 0, "rmiss": 0, "ohits": 0, "omiss": 0,
         "marks": 0, "flushes": 0, "scal": 0, "slices": 0, "slcpre": 0,
     }
@@ -386,7 +385,6 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
             f"{s.get('heap_peak', 0):>9,}"
             f"{s.get('timeouts_reused', 0):>12,}"
             f"{s.get('rate_recomputes', 0):>8,}"
-            f"{s.get('rate_recomputes_skipped', 0):>7,}"
             f"{s.get('waterfill_calls', 0):>7,}"
             f"{rhits:>8,}"
             f"{_hit_rate(rhits, rmiss):>6}"
@@ -402,7 +400,6 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
         totals["events"] += s.get("events_processed", 0)
         totals["reused"] += s.get("timeouts_reused", 0)
         totals["recomp"] += s.get("rate_recomputes", 0)
-        totals["skip"] += s.get("rate_recomputes_skipped", 0)
         totals["wfill"] += s.get("waterfill_calls", 0)
         totals["rhits"] += rhits
         totals["rmiss"] += rmiss
@@ -417,7 +414,7 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
     lines.append("-" * len(header))
     lines.append(
         f"{'total':<14}{totals['events']:>12,}{'':>9}{totals['reused']:>12,}"
-        f"{totals['recomp']:>8,}{totals['skip']:>7,}{totals['wfill']:>7,}"
+        f"{totals['recomp']:>8,}{totals['wfill']:>7,}"
         f"{totals['rhits']:>8,}"
         f"{_hit_rate(totals['rhits'], totals['rmiss']):>6}"
         f"{_hit_rate(totals['ohits'], totals['omiss']):>6}"
@@ -458,9 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help=(
             "print per-experiment engine counters (events processed, rate "
-            "recomputes, wall-clock); experiments served from the on-disk "
-            "result cache show little engine work — set REPRO_NO_CACHE=1 "
-            "to force fresh simulations"
+            "recomputes, wall-clock)"
         ),
     )
     args = parser.parse_args(argv)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.cache import JsonCache
 from repro.config import CostModel, DeviceConfig, TITAN_XP
 from repro.gpu.device import ExecutionMode, SimulatedGPU
 from repro.kernels.blackscholes import blackscholes
@@ -58,13 +57,7 @@ class SweepResult:
         raise KeyError(primary_sms)
 
 
-def _solo(
-    spec: KernelSpec, device: DeviceConfig, costs: CostModel, cache: JsonCache
-) -> float:
-    cache_key = ("sweep-solo", spec, device, costs, DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC)
-    hit = cache.get(*cache_key)
-    if hit is not None:
-        return float(hit["elapsed"])
+def _solo(spec: KernelSpec, device: DeviceConfig, costs: CostModel) -> float:
     env = Environment()
     gpu = SimulatedGPU(env, device, costs)
     handle = gpu.launch(
@@ -73,9 +66,7 @@ def _solo(
         task_size=DEFAULT_TASK_SIZE,
         inject_frac=SLATE_INJECT_FRAC,
     )
-    elapsed = env.run(until=handle.done).elapsed
-    cache.put({"elapsed": elapsed}, *cache_key)
-    return elapsed
+    return env.run(until=handle.done).elapsed
 
 
 def _point(
@@ -84,25 +75,7 @@ def _point(
     n: int,
     device: DeviceConfig,
     costs: CostModel,
-    cache: JsonCache,
 ) -> SweepPoint:
-    cache_key = (
-        "sweep-point",
-        primary,
-        secondary,
-        n,
-        device,
-        costs,
-        DEFAULT_TASK_SIZE,
-        SLATE_INJECT_FRAC,
-    )
-    hit = cache.get(*cache_key)
-    if hit is not None:
-        return SweepPoint(
-            primary_sms=n,
-            time_primary=float(hit["time_primary"]),
-            time_secondary=float(hit["time_secondary"]),
-        )
     env = Environment()
     gpu = SimulatedGPU(env, device, costs)
     kwargs = dict(
@@ -113,16 +86,11 @@ def _point(
     hp = gpu.launch(primary.work(), sm_ids=range(n), **kwargs)
     hs = gpu.launch(secondary.work(), sm_ids=range(n, device.num_sms), **kwargs)
     env.run(until=hp.done & hs.done)
-    point = SweepPoint(
+    return SweepPoint(
         primary_sms=n,
         time_primary=hp.counters.elapsed,
         time_secondary=hs.counters.elapsed,
     )
-    cache.put(
-        {"time_primary": point.time_primary, "time_secondary": point.time_secondary},
-        *cache_key,
-    )
-    return point
 
 
 def run(
@@ -133,19 +101,16 @@ def run(
 ) -> SweepResult:
     """Sweep the primary kernel's SM share across ``shares``.
 
-    Each point is an independent deterministic simulation, so points are
-    cached on disk (see :mod:`repro.cache`) keyed by the kernel pair, the
-    split, and the device/cost-model fingerprint.
+    Each point is an independent deterministic co-run on a private device.
     """
     costs = CostModel()
-    cache = JsonCache("sweep")
     primary = primary if primary is not None else blackscholes()
     secondary = secondary if secondary is not None else quasirandom()
-    points = [_point(primary, secondary, n, device, costs, cache) for n in shares]
+    points = [_point(primary, secondary, n, device, costs) for n in shares]
     return SweepResult(
         points=tuple(points),
-        solo_primary=_solo(primary, device, costs, cache),
-        solo_secondary=_solo(secondary, device, costs, cache),
+        solo_primary=_solo(primary, device, costs),
+        solo_secondary=_solo(secondary, device, costs),
     )
 
 

@@ -189,7 +189,7 @@ def run_detailed_sliced(
     """Execute ``work`` slice by slice in the per-block model.
 
     Validation reference for sliced dispatch (``SimulatedGPU.launch_sliced``):
-    the grid is tiled by a :class:`repro.slate.slicing.KernelSlicer`, each
+    the grid is tiled by :func:`repro.slate.slicing.slice_plan`, each
     slice runs as an independent Slate-mode worker launch, and consecutive
     slices are separated by ``costs.slice_dispatch_overhead``.  The elapsed
     delta against one unsliced :func:`run_detailed` call is the per-block
@@ -198,13 +198,12 @@ def run_detailed_sliced(
     """
     from dataclasses import replace
 
-    from repro.slate.slicing import KernelSlicer
+    from repro.slate.slicing import slice_plan
 
-    slicer = KernelSlicer(work.num_blocks, slice_blocks)
     elapsed = 0.0
     blocks = 0
     pulls = 0
-    for piece in slicer.plan():
+    for piece in slice_plan(work.num_blocks, slice_blocks):
         if piece.index:
             elapsed += costs.slice_dispatch_overhead
         sub = (

@@ -436,12 +436,10 @@ class KernelExecution:
 class SlicedExecution:
     """Handle for a Kernelet-style sliced launch (``launch_sliced``).
 
-    The grid's tiling (:func:`repro.slate.slicing.slice_plan`, the
-    arithmetic of :meth:`~repro.slate.slicing.KernelSlicer.plan`) is
+    The grid's tiling (:func:`repro.slate.slicing.slice_plan`) is
     computed once, at launch, and dispatched slice by slice; each slice
-    runs on one
-    :class:`KernelExecution`, built for the first slice and re-armed for
-    each later one, and consecutive slices are separated by one
+    runs on one :class:`KernelExecution`, built for the first slice and
+    re-armed for each later one, and consecutive slices are separated by one
     ``costs.slice_dispatch_overhead`` gap.  Between slices the handle is at
     a *slice edge*: a resize or preemption requested mid-slice is recorded
     and takes effect at the next edge with no retreat drain — the whole
@@ -588,15 +586,6 @@ class SimulatedGPU:
             if rate_trace_limit == 0
             else [] if rate_trace_limit is None else _deque(maxlen=rate_trace_limit)
         )
-        #: ``(active, rates)`` of the last rate derivation.
-        self._derived: tuple[list, list] = ([], [])
-        #: Allocation-epoch counter: bumped by every mutation that changes
-        #: the active ``(id, sm_ids)`` signature (launch, pause, resume,
-        #: resize, tail entry).  ``_rates_epoch`` records the counter value
-        #: the current ``_rates`` were derived at; a recompute whose counter
-        #: matches reuses them without rebuilding any signature tuple.
-        self._alloc_epoch = 0
-        self._rates_epoch = -1
         self._epoch_batch = self.EPOCH_BATCH
         self._epoch_dirty = False
         #: First element of every rate-memo key this device builds
@@ -673,7 +662,6 @@ class SimulatedGPU:
             self, work, sms, mode, order_factor, task_size, inject_frac
         )
         self._running[execution.id] = execution
-        self._alloc_epoch += 1
         self._epoch_recompute()
         return execution
 
@@ -751,7 +739,7 @@ class SimulatedGPU:
         index = wrapper.slices_dispatched
         _, start, count = wrapper.plan[index]
         # Each slice is one pull of the slice-granular task queue: the
-        # counter and the detailed instant say so, as KernelSlicer's pulls do.
+        # counter and the detailed instant say so.
         self._m_taskqueue_pulls.inc()
         if obs_trace.DETAILED:
             obs_trace.instant(
@@ -780,7 +768,6 @@ class SimulatedGPU:
         wrapper.current = execution
         wrapper.slices_dispatched = index + 1
         self._running[execution.id] = execution
-        self._alloc_epoch += 1
         self.env.stats.slice_dispatches += 1
         self._m_slice_dispatch.inc()
         if obs_trace.DETAILED:
@@ -931,7 +918,6 @@ class SimulatedGPU:
         self._settle_all()
         execution.state = ExecState.RESIZING
         execution._resize_target = sms
-        self._alloc_epoch += 1
         execution.counters.resizes += 1
         # Paired with the scheduler's resize instants: per-corun-decision
         # churn that only full-detail captures record.
@@ -960,7 +946,6 @@ class SimulatedGPU:
         execution._bind(execution._resize_target)
         execution.state = ExecState.RUNNING
         execution._last_settle = self.env.now
-        self._alloc_epoch += 1
         self._epoch_recompute()
         if resumed is not None:
             resumed.succeed()
@@ -998,7 +983,6 @@ class SimulatedGPU:
             return
         self._settle_all()
         execution.state = ExecState.PAUSED
-        self._alloc_epoch += 1
         self._epoch_recompute()
 
     def resume(self, execution: KernelExecution) -> None:
@@ -1035,7 +1019,6 @@ class SimulatedGPU:
             return
         execution.state = ExecState.RUNNING
         execution._last_settle = self.env.now
-        self._alloc_epoch += 1
         self._epoch_recompute()
 
     @property
@@ -1120,31 +1103,13 @@ class SimulatedGPU:
     def _recompute(self) -> None:
         """Settle progress and re-derive all rates (epoch boundary).
 
-        Incremental contract: every rate is a pure function of the active
-        executions' ``(id, sm_ids)`` pairs (all other rate inputs are fixed
-        at launch), and ``_alloc_epoch`` counts exactly the mutations that
-        can change that set — so when the counter matches the epoch the
-        current ``_rates`` were derived at, they are reused and the memo
-        lookup is skipped.
-        A skipped epoch still logs a ``rate_trace`` record (the last
-        derivation's executions and rates), so it is observationally
-        identical to a recomputed one.
+        Every rate is a pure function of the active executions'
+        allocation records (all other rate inputs are fixed at launch), so
+        the memo is probed with their interned signature ids.
         """
         self._settle_all()
         env = self.env
         stats = env.stats
-        log = self._rate_log
-        if self._alloc_epoch == self._rates_epoch:
-            stats.rate_recomputes_skipped += 1
-            # Rates are unchanged, so each kernel's live timer already
-            # points at the right absolute completion time — keep it
-            # instead of cancel-and-reschedule churn (a timer allocation
-            # plus two heap operations per active kernel per epoch).  No
-            # mutation since the last derivation means the same active
-            # executions with the same rates: log that pair again.
-            if log is not None:
-                log.append((env.now, *self._derived))
-            return
         stats.rate_recomputes += 1
         running = ExecState.RUNNING
         active = [k for k in self._running.values() if k.state is running]
@@ -1196,8 +1161,7 @@ class SimulatedGPU:
             gen = k._timer_gen = k._timer_gen + 1
             k._timer_at = at
             call_later(delay, on_timer, k, gen)
-        self._rates_epoch = self._alloc_epoch
-        self._derived = (active, rates)
+        log = self._rate_log
         if log is not None:
             log.append((now, active, rates))
 
@@ -1314,7 +1278,6 @@ class SimulatedGPU:
     def _begin_tail(self, k: KernelExecution) -> None:
         k.blocks_done = float(k.work.num_blocks)
         k.state = ExecState.TAIL
-        self._alloc_epoch += 1
         tail = self._tail_time(k)
         # Tail entry is covered by the completion span's duration; the
         # per-launch instant is full-detail only.

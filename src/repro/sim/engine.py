@@ -101,9 +101,6 @@ class EnvironmentStats:
         ``Environment.timeout`` calls served from the free list.
     rate_recomputes:
         Full rate re-derivations performed by :class:`~repro.gpu.device.SimulatedGPU`.
-    rate_recomputes_skipped:
-        Epoch boundaries where the rate inputs were unchanged and the
-        re-derivation was skipped (incremental-recompute fast path).
     waterfill_calls:
         :func:`~repro.gpu.memory.waterfill` invocations inside
         :func:`~repro.gpu.rates.derive_rates` (two per full derivation).
@@ -139,25 +136,6 @@ class EnvironmentStats:
         "timeouts_pooled",
         "timeouts_reused",
         "rate_recomputes",
-        "rate_recomputes_skipped",
-        "waterfill_calls",
-        "rate_memo_hits",
-        "rate_memo_misses",
-        "epoch_marks",
-        "epoch_flushes",
-        "rate_vector_evals",
-        "rate_scalar_evals",
-        "slice_dispatches",
-        "slice_preempts",
-    )
-
-    _FIELDS = (
-        "events_processed",
-        "heap_peak",
-        "timeouts_pooled",
-        "timeouts_reused",
-        "rate_recomputes",
-        "rate_recomputes_skipped",
         "waterfill_calls",
         "rate_memo_hits",
         "rate_memo_misses",
@@ -170,17 +148,16 @@ class EnvironmentStats:
     )
 
     def __init__(self) -> None:
-        for field in self._FIELDS:
-            setattr(self, field, 0)
+        self.reset()
 
     def reset(self) -> None:
         """Zero every counter."""
-        for field in self._FIELDS:
+        for field in self.__slots__:
             setattr(self, field, 0)
 
     def snapshot(self) -> dict[str, int]:
         """Copy of the counters as a plain dict."""
-        return {field: getattr(self, field) for field in self._FIELDS}
+        return {field: getattr(self, field) for field in self.__slots__}
 
     def accumulate(self, before: dict[str, int], after: dict[str, int]) -> None:
         """Fold the delta between two snapshots into this instance.
@@ -188,7 +165,7 @@ class EnvironmentStats:
         Monotonic counters add; ``heap_peak`` (a high-water mark) takes the
         max instead.
         """
-        for field in self._FIELDS:
+        for field in self.__slots__:
             delta = after[field] - before[field]
             if field == "heap_peak":
                 if after[field] > self.heap_peak:
@@ -197,7 +174,7 @@ class EnvironmentStats:
                 setattr(self, field, getattr(self, field) + delta)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        body = ", ".join(f"{f}={getattr(self, f)}" for f in self._FIELDS)
+        body = ", ".join(f"{f}={getattr(self, f)}" for f in self.__slots__)
         return f"EnvironmentStats({body})"
 
 

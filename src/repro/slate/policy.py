@@ -68,6 +68,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.slate.classify import IntensityClass as C
+from repro.slate.slicing import default_slice_blocks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scheduler imports us)
     from repro.slate.profiler import KernelProfile
@@ -556,8 +557,6 @@ class EdfPolicy(SchedulingPolicy):
         deadline arrival finds a preemption edge twice as often (floored at
         one worker task per slice).
         """
-        from repro.slate.slicing import default_slice_blocks
-
         if ticket.deadline is not None:
             return work.num_blocks
         base = self.scheduler.slice_blocks

@@ -31,10 +31,8 @@ __all__ = [
     "configure_profile_cache",
     "default_profile_cache",
     "reset_profile_cache",
-    "load_profiles",
     "offline_profile",
     "profile_from_counters",
-    "save_profiles",
 ]
 
 
@@ -135,26 +133,8 @@ class ProfileCache:
     stale profile.
     """
 
-    def __init__(
-        self, root=None, enabled: Optional[bool] = None, namespace: str = "profiles"
-    ) -> None:
-        self._store = JsonCache(namespace, root=root, enabled=enabled)
-
-    @property
-    def enabled(self) -> bool:
-        return self._store.enabled
-
-    @property
-    def directory(self):
-        return self._store.directory
-
-    @property
-    def hits(self) -> int:
-        return self._store.hits
-
-    @property
-    def misses(self) -> int:
-        return self._store.misses
+    def __init__(self, root=None, enabled: Optional[bool] = None) -> None:
+        self._store = JsonCache("profiles", root=root, enabled=enabled)
 
     @staticmethod
     def _key(spec, device, costs, task_size, basis):
@@ -189,9 +169,6 @@ class ProfileCache:
             _profile_to_payload(profile),
             *self._key(spec, device, costs, task_size, basis),
         )
-
-    def clear(self) -> int:
-        return self._store.clear()
 
     def __len__(self) -> int:
         return len(self._store)
@@ -291,24 +268,3 @@ class ProfileTable:
 
     def __len__(self) -> int:
         return len(self._profiles)
-
-
-def save_profiles(table: ProfileTable, path) -> None:
-    """Persist a profile table to JSON (the paper's across-run profiles)."""
-    import json
-
-    payload = {str(key): _profile_to_payload(p) for key, p in table._profiles.items()}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-
-
-def load_profiles(path, device: DeviceConfig = TITAN_XP) -> ProfileTable:
-    """Load a profile table saved by :func:`save_profiles`."""
-    import json
-
-    with open(path) as fh:
-        payload = json.load(fh)
-    table = ProfileTable(device)
-    for key, raw in payload.items():
-        table.put(key, _profile_from_payload(raw))
-    return table

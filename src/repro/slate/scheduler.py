@@ -37,6 +37,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.registry import registry as obs_registry
 from repro.slate.policy import AdmissionRejected, SchedulingPolicy, make_policy
 from repro.slate.profiler import KernelProfile, ProfileTable
+from repro.slate.slicing import SliceConfigError, default_slice_blocks
 from repro.sim import Environment, Event
 
 __all__ = [
@@ -193,8 +194,6 @@ class SlateScheduler:
         if max_corun < 1:
             raise ValueError("max_corun must be >= 1")
         if slice_blocks is not None and slice_blocks < 1:
-            from repro.slate.slicing import SliceConfigError
-
             raise SliceConfigError(
                 f"slice_blocks must be >= 1, got {slice_blocks}"
             )
@@ -478,8 +477,6 @@ class SlateScheduler:
         ticket.started_at = self.env.now
         work = ticket.spec.work()
         if self.slicing:
-            from repro.slate.slicing import default_slice_blocks
-
             quota = self.policy.slice_quota(ticket, work)
             if quota is None:
                 quota = default_slice_blocks(work.num_blocks, ticket.task_size)

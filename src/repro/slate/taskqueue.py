@@ -9,9 +9,8 @@ are currently executing.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
-from repro.obs import trace as obs_trace
 from repro.obs.registry import registry as obs_registry
 
 __all__ = ["SlateQueue", "Task", "TaskQueueConfigError"]
@@ -37,12 +36,7 @@ class Task(NamedTuple):
 class SlateQueue:
     """The global task queue for one transformed kernel execution."""
 
-    def __init__(
-        self,
-        num_blocks: int,
-        task_size: int,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, num_blocks: int, task_size: int) -> None:
         if num_blocks < 1:
             raise TaskQueueConfigError(
                 f"num_blocks must be >= 1, got {num_blocks} (a zero-block "
@@ -62,10 +56,6 @@ class SlateQueue:
         self.slate_idx = 0
         self.retreat = False
         self.pulls = 0
-        #: Optional time source (e.g. ``lambda: env.now``) stamping pull
-        #: trace events; without one, pulls trace at t=0.  Pulls are
-        #: per-task (per-slice) micro-events: full-detail captures only.
-        self._clock = clock
         reg = obs_registry()
         self._m_pulls = reg.counter("taskqueue.pulls")
         self._m_retreats = reg.counter("taskqueue.retreats")
@@ -102,15 +92,6 @@ class SlateQueue:
         self.slate_idx = start + self.task_size
         self.pulls += 1
         self._m_pulls.inc()
-        if obs_trace.DETAILED:
-            obs_trace.instant(
-                "taskqueue.pull",
-                self._clock() if self._clock is not None else 0.0,
-                "device",
-                "taskqueue",
-                start=start,
-                count=count,
-            )
         return Task(start, count)
 
     def signal_retreat(self) -> None:

@@ -238,21 +238,19 @@ class TestFig7:
         assert "avg gain" in out and "BS-RG" in out
 
     def test_cells_simulate_under_their_cost_model(self):
-        """The cost model of a cell reaches its simulation, not only its
-        on-disk key: a costlier daemon round trip moves Slate's times."""
+        """The cost model of a cell reaches its simulation: a costlier
+        daemon round trip moves Slate's times."""
         from dataclasses import replace
 
-        from repro.cache import JsonCache
         from repro.config import TITAN_XP, CostModel
 
-        off = JsonCache("fig7", enabled=False)
         base = CostModel()
         costly = replace(base, pipe_roundtrip=10 * base.pipe_roundtrip)
         cell = ("Slate", "MM", "BS", "MM", "BS", TITAN_XP)
-        assert fig7_pairings._pair_times(*cell, costly, off) != (
-            fig7_pairings._pair_times(*cell, base, off)
+        assert fig7_pairings._pair_times(*cell, costly) != (
+            fig7_pairings._pair_times(*cell, base)
         )
         slower_setup = replace(base, app_setup_time=2 * base.app_setup_time)
-        assert fig7_pairings._solo_time("BS", TITAN_XP, slower_setup, off) > (
-            fig7_pairings._solo_time("BS", TITAN_XP, base, off)
+        assert fig7_pairings._solo_time("BS", TITAN_XP, slower_setup) > (
+            fig7_pairings._solo_time("BS", TITAN_XP, base)
         )

@@ -170,23 +170,21 @@ class TestProfile:
         reset_aggregate_stats()
 
     def test_profiled_experiment_simulates_scenarios_run_before_it(
-        self, monkeypatch, tmp_path
+        self, monkeypatch
     ):
         """abl-policy runs fig7's CUDA solos and Slate pairs; a profiled fig7
         after it must still report the engine work of all of them."""
         from repro.workloads.harness import reset_app_times
 
-        def profiled_fig7(cache_dir: str) -> int:
-            # An empty on-disk cache, so none of fig7's cells is a hit.
-            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / cache_dir))
+        def profiled_fig7() -> int:
             (run,) = runner.run_battery(["fig7"], jobs=1, profile=True)
             return run.stats["events_processed"]
 
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         runner.run_battery(["abl-policy"], jobs=1)
-        after_ablation = profiled_fig7("a")
+        after_ablation = profiled_fig7()
         reset_app_times()
-        alone = profiled_fig7("b")
+        alone = profiled_fig7()
         assert after_ablation == alone > 0
 
     def test_profiled_runs_in_a_row_report_identical_counters(self, monkeypatch):
@@ -242,6 +240,31 @@ class TestProfile:
             profiler.reset_profile_cache()
         assert refilled == fresh
         assert parallel == fresh
+
+    def test_profile_counters_read_the_same_warm_and_with_caches_off(
+        self, monkeypatch, tmp_path
+    ):
+        """Nothing a profiled run reads comes from disk: after a battery
+        filled the cache directory, fig7 and the sweep report the same
+        engine work as with ``REPRO_NO_CACHE=1``."""
+        from repro.config import CACHE_DIR_ENV
+        from repro.slate import profiler
+
+        keys = ["fig7", "sweep"]
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        profiler.reset_profile_cache()
+        try:
+            runner.run_battery(keys, jobs=1)
+            warm = [r.stats for r in runner.run_battery(keys, jobs=1, profile=True)]
+            monkeypatch.setenv("REPRO_NO_CACHE", "1")
+            profiler.reset_profile_cache()
+            off = [r.stats for r in runner.run_battery(keys, jobs=1, profile=True)]
+        finally:
+            # Rebuilt from the unpatched environment at its next use.
+            profiler.reset_profile_cache()
+        assert all(stats["events_processed"] > 0 for stats in warm)
+        assert warm == off
 
     def test_format_profile_table_shape(self):
         runs = runner.run_battery(["fig1", "fig3"], jobs=1, profile=True)

@@ -356,8 +356,8 @@ class TestRateTraceAndEdges:
         # The final epoch (after completion) has no active kernels.
         assert gpu.rate_trace[-1][1] == {}
 
-    #: The co-run below, epoch by epoch: three launches at t=0, ``a``'s
-    #: tail entry, the skip-path epoch at 5 ms, ``b``'s and ``c``'s tails.
+    #: The co-run below, epoch by epoch: three launches at t=0, then the
+    #: tail entries of ``a``, ``b`` and ``c``.
     CORUN_TRACE = [
         (0.0, {"a": 2021123.099907136}),
         (0.0, {"a": 2021123.099907136, "b": 136900.0}),
@@ -366,21 +366,13 @@ class TestRateTraceAndEdges:
             {"a": 2021123.099907136, "b": 58182.499999999985, "c": 116364.99999999997},
         ),
         (0.0002968646491782554, {"b": 58182.499999999985, "c": 116364.99999999997}),
-        (0.005, {"b": 58182.499999999985, "c": 116364.99999999997}),
         (0.007734284363855113, {"b": 136900.0}),
         (0.008829974648734588, {}),
     ]
 
     @staticmethod
     def _three_kernel_corun(limit=None):
-        """Compute-bound ``a`` beside memory-bound ``b`` and ``c``.
-
-        Every mutation bumps the allocation epoch, so no public call
-        reaches the skip path; the re-derivation at 5 ms is called
-        directly, as a driver that re-derives with nothing changed would.
-        It logs the last derivation's executions and rates at its own
-        time.
-        """
+        """Compute-bound ``a`` beside memory-bound ``b`` and ``c``."""
         env = Environment()
         gpu = SimulatedGPU(env, TITAN_XP, CostModel(), rate_trace_limit=limit)
         gpu.launch(compute_work("a", num_blocks=600), sm_ids=gpu.sm_range(0, 9))
@@ -390,13 +382,11 @@ class TestRateTraceAndEdges:
         gpu.launch(
             memory_work("c", num_blocks=900, bytes_pb=2e6), sm_ids=gpu.sm_range(20, 29)
         )
-        env.call_later(5e-3, gpu._recompute)
         env.run()
         return env, gpu
 
-    def test_rate_trace_of_a_corun_with_a_skip_path_epoch(self):
+    def test_rate_trace_of_a_three_kernel_corun(self):
         env, gpu = self._three_kernel_corun()
-        assert env.stats.rate_recomputes_skipped == 1
         assert env.stats.rate_recomputes == 6
         assert gpu.rate_trace == self.CORUN_TRACE
         # Built on read: each read is a fresh list of fresh dicts.
@@ -405,7 +395,7 @@ class TestRateTraceAndEdges:
     def test_rate_trace_limit_zero_records_nothing_and_n_keeps_the_last_n(self):
         env, gpu = self._three_kernel_corun(limit=0)
         assert gpu.rate_trace == []
-        assert env.stats.rate_recomputes_skipped == 1
+        assert env.stats.rate_recomputes == 6
         for n in (1, 3, len(self.CORUN_TRACE), 50):
             _, gpu = self._three_kernel_corun(limit=n)
             assert gpu.rate_trace == self.CORUN_TRACE[-n:]

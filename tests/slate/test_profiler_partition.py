@@ -122,50 +122,34 @@ class TestPartition:
 
 
 class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        from repro.slate.profiler import load_profiles, save_profiles
-
-        table = ProfileTable()
-        table.put("BS", offline_profile(blackscholes()))
-        table.put("RG", offline_profile(quasirandom()))
-        path = tmp_path / "profiles.json"
-        save_profiles(table, path)
-
-        loaded = load_profiles(path)
-        assert len(loaded) == 2
-        for key in ("BS", "RG"):
-            a, b = table.get(key), loaded.get(key)
-            assert a.gflops == b.gflops
-            assert a.mem_bw == b.mem_bw
-            assert a.intensity is b.intensity
-            assert a.saturation_sms() == b.saturation_sms()
-
     def test_loaded_table_drives_scheduler(self, tmp_path):
-        from repro.slate.profiler import load_profiles, save_profiles
+        """Profiles an earlier run kept on disk seed a later runtime's
+        table without a simulation, and it co-runs from the first launch."""
+        from repro.sim import Environment
+        from repro.slate import SlateRuntime, profiler
+        from repro.workloads.app import run_application
         from repro.workloads.harness import app_for, run_pair
 
-        table = ProfileTable()
-        table.put("BS", offline_profile(blackscholes()))
-        table.put("RG", offline_profile(quasirandom()))
-        path = tmp_path / "profiles.json"
-        save_profiles(table, path)
-
-        # A fresh runtime with the persisted profiles coruns right away.
+        specs = [blackscholes(), quasirandom()]
+        # Without profiles: first runs were solo profiling runs.
         results, runtime = run_pair(
             "Slate", app_for("BS", reps=3), app_for("RG", reps=3),
             preload_profiles=False,
         )
-        # Without profiles: first runs were solo profiling runs.
         assert runtime.scheduler.solo_launches >= 2
 
-        from repro.sim import Environment
-        from repro.slate import SlateRuntime
-        from repro.workloads.app import run_application
-
-        env = Environment()
-        rt = SlateRuntime(env)
-        rt.profiles._profiles.update(load_profiles(path)._profiles)
-        rt.scheduler.profiles = rt.profiles
+        try:
+            profiler.configure_profile_cache(root=tmp_path, enabled=True)
+            SlateRuntime(Environment()).preload_profiles(specs)
+            # A later run: a fresh cache instance reads the same directory.
+            profiler.configure_profile_cache(root=tmp_path, enabled=True)
+            before = profiler.PROFILE_SIMULATIONS.value
+            env = Environment()
+            rt = SlateRuntime(env)
+            rt.preload_profiles(specs)
+            assert profiler.PROFILE_SIMULATIONS.value == before
+        finally:
+            profiler.reset_profile_cache()
         procs = [
             env.process(run_application(env, rt.create_session(a.name), a, rt.costs))
             for a in (app_for("BS", reps=3), app_for("RG", reps=3))

@@ -4,7 +4,7 @@ The proof obligations of the slicing subsystem
 (``repro/slate/slicing.py`` + the sliced dispatch path in
 ``repro/gpu/device.py``):
 
-* the slicer's partition *exactly tiles* the grid — no gap, no overlap,
+* the slice plan *exactly tiles* the grid — no gap, no overlap,
   no stray blocks — for every (grid, slice size) combination;
 * a slice size >= the grid (the degenerate single-slice case) is
   **byte-identical** to the unsliced scheduler: same decision traces under
@@ -44,9 +44,9 @@ from repro.slate.scheduler import SlateScheduler, SlateTicket
 from repro.slate.slicing import (
     DEFAULT_SLICES_PER_GRID,
     KernelSlice,
-    KernelSlicer,
     SliceConfigError,
     default_slice_blocks,
+    slice_plan,
 )
 from repro.slate.taskqueue import SlateQueue, Task, TaskQueueConfigError
 
@@ -59,7 +59,7 @@ ALL_POLICIES = policy_names()
 WHOLE_GRID = 10**9
 
 
-# -- slicer properties -------------------------------------------------------
+# -- tiling properties -------------------------------------------------------
 
 
 @given(
@@ -68,10 +68,12 @@ WHOLE_GRID = 10**9
 )
 @settings(max_examples=200, deadline=None)
 def test_slices_exactly_tile_grid(num_blocks, slice_blocks):
-    slicer = KernelSlicer(num_blocks, slice_blocks)
-    plan = slicer.plan()
-    consumed = list(slicer)
-    assert plan == consumed, "plan() and consumption disagree"
+    plan = slice_plan(num_blocks, slice_blocks)
+    # A slice is a coarse task: the plan is the slice-granular queue
+    # drained pull by pull (Listing 2's claiming and clamping).
+    queue = SlateQueue(num_blocks, slice_blocks)
+    pulled = list(iter(queue.pull, None))
+    assert [(s.start, s.count) for s in plan] == pulled, "plan and queue disagree"
     assert plan[0].start == 0
     assert all(s.count >= 1 for s in plan)
     assert all(
@@ -79,13 +81,11 @@ def test_slices_exactly_tile_grid(num_blocks, slice_blocks):
     ), "slices leave a gap or overlap"
     assert sum(s.count for s in plan) == num_blocks
     assert [s.index for s in plan] == list(range(len(plan)))
-    assert len(plan) == slicer.num_slices
-    assert slicer.exhausted
-    assert slicer.remaining_blocks == 0
-    assert slicer.next_slice() is None
+    assert len(plan) == -(-num_blocks // slice_blocks)
+    assert queue.exhausted and queue.remaining_blocks == 0
     # Slice and task records are immutable, hashable values.
     first, last = plan[0], plan[-1]
-    task = SlateQueue(num_blocks, slice_blocks).pull()
+    task = pulled[0]
     assert task.block_range == first.block_range == range(0, first.count)
     assert last.block_range.stop == num_blocks
     for record, twin in (
@@ -106,16 +106,15 @@ def test_slices_exactly_tile_grid(num_blocks, slice_blocks):
 def test_default_slice_blocks_bounds(num_blocks, task_size):
     size = default_slice_blocks(num_blocks, task_size)
     assert size >= max(1, task_size), "slice finer than one worker task"
-    slicer = KernelSlicer(num_blocks, size)
-    assert slicer.num_slices <= DEFAULT_SLICES_PER_GRID
+    assert len(slice_plan(num_blocks, size)) <= DEFAULT_SLICES_PER_GRID
 
 
 def test_degenerate_configs_raise_typed_errors():
     for bad in (0, -1):
         with pytest.raises(SliceConfigError):
-            KernelSlicer(bad, 4)
+            slice_plan(bad, 4)
         with pytest.raises(SliceConfigError):
-            KernelSlicer(100, bad)
+            slice_plan(100, bad)
         with pytest.raises(SliceConfigError):
             default_slice_blocks(bad)
     # The typed error chains into the task queue's (and ValueError).
@@ -124,10 +123,8 @@ def test_degenerate_configs_raise_typed_errors():
 
 
 def test_slice_larger_than_grid_is_one_slice():
-    slicer = KernelSlicer(100, WHOLE_GRID)
-    assert slicer.slice_blocks == 100
-    assert slicer.num_slices == 1
-    assert slicer.plan() == list(KernelSlicer(100, 100))
+    assert slice_plan(100, WHOLE_GRID) == (KernelSlice(0, 0, 100),)
+    assert slice_plan(100, WHOLE_GRID) == slice_plan(100, 100)
 
 
 # -- device-level sliced dispatch --------------------------------------------
@@ -584,14 +581,14 @@ def test_sliced_launch_dispatches_exactly_the_slicers_plan(
     shape, resize_at, pause_at
 ):
     """The device indexes the launch's tiling, computed once; what it
-    dispatches is ``KernelSlicer(num_blocks, slice_blocks).plan()``, with
-    or without a resize and an edge pause landing mid-run, and each slice
+    dispatches is ``slice_plan(num_blocks, slice_blocks)``, with or
+    without a resize and an edge pause landing mid-run, and each slice
     still counts one task-queue pull (counter and detailed instant)."""
     from repro.obs import trace as obs_trace
     from repro.obs.registry import registry
 
     num_blocks, slice_blocks = shape
-    plan = [(s.start, s.count) for s in KernelSlicer(num_blocks, slice_blocks).plan()]
+    plan = [(s.start, s.count) for s in slice_plan(num_blocks, slice_blocks)]
     pulls = registry().counter("taskqueue.pulls")
 
     def run(interrupt_span):
