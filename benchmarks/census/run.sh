@@ -28,10 +28,9 @@ refused() { "$@" >"$WORK/last.log" 2>&1 && echo "census: no refusal from: $*" >&
 repro() { run python -m repro "$@"; }
 wait_for() { for _ in $(seq 1 200); do [ -S "$1" ] && return; sleep 0.1; done; echo "census: no socket $1" >&2; }
 
-# Experiments: the cold battery, ablations, report, a parallel battery,
-# a profiled and a traced run with the caches off.
-run python -m repro.experiments.runner
-repro ablations
+# Experiments: the cold battery (every ablation included), report, a
+# parallel battery, a profiled and a traced run with the caches off.
+repro experiments
 repro report --output "$WORK/report.md"
 repro experiments --jobs 2
 run env REPRO_NO_CACHE=1 python -m repro experiments fig1 tab3 --profile

@@ -10,7 +10,7 @@ substrate.  Entry points:
 * :mod:`repro.kernels` — the five evaluation benchmarks plus synthetic
   kernels, calibrated to the paper's Table II.
 * :mod:`repro.experiments` — one module per paper table/figure;
-  ``python -m repro.experiments.runner`` reproduces the evaluation.
+  ``python -m repro experiments`` reproduces the evaluation.
 * ``python -m repro`` — command-line interface.
 
 See README.md for a tour and EXPERIMENTS.md for paper-vs-measured results.

@@ -3,7 +3,6 @@
 Commands
 --------
 experiments  Reproduce paper tables/figures (all or selected keys).
-ablations    Run the design-choice ablation battery.
 profile      Offline-profile a benchmark and print its nvprof-style report.
 occupancy    Occupancy calculator for a thread-block shape.
 transform    Scan + inject a CUDA source file the way the daemon does.
@@ -26,43 +25,43 @@ import sys
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import main as runner_main
+    import contextlib
+    import time
 
-    argv = list(args.keys or [])
+    from repro.experiments.runner import format_profile_table, iter_battery, select_keys
+
+    keys = args.keys or None
+    select_keys(keys)  # an unknown key exits 2 before anything runs
     jobs = args.jobs
-    if args.trace and jobs != 1:
-        print(
-            "note: --trace forces --jobs 1 (the trace sink is per-process)",
-            file=sys.stderr,
-        )
-        jobs = 1
-    if jobs != 1:
-        argv += ["--jobs", str(jobs)]
+    capture = contextlib.nullcontext()
+    if args.trace:
+        from repro.obs import trace as obs_trace
+        from repro.obs.export import run_metadata, write_chrome_trace
+
+        if jobs != 1:
+            print(
+                "note: --trace forces --jobs 1 (the trace sink is per-process)",
+                file=sys.stderr,
+            )
+            jobs = 1
+        capture = obs_trace.capture(metadata=run_metadata(experiments=args.keys or ["all"]))
+    battery_start = time.perf_counter()
+    runs = []
+    with capture as sink:
+        for run in iter_battery(keys, jobs=jobs, profile=args.profile):
+            runs.append(run)
+            print(f"\n{'#' * 72}\n# {run.title}  [{run.elapsed:.2f}s]\n{'#' * 72}")
+            print(run.formatted)
+    total = time.perf_counter() - battery_start
     if args.profile:
-        argv.append("--profile")
-    if not args.trace:
-        return runner_main(argv)
-    from repro.obs import trace as obs_trace
-    from repro.obs.export import run_metadata, write_chrome_trace
-
-    meta = run_metadata(experiments=args.keys or ["all"])
-    with obs_trace.capture(metadata=meta) as sink:
-        rc = runner_main(argv)
-    write_chrome_trace(args.trace, sink)
-    print(f"perfetto trace written to {args.trace} ({len(sink)} events)")
-    return rc
-
-
-def _cmd_ablations(_args: argparse.Namespace) -> int:
-    from repro.experiments import ablations as ab
-
-    print(ab.format_policy_ablation(ab.run_policy_ablation()))
-    print()
-    print(ab.format_partition_ablation(ab.run_partition_ablation()))
-    print()
-    print(ab.format_locality_ablation(ab.run_locality_ablation()))
-    print()
-    print(ab.format_resizing_ablation(ab.run_resizing_ablation()))
+        print(f"\nEngine profile (per experiment):\n{format_profile_table(runs)}")
+    print(
+        f"\n{len(runs)} experiment{'s' if len(runs) != 1 else ''} "
+        f"in {total:.2f}s wall clock (jobs={max(1, jobs)})"
+    )
+    if args.trace:
+        write_chrome_trace(args.trace, sink)
+        print(f"perfetto trace written to {args.trace} ({len(sink)} events)")
     return 0
 
 
@@ -609,9 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.set_defaults(func=_cmd_experiments)
-
-    p = sub.add_parser("ablations", help="run the ablation battery")
-    p.set_defaults(func=_cmd_ablations)
 
     p = sub.add_parser("profile", help="profile a benchmark kernel")
     p.add_argument("benchmark", help="BS | GS | MM | RG | TR | STREAM")

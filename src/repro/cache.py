@@ -22,9 +22,9 @@ Design rules:
 * **Each file is read once per instance.**  A :class:`JsonCache` keeps
   every payload it has read from disk and serves later gets of that key
   from memory.  ``put`` drops its key's kept payload without filling the
-  store (the next get reads the new file), and ``clear`` drops them all.
-  The process-wide profile cache is one instance, so a cached profile is
-  opened once per process however many runtimes preload it.
+  store (the next get reads the new file).  The process-wide profile
+  cache is one instance, so a cached profile is opened once per process
+  however many runtimes preload it.
 
 Layout on disk::
 
@@ -49,12 +49,10 @@ __all__ = ["JsonCache"]
 
 
 class JsonCache:
-    """A namespaced directory of JSON payloads keyed by fingerprint.
+    """The ``profiles/`` directory of JSON payloads keyed by fingerprint.
 
     Parameters
     ----------
-    namespace:
-        Subdirectory under the cache root (``"profiles"``).
     root:
         Cache root; defaults to :func:`repro.config.cache_dir` (which
         honours ``$REPRO_CACHE_DIR``).
@@ -64,30 +62,17 @@ class JsonCache:
     """
 
     def __init__(
-        self,
-        namespace: str,
-        root: "Path | str | None" = None,
-        enabled: Optional[bool] = None,
+        self, root: "Path | str | None" = None, enabled: Optional[bool] = None
     ) -> None:
-        if not namespace or "/" in namespace:
-            raise ValueError(f"invalid cache namespace {namespace!r}")
-        self.namespace = namespace
-        self.root = Path(root) if root is not None else cache_dir()
+        root = Path(root) if root is not None else cache_dir()
+        self.directory = root / "profiles"
         self.enabled = cache_enabled() if enabled is None else bool(enabled)
-        self.hits = 0
-        self.misses = 0
         #: Payloads read from disk, by fingerprint (never filled by ``put``).
         self._read: dict[str, Any] = {}
-
-    @property
-    def directory(self) -> Path:
-        return self.root / self.namespace
 
     def path_for(self, *key_parts: Any) -> Path:
         """The file a payload keyed by ``key_parts`` lives in."""
         return self.directory / f"{fingerprint(*key_parts)}.json"
-
-    # -- access ----------------------------------------------------------
 
     def get(self, *key_parts: Any) -> Optional[dict]:
         """The cached payload for ``key_parts``, or ``None`` on a miss.
@@ -102,23 +87,19 @@ class JsonCache:
         key = fingerprint(*key_parts)
         payload = self._read.get(key)
         if payload is not None:
-            self.hits += 1
             return payload
         path = self.directory / f"{key}.json"
         try:
             with open(path) as fh:
                 payload = json.load(fh)
         except FileNotFoundError:
-            self.misses += 1
             return None
         except (json.JSONDecodeError, OSError):
-            self.misses += 1
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
-        self.hits += 1
         self._read[key] = payload
         return payload
 
@@ -145,30 +126,3 @@ class JsonCache:
             except OSError:
                 pass
             raise
-
-    # -- maintenance -----------------------------------------------------
-
-    def clear(self) -> int:
-        """Delete every entry in this namespace; returns the count removed."""
-        self._read.clear()
-        removed = 0
-        if self.directory.is_dir():
-            for entry in self.directory.glob("*.json"):
-                try:
-                    entry.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def __len__(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "on" if self.enabled else "off"
-        return (
-            f"<JsonCache {self.namespace!r} at {self.directory} "
-            f"[{state}] hits={self.hits} misses={self.misses}>"
-        )

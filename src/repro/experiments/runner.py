@@ -1,7 +1,7 @@
 """Run the complete experiment battery and emit the consolidated report.
 
-``python -m repro.experiments.runner`` reproduces every table and figure
-and prints paper-vs-measured summaries (the source for EXPERIMENTS.md).
+``python -m repro experiments`` reproduces every table and figure and
+prints paper-vs-measured summaries (the source for EXPERIMENTS.md).
 
 Each experiment builds its own :class:`~repro.sim.Environment`, so the
 battery is embarrassingly parallel: ``--jobs N`` shards the experiment
@@ -51,7 +51,6 @@ __all__ = [
     "run_battery",
     "run_all",
     "format_profile_table",
-    "main",
 ]
 
 
@@ -431,55 +430,3 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
 def run_all(keys: list[str] | None = None, jobs: int = 1) -> dict[str, Any]:
     """Execute experiments (all by default); returns results by key."""
     return {run.key: run.result for run in iter_battery(keys, jobs=jobs)}
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-    import sys
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "keys",
-        nargs="*",
-        help=f"experiments to run (default: all of {list(experiment_keys())})",
-    )
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help="worker processes to shard experiments across (default: 1)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "print per-experiment engine counters (events processed, rate "
-            "recomputes, wall-clock)"
-        ),
-    )
-    args = parser.parse_args(argv)
-    keys = args.keys or None
-    try:
-        select_keys(keys)
-    except UnknownExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    battery_start = time.perf_counter()
-    runs: list[ExperimentRun] = []
-    for run in iter_battery(keys, jobs=args.jobs, profile=args.profile):
-        runs.append(run)
-        print(f"\n{'#' * 72}\n# {run.title}  [{run.elapsed:.2f}s]\n{'#' * 72}")
-        print(run.formatted)
-    total = time.perf_counter() - battery_start
-    if args.profile:
-        print(f"\nEngine profile (per experiment):\n{format_profile_table(runs)}")
-    print(
-        f"\n{len(runs)} experiment{'s' if len(runs) != 1 else ''} "
-        f"in {total:.2f}s wall clock (jobs={max(1, args.jobs)})"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -70,20 +70,10 @@ def _round_up(value: int, granularity: int) -> int:
     return ((value + granularity - 1) // granularity) * granularity
 
 
-@lru_cache(maxsize=1024)
-def occupancy(device: DeviceConfig, block: BlockResources) -> OccupancyResult:
-    """Max resident blocks of ``block`` on one SM of ``device``.
+def _limits(device: DeviceConfig, block: BlockResources) -> tuple[int, dict[str, int]]:
+    """Warps per block, and the blocks per SM each resource allows alone.
 
-    Both arguments are frozen dataclasses and the computation is pure, so
-    results are ``lru_cache``d per ``(device, block)`` pair (the hot
-    callers — launch, dispatch, prediction, tuning — see the same handful
-    of pairs millions of times on long traces).  Unlaunchable blocks raise
-    and are deliberately never cached.
-
-    Raises
-    ------
-    ValueError
-        If a single block exceeds an SM's total resources (unlaunchable).
+    Raises ``ValueError`` when one block exceeds a device limit.
     """
     if block.threads_per_block > device.max_threads_per_block:
         raise ValueError(
@@ -118,7 +108,25 @@ def occupancy(device: DeviceConfig, block: BlockResources) -> OccupancyResult:
                 f"{device.shared_mem_per_sm}"
             )
         limits["shared_mem"] = device.shared_mem_per_sm // smem
+    return warps_per_block, limits
 
+
+@lru_cache(maxsize=1024)
+def occupancy(device: DeviceConfig, block: BlockResources) -> OccupancyResult:
+    """Max resident blocks of ``block`` on one SM of ``device``.
+
+    Both arguments are frozen dataclasses and the computation is pure, so
+    results are ``lru_cache``d per ``(device, block)`` pair (the hot
+    callers — launch, dispatch, prediction, tuning — see the same handful
+    of pairs millions of times on long traces).  Unlaunchable blocks raise
+    and are deliberately never cached.
+
+    Raises
+    ------
+    ValueError
+        If a single block exceeds an SM's total resources (unlaunchable).
+    """
+    warps_per_block, limits = _limits(device, block)
     limiter, blocks = min(limits.items(), key=lambda kv: (kv[1], kv[0]))
     if blocks < 1:
         raise ValueError(f"kernel cannot fit on an SM (limited by {limiter})")
@@ -138,32 +146,15 @@ class OccupancyReport:
     headroom_hint: str
 
 
-@lru_cache(maxsize=256)
 def analyze(device: DeviceConfig, block: BlockResources) -> OccupancyReport:
     """Occupancy report with per-resource limits and a tuning hint.
 
     The analogue of NVIDIA's occupancy calculator output: how many blocks
     each resource would allow on its own, which one binds, and what small
-    change would unlock more residency.  Cached like :func:`occupancy`;
-    treat the returned report (its ``limits`` dict in particular) as
-    read-only.
+    change would unlock more residency.
     """
     result = occupancy(device, block)
-    warps_per_block = result.warps_per_block
-
-    limits: dict[str, int] = {
-        "blocks": device.max_blocks_per_sm,
-        "threads": device.max_threads_per_sm // (warps_per_block * device.warp_size),
-        "warps": device.max_warps_per_sm // warps_per_block,
-    }
-    if block.registers_per_thread > 0:
-        regs_per_warp = _round_up(
-            block.registers_per_thread * device.warp_size, device.register_alloc_unit
-        )
-        limits["registers"] = device.registers_per_sm // (regs_per_warp * warps_per_block)
-    if block.shared_mem_per_block > 0:
-        smem = _round_up(block.shared_mem_per_block, device.shared_mem_alloc_unit)
-        limits["shared_mem"] = device.shared_mem_per_sm // smem
+    _, limits = _limits(device, block)
 
     limiter = result.limiter
     if limiter == "registers":
@@ -190,19 +181,14 @@ def analyze(device: DeviceConfig, block: BlockResources) -> OccupancyReport:
 
 
 def occupancy_cache_info() -> dict[str, int]:
-    """Combined cache counters for :func:`occupancy` and :func:`analyze`."""
-    occ, rep = occupancy.cache_info(), analyze.cache_info()
-    return {
-        "hits": occ.hits + rep.hits,
-        "misses": occ.misses + rep.misses,
-        "currsize": occ.currsize + rep.currsize,
-    }
+    """Cache counters of :func:`occupancy`."""
+    info = occupancy.cache_info()
+    return {"hits": info.hits, "misses": info.misses, "currsize": info.currsize}
 
 
 def reset_occupancy_cache() -> None:
-    """Drop both caches and zero their counters."""
+    """Drop :func:`occupancy`'s cache and zero its counters."""
     occupancy.cache_clear()
-    analyze.cache_clear()
 
 
 def occupancy_curve(

@@ -15,70 +15,45 @@ from typing import Generator, Optional
 from repro.config import CostModel, DeviceConfig, HostConfig, TITAN_XP
 from repro.cuda.context import CudaContext
 from repro.cuda.memory_manager import DeviceMemoryManager, DevicePointer
-from repro.cuda.runtime import LaunchTicket
+from repro.cuda.runtime import CudaSession, LaunchTicket
 from repro.gpu.device import ExecutionMode, SimulatedGPU
 from repro.gpu.pcie import PcieLink
-from repro.kernels.kernel import KernelSpec
 from repro.sim import Environment, Event, Store
 
 __all__ = ["MpsRuntime", "MpsSession"]
 
 
-class MpsSession:
+class MpsSession(CudaSession):
     """A client process connected to the MPS server.
 
-    All allocations land in the *server's* context (context funneling);
-    the session tracks its own pointers so teardown frees only its share.
+    Its context is the *server's* (context funneling, §IV-A), so no
+    per-session context is built; the session tracks its own pointers so
+    teardown frees only its share.  Every other call is
+    :class:`~repro.cuda.runtime.CudaSession`'s, relayed through
+    :meth:`MpsRuntime.api_call_cost`.
     """
 
     def __init__(self, runtime: "MpsRuntime", name: str) -> None:
         self.runtime = runtime
         self.name = name
-        self._pointers: list[DevicePointer] = []
+        self.context = runtime.server_context
         self._pending: list[LaunchTicket] = []
+        self._pointers: list[DevicePointer] = []
 
     def malloc(self, nbytes: int) -> Generator:
-        yield from self.runtime.api_call_cost()
-        ptr = self.runtime.server_context.alloc(nbytes)
+        ptr = yield from super().malloc(nbytes)
         self._pointers.append(ptr)
         return ptr
 
     def free(self, ptr: DevicePointer) -> Generator:
         yield from self.runtime.api_call_cost()
         self._pointers.remove(ptr)
-        self.runtime.server_context.free(ptr)
-
-    def memcpy_h2d(self, nbytes: float) -> Generator:
-        yield from self.runtime.api_call_cost()
-        yield from self.runtime.pcie.transfer(nbytes)
-
-    def memcpy_d2h(self, nbytes: float) -> Generator:
-        yield from self.runtime.api_call_cost()
-        yield from self.runtime.pcie.transfer(nbytes)
-
-    def launch(self, spec: KernelSpec) -> Generator:
-        yield from self.runtime.api_call_cost()
-        ticket = LaunchTicket(
-            spec=spec,
-            context=self.runtime.server_context,
-            done=self.runtime.env.event(),
-            enqueued_at=self.runtime.env.now,
-        )
-        self._pending.append(ticket)
-        yield self.runtime.submit(ticket)
-        return ticket
-
-    def synchronize(self) -> Generator:
-        yield from self.runtime.api_call_cost()
-        pending = [t.done for t in self._pending if not t.done.triggered]
-        if pending:
-            yield self.runtime.env.all_of(pending)
-        self._pending = [t for t in self._pending if not t.done.processed]
+        self.context.free(ptr)
 
     def close(self) -> None:
         """Disconnect: free this client's allocations from the server."""
-        for ptr in list(self._pointers):
-            self.runtime.server_context.free(ptr)
+        for ptr in self._pointers:
+            self.context.free(ptr)
         self._pointers.clear()
 
 

@@ -18,7 +18,7 @@ rate-memo counters).  This package gives them one home:
 * :mod:`repro.obs.registry` — a single named counter/gauge/histogram
   registry that absorbs the engine aggregate, rate-memo and occupancy
   cache counters (as pull *sources*) and the scheduler/daemon counters
-  (as push counters).  ``runner --profile`` and the
+  (as push counters).  ``repro experiments --profile`` and the
   ``repro obs dump`` CLI read from it.
 * :mod:`repro.obs.validate` — trace-event schema and Prometheus
   exposition validation used by tests and the CI smoke job.

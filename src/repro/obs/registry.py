@@ -13,7 +13,7 @@ stats surfaces:
   (:func:`repro.gpu.rates.rates_cache_info`) and the occupancy cache
   (:func:`repro.gpu.occupancy.occupancy_cache_info`).
 
-``runner --profile`` and ``python -m repro obs dump`` read through this
+``repro experiments --profile`` and ``python -m repro obs dump`` read through this
 registry; the older accessors (``Environment.stats``, ``aggregate_stats``,
 ``rates_cache_info``, ``occupancy_cache_info``) stay because benchmarks
 read them — see ``docs/observability.md``.

@@ -39,7 +39,8 @@ PLACEMENT_POLICIES = ("round-robin", "least-loaded", "class-aware")
 @dataclass
 class _DeviceState:
     runtime: SlateRuntime
-    #: session name -> intensity class of its hinted kernel (if known).
+    #: Every open session: name -> intensity class of its hinted kernel,
+    #: or ``None`` without a hint.
     residents: dict[str, object] = field(default_factory=dict)
 
 
@@ -112,6 +113,7 @@ class SlateCluster:
         return self._devices[index].runtime
 
     def load(self, index: int) -> int:
+        """Open sessions on device ``index``, hinted or not."""
         return len(self._devices[index].residents)
 
     # -- placement -----------------------------------------------------------
@@ -144,7 +146,9 @@ class SlateCluster:
         views = [
             ShardView(
                 ident=i,
-                residents=tuple(state.residents.values()),
+                residents=tuple(
+                    c for c in state.residents.values() if c is not None
+                ),
                 load=float(len(state.residents)),
             )
             for i, state in enumerate(self._devices)
@@ -172,8 +176,6 @@ class SlateCluster:
         state.residents[name] = (
             self._class_of(spec_hint) if spec_hint is not None else None
         )
-        if state.residents[name] is None:
-            del state.residents[name]
 
         original_close = session.close
 

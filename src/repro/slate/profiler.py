@@ -134,7 +134,7 @@ class ProfileCache:
     """
 
     def __init__(self, root=None, enabled: Optional[bool] = None) -> None:
-        self._store = JsonCache("profiles", root=root, enabled=enabled)
+        self._store = JsonCache(root=root, enabled=enabled)
 
     @staticmethod
     def _key(spec, device, costs, task_size, basis):
@@ -169,9 +169,6 @@ class ProfileCache:
             _profile_to_payload(profile),
             *self._key(spec, device, costs, task_size, basis),
         )
-
-    def __len__(self) -> int:
-        return len(self._store)
 
 
 _default_cache: Optional[ProfileCache] = None

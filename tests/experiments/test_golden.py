@@ -1,8 +1,8 @@
 """Golden-result regression suite.
 
 Every experiment's ``format()`` output is diffed against the checked-in
-artifact under ``benchmarks/results/`` — the tables the benchmark harness
-regenerates.  This pins the *numbers*, byte for byte: the parallel runner,
+artifact under ``benchmarks/results/`` — the tables the golden writer
+(``benchmarks/test_goldens.py``) regenerates.  This pins the *numbers*, byte for byte: the parallel runner,
 the profile/result caches, and any engine refactor must all leave every
 emitted digit untouched, or these tests name the experiment that moved.
 """
@@ -63,7 +63,7 @@ def test_format_output_matches_golden(key):
     assert formatted + "\n" == golden_text(key), (
         f"{key} drifted from benchmarks/results/{GOLDEN_FILES[key]}.txt — "
         "if the change is intentional, regenerate via "
-        "`pytest benchmarks/ --benchmark-only`"
+        "`PYTHONPATH=src python -m pytest benchmarks/test_goldens.py`"
     )
 
 

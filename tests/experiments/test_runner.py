@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.__main__ import main as repro_main
 from repro.experiments import runner
 
 
@@ -55,7 +56,7 @@ class TestRegistry:
         assert results["fig3"].is_isomorphic
 
     def test_main_prints_selected(self, capsys):
-        assert runner.main(["fig3"]) == 0
+        assert repro_main(["experiments", "fig3"]) == 0
         out = capsys.readouterr().out
         assert "Figure 3" in out
         assert "Figure 1" not in out
@@ -75,7 +76,7 @@ class TestUnknownKeys:
             runner.run_all(["fig3", "tab9"])
 
     def test_main_unknown_key_errors_with_listing(self, capsys):
-        assert runner.main(["tab9"]) == 2
+        assert repro_main(["experiments", "tab9"]) == 2
         captured = capsys.readouterr()
         assert "unknown experiment key 'tab9'" in captured.err
         assert "fig1" in captured.err  # lists the valid keys
@@ -105,14 +106,14 @@ class TestBattery:
             assert experiment.format(serial[key]) == experiment.format(parallel[key])
 
     def test_main_jobs_flag(self, capsys):
-        assert runner.main(["fig3", "fig1", "--jobs", "2"]) == 0
+        assert repro_main(["experiments", "fig3", "fig1", "--jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert "Figure 1" in out and "Figure 3" in out
         assert out.index("Figure 1") < out.index("Figure 3")
         assert "jobs=2" in out
 
     def test_main_prints_per_experiment_timing(self, capsys):
-        assert runner.main(["fig3"]) == 0
+        assert repro_main(["experiments", "fig3"]) == 0
         out = capsys.readouterr().out
         assert "[" in out and "s]" in out  # "...  [0.01s]" in the header
 
@@ -300,6 +301,16 @@ class TestProfile:
         assert stats["epoch_flushes"] > 0
         assert stats["epoch_marks"] >= stats["epoch_flushes"]
 
+    def test_retreat_row_counts_the_slice_edges(self):
+        """retreat is the one battery experiment that slices: its profiled
+        row pins what the slice edges cost the engine."""
+        (run,) = runner.run_battery(["retreat"], jobs=1, profile=True)
+        stats = run.stats
+        assert stats["events_processed"] == 14_000
+        assert stats["epoch_flushes"] == 7_066
+        assert stats["slice_dispatches"] == 3_238
+        assert stats["slice_preempts"] == 3
+
     def test_epoch_counters_reach_metrics_registry(self):
         """obs registry 'engine' source carries the epoch/derivation fields."""
         from repro.obs.registry import registry
@@ -314,7 +325,7 @@ class TestProfile:
             assert field in snapshot
 
     def test_main_profile_flag_prints_table(self, capsys):
-        assert runner.main(["fig3", "--profile"]) == 0
+        assert repro_main(["experiments", "fig3", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "Engine profile (per experiment):" in out
         assert "experiment" in out and "recomp" in out

@@ -194,3 +194,17 @@ class TestCompletionCallback:
         assert results["RG"].app_time == 0.1157364395605014
         assert results["BS"].launches == results["RG"].launches == 20
         assert runtime.tail_overlaps == 20
+
+    def test_cuda_pair_of_twenty_launches_event_budget_and_app_times(self):
+        """The CUDA baseline shares the dispatch queue and the session API
+        with MPS: its event count and app times are pinned the same way."""
+        from repro.workloads.harness import app_for, run_pair
+
+        results, runtime = run_pair(
+            "CUDA", app_for("BS", reps=20), app_for("RG", reps=20)
+        )
+        assert runtime.env.stats.events_processed == 375
+        assert results["BS"].app_time == 0.119165592691802
+        assert results["RG"].app_time == 0.12200737824694682
+        assert results["BS"].launches == results["RG"].launches == 20
+        assert runtime.context_switches == 39

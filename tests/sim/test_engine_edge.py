@@ -312,4 +312,6 @@ class TestMiscEdges:
             yield store.put(2)
 
         env.run(until=env.process(proc(env)))
-        assert len(store) == 2
+        # Puts never wait: both items are held, in order.
+        assert len(store.items) == 2
+        assert store.items == [1, 2]

@@ -152,28 +152,31 @@ class TestStore:
         env.run()
         assert c.value == ("late", 7.0)
 
-    def test_bounded_capacity_blocks_put(self):
+    def test_put_fires_at_once_and_getters_are_served_in_order(self):
         env = Environment()
-        store = Store(env, capacity=1)
+        store = Store(env)
         log = []
 
         def producer(env):
-            yield store.put("a")
-            log.append(("a-in", env.now))
-            yield store.put("b")
-            log.append(("b-in", env.now))
+            yield env.timeout(2)
+            for item in "ab":
+                yield store.put(item)
+                log.append((f"{item}-in", env.now))
 
-        def consumer(env):
-            yield env.timeout(5)
+        def consumer(env, name):
             item = yield store.get()
-            log.append((item, env.now))
+            log.append((name, item, env.now))
 
+        env.process(consumer(env, "first"))
+        env.process(consumer(env, "second"))
         env.process(producer(env))
-        env.process(consumer(env))
         env.run()
-        assert ("a-in", 0.0) in log
-        assert ("b-in", 5.0) in log
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            Store(Environment(), capacity=0)
+        # Each put fires before the getter it serves; the first getter to
+        # arrive takes the first item.
+        assert log == [
+            ("a-in", 2.0),
+            ("first", "a", 2.0),
+            ("b-in", 2.0),
+            ("second", "b", 2.0),
+        ]
+        assert store.items == []

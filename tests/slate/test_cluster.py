@@ -81,6 +81,33 @@ class TestPlacementPolicies:
         cluster.create_session("anon")
         assert cluster.placements["anon"] == 0
 
+    @pytest.mark.parametrize("placement", ["least-loaded", "class-aware"])
+    def test_sessions_without_hints_spread_by_load(self, placement):
+        """Every open session counts toward a device's load, hinted or
+        not, as in the serving router: four hint-less sessions alternate
+        over two devices, and a closed one frees its slot."""
+        env = Environment()
+        cluster = SlateCluster(env, num_devices=2, placement=placement)
+        sessions = [cluster.create_session(name) for name in "abcd"]
+        assert [cluster.placements[n] for n in "abcd"] == [0, 1, 0, 1]
+        assert [cluster.load(i) for i in (0, 1)] == [2, 2]
+        sessions[1].close()
+        assert cluster.load(1) == 1
+        cluster.create_session("e")
+        assert cluster.placements["e"] == 1
+
+    def test_class_aware_counts_hintless_sessions_in_its_load(self):
+        """A hint-less session adds load but no class: an L_C kernel that
+        complements nothing avoids the device it makes busier."""
+        env = Environment()
+        cluster = SlateCluster(env, num_devices=2, placement="class-aware")
+        rg = quasirandom()
+        cluster.preload_profiles([rg])
+        cluster.create_session("anon")
+        cluster.create_session("rg-app", spec_hint=rg)
+        assert cluster.placements["anon"] == 0
+        assert cluster.placements["rg-app"] == 1
+
 
 class TestEndToEnd:
     def make_apps(self):

@@ -80,7 +80,7 @@ class TestProfileRoundTrip:
 
         spec, costs = spec_for("synthetic"), CostModel()
         key = ProfileCache._key(spec, TITAN_XP, costs, 10, "device")
-        JsonCache("profiles", root=tmp_path, enabled=True).put({"name": "x"}, *key)
+        JsonCache(root=tmp_path, enabled=True).put({"name": "x"}, *key)
         cache = ProfileCache(root=tmp_path, enabled=True)
         before = profiler.PROFILE_SIMULATIONS.value
         results = [
@@ -103,51 +103,46 @@ class TestJsonCacheProperties:
     )
     def test_put_get_round_trip(self, payload, key):
         with tempfile.TemporaryDirectory() as tmp:
-            cache = JsonCache("t", root=tmp, enabled=True)
+            cache = JsonCache(root=tmp, enabled=True)
             cache.put(payload, *key)
+            assert cache.path_for(*key).parent == cache.directory
+            assert cache.directory.name == "profiles"
             assert cache.get(*key) == payload
-            assert cache.hits == 1
 
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
-        cache = JsonCache("t", root=tmp_path, enabled=True)
+        cache = JsonCache(root=tmp_path, enabled=True)
         cache.put({"x": 1}, "k")
         path = cache.path_for("k")
         path.write_text("{not json")
         assert cache.get("k") is None
         assert not path.exists()
-        assert cache.misses == 1
+        # The miss kept nothing: a later put is read back.
+        cache.put({"x": 2}, "k")
+        assert cache.get("k") == {"x": 2}
 
     def test_file_is_read_once(self, tmp_path):
-        cache = JsonCache("t", root=tmp_path, enabled=True)
+        cache = JsonCache(root=tmp_path, enabled=True)
         cache.put({"x": 1}, "k")
-        assert cache.get("k") == {"x": 1}
+        first = cache.get("k")
+        assert first == {"x": 1}
         cache.path_for("k").unlink()
-        # The payload read from disk is kept: the key is still a hit.
-        assert cache.get("k") == {"x": 1}
-        assert cache.hits == 2 and cache.misses == 0
+        # The payload read from disk is kept: the key is still a hit, and
+        # the same object.
+        assert cache.get("k") is first
         # Another instance reads the disk, where the entry is gone.
-        assert JsonCache("t", root=tmp_path, enabled=True).get("k") is None
+        assert JsonCache(root=tmp_path, enabled=True).get("k") is None
 
     def test_put_does_not_fill_the_kept_store(self, tmp_path):
-        cache = JsonCache("t", root=tmp_path, enabled=True)
+        cache = JsonCache(root=tmp_path, enabled=True)
         cache.put({"x": 1}, "k")
         cache.path_for("k").unlink()
         assert cache.get("k") is None
-
-    def test_clear_forgets_kept_payloads(self, tmp_path):
-        cache = JsonCache("t", root=tmp_path, enabled=True)
+        # A put after a get drops the kept payload: the next get reads the
+        # new file.
         cache.put({"x": 1}, "k")
         assert cache.get("k") == {"x": 1}
-        assert cache.clear() == 1
-        assert cache.get("k") is None
-
-    def test_clear_empties_namespace_only(self, tmp_path):
-        a = JsonCache("a", root=tmp_path, enabled=True)
-        b = JsonCache("b", root=tmp_path, enabled=True)
-        a.put({"x": 1}, "k")
-        b.put({"y": 2}, "k")
-        assert a.clear() == 1
-        assert len(a) == 0 and len(b) == 1
+        cache.put({"x": 2}, "k")
+        assert cache.get("k") == {"x": 2}
 
 
 class TestFingerprint:

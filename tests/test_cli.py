@@ -14,7 +14,6 @@ class TestParser:
         parser = build_parser()
         for cmd, extra in [
             ("experiments", []),
-            ("ablations", []),
             ("profile", ["BS"]),
             ("transform", ["-"]),
             ("pair", ["BS", "RG"]),
