@@ -2,61 +2,33 @@
 """Workload-aware placement across a 2-GPU node (extension).
 
 Four tenants — two memory-saturating (BS, GS) and two light (RG) — arrive
-at a node with two Titan Xps. Class-aware placement sends the second
-memory hog to the other device and pairs each hog with a light partner,
-so *both* devices co-run complementary kernels. Compare against
-round-robin and least-loaded placement.
+at a node with two Titan Xps in the order BS, RG, GS, RG. Class-aware
+placement sends the second memory hog to the other device and pairs each
+hog with a light partner, so *both* devices co-run complementary kernels.
+Compare against round-robin and least-loaded placement, which put the two
+memory-saturating tenants on the SAME device.
+
+The placements and devices are the serving daemon's (see
+``repro.experiments.cluster_study``); this script prints their outcomes.
 
 Run:  python examples/multi_gpu_cluster.py
 """
 
-from repro.kernels import blackscholes, gaussian, quasirandom
+from repro.experiments import cluster_study
 from repro.metrics import format_table
-from repro.sim import Environment
-from repro.slate.cluster import SlateCluster
-from repro.workloads.app import AppSpec, run_application
-
-# Arrival order matters: with BS, RG, GS, RG a round-robin placer puts the
-# two memory-saturating tenants (BS, GS) on the SAME device.
-APPS = [
-    AppSpec(name="pricing(BS)", kernel=blackscholes(), reps=6),
-    AppSpec(name="mc-1(RG)", kernel=quasirandom(), reps=6),
-    AppSpec(name="solver(GS)", kernel=gaussian(), reps=6),
-    AppSpec(name="mc-2(RG)", kernel=quasirandom(num_blocks=48_000), reps=6),
-]
-
-
-def run(placement: str):
-    env = Environment()
-    cluster = SlateCluster(env, num_devices=2, placement=placement)
-    cluster.preload_profiles([a.kernel for a in APPS])
-    procs = []
-    for app in APPS:
-        session = cluster.create_session(app.name, spec_hint=app.kernel)
-        procs.append(env.process(run_application(env, session, app, cluster.runtime(0).costs)))
-    env.run(until=env.all_of(procs))
-    results = {p.value.name: p.value for p in procs}
-    makespan = max(r.end for r in results.values())
-    coruns = sum(cluster.runtime(i).scheduler.corun_launches for i in range(2))
-    return results, cluster, makespan, coruns
 
 
 def main() -> None:
-    rows = []
-    for placement in ("round-robin", "least-loaded", "class-aware"):
-        results, cluster, makespan, coruns = run(placement)
-        groups: dict[int, list[str]] = {0: [], 1: []}
-        for name, dev in cluster.placements.items():
-            groups[dev].append(name)
-        rows.append(
-            (
-                placement,
-                makespan * 1e3,
-                coruns,
-                " + ".join(sorted(groups[0])),
-                " + ".join(sorted(groups[1])),
-            )
+    rows = [
+        (
+            o.placement,
+            o.makespan * 1e3,
+            o.total_coruns,
+            " + ".join(o.groups[0]),
+            " + ".join(o.groups[1]),
         )
+        for o in cluster_study.run().outcomes
+    ]
     print(
         format_table(
             ["placement", "makespan (ms)", "coruns", "GPU 0 tenants", "GPU 1 tenants"],

@@ -7,7 +7,6 @@ profile      Offline-profile a benchmark and print its nvprof-style report.
 occupancy    Occupancy calculator for a thread-block shape.
 transform    Scan + inject a CUDA source file the way the daemon does.
 pair         Run one application pairing under all three runtimes.
-report       Write a consolidated REPORT.md across all experiments.
 trace        Replay an arrival trace and render the SM timeline.
 tune         Predicted task-size sweep for a benchmark kernel.
 obs          Observability: dump/export metrics, validate traces/exposition.
@@ -364,25 +363,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import iter_battery
-
-    lines = [
-        "# Slate reproduction — full experiment report",
-        "",
-        "Generated by `python -m repro report`.",
-        "",
-    ]
-    for run in iter_battery(args.keys or None, jobs=args.jobs):
-        print(f"ran {run.key}: {run.title} [{run.elapsed:.2f}s]")
-        lines += [f"## {run.title}", "", "```", run.formatted, "```", ""]
-    text = "\n".join(lines)
-    with open(args.output, "w") as fh:
-        fh.write(text)
-    print(f"wrote {args.output}")
-    return 0
-
-
 def _cmd_pair(args: argparse.Namespace) -> int:
     from repro.metrics.antt import antt
     from repro.workloads.harness import app_for, run_pair, run_solo
@@ -627,6 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", choices=["titanxp", "v100"], default="titanxp")
     p.set_defaults(func=_cmd_occupancy)
 
+    from repro.slate.placement import PLACEMENTS
     from repro.slate.policy import policy_names
 
     p = sub.add_parser("trace", help="replay an arrival trace with a timeline")
@@ -650,15 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("benchmark")
     p.set_defaults(func=_cmd_tune)
 
-    p = sub.add_parser("report", help="write a consolidated experiment report")
-    p.add_argument("--output", default="REPORT.md")
-    p.add_argument(
-        "--jobs", "-j", type=int, default=1,
-        help="worker processes to shard experiments across (default: 1)",
-    )
-    p.add_argument("keys", nargs="*", help="experiment keys (default: all)")
-    p.set_defaults(func=_cmd_report)
-
     p = sub.add_parser("pair", help="run a pairing under all runtimes")
     p.add_argument("bench_a")
     p.add_argument("bench_b")
@@ -671,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--socket", default="/tmp/slate.sock", help="Unix socket path")
     p.add_argument(
         "--placement",
-        choices=["contention", "round-robin", "least-loaded"],
+        choices=PLACEMENTS,
         default="contention",
         help="session placement policy across shards (contention = "
              "Table-I scoring)",

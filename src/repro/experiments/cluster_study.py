@@ -5,6 +5,9 @@ a 2-GPU node in the adversarial order BS, RG, GS, RG.  Round-robin and
 least-loaded both co-locate the two memory hogs; class-aware placement
 (the Table I machinery applied *across* devices) separates them and pairs
 each with a light rider, so both devices co-run complementary kernels.
+Placement and devices are the serving daemon's: a
+:class:`~repro.slate.placement.PlacementBook` places each app on one of
+two shards (:class:`~repro.slate.placement.Shard`).
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ from repro.kernels.blackscholes import blackscholes
 from repro.kernels.gaussian import gaussian
 from repro.kernels.quasirandom import quasirandom
 from repro.metrics.report import format_table
-from repro.sim import Environment
-from repro.slate.cluster import PLACEMENT_POLICIES, SlateCluster
+from repro.slate.placement import PlacementBook, Shard
 from repro.workloads.app import AppSpec, run_application
 
-__all__ = ["ClusterStudyResult", "run", "format_result"]
+__all__ = ["ClusterStudyResult", "run", "run_on_fleet", "format_result"]
 
 
 def _apps() -> list[AppSpec]:
@@ -60,38 +62,65 @@ class ClusterStudyResult:
         raise KeyError(placement)
 
 
+#: The study's placement labels -> the book's placements (``class-aware``
+#: is the book's ``contention`` scoring), in table order.
+PLACEMENTS = {
+    "round-robin": "round-robin",
+    "least-loaded": "least-loaded",
+    "class-aware": "contention",
+}
+
+
+def run_on_fleet(
+    apps: list[AppSpec],
+    placement: str,
+    num_shards: int = 2,
+    device: DeviceConfig = TITAN_XP,
+) -> tuple[list, list[int], list[Shard]]:
+    """Place ``apps`` in order with a :class:`PlacementBook` (each hinted
+    with its kernel), run each on its shard's own environment, and run
+    every shard to completion: ``(app results, shard of each app, shards)``.
+    """
+    book = PlacementBook(num_shards, placement=placement, device=device)
+    shards = [Shard(i, device=device) for i in range(num_shards)]
+    placed = []
+    procs = []
+    for app in apps:
+        hint = app.kernel.name
+        candidate = book.classify(hint)
+        index, _ = book.place(candidate)
+        book.note_open(index, app.name, candidate)
+        placed.append(index)
+        shard = shards[index]
+        session = shard.open_session(app.name, kernel_hint=hint)
+        procs.append(
+            shard.env.process(
+                run_application(shard.env, session, app, shard.runtime.costs)
+            )
+        )
+    for shard in shards:
+        shard.env.run()
+    return [p.value for p in procs], placed, shards
+
+
+def _outcome(label: str, device: DeviceConfig) -> PlacementOutcome:
+    apps = _apps()
+    results, placed, shards = run_on_fleet(apps, PLACEMENTS[label], device=device)
+    groups: dict[int, list[str]] = {0: [], 1: []}
+    for app, index in zip(apps, placed):
+        groups[index].append(app.name)
+    return PlacementOutcome(
+        placement=label,
+        makespan=max(r.end for r in results),
+        total_coruns=sum(s.runtime.scheduler.corun_launches for s in shards),
+        groups={k: tuple(sorted(v)) for k, v in groups.items()},
+    )
+
+
 def run(device: DeviceConfig = TITAN_XP) -> ClusterStudyResult:
-    outcomes = []
-    for placement in PLACEMENT_POLICIES:
-        env = Environment()
-        cluster = SlateCluster(
-            env, num_devices=2, device=device, placement=placement
-        )
-        apps = _apps()
-        cluster.preload_profiles([a.kernel for a in apps])
-        procs = []
-        for app in apps:
-            session = cluster.create_session(app.name, spec_hint=app.kernel)
-            procs.append(
-                env.process(
-                    run_application(env, session, app, cluster.runtime(0).costs)
-                )
-            )
-        env.run(until=env.all_of(procs))
-        groups: dict[int, list[str]] = {0: [], 1: []}
-        for name, dev in cluster.placements.items():
-            groups[dev].append(name)
-        outcomes.append(
-            PlacementOutcome(
-                placement=placement,
-                makespan=max(p.value.end for p in procs),
-                total_coruns=sum(
-                    cluster.runtime(i).scheduler.corun_launches for i in range(2)
-                ),
-                groups={k: tuple(sorted(v)) for k, v in groups.items()},
-            )
-        )
-    return ClusterStudyResult(outcomes=tuple(outcomes))
+    return ClusterStudyResult(
+        outcomes=tuple(_outcome(label, device) for label in PLACEMENTS)
+    )
 
 
 def format_result(result: ClusterStudyResult) -> str:

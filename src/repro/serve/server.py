@@ -13,9 +13,10 @@ around the simulator:
   its frames one at a time, in arrival order: a request that needs the
   simulator is the one in flight, and the frames behind it wait (with
   reading paused) until its reply is written.
-* :class:`SimDriver` steps a discrete-event engine from loop callbacks,
-  a bounded batch per callback, so new frames keep flowing while the
-  simulated GPU grinds; with no events pending nothing is scheduled.
+* :class:`~repro.serve.router.SimDriver` steps a discrete-event engine
+  from loop callbacks, a bounded batch per callback, so new frames keep
+  flowing while the simulated GPU grinds; with no events pending nothing
+  is scheduled.
   Requests never call ``env.run`` — they submit a process generator with
   a completion callback, called after the step batch in which the
   process finished; the callback writes the reply and serves the
@@ -35,10 +36,12 @@ With ``shards > 1`` the daemon runs N independent shards — each with its
 *own* environment, Slate runtime, scheduler, and driver — and a
 :class:`~repro.serve.router.PlacementRouter` assigns every new session to
 one of them at ``hello`` time using the scheduling policy's Table-I
-placement scoring (see :mod:`repro.serve.router`).  Every shard is an
+placement scoring (see :mod:`repro.slate.placement`).  Every shard is an
 :class:`~repro.serve.router.InLoopShard` inside the daemon's event loop,
-so every connection takes one path: a ``hello`` placed onto a shard,
-then requests served on that same connection.
+so every connection takes one path: a ``hello`` placed onto a shard and
+opened there (:meth:`~repro.slate.placement.Shard.open_session`), then
+requests served on that same connection, each launch run by the shard's
+:meth:`~repro.slate.placement.Shard.launch`.
 
 Admission control
 -----------------
@@ -97,10 +100,9 @@ from repro.serve.protocol import (
 )
 from repro.serve.router import InLoopShard, PlacementRouter
 from repro.sim import Environment, EnvironmentStats, aggregate_stats
-from repro.sim.engine import EmptySchedule
 from repro.slate.daemon import SlateSession
 
-__all__ = ["ServeConfig", "ServerThread", "SimDriver", "SlateServer"]
+__all__ = ["ServeConfig", "ServerThread", "SlateServer"]
 
 
 @dataclass
@@ -162,78 +164,6 @@ class ServeConfig:
             return self.shard_inflight
         shards = max(1, self.shards)
         return -(-self.max_inflight // shards)
-
-
-class SimDriver:
-    """Advance the discrete-event engine cooperatively inside asyncio.
-
-    Requests call :meth:`submit` with a process generator and a completion
-    callback.  The engine is stepped from loop callbacks while events are
-    pending and, after the step batch in which the process finished,
-    ``done(result, None)`` is called with the generator's return value or
-    ``done(None, exc)`` with its exception — outside any engine step, so
-    a callback may submit more work.  The generator runs under a guard,
-    so a failing request can never crash the engine loop for everyone
-    else.
-    """
-
-    #: Engine events stepped per loop callback — the trade-off between
-    #: sim throughput and socket latency.
-    STEP_BATCH = 512
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self.pending = 0
-        self.sim_errors = 0
-        #: The daemon's event loop, bound by :meth:`InLoopShard.start`.
-        self.loop: Optional[asyncio.AbstractEventLoop] = None
-        self._scheduled = False
-        #: (done, result, exc) of processes finished in the current batch.
-        self._finished: list = []
-
-    def submit(
-        self, gen: Generator, done: Callable[[object, Optional[BaseException]], None]
-    ) -> None:
-        """Run ``gen`` as a sim process; ``done`` is called on completion."""
-        finished = self._finished
-
-        def guarded() -> Generator:
-            try:
-                result = yield from gen
-            except Exception as exc:
-                finished.append((done, None, exc))
-            else:
-                finished.append((done, result, None))
-            finally:
-                self.pending -= 1
-
-        self.pending += 1
-        self.env.process(guarded())
-        if not self._scheduled:
-            self._scheduled = True
-            self.loop.call_soon(self._pump)
-
-    def _pump(self) -> None:
-        """Step up to ``STEP_BATCH`` events, then complete what finished;
-        call again while work remains."""
-        step = self.env.step
-        for _ in range(self.STEP_BATCH):
-            try:
-                step()
-            except EmptySchedule:
-                self._scheduled = False
-                break
-            except Exception:
-                # A failed event outside any guarded process; count it
-                # and keep serving (the guilty request already got its
-                # error through the guard, or was fire-and-forget).
-                self.sim_errors += 1
-        else:
-            self.loop.call_soon(self._pump)
-        finished = self._finished
-        while finished:
-            done, result, exc = finished.pop(0)
-            done(result, exc)
 
 
 def _sum_scheduler_stats(blocks: list[dict]) -> dict:
@@ -609,9 +539,6 @@ class SlateServer:
     def _shard_env(self, sess: _Session) -> Environment:
         return self.shards[sess.shard].env
 
-    def _shard_driver(self, sess: _Session) -> SimDriver:
-        return self.shards[sess.shard].driver
-
     # -- connection handling ----------------------------------------------
 
     def _dispatch(self, conn: _Connection, msg: dict) -> None:
@@ -680,7 +607,7 @@ class SlateServer:
             conn.serve()
 
         conn.busy = True
-        self._shard_driver(conn.sess).submit(gen, done)
+        self.shards[conn.sess.shard].driver.submit(gen, done)
 
     def _reply(self, conn: _Connection, op: str, rid, result: dict, t0: float) -> None:
         wall = time.monotonic() - t0
@@ -739,11 +666,7 @@ class SlateServer:
                 score=decision.score,
                 kernel_hint=hint,
             )
-        if hint is not None:
-            # Offline-profile the hinted kernel (§III-B1) so its first
-            # launch skips the profiling run.
-            shard.runtime.preload_profiles([by_name(str(hint))])
-        slate = shard.runtime.create_session(session_name)
+        slate = shard.open_session(session_name, kernel_hint=hint)
         sess = _Session(
             sid, session_name, slate, shard=shard_index, hint_class=candidate
         )
@@ -867,32 +790,10 @@ class SlateServer:
             deadline = float(deadline)
         self._note_observed_class(sess, spec)
         self._admit(sess)
-        env = self._shard_env(sess)
-        slate = sess.slate
         shard_index = sess.shard
-
-        def gen() -> Generator:
-            t0 = env.now
-            ticket = yield from slate.launch(
-                spec, task_size=task_size, priority=priority, deadline=deadline
-            )
-            if ticket.rejected:
-                # Synchronous policy rejection: relay the typed error so the
-                # client sees AdmissionRejected, not a silent no-op launch.
-                raise ticket.done.value
-            if not ticket.done.triggered:
-                yield ticket.done
-            # Same pruning synchronize() does, without charging a second
-            # pipe round trip: completed tickets must not accumulate in a
-            # long-lived served session.
-            slate._pending = [t for t in slate._pending if not t.done.processed]
-            if obs_trace.ENABLED:
-                obs_trace.complete(
-                    "request.launch", t0, env.now - t0, "serve", sess.name,
-                    kernel=spec.name, rid=rid, shard=shard_index,
-                )
-            return ticket, t0, env.now
-
+        gen = self.shards[shard_index].launch(
+            sess.slate, spec, task_size, priority, deadline, rid
+        )
         book = self.router.shards[shard_index]
         sess.inflight += 1
         book.inflight += 1
@@ -925,7 +826,7 @@ class SlateServer:
                 result["sim_exec"] = ticket.counters.elapsed
             return result
 
-        self._submit(conn, "launch", rid, t0, gen(), build, release)
+        self._submit(conn, "launch", rid, t0, gen, build, release)
 
     def _op_stats(self, sess: Optional[_Session]) -> dict:
         session_block = None

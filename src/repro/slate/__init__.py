@@ -17,10 +17,11 @@ Subsystems (paper section in parentheses):
 * :mod:`repro.slate.daemon` — the client-server runtime: context funneling,
   named-pipe command channel, shared-buffer data channel, NVRTC injection
   with caching (§IV-A).
+* :mod:`repro.slate.placement` — the multi-GPU fleet (extension, §VII):
+  one placement book and the shard class every fleet runs on.
 """
 
 from repro.slate.classify import IntensityClass, classify
-from repro.slate.cluster import SlateCluster
 from repro.slate.daemon import SlateRuntime, SlateSession
 from repro.slate.policy import (
     DEFAULT_POLICY,
@@ -74,7 +75,6 @@ __all__ = [
     "default_profile_cache",
     "reset_profile_cache",
     "SlateQueue",
-    "SlateCluster",
     "SlateRuntime",
     "SlateSession",
     "choose_partition",

@@ -1,7 +1,12 @@
 """Runner registry tests."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.__main__ import main as repro_main
 from repro.experiments import runner
 
@@ -116,6 +121,23 @@ class TestBattery:
         assert repro_main(["experiments", "fig3"]) == 0
         out = capsys.readouterr().out
         assert "[" in out and "s]" in out  # "...  [0.01s]" in the header
+
+    def test_battery_stays_off_the_serving_stack(self):
+        """The runner and the cluster experiment load neither asyncio nor
+        ``repro.serve``: the fleet they place and run on is
+        ``repro.slate.placement``'s, and the serving stack would cost every
+        battery its import time and memory."""
+        code = (
+            "import sys\n"
+            "from repro.experiments import runner\n"
+            "runner.run_battery(['cluster'])\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'asyncio'"
+            " or m == 'repro.serve' or m.startswith('repro.serve.'))\n"
+            "assert not loaded, loaded\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestProfile:

@@ -17,16 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels.registry import by_name
 from repro.obs import trace as obs_trace
 from repro.serve.client import SlateClient
-from repro.serve.loadgen import LoadGenConfig, run_loadgen
+from repro.serve.loadgen import LoadGenConfig, plan_client, run_loadgen
 from repro.serve.protocol import (
     BackpressureError,
     ProtocolError,
     ServerBusyError,
     ShardDrainingError,
 )
-from repro.serve.router import PlacementRouter
+from repro.serve.router import InLoopShard, PlacementRouter
 from repro.serve.server import ServeConfig, ServerThread
 from repro.slate.classify import IntensityClass as C
 
@@ -168,8 +169,8 @@ class TestRouterUnit:
             PlacementRouter(0)
 
     def test_class_aware_is_not_a_router_placement(self):
-        # ``class-aware`` names SlateCluster's device placement; the router
-        # scores shards with ``contention`` and accepts no alias for it.
+        # ``class-aware`` is the cluster study's label for ``contention``;
+        # the placement book knows no alias for it.
         with pytest.raises(ValueError):
             PlacementRouter(2, placement="class-aware")
 
@@ -317,58 +318,53 @@ def _drive_ladder(sock_path, placement):
     return [client.shard for client in clients], mm, sum(map(len, replies))
 
 
+def _sim_time_fleet(num_shards, placement="contention"):
+    """The daemon's shards under the default ``ServeConfig``, and
+    ``open_session(name, kernel)``, which places (with the daemon's
+    router) and opens a session as ``hello`` does with that kernel as its
+    hint: ``(shard, session)``."""
+    router = PlacementRouter(num_shards, placement=placement)
+    config = ServeConfig(socket_path="")
+    shards = [InLoopShard(i, config) for i in range(num_shards)]
+
+    def open_session(name, kernel):
+        candidate = router.classify(kernel)
+        index = router.pick(name, candidate)
+        router.note_open(index, name, candidate)
+        return shards[index], shards[index].open_session(name, kernel_hint=kernel)
+
+    return shards, open_session
+
+
 def _sim_time_ladder(placement):
     """The ladder on 4 shards in sim time: ``(shard of each client, MM
     sim latencies)``.
 
-    Placement is the daemon's (``PlacementRouter.pick`` and ``note_open``
-    with each client's hinted class, clients in ladder order), each shard
-    is a ``SlateRuntime`` built as ``InLoopShard`` builds it under the
-    default ``ServeConfig``, and each client is a sim process that issues
-    its next launch when the previous one completes.  A latency runs from
-    the sim time before ``session.launch`` to completion, as the daemon
-    measures it.  No socket, thread or wall clock is involved, so the
-    result is exact.
+    Clients open in ladder order on the daemon's fleet, and each is a sim
+    process that runs its launches one after another through the shard's
+    ``launch``, the daemon's launch path.  No socket, thread or wall clock
+    is involved, so the result is exact.
     """
-    from repro.kernels.registry import SHORT_NAMES, by_name
-    from repro.sim import Environment
-    from repro.slate.daemon import SlateRuntime
-
-    router = PlacementRouter(4, placement=placement)
-    runtimes = []
-    for _ in range(4):
-        runtime = SlateRuntime(
-            Environment(), policy="table1", log_limit=256, rate_trace_limit=256
-        )
-        runtime.preload_profiles([by_name(n) for n in SHORT_NAMES])
-        runtimes.append(runtime)
+    shards, open_session = _sim_time_fleet(4, placement)
     mm: list[float] = []
 
-    def client(env, session, kernel):
+    def client(shard, session, kernel):
         spec = by_name(kernel)
         task_size = LADDER_MM_TASK_SIZE if kernel == "MM" else None
         for _ in range(LADDER_LAUNCHES):
-            t0 = env.now
-            ticket = yield from session.launch(spec, task_size=task_size)
-            if not ticket.done.triggered:
-                yield ticket.done
+            _, t0, t1 = yield from shard.launch(session, spec, task_size)
             if kernel == "MM":
-                mm.append(env.now - t0)
+                mm.append(t1 - t0)
 
-    shards = []
+    placed = []
     for index, kernel in enumerate(LADDER):
-        name = f"c{index}#{index + 1}"
-        candidate = router.classify(kernel)
-        shard = router.pick(name, candidate)
-        router.note_open(shard, name, candidate)
-        shards.append(shard)
-        runtime = runtimes[shard]
-        session = runtime.create_session(name)
-        runtime.env.process(client(runtime.env, session, kernel))
-    for runtime in runtimes:
-        runtime.env.run()
+        shard, session = open_session(f"c{index}#{index + 1}", kernel)
+        placed.append(shard.index)
+        shard.env.process(client(shard, session, kernel))
+    for shard in shards:
+        shard.env.run()
     assert len(mm) == LADDER.count("MM") * LADDER_LAUNCHES
-    return shards, mm
+    return placed, mm
 
 
 #: The shard-scaling load: 64 clients, each 5 warmup + 40 measured
@@ -378,56 +374,37 @@ SCALING_LOAD = LoadGenConfig(
 )
 
 
-def _sim_time_closed_loop(shards: int) -> float:
+def _sim_time_closed_loop(num_shards: int) -> float:
     """Aggregate sim req/s of ``SCALING_LOAD`` run entirely in sim time.
 
-    Placement is the daemon's (``PlacementRouter.pick`` and ``note_open``
-    with each client's hinted class, clients in index order), each shard
-    is a ``SlateRuntime`` built as ``InLoopShard`` builds it, and each
-    client is a sim process that issues its next launch when the previous
-    one completes.  No socket, thread or wall clock is involved, so the
-    result is exact.  The rate is loadgen's: per shard, measured launches
-    over the span from the first measured submit to the last finish,
-    summed over shards.
+    Clients open in index order on the daemon's fleet, each hinted with
+    its first kernel, and each is a sim process that runs its planned
+    launches one after another through the shard's ``launch``.  No
+    socket, thread or wall clock is involved, so the result is exact.
+    The rate is loadgen's: per shard, measured launches over the span
+    from the first measured submit to the last finish, summed over
+    shards.
     """
-    from repro.kernels.registry import SHORT_NAMES, by_name
-    from repro.serve.loadgen import plan_client
-    from repro.sim import Environment
-    from repro.slate.daemon import SlateRuntime
-
     cfg = SCALING_LOAD
-    router = PlacementRouter(shards)
-    runtimes = []
-    for _ in range(shards):
-        runtime = SlateRuntime(
-            Environment(), policy="table1", log_limit=256, rate_trace_limit=256
-        )
-        runtime.preload_profiles([by_name(n) for n in SHORT_NAMES])
-        runtimes.append(runtime)
+    shards, open_session = _sim_time_fleet(num_shards)
     # Per shard: [first measured submit, last finish, measured launches].
-    spans = [[float("inf"), 0.0, 0] for _ in range(shards)]
+    spans = [[float("inf"), 0.0, 0] for _ in range(num_shards)]
 
-    def client(env, session, kernels, span):
+    def client(shard, session, kernels):
+        span = spans[shard.index]
         for i, kernel in enumerate(kernels):
-            t0 = env.now
-            ticket = yield from session.launch(by_name(kernel))
-            yield ticket.done
+            _, t0, t1 = yield from shard.launch(session, by_name(kernel))
             if i >= cfg.warmup:
                 span[0] = min(span[0], t0)
-                span[1] = max(span[1], env.now)
+                span[1] = max(span[1], t1)
                 span[2] += 1
 
     for index in range(cfg.clients):
         kernels, _ = plan_client(cfg, index)
-        name = f"loadgen-{index}#{index + 1}"
-        candidate = router.classify(kernels[0])
-        shard = router.pick(name, candidate)
-        router.note_open(shard, name, candidate)
-        runtime = runtimes[shard]
-        session = runtime.create_session(name)
-        runtime.env.process(client(runtime.env, session, kernels, spans[shard]))
-    for runtime in runtimes:
-        runtime.env.run()
+        shard, session = open_session(f"loadgen-{index}#{index + 1}", kernels[0])
+        shard.env.process(client(shard, session, kernels))
+    for shard in shards:
+        shard.env.run()
     assert sum(n for _, _, n in spans) == cfg.clients * cfg.requests
     return sum(n / (last - first) for first, last, n in spans)
 

@@ -27,7 +27,8 @@ from repro.serve.protocol import (
     encode_frame,
     request,
 )
-from repro.serve.server import ServeConfig, ServerThread, SimDriver
+from repro.serve.router import SimDriver
+from repro.serve.server import ServeConfig, ServerThread
 
 
 @pytest.fixture

@@ -101,19 +101,6 @@ class TestOccupancyCommand:
         assert "V100" in capsys.readouterr().out
 
 
-class TestReportCommand:
-    def test_report_writes_selected_experiments(self, capsys, tmp_path):
-        from repro.__main__ import main
-
-        out_path = tmp_path / "report.md"
-        assert main(["report", "--output", str(out_path), "fig1", "fig3"]) == 0
-        text = out_path.read_text()
-        assert "# Slate reproduction" in text
-        assert "Figure 1" in text and "knee" in text
-        assert "Figure 3" in text and "isomorphic" in text
-        assert "Figure 7" not in text  # not selected
-
-
 class TestTraceAndTune:
     def test_tune_command(self, capsys):
         from repro.__main__ import main
