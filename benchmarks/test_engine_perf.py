@@ -4,8 +4,8 @@ Not a paper experiment — engineering guardrails: the whole evaluation's
 wall-clock cost hangs off the engine's event throughput, so regressions
 here multiply into every other benchmark.
 
-The four churn benches also report :attr:`Environment.stats` (events
-processed, heap peak, timeout-pool reuse) and together write
+The three churn benches also report :attr:`Environment.stats` (events
+processed, heap peak) and together write
 ``benchmarks/BENCH_engine.json`` — events/sec per microbenchmark.  The
 file is a run's output (git-ignored, rewritten on every run); the
 repository's performance gate is the paired end-to-end compare
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Store
 
 BENCH_JSON = Path(__file__).parent / "BENCH_engine.json"
 
@@ -52,25 +52,6 @@ def _timer_churn(n_events: int) -> Environment:
         env.call_later(1.0, tick, n_events // 10)
     env.run()
     assert env.now > 0
-    return env
-
-
-def _resource_churn(n_ops: int) -> Environment:
-    env = Environment()
-    res = Resource(env, capacity=4)
-    done = {"count": 0}
-
-    def user(env, reps):
-        for _ in range(reps):
-            with res.request() as req:
-                yield req
-                yield env.timeout(0.1)
-            done["count"] += 1
-
-    for _ in range(20):
-        env.process(user(env, n_ops // 20))
-    env.run()
-    assert done["count"] == n_ops
     return env
 
 
@@ -116,7 +97,6 @@ def engine_bench_json():
         records[name] = {
             "events": stats.events_processed,
             "heap_peak": stats.heap_peak,
-            "timeouts_reused": stats.timeouts_reused,
             "seconds": round(seconds, 6),
             "events_per_sec": round(stats.events_processed / seconds),
         }
@@ -135,26 +115,14 @@ def _timed(fn) -> float:
 
 def test_engine_timeout_throughput(benchmark, engine_bench_json):
     env = benchmark(_timeout_churn, 50_000)
-    stats = env.stats
-    assert stats.events_processed >= 50_000
-    assert stats.timeouts_reused > 0  # the free list is actually cycling
+    assert env.stats.events_processed >= 50_000
     engine_bench_json("timeout_churn", env, benchmark, lambda: _timeout_churn(50_000))
 
 
 def test_engine_timer_throughput(benchmark, engine_bench_json):
     env = benchmark(_timer_churn, 50_000)
-    stats = env.stats
-    assert stats.events_processed == 50_000
-    assert stats.timeouts_pooled == 0  # no Timeout is involved
+    assert env.stats.events_processed == 50_000
     engine_bench_json("timer_churn", env, benchmark, lambda: _timer_churn(50_000))
-
-
-def test_engine_resource_throughput(benchmark, engine_bench_json):
-    env = benchmark(_resource_churn, 20_000)
-    stats = env.stats
-    assert stats.events_processed >= 20_000
-    assert stats.heap_peak > 0
-    engine_bench_json("resource_churn", env, benchmark, lambda: _resource_churn(20_000))
 
 
 def test_engine_store_throughput(benchmark, engine_bench_json):

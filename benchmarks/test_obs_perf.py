@@ -19,7 +19,6 @@ import time
 
 from repro.config import CostModel, TITAN_XP
 from repro.gpu.device import SimulatedGPU
-from repro.gpu.occupancy import reset_occupancy_cache
 from repro.gpu.rates import reset_rates_cache
 from repro.kernels.registry import by_name
 from repro.obs import trace as obs_trace
@@ -91,7 +90,6 @@ def _scheduler_churn(n_launches: int, burst: int = BURST):
 
 def _churn_once(n: int) -> float:
     reset_rates_cache()
-    reset_occupancy_cache()
     _, sched, elapsed = _scheduler_churn(n)
     assert sched.solo_launches + sched.corun_launches == n
     return elapsed

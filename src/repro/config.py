@@ -30,7 +30,6 @@ __all__ = [
     "HostConfig",
     "CostModel",
     "TITAN_XP",
-    "default_device",
     "CACHE_DIR_ENV",
     "CACHE_DISABLE_ENV",
     "cache_dir",
@@ -292,8 +291,3 @@ TESLA_V100 = DeviceConfig(
     l2_capacity=6 * 1024**2,
     shared_mem_per_sm=96 * 1024,
 )
-
-
-def default_device() -> DeviceConfig:
-    """The device used by experiments unless overridden (Titan Xp)."""
-    return TITAN_XP

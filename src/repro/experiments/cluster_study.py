@@ -81,13 +81,13 @@ def run_on_fleet(
     with its kernel), run each on its shard's own environment, and run
     every shard to completion: ``(app results, shard of each app, shards)``.
     """
-    book = PlacementBook(num_shards, placement=placement, device=device)
+    book = PlacementBook(num_shards, placement=placement)
     shards = [Shard(i, device=device) for i in range(num_shards)]
     placed = []
     procs = []
     for app in apps:
         hint = app.kernel.name
-        candidate = book.classify(hint)
+        candidate = shards[0].classify(hint)
         index, _ = book.place(candidate)
         book.note_open(index, app.name, candidate)
         placed.append(index)

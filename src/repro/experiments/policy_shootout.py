@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from repro.config import DeviceConfig, TITAN_XP
 from repro.metrics.fairness import fairness_index
-from repro.metrics.report import format_table
+from repro.metrics.report import format_table, percentile
 from repro.slate.policy import policy_names
 from repro.workloads.harness import app_for, app_times
 from repro.workloads.trace import TraceEntry, generate_trace, replay_trace
@@ -80,18 +80,6 @@ class ShootoutResult:
             if r.policy == policy:
                 return r
         raise KeyError(policy)
-
-
-def _pctl(values: list[float], q: float) -> float:
-    """Percentile with linear interpolation (deterministic, numpy-free)."""
-    if not values:
-        raise ValueError("no values")
-    ordered = sorted(values)
-    rank = (len(ordered) - 1) * q / 100.0
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 def build_trace(
@@ -150,7 +138,7 @@ def run_policy(
         completed=sum(r.launches - r.rejected_launches for r in results.values()),
         rejected=sum(r.rejected_launches for r in results.values()),
         mean_turnaround=sum(turnarounds) / len(turnarounds),
-        p99_turnaround=_pctl(turnarounds, 99.0),
+        p99_turnaround=percentile(turnarounds, 99.0),
         fairness=fairness_index(
             {name: r.app_time for name, r in results.items()}, solo
         ),

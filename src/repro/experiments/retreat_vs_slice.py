@@ -32,7 +32,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.config import DeviceConfig, TITAN_XP
-from repro.metrics.report import format_table
+from repro.metrics.report import format_table, percentile
 from repro.slate.policy import Table1Policy
 from repro.workloads.app import AppResult
 from repro.workloads.harness import app_for, run_many, run_pair
@@ -123,18 +123,6 @@ def _stall(results: dict[str, AppResult]) -> float:
     )
 
 
-def _pctl(values: list[float], q: float) -> float:
-    """Percentile with linear interpolation (deterministic, numpy-free)."""
-    if not values:
-        raise ValueError("no values")
-    ordered = sorted(values)
-    rank = (len(ordered) - 1) * q / 100.0
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
 def run_pairs(device: DeviceConfig = TITAN_XP) -> tuple[PairRow, ...]:
     """Part A: each resize-heavy pairing, retreat vs slice-edge."""
     rows = []
@@ -217,7 +205,7 @@ def run_burst(device: DeviceConfig = TITAN_XP) -> tuple[BurstRow, ...]:
             BurstRow(
                 mode=mode,
                 vip_mean=sum(vip_times) / len(vip_times),
-                vip_p99=_pctl(vip_times, 99.0),
+                vip_p99=percentile(vip_times, 99.0),
                 makespan=max(r.end for r in results.values()),
                 preemptions=runtime.scheduler.preemptions,
                 slice_preempts=stats.slice_preempts,

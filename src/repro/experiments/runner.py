@@ -225,8 +225,8 @@ def _run_one_profiled(key: str) -> tuple[str, Any, float, dict[str, int]]:
 
     The process-wide aggregate is reset before the experiment so the
     snapshot afterwards is exactly this experiment's engine work.  The
-    rate-derivation memo, occupancy caches, the predictive-split memo and
-    the harness's app-time memo are also cleared, and the experiment runs
+    rate-derivation memo, the predictive-split memo and the harness's
+    app-time memo are also cleared, and the experiment runs
     with a disabled profile cache (the previous one is restored
     afterwards).  So each experiment's hit rates start cold, it simulates
     every scenario, offline profile and split search it reads (however
@@ -235,7 +235,6 @@ def _run_one_profiled(key: str) -> tuple[str, Any, float, dict[str, int]]:
     and in serial or parallel runs.  Valid under ``--jobs``: pool workers
     each own a per-process aggregate and run one experiment at a time.
     """
-    from repro.gpu.occupancy import occupancy_cache_info, reset_occupancy_cache
     from repro.gpu.rates import reset_rates_cache
     from repro.sim import aggregate_stats, reset_aggregate_stats
     from repro.slate import profiler
@@ -245,7 +244,6 @@ def _run_one_profiled(key: str) -> tuple[str, Any, float, dict[str, int]]:
     outer = aggregate_stats().snapshot()
     reset_aggregate_stats()
     reset_rates_cache()
-    reset_occupancy_cache()
     choose_partition_predictive.cache_clear()
     reset_app_times()
     previous_profiles = profiler._default_cache
@@ -255,9 +253,6 @@ def _run_one_profiled(key: str) -> tuple[str, Any, float, dict[str, int]]:
     finally:
         profiler._default_cache = previous_profiles
     stats = aggregate_stats().snapshot()
-    occ = occupancy_cache_info()
-    stats["occupancy_cache_hits"] = occ["hits"]
-    stats["occupancy_cache_misses"] = occ["misses"]
     # Restore whatever the surrounding process had accumulated before this
     # run (the reset above isolates the measurement, it must not erase
     # history); the battery driver then folds `stats` in exactly once —
@@ -274,13 +269,11 @@ def _worker_init() -> None:
     copy; without this reset a worker's first profiled snapshot would
     double-count whatever the parent had already accumulated.
     """
-    from repro.gpu.occupancy import reset_occupancy_cache
     from repro.gpu.rates import reset_rates_cache
     from repro.sim import reset_aggregate_stats
 
     reset_aggregate_stats()
     reset_rates_cache()
-    reset_occupancy_cache()
 
 
 def _fold_into_aggregate(stats: dict[str, int]) -> None:
@@ -343,10 +336,10 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
     """Tabulate per-experiment engine counters (the ``--profile`` output).
 
     ``rmemo``/``rm%`` are the :func:`repro.gpu.rates.derive_rates` memo
-    hits and hit rate; ``occ%`` the occupancy-cache hit rate.  The epoch
-    columns measure decision-epoch batching: ``epochs`` is end-of-timestep
-    flushes performed, ``mut/ep`` the mean device mutations absorbed per
-    flush.  ``scal`` counts full rate derivations.
+    hits and hit rate.  The epoch columns measure decision-epoch batching:
+    ``epochs`` is end-of-timestep flushes performed, ``mut/ep`` the mean
+    device mutations absorbed per flush.  ``scal`` counts full rate
+    derivations.
     ``slices``/``slcpre`` count sub-grid slice dispatches and
     slice-boundary preemptions (zero unless the experiment runs the
     scheduler with slicing enabled).  ``µs/ev`` is wall microseconds per
@@ -354,17 +347,16 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
     it while ``events`` stays put.
     """
     header = (
-        f"{'experiment':<14}{'events':>12}{'heap pk':>9}{'t/o reused':>12}"
+        f"{'experiment':<14}{'events':>12}{'heap pk':>9}"
         f"{'recomp':>8}{'wfill':>7}"
-        f"{'rmemo':>8}{'rm%':>6}{'occ%':>6}"
+        f"{'rmemo':>8}{'rm%':>6}"
         f"{'epochs':>9}{'mut/ep':>8}{'scal':>7}"
         f"{'slices':>8}{'slcpre':>8}"
         f"{'wall s':>9}{'µs/ev':>8}"
     )
     lines = [header, "-" * len(header)]
     totals = {
-        "events": 0, "reused": 0, "recomp": 0, "wfill": 0,
-        "rhits": 0, "rmiss": 0, "ohits": 0, "omiss": 0,
+        "events": 0, "recomp": 0, "wfill": 0, "rhits": 0, "rmiss": 0,
         "marks": 0, "flushes": 0, "scal": 0, "slices": 0, "slcpre": 0,
     }
     wall = 0.0
@@ -372,8 +364,6 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
         s = run.stats or {}
         rhits = s.get("rate_memo_hits", 0)
         rmiss = s.get("rate_memo_misses", 0)
-        ohits = s.get("occupancy_cache_hits", 0)
-        omiss = s.get("occupancy_cache_misses", 0)
         marks = s.get("epoch_marks", 0)
         flushes = s.get("epoch_flushes", 0)
         scal = s.get("rate_scalar_evals", 0)
@@ -382,12 +372,10 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
         lines.append(
             f"{run.key:<14}{s.get('events_processed', 0):>12,}"
             f"{s.get('heap_peak', 0):>9,}"
-            f"{s.get('timeouts_reused', 0):>12,}"
             f"{s.get('rate_recomputes', 0):>8,}"
             f"{s.get('waterfill_calls', 0):>7,}"
             f"{rhits:>8,}"
             f"{_hit_rate(rhits, rmiss):>6}"
-            f"{_hit_rate(ohits, omiss):>6}"
             f"{flushes:>9,}"
             f"{_per(marks, flushes):>8}"
             f"{scal:>7,}"
@@ -397,13 +385,10 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
             f"{_us_per_event(run.elapsed, s.get('events_processed', 0)):>8}"
         )
         totals["events"] += s.get("events_processed", 0)
-        totals["reused"] += s.get("timeouts_reused", 0)
         totals["recomp"] += s.get("rate_recomputes", 0)
         totals["wfill"] += s.get("waterfill_calls", 0)
         totals["rhits"] += rhits
         totals["rmiss"] += rmiss
-        totals["ohits"] += ohits
-        totals["omiss"] += omiss
         totals["marks"] += marks
         totals["flushes"] += flushes
         totals["scal"] += scal
@@ -412,11 +397,10 @@ def format_profile_table(runs: Sequence[ExperimentRun]) -> str:
         wall += run.elapsed
     lines.append("-" * len(header))
     lines.append(
-        f"{'total':<14}{totals['events']:>12,}{'':>9}{totals['reused']:>12,}"
+        f"{'total':<14}{totals['events']:>12,}{'':>9}"
         f"{totals['recomp']:>8,}{totals['wfill']:>7,}"
         f"{totals['rhits']:>8,}"
         f"{_hit_rate(totals['rhits'], totals['rmiss']):>6}"
-        f"{_hit_rate(totals['ohits'], totals['omiss']):>6}"
         f"{totals['flushes']:>9,}"
         f"{_per(totals['marks'], totals['flushes']):>8}"
         f"{totals['scal']:>7,}"

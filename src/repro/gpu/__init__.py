@@ -17,13 +17,7 @@ Two executors are provided:
   cross-validate the fluid model on small grids.
 """
 
-from repro.gpu.occupancy import (
-    BlockResources,
-    OccupancyResult,
-    occupancy,
-    occupancy_cache_info,
-    reset_occupancy_cache,
-)
+from repro.gpu.occupancy import BlockResources, OccupancyResult, occupancy
 from repro.gpu.memory import FlowDemand, waterfill
 from repro.gpu.rates import (
     RateInput,
@@ -59,9 +53,7 @@ __all__ = [
     "dram_fraction",
     "l2_pressure",
     "occupancy",
-    "occupancy_cache_info",
     "rates_cache_info",
-    "reset_occupancy_cache",
     "reset_rates_cache",
     "waterfill",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.config import DeviceConfig
 
@@ -21,9 +20,7 @@ __all__ = [
     "OccupancyResult",
     "analyze",
     "occupancy",
-    "occupancy_cache_info",
     "occupancy_curve",
-    "reset_occupancy_cache",
 ]
 
 
@@ -111,15 +108,8 @@ def _limits(device: DeviceConfig, block: BlockResources) -> tuple[int, dict[str,
     return warps_per_block, limits
 
 
-@lru_cache(maxsize=1024)
 def occupancy(device: DeviceConfig, block: BlockResources) -> OccupancyResult:
     """Max resident blocks of ``block`` on one SM of ``device``.
-
-    Both arguments are frozen dataclasses and the computation is pure, so
-    results are ``lru_cache``d per ``(device, block)`` pair (the hot
-    callers — launch, dispatch, prediction, tuning — see the same handful
-    of pairs millions of times on long traces).  Unlaunchable blocks raise
-    and are deliberately never cached.
 
     Raises
     ------
@@ -178,17 +168,6 @@ def analyze(device: DeviceConfig, block: BlockResources) -> OccupancyReport:
         occupancy_fraction=result.occupancy_fraction(device),
         headroom_hint=hint,
     )
-
-
-def occupancy_cache_info() -> dict[str, int]:
-    """Cache counters of :func:`occupancy`."""
-    info = occupancy.cache_info()
-    return {"hits": info.hits, "misses": info.misses, "currsize": info.currsize}
-
-
-def reset_occupancy_cache() -> None:
-    """Drop :func:`occupancy`'s cache and zero its counters."""
-    occupancy.cache_clear()
 
 
 def occupancy_curve(

@@ -1,14 +1,28 @@
 """Plain-text table rendering for benchmark harness output.
 
 Every experiment prints the same rows/series the paper reports; these
-helpers keep the formatting consistent and terminal-friendly.
+helpers keep the formatting consistent and terminal-friendly, and
+:func:`percentile` computes the tail columns the tables quote.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-__all__ = ["format_table"]
+__all__ = ["format_table", "percentile"]
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Percentile with linear interpolation (deterministic, numpy-free);
+    ``q`` in [0, 100].  Raises ``ValueError`` for no values."""
+    if not values:
+        raise ValueError("no values")
+    ordered = sorted(values)
+    rank = (len(ordered) - 1) * q / 100.0
+    lo = int(rank)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 def _fmt(value: Any) -> str:

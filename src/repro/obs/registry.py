@@ -9,14 +9,13 @@ stats surfaces:
   ``"scheduler.decisions"`` shares one counter.
 * **pull sources** — existing counter surfaces registered as callables
   polled at :meth:`snapshot` time: the engine aggregate
-  (:func:`repro.sim.aggregate_stats`), the rate-derivation memo
-  (:func:`repro.gpu.rates.rates_cache_info`) and the occupancy cache
-  (:func:`repro.gpu.occupancy.occupancy_cache_info`).
+  (:func:`repro.sim.aggregate_stats`) and the rate-derivation memo
+  (:func:`repro.gpu.rates.rates_cache_info`).
 
 ``repro experiments --profile`` and ``python -m repro obs dump`` read through this
 registry; the older accessors (``Environment.stats``, ``aggregate_stats``,
-``rates_cache_info``, ``occupancy_cache_info``) stay because benchmarks
-read them — see ``docs/observability.md``.
+``rates_cache_info``) stay because benchmarks read them — see
+``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "histogram_quantiles",
     "registry",
 ]
 
@@ -286,27 +286,7 @@ class MetricsRegistry:
                                    p50, p90, p99, p999}},
              "sources": {source: {field: value}}}
         """
-        counters, gauges, histograms = {}, {}, {}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if isinstance(metric, Counter):
-                counters[name] = metric.value
-            elif isinstance(metric, Gauge):
-                gauges[name] = metric.value
-            else:
-                histograms[name] = metric.summary()
-        sources = {}
-        for name in sorted(self._sources):
-            try:
-                sources[name] = dict(self._sources[name]())
-            except Exception as exc:  # a broken source must not kill a dump
-                sources[name] = {"error": repr(exc)}
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-            "sources": sources,
-        }
+        return self._collect(Histogram.summary)
 
     def export_state(self) -> dict:
         """Snapshot with *full* histogram bucket state, for wire transfer.
@@ -315,6 +295,11 @@ class MetricsRegistry:
         :meth:`Histogram.state` dicts (see :meth:`Histogram.from_state`)
         instead of the human-oriented summaries.
         """
+        return self._collect(Histogram.state)
+
+    def _collect(self, render: Callable[[Histogram], dict]) -> dict:
+        """The body of :meth:`snapshot` and :meth:`export_state`: each
+        histogram rendered by ``render``."""
         counters, gauges, histograms = {}, {}, {}
         for name in sorted(self._metrics):
             metric = self._metrics[name]
@@ -323,12 +308,12 @@ class MetricsRegistry:
             elif isinstance(metric, Gauge):
                 gauges[name] = metric.value
             else:
-                histograms[name] = metric.state()
+                histograms[name] = render(metric)
         sources = {}
         for name in sorted(self._sources):
             try:
                 sources[name] = dict(self._sources[name]())
-            except Exception as exc:  # a broken source must not kill a scrape
+            except Exception as exc:  # a broken source must not kill a dump
                 sources[name] = {"error": repr(exc)}
         return {
             "counters": counters,
@@ -345,6 +330,17 @@ class MetricsRegistry:
         """Zero every push metric (sources are owned elsewhere)."""
         for metric in self._metrics.values():
             metric.reset()
+
+
+def histogram_quantiles(state: Optional[dict], name: str) -> Optional[dict]:
+    """``count`` and p50/p90/p99/p999 of histogram ``name`` in a registry's
+    :meth:`~MetricsRegistry.export_state` (a daemon scrape's ``registry``
+    block); None when it holds no samples of it."""
+    hist_state = (state or {}).get("histograms", {}).get(name)
+    if not hist_state or not hist_state.get("count"):
+        return None
+    h = Histogram.from_state(name, hist_state)
+    return {"count": h.count, **h.percentiles()}
 
 
 # -- the process-wide registry ----------------------------------------------
@@ -369,12 +365,5 @@ def _rates_memo_source() -> dict:
     return rates_cache_info()
 
 
-def _occupancy_source() -> dict:
-    from repro.gpu.occupancy import occupancy_cache_info
-
-    return occupancy_cache_info()
-
-
 _REGISTRY.register_source("engine", _engine_source)
 _REGISTRY.register_source("rates_memo", _rates_memo_source)
-_REGISTRY.register_source("occupancy_cache", _occupancy_source)

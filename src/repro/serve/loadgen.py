@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.kernels.registry import by_name
-from repro.obs.registry import Histogram
+from repro.obs.registry import histogram_quantiles
 from repro.serve.client import SlateClient
 from repro.serve.protocol import MessageStream, request
 
@@ -136,17 +136,6 @@ def fetch_server_metrics(
             sock.close()
         except OSError:
             pass
-
-
-def _histogram_quantiles(metrics: Optional[dict], name: str) -> dict:
-    """p50/p99 (+count) of one server-side histogram from a metrics scrape."""
-    if not metrics:
-        return {}
-    state = (metrics.get("registry") or {}).get("histograms", {}).get(name)
-    if not state or not state.get("count"):
-        return {}
-    h = Histogram.from_state(name, state)
-    return {"count": h.count, "p50": h.quantile(0.50), "p99": h.quantile(0.99)}
 
 
 @dataclass(frozen=True)
@@ -474,8 +463,9 @@ def run_loadgen(cfg: LoadGenConfig) -> LoadGenReport:
     # Post-run server-side cross-check (failure-tolerant: None on any
     # error, never fails the run — see fetch_server_metrics).
     server_metrics = fetch_server_metrics(cfg.socket_path)
-    sim_q = _histogram_quantiles(server_metrics, "serve.sim_latency.launch")
-    wall_q = _histogram_quantiles(server_metrics, "serve.latency.launch")
+    scraped = (server_metrics or {}).get("registry")
+    sim_q = histogram_quantiles(scraped, "serve.sim_latency.launch") or {}
+    wall_q = histogram_quantiles(scraped, "serve.latency.launch") or {}
     return LoadGenReport(
         clients=cfg.clients,
         mode=cfg.mode,

@@ -57,13 +57,9 @@ class PlacementRouter(PlacementBook):
     """
 
     def __init__(
-        self,
-        num_shards: int,
-        placement: str = "contention",
-        policy=None,
-        device=None,
+        self, num_shards: int, placement: str = "contention", policy=None
     ) -> None:
-        super().__init__(num_shards, placement, policy, device)
+        super().__init__(num_shards, placement, policy)
         self._affinity: dict[str, int] = {}
         self.decisions: deque = deque(maxlen=256)
 

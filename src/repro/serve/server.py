@@ -319,10 +319,7 @@ class SlateServer:
             raise ValueError("shards must be >= 1")
         self.config = config
         self.router = PlacementRouter(
-            config.shards,
-            placement=config.placement,
-            policy=config.policy,
-            device=config.runtime_kwargs.get("device"),
+            config.shards, placement=config.placement, policy=config.policy
         )
         self._shard_limit = config.shard_inflight_limit()
         self.shards = [InLoopShard(i, config) for i in range(config.shards)]
@@ -648,7 +645,8 @@ class SlateServer:
         name = str(params.get("name") or f"client-{sid}")
         session_name = f"{name}#{sid}"
         hint = params.get("kernel_hint")
-        candidate = self.router.classify(hint) if hint is not None else None
+        # Every shard is built from one config, so shard 0 classifies for all.
+        candidate = self.shards[0].classify(hint)
         affinity = params.get("affinity")
         shard_index = self.router.pick(
             session_name, candidate, affinity=affinity, pin=pin
@@ -752,7 +750,7 @@ class SlateServer:
         """
         if sess.hint_class is None:
             return
-        observed = self.router.classify(spec.name)
+        observed = self.shards[sess.shard].classify(spec.name)
         stale = observed is not None and observed != sess.hint_class
         if stale != sess.stale:
             sess.stale = stale

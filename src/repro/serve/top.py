@@ -25,7 +25,7 @@ import sys
 import time
 from typing import Optional
 
-from repro.obs.registry import Histogram
+from repro.obs.registry import histogram_quantiles
 from repro.serve.protocol import MessageStream, request
 
 __all__ = ["fetch_feed", "render", "run_top"]
@@ -69,20 +69,6 @@ def _fmt_ms(seconds: Optional[float]) -> str:
     if seconds is None:
         return "-"
     return f"{seconds * 1e3:.2f}ms"
-
-
-def _hist_quantiles(registry: dict, name: str) -> Optional[dict]:
-    state = (registry or {}).get("histograms", {}).get(name)
-    if not state or not state.get("count"):
-        return None
-    h = Histogram.from_state(name, state)
-    return {
-        "count": h.count,
-        "p50": h.quantile(0.50),
-        "p90": h.quantile(0.90),
-        "p99": h.quantile(0.99),
-        "p999": h.quantile(0.999),
-    }
 
 
 def _shard_occupancy(stats_block: Optional[dict]) -> Optional[dict]:
@@ -152,7 +138,7 @@ def render(feed: Optional[dict], width: int = 100) -> str:
         ("wall  launch", "serve.latency.launch"),
         ("sim   launch", "serve.sim_latency.launch"),
     ):
-        q = _hist_quantiles(registry, name)
+        q = histogram_quantiles(registry, name)
         if q is None:
             lines.append(f"{label}: (no samples)")
         else:

@@ -1,9 +1,12 @@
 """Discrete-event simulation engine.
 
 A small, self-contained, simpy-flavoured discrete-event simulation (DES)
-kernel.  Everything in the GPU simulator — streaming multiprocessors, memory
-bandwidth arbitration, runtime daemons, host processes — is expressed as
-processes (Python generators) scheduled by an :class:`Environment`.
+kernel, holding only what the simulator uses: an :class:`Environment`
+(clock, event queue, ``call_later`` timers), events (:class:`Event`,
+:class:`Timeout`, :class:`AllOf`), processes (:class:`Process`: Python
+generators that yield events) and a :class:`Store` (the CUDA and MPS
+dispatch queues).  Runtime daemons and host processes are processes; the
+device itself advances on ``call_later`` timers.
 
 Design notes
 ------------
@@ -35,7 +38,6 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process
-from repro.sim.resources import Resource
 from repro.sim.store import Store
 
 __all__ = [
@@ -47,7 +49,6 @@ __all__ = [
     "aggregate_stats",
     "reset_aggregate_stats",
     "Process",
-    "Resource",
     "SimulationError",
     "StopSimulation",
     "Store",

@@ -17,7 +17,7 @@ familiar idioms::
 Performance notes
 -----------------
 Every paper experiment is thousands of simulations, so the per-event cost
-here multiplies into the whole evaluation's wall-clock.  Four fast paths
+here multiplies into the whole evaluation's wall-clock.  Three fast paths
 keep it low (see ``docs/api.md`` for the full contract):
 
 * :meth:`Environment.run` inlines the hot loop — no per-event method call,
@@ -29,22 +29,18 @@ keep it low (see ``docs/api.md`` for the full contract):
   with no event object at all: the device's and the scheduler's internal
   timers, which nothing else waits on, use it instead of a
   :class:`Timeout` plus a callbacks list.
-* :meth:`Environment.timeout` recycles :class:`Timeout` instances through a
-  free list.  A timeout is only pooled when the engine holds the *sole*
-  remaining reference after its callbacks ran (refcount-gated), so user code
-  that keeps a handle to a timeout always observes ordinary event semantics.
-* Scheduling never resets the monotonically increasing event id: pooled and
-  fresh events share the same ``_eid`` sequence, which is a plain Python int
-  and therefore cannot overflow or collide regardless of how many events are
-  recycled.
+* Delay-0 NORMAL triggers skip the heap: they join a same-timestamp FIFO
+  lane (``Environment._fifo``) that replays the heap's order exactly.
 
-:attr:`Environment.stats` counts events processed, the queue's peak size,
-and pooling activity so speedups (and regressions) are measurable.
+Event ids come from one monotonically increasing counter that is never
+reset, a plain Python int, so it cannot overflow or collide.
+
+:attr:`Environment.stats` counts events processed and the queue's peak
+size, so speedups (and regressions) are measurable.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -62,11 +58,6 @@ __all__ = [
 ]
 
 _NORMAL = int(EventPriority.NORMAL)
-#: CPython exposes refcounts; other interpreters may not, in which case the
-#: timeout free list is simply never fed (correct, just slower).
-_getrefcount = getattr(sys, "getrefcount", None)
-#: Upper bound on pooled Timeout instances kept per environment.
-_TIMEOUT_POOL_MAX = 1024
 #: A queued :meth:`Environment.call_later` call: ``(fn, args)``.  The run
 #: loop tells it from an event by its type.
 _Call = tuple
@@ -95,10 +86,6 @@ class EnvironmentStats:
         dispatch-gap timers) and fires no events of its own.
     heap_peak:
         Largest number of simultaneously pending events observed.
-    timeouts_pooled:
-        Timeout instances returned to the free list after processing.
-    timeouts_reused:
-        ``Environment.timeout`` calls served from the free list.
     rate_recomputes:
         Full rate re-derivations performed by :class:`~repro.gpu.device.SimulatedGPU`.
     waterfill_calls:
@@ -133,8 +120,6 @@ class EnvironmentStats:
     __slots__ = (
         "events_processed",
         "heap_peak",
-        "timeouts_pooled",
-        "timeouts_reused",
         "rate_recomputes",
         "waterfill_calls",
         "rate_memo_hits",
@@ -213,7 +198,6 @@ class Environment:
         "_processing",
         "_eid",
         "stats",
-        "_timeout_pool",
         "_flushed",
     )
 
@@ -241,11 +225,10 @@ class Environment:
         #: test/driver code outside the engine keep immediate semantics).
         self._processing = False
         #: Monotonic event sequence number.  A plain Python int: it grows
-        #: without bound (no overflow) and is never reset — recycled Timeout
-        #: instances draw fresh ids, so heap ordering stays total.
+        #: without bound (no overflow) and is never reset, so heap ordering
+        #: stays total.
         self._eid = 0
         self.stats = EnvironmentStats()
-        self._timeout_pool: list[Timeout] = []
         self._flushed = self.stats.snapshot()
 
     # -- clock & queue ---------------------------------------------------
@@ -386,15 +369,9 @@ class Environment:
         queue = self._queue
         fifo = self._fifo
         hooks = self._eoe_hooks
-        pool = self._timeout_pool
-        # No getrefcount (e.g. PyPy): use a stub that can never equal 2, so
-        # the pooling branch below is dead without a per-event None check.
-        getref = _getrefcount if _getrefcount is not None else (lambda _obj: 0)
-        timeout_cls = Timeout
         call_type = _Call
         pop = heappop
         events = 0
-        pooled = 0
         peak = stats.heap_peak
         try:
             self._processing = True
@@ -440,21 +417,6 @@ class Environment:
                     raise SimulationError(
                         f"event failed with non-exception {value!r}"
                     )
-                # Free-list a drained Timeout iff the loop holds the sole
-                # remaining reference (local + getrefcount argument == 2):
-                # then no user code can observe the recycled instance.  The
-                # spent callbacks list rides along (cleared) so reuse does
-                # not allocate a fresh one.
-                if (
-                    type(event) is timeout_cls
-                    and len(pool) < _TIMEOUT_POOL_MAX
-                    and getref(event) == 2
-                ):
-                    event._value = None
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    pool.append(event)
-                    pooled += 1
                 pending = len(queue) + len(fifo)
             if stop is not None and not stop.triggered and isinstance(until, Event):
                 raise SimulationError(
@@ -471,17 +433,12 @@ class Environment:
         finally:
             self._processing = False
             stats.events_processed += events
-            stats.timeouts_pooled += pooled
             if peak > stats.heap_peak:
                 stats.heap_peak = peak
             self._flush_stats()
 
     def _flush_stats(self) -> None:
         """Fold counter growth since the last flush into the global aggregate."""
-        # timeouts_reused is derived, not counted inline (the increment would
-        # sit on the hottest allocation path): every pooled timeout that is
-        # no longer in the free list has been handed back out exactly once.
-        self.stats.timeouts_reused = self.stats.timeouts_pooled - len(self._timeout_pool)
         after = self.stats.snapshot()
         _AGGREGATE.accumulate(self._flushed, after)
         self._flushed = after
@@ -502,8 +459,8 @@ class Environment:
         """Call ``fn(*args)`` from the run loop ``delay`` from now.
 
         A timer without an event: nothing can wait on it, cancel it or read
-        its value, so it skips the :class:`Timeout`, its callbacks list and
-        the pooling check.  It is queued exactly where
+        its value, so it skips the :class:`Timeout` and its callbacks list.
+        It is queued exactly where
         ``env.timeout(delay).callbacks.append(lambda _e: fn(*args))`` would
         queue its timeout: it draws its event id from the same counter at
         the same point, and a zero delay joins the same-timestamp lane.  So
@@ -521,32 +478,7 @@ class Environment:
         heappush(self._queue, (self.now + delay, _NORMAL, self._eid, (fn, args)))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event firing ``delay`` time units from now.
-
-        Serves recycled instances from the free list when available; a
-        pooled timeout is indistinguishable from a fresh one (fresh
-        callbacks list, fresh event id, validated delay).
-        """
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()
-            timeout.delay = delay
-            if delay < 0:
-                # Same diagnostic contract as a fresh Timeout: the message
-                # names the event being scheduled.  The instance goes back to
-                # the free list untouched beyond its delay field.
-                pool.append(timeout)
-                raise ValueError(f"negative delay {delay} while scheduling {timeout!r}")
-            timeout._value = value
-            # _ok/_defused are still True/False from the previous life: a
-            # Timeout can never fail, so it can never have been defused, and
-            # its recycled callbacks list was cleared when it was pooled.
-            if not delay:
-                self._fifo.append(timeout)
-                return timeout
-            self._eid += 1
-            heappush(self._queue, (self.now + delay, _NORMAL, self._eid, timeout))
-            return timeout
+        """Create an event firing ``delay`` time units from now."""
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator) -> Process:

@@ -5,6 +5,10 @@ becomes *triggered* when given a value (and is placed on the environment's
 queue), and becomes *processed* once the environment has invoked all of its
 callbacks.  Processes (see :mod:`repro.sim.process`) suspend by yielding
 events and are resumed from event callbacks.
+
+Besides the plain :class:`Event`, two kinds exist: a :class:`Timeout`
+fires after a delay, and an :class:`AllOf` (``a & b``) fires, with no
+value, once all of its members have.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "AllOf",
-    "ConditionValue",
     "Event",
     "EventPriority",
     "SimulationError",
@@ -107,7 +110,7 @@ class Event:
         self._ok = True
         self._value = value
         # Inlined Environment.schedule(self) — succeed() is the hottest
-        # trigger path (every resource grant and store operation); the delay
+        # trigger path (store operations, link turns, conditions); the delay
         # is always 0, so the event joins the same-timestamp lane (trigger
         # order, no heap operations — see Environment._fifo).
         self.env._fifo.append(self)
@@ -123,12 +126,6 @@ class Event:
         self._value = exception
         self.env.schedule(self)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of ``event`` onto this event (callback helper)."""
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
 
     def defuse(self) -> None:
         """Mark a failed event as handled so it will not re-raise."""
@@ -149,12 +146,8 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay.
 
-    Timeouts are the dominant event species in every simulation, so the
-    constructor bypasses both ``Event.__init__`` and
+    The constructor bypasses both ``Event.__init__`` and
     ``Environment.schedule`` and pushes itself onto the queue directly.
-    Instances may additionally be recycled through the environment's free
-    list (see :meth:`Environment.timeout`); the pooling contract is that a
-    timeout is only reused once the engine holds the sole reference to it.
     """
 
     __slots__ = ("delay",)
@@ -178,78 +171,33 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay}>"
 
 
-class ConditionValue:
-    """Mapping-like result of a condition event.
-
-    Holds the values of the events that had triggered when the condition
-    fired, preserving the order in which the events were passed to the
-    condition.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, events: list[Event]) -> None:
-        self._events = events
-
-    def __getitem__(self, event: Event) -> Any:
-        if event not in self._events:
-            raise KeyError(repr(event))
-        return event.value
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self._events
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self):
-        return iter(self._events)
-
-    def keys(self) -> list[Event]:
-        return list(self._events)
-
-    def values(self) -> list[Any]:
-        return [event.value for event in self._events]
-
-    def items(self) -> list[tuple[Event, Any]]:
-        return [(event, event.value) for event in self._events]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.items() == other.items()
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ConditionValue({self.items()!r})"
-
-
 class AllOf(Event):
-    """Triggers once all of the given events have triggered.
+    """Succeeds, with no value, once all of the given events have succeeded.
 
-    Fails as soon as any member fails (the member is defused).
+    Fails as soon as any member fails (the member is defused).  The
+    members' values stay on the members.
     """
 
-    __slots__ = ("_events", "_count")
+    __slots__ = ("_remaining",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
+        events = list(events)
+        for event in events:
             if event.env is not env:
                 raise SimulationError("cannot mix events from different environments")
+        self._remaining = len(events)
 
         # Immediately evaluate against already-processed events.
-        for event in self._events:
+        for event in events:
             if event.callbacks is None:
                 self._check(event)
             else:
                 event.callbacks.append(self._check)
 
-        if not self._events and not self.triggered:
+        if not events:
             # Degenerate empty condition triggers immediately.
-            self.succeed(ConditionValue([]))
+            self.succeed()
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -258,9 +206,6 @@ class AllOf(Event):
             event.defuse()
             self.fail(event._value)
             return
-        self._count += 1
-        if self._count == len(self._events):
-            # _check only ever sees processed events (the constructor skips
-            # pending ones; callbacks run once the engine detached them), so
-            # every member has a value by now.
-            self.succeed(ConditionValue(self._events))
+        self._remaining -= 1
+        if not self._remaining:
+            self.succeed()

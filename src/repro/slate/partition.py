@@ -16,7 +16,6 @@ when the partner completes (dynamic resizing).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.config import DeviceConfig, TITAN_XP
 from repro.slate.profiler import KernelProfile
@@ -44,41 +43,6 @@ def _intensity_rank(profile: KernelProfile) -> tuple[float, float]:
     return (profile.mem_bw, profile.gflops)
 
 
-@lru_cache(maxsize=1024)
-def _partition_cached(
-    a: KernelProfile,
-    b: KernelProfile,
-    device: DeviceConfig,
-    min_share: int,
-) -> tuple[Partition, bool]:
-    """Value-memoized core: ``(partition, a_is_primary)``.
-
-    Everything involved is frozen (profiles, device config, the returned
-    partition), so the split is cached on argument *values* — long traces
-    re-split the same profile pairs endlessly.  Only the boolean role flag
-    is cached (never the profile objects themselves) so callers that
-    compare the returned primary by identity see their own arguments.
-    """
-    if min_share < 1 or 2 * min_share > device.num_sms:
-        raise ValueError(f"min_share {min_share} infeasible for {device.num_sms} SMs")
-    primary, secondary = sorted((a, b), key=_intensity_rank, reverse=True)
-
-    if primary.mem_bw == secondary.mem_bw and primary.gflops == secondary.gflops:
-        # Identical kernels: split evenly.
-        split = device.num_sms // 2
-    else:
-        needed = primary.saturation_sms(device)
-        split = max(min_share, min(device.num_sms - min_share, needed))
-
-    return (
-        Partition(
-            primary_sms=tuple(range(0, split)),
-            secondary_sms=tuple(range(split, device.num_sms)),
-        ),
-        primary is a,
-    )
-
-
 def choose_partition(
     a: KernelProfile,
     b: KernelProfile,
@@ -88,7 +52,25 @@ def choose_partition(
     """Split the device between profiles ``a`` and ``b``.
 
     Returns ``(partition, primary, secondary)`` where *primary* is the more
-    resource-intensive kernel (assigned ``partition.primary_sms``).
+    resource-intensive kernel (assigned ``partition.primary_sms``); on a
+    tie, ``a``.
     """
-    partition, a_is_primary = _partition_cached(a, b, device, min_share)
-    return (partition, a, b) if a_is_primary else (partition, b, a)
+    if min_share < 1 or 2 * min_share > device.num_sms:
+        raise ValueError(f"min_share {min_share} infeasible for {device.num_sms} SMs")
+    if _intensity_rank(b) > _intensity_rank(a):
+        primary, secondary = b, a
+    else:
+        primary, secondary = a, b
+
+    if primary.mem_bw == secondary.mem_bw and primary.gflops == secondary.gflops:
+        # Identical kernels: split evenly.
+        split = device.num_sms // 2
+    else:
+        needed = primary.saturation_sms(device)
+        split = max(min_share, min(device.num_sms - min_share, needed))
+
+    partition = Partition(
+        primary_sms=tuple(range(0, split)),
+        secondary_sms=tuple(range(split, device.num_sms)),
+    )
+    return partition, primary, secondary

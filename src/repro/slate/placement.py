@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 from typing import Generator, Optional, Sequence
 
-from repro.config import TITAN_XP
 from repro.kernels.kernel import KernelSpec
 from repro.kernels.registry import SHORT_NAMES, by_name
 from repro.obs import trace as obs_trace
@@ -120,11 +119,7 @@ class PlacementBook:
     """
 
     def __init__(
-        self,
-        num_shards: int,
-        placement: str = "contention",
-        policy=None,
-        device=None,
+        self, num_shards: int, placement: str = "contention", policy=None
     ) -> None:
         if placement not in PLACEMENTS:
             raise ValueError(f"unknown placement {placement!r}; known: {PLACEMENTS}")
@@ -132,25 +127,12 @@ class PlacementBook:
             raise ValueError("num_shards must be >= 1")
         self.placement = placement
         self.policy = make_policy(policy)
-        self.device = device if device is not None else TITAN_XP
         self.shards = [ShardBook(i) for i in range(num_shards)]
         self._rr = itertools.cycle(range(num_shards))
-        self._classes: dict[str, object] = {}
 
     @property
     def num_shards(self) -> int:
         return len(self.shards)
-
-    def classify(self, kernel_name: Optional[str]):
-        """Intensity class of a hinted kernel (memoized offline profile)."""
-        if kernel_name is None:
-            return None
-        spec = by_name(str(kernel_name))
-        cls = self._classes.get(spec.name)
-        if cls is None:
-            cls = offline_profile(spec, self.device).intensity
-            self._classes[spec.name] = cls
-        return cls
 
     def place(self, candidate=None) -> tuple[int, Optional[float]]:
         """The shard for a new session of class ``candidate`` (None: no
@@ -198,6 +180,8 @@ class Shard:
 
     ``log_limit`` bounds the scheduler's logs and the device's rate trace;
     ``policy`` and ``runtime_kwargs`` go to the :class:`SlateRuntime`.
+    The shards of one fleet share one configuration, so any of them
+    classifies a session's hint for the book.
     """
 
     def __init__(
@@ -213,6 +197,25 @@ class Shard:
             **runtime_kwargs,
         )
         self.runtime.preload_profiles([by_name(n) for n in SHORT_NAMES])
+        self._classes: dict[str, object] = {}
+
+    def classify(self, kernel_name: Optional[str]):
+        """Intensity class of a hinted kernel as this shard's runtime
+        profiles it (its device, cost model and classification basis),
+        memoized per name.  Nothing is written into the runtime's profile
+        table; :meth:`open_session` preloads the hint there."""
+        if kernel_name is None:
+            return None
+        name = str(kernel_name)
+        cls = self._classes.get(name)
+        if cls is None:
+            runtime = self.runtime
+            cls = offline_profile(
+                by_name(name), runtime.device, runtime.costs,
+                basis=runtime.profiles.basis,
+            ).intensity
+            self._classes[name] = cls
+        return cls
 
     def open_session(self, name: str, kernel_hint: Optional[str] = None) -> SlateSession:
         """Open a session; a hinted kernel is offline-profiled first

@@ -121,8 +121,8 @@ def choose_partition_predictive(
     dynamic-resizing grow).
 
     Every argument and the result are frozen, so the search is cached on
-    argument *values* (``lru_cache``, like ``partition._partition_cached``):
-    a battery asks for the same few splits hundreds of times.  Call
+    argument *values* (``lru_cache``): a battery asks for the same few
+    splits hundreds of times.  Call
     ``choose_partition_predictive.cache_clear()`` to forget them.
     """
     solo_a = _solo_rate(spec_a, device, costs, task_size)

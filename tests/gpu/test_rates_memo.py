@@ -23,12 +23,6 @@ import repro
 from repro.config import TITAN_XP, CostModel
 from repro.gpu.cache import LocalityModel
 from repro.gpu.device import ExecutionMode, SimulatedGPU
-from repro.gpu.occupancy import (
-    BlockResources,
-    occupancy,
-    occupancy_cache_info,
-    reset_occupancy_cache,
-)
 from repro.gpu import rates
 from repro.gpu.rates import (
     RateInput,
@@ -284,24 +278,6 @@ def test_trace_and_serve_paths_import_without_numpy():
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
-class TestOccupancyCache:
-    def test_hit_counters_advance(self):
-        reset_occupancy_cache()
-        block = BlockResources(threads_per_block=256, registers_per_thread=32)
-        occupancy(TITAN_XP, block)
-        occupancy(TITAN_XP, block)
-        info = occupancy_cache_info()
-        assert info["misses"] >= 1
-        assert info["hits"] >= 1
-
-    def test_unlaunchable_block_still_raises_every_time(self):
-        reset_occupancy_cache()
-        block = BlockResources(threads_per_block=2048, registers_per_thread=32)
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                occupancy(TITAN_XP, block)
 
 
 class TestBatteryHitRate:

@@ -84,7 +84,7 @@ class TestSources:
 
     def test_process_registry_has_standard_sources(self):
         reg = registry()
-        assert {"engine", "rates_memo", "occupancy_cache"} <= set(reg.source_names())
+        assert {"engine", "rates_memo"} <= set(reg.source_names())
         engine = reg.source_snapshot("engine")
         assert "events_processed" in engine
         assert "epoch_flushes" in engine

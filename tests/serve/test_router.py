@@ -17,18 +17,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import TESLA_V100
 from repro.kernels.registry import by_name
 from repro.obs import trace as obs_trace
 from repro.serve.client import SlateClient
 from repro.serve.loadgen import LoadGenConfig, plan_client, run_loadgen
 from repro.serve.protocol import (
+    PROTOCOL_VERSION,
     BackpressureError,
     ProtocolError,
     ServerBusyError,
     ShardDrainingError,
 )
 from repro.serve.router import InLoopShard, PlacementRouter
-from repro.serve.server import ServeConfig, ServerThread
+from repro.serve.server import ServeConfig, ServerThread, SlateServer
 from repro.slate.classify import IntensityClass as C
 
 CLASSES = list(C)
@@ -173,6 +175,24 @@ class TestRouterUnit:
         # the placement book knows no alias for it.
         with pytest.raises(ValueError):
             PlacementRouter(2, placement="class-aware")
+
+    def test_hello_classifies_hints_as_the_shards_do(self):
+        """``hello`` places a hinted session with the class its shards
+        give the kernel.  On a V100 with per-SM classification that is
+        M_M for GS, MM and TR; a default-configured profile reads H_M."""
+        config = ServeConfig(
+            socket_path="",
+            shards=2,
+            runtime_kwargs={"device": TESLA_V100, "classification_basis": "per_sm"},
+        )
+        server = SlateServer(config)
+        for name in ("GS", "MM", "TR"):
+            sess, _ = server._op_hello(
+                {"version": PROTOCOL_VERSION, "name": name, "kernel_hint": name}
+            )
+            shard = server.shards[sess.shard]
+            assert sess.hint_class is shard.runtime.profiles.get(name).intensity
+            assert sess.hint_class is C.M_M
 
 
 class TestShardedServer:
@@ -328,7 +348,7 @@ def _sim_time_fleet(num_shards, placement="contention"):
     shards = [InLoopShard(i, config) for i in range(num_shards)]
 
     def open_session(name, kernel):
-        candidate = router.classify(kernel)
+        candidate = shards[0].classify(kernel)
         index = router.pick(name, candidate)
         router.note_open(index, name, candidate)
         return shards[index], shards[index].open_session(name, kernel_hint=kernel)

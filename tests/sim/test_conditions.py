@@ -3,12 +3,10 @@
 Covers the constructor-time evaluation paths: empty iterables, members that
 are already triggered or already processed at creation time, and failed
 members (which the condition must defuse before propagating the failure).
+A condition succeeds with no value; its members keep theirs.
 """
 
-import pytest
-
 from repro.sim import Environment
-from repro.sim.events import ConditionValue
 
 
 class TestEmptyConditions:
@@ -20,8 +18,7 @@ class TestEmptyConditions:
 
         p = env.process(proc(env))
         env.run()
-        assert isinstance(p.value, ConditionValue)
-        assert len(p.value) == 0
+        assert p.processed and p.value is None
         assert env.now == 0.0
 
     def test_empty_condition_from_generator_argument(self):
@@ -39,26 +36,16 @@ class TestAlreadyTriggeredMembers:
         first.succeed(1)
         env.run()
 
+        second = env.timeout(3, value=2)
+
         def proc(env):
-            return (yield env.all_of([first, env.timeout(3, value=2)]))
+            return (yield env.all_of([first, second]))
 
         p = env.process(proc(env))
         env.run()
         assert env.now == 3.0
-        assert p.value.values() == [1, 2]
-
-    def test_condition_value_preserves_member_order(self):
-        env = Environment()
-        b = env.timeout(2, value="b")
-        a = env.timeout(1, value="a")
-
-        def proc(env):
-            return (yield env.all_of([b, a]))
-
-        p = env.process(proc(env))
-        env.run()
-        # Order follows the iterable passed in, not completion order.
-        assert p.value.keys() == [b, a]
+        assert p.value is None
+        assert (first.value, second.value) == (1, 2)
 
 
 class TestFailedMembers:
@@ -85,10 +72,13 @@ class TestFailedMembers:
 
     def test_operator_composition_matches_constructors(self):
         env = Environment()
+        c, d = env.timeout(1, value="c"), env.timeout(2, value="d")
 
         def proc_all(env):
-            return (yield env.timeout(1, value="c") & env.timeout(2, value="d"))
+            yield c & d
+            return env.now
 
         p = env.process(proc_all(env))
         env.run()
-        assert p.value.values() == ["c", "d"]
+        assert p.value == 2.0
+        assert (c.value, d.value) == ("c", "d")

@@ -259,33 +259,34 @@ class TestConditions:
             t1 = env.timeout(2, value="a")
             t2 = env.timeout(5, value="b")
             result = yield env.all_of([t1, t2])
-            return (env.now, result.values())
+            return (env.now, result, t1.value, t2.value)
 
         p = env.process(proc(env))
         env.run()
-        assert p.value == (5.0, ["a", "b"])
+        assert p.value == (5.0, None, "a", "b")
 
     def test_operator_composition(self):
         env = Environment()
 
         def proc(env):
-            res = yield env.timeout(1, value=1) & env.timeout(2, value=2)
-            return (env.now, sorted(res.values()))
+            t1, t2 = env.timeout(1, value=1), env.timeout(2, value=2)
+            res = yield t1 & t2
+            return (env.now, res, t1.value, t2.value)
 
         p = env.process(proc(env))
         env.run()
-        assert p.value == (2.0, [1, 2])
+        assert p.value == (2.0, None, 1, 2)
 
     def test_empty_all_of_fires_immediately(self):
         env = Environment()
 
         def proc(env):
             res = yield env.all_of([])
-            return (env.now, len(res))
+            return (env.now, res)
 
         p = env.process(proc(env))
         env.run()
-        assert p.value == (0.0, 0)
+        assert p.value == (0.0, None)
 
     def test_condition_failure_propagates(self):
         env = Environment()

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the DES engine invariants."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim import Environment
@@ -73,33 +73,6 @@ def test_identical_programs_produce_identical_timelines(seed_delays):
     first, second = build(), build()
     assert first == second
     assert len(first[0]) == sum(reps for _, reps in seed_delays) + len(seed_delays)
-
-
-@given(
-    n_waiters=st.integers(min_value=1, max_value=20),
-    hold=st.floats(min_value=0.01, max_value=5, allow_nan=False),
-    capacity=st.integers(min_value=1, max_value=8),
-)
-@settings(max_examples=50)
-def test_resource_work_conservation(n_waiters, hold, capacity):
-    """N equal jobs through a k-server take ceil(N/k) * hold total time."""
-    import math
-
-    from repro.sim import Resource
-
-    env = Environment()
-    res = Resource(env, capacity=capacity)
-
-    def job(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(hold)
-
-    for _ in range(n_waiters):
-        env.process(job(env))
-    env.run()
-    expected = math.ceil(n_waiters / capacity) * hold
-    assert abs(env.now - expected) < 1e-9 * max(1.0, expected)
 
 
 @given(items=st.lists(st.integers(), min_size=1, max_size=50))

@@ -1,117 +1,7 @@
-"""Tests for Resource and Store."""
+"""Tests for Store (the PCIe link's turn queue is tested with the link,
+in ``tests/cuda/test_module_pcie.py``)."""
 
-import pytest
-
-from repro.sim import Environment, Resource, Store
-
-
-class TestResource:
-    def test_capacity_validation(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Resource(env, capacity=0)
-
-    def test_exclusive_access_serializes(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        log = []
-
-        def user(env, res, name, hold):
-            with res.request() as req:
-                yield req
-                log.append((name, "in", env.now))
-                yield env.timeout(hold)
-                log.append((name, "out", env.now))
-
-        env.process(user(env, res, "a", 3))
-        env.process(user(env, res, "b", 2))
-        env.run()
-        assert log == [
-            ("a", "in", 0.0),
-            ("a", "out", 3.0),
-            ("b", "in", 3.0),
-            ("b", "out", 5.0),
-        ]
-
-    def test_capacity_two_allows_overlap(self):
-        env = Environment()
-        res = Resource(env, capacity=2)
-        entered = []
-
-        def user(env):
-            with res.request() as req:
-                yield req
-                entered.append(env.now)
-                yield env.timeout(5)
-
-        for _ in range(3):
-            env.process(user(env))
-        env.run()
-        assert entered == [0.0, 0.0, 5.0]
-
-    def test_count_and_queue_length(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-
-        def holder(env):
-            with res.request() as req:
-                yield req
-                yield env.timeout(10)
-
-        def waiter(env):
-            with res.request() as req:
-                yield req
-
-        env.process(holder(env))
-        env.process(waiter(env))
-        env.run(until=1)
-        assert res.count == 1
-        assert res.queue_length == 1
-
-    def test_cancel_pending_request(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        got = []
-
-        def holder(env):
-            with res.request() as req:
-                yield req
-                yield env.timeout(10)
-
-        def impatient(env):
-            req = res.request()
-            yield env.timeout(1)
-            req.cancel()  # withdraw before grant
-
-        def patient(env):
-            yield env.timeout(2)
-            with res.request() as req:
-                yield req
-                got.append(env.now)
-
-        env.process(holder(env))
-        env.process(impatient(env))
-        env.process(patient(env))
-        env.run()
-        # Patient acquires right when holder releases; impatient never held.
-        assert got == [10.0]
-
-    def test_fifo_grant_order(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        order = []
-
-        def user(env, name, arrive):
-            yield env.timeout(arrive)
-            with res.request() as req:
-                yield req
-                order.append(name)
-                yield env.timeout(1)
-
-        for i, name in enumerate("abcd"):
-            env.process(user(env, name, i * 0.1))
-        env.run()
-        assert order == ["a", "b", "c", "d"]
+from repro.sim import Environment, Store
 
 
 class TestStore:

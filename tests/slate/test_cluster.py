@@ -1,16 +1,26 @@
 """Multi-GPU fleet tests: the placement book and the shards it places on."""
 
+import functools
+
 import pytest
 
+from repro.config import TESLA_V100
 from repro.experiments.cluster_study import run_on_fleet
 from repro.kernels import blackscholes, gaussian, quasirandom
+from repro.slate.classify import IntensityClass as C
 from repro.slate.placement import PlacementBook, Shard
 from repro.workloads.app import AppSpec
 
 
+@functools.cache
+def _default_shard() -> Shard:
+    """A default-configured shard, which classifies hints for its fleet."""
+    return Shard(0)
+
+
 def place(book, name, hint=None):
     """Place and note one session as ``hello`` does; returns its shard."""
-    candidate = book.classify(hint)
+    candidate = _default_shard().classify(hint)
     index, _ = book.place(candidate)
     book.note_open(index, name, candidate)
     return index
@@ -27,6 +37,26 @@ class TestConstruction:
         shards = [Shard(i) for i in range(3)]
         assert len({id(shard.env) for shard in shards}) == 3
         assert len({id(shard.runtime.gpu) for shard in shards}) == 3
+
+
+class TestShardClassify:
+    def test_classifies_with_its_runtime_settings(self):
+        """A shard classifies a hint from the profile its own runtime
+        would take (device, cost model, basis), not a default one."""
+        shard = Shard(0, device=TESLA_V100, classification_basis="per_sm")
+        for name in ("GS", "MM", "TR"):
+            assert shard.classify(name) is C.M_M
+            assert shard.classify(name) is shard.runtime.profiles.get(name).intensity
+        assert shard.classify(None) is None
+
+    def test_classify_writes_no_profile(self):
+        """Only ``open_session`` preloads a hint into the runtime's table."""
+        shard = Shard(0)
+        assert "KM" not in shard.runtime.profiles
+        assert shard.classify("KM") is not None
+        assert "KM" not in shard.runtime.profiles
+        shard.open_session("km-app", kernel_hint="KM")
+        assert "KM" in shard.runtime.profiles
 
 
 class TestPlacementPolicies:
