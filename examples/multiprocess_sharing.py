@@ -10,8 +10,7 @@ Run:  python examples/multiprocess_sharing.py
 """
 
 from repro.metrics import antt, format_table, stp
-from repro.sim import Environment
-from repro.workloads import app_for, make_runtime, run_application, run_solo
+from repro.workloads import app_for, run_many, run_solo
 
 WORKLOAD = [
     ("pricing", "BS", 0.0),     # (app name, benchmark, arrival time s)
@@ -22,24 +21,9 @@ WORKLOAD = [
 
 
 def run_mix(runtime_name: str) -> dict[str, float]:
-    env = Environment()
-    runtime = make_runtime(runtime_name, env)
-    apps = [(name, app_for(bench, name=name, reps=10), at) for name, bench, at in WORKLOAD]
-    if runtime_name == "Slate":
-        runtime.preload_profiles([a.kernel for _, a, _ in apps])
-
-    procs = []
-
-    def delayed(env, app, at):
-        yield env.timeout(at)
-        session = runtime.create_session(app.name)
-        result = yield from run_application(env, session, app, runtime.costs)
-        return result
-
-    for _, app, at in apps:
-        procs.append(env.process(delayed(env, app, at)))
-    env.run(until=env.all_of(procs))
-    return {p.value.name: p.value.app_time for p in procs}
+    apps = [app_for(bench, name=name, reps=10) for name, bench, _ in WORKLOAD]
+    results, _ = run_many(runtime_name, apps, arrivals=[at for _, _, at in WORKLOAD])
+    return {name: result.app_time for name, result in results.items()}
 
 
 def main() -> None:

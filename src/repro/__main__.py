@@ -365,25 +365,21 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 def _cmd_pair(args: argparse.Namespace) -> int:
     from repro.metrics.antt import antt
-    from repro.workloads.harness import app_for, run_pair, run_solo
+    from repro.workloads.harness import pair_apps, run_pair, solo_times
 
     a, b = args.bench_a.upper(), args.bench_b.upper()
-    na, nb = (a, b) if a != b else (a, f"{b}#2")
-    solo = {
-        na: run_solo("CUDA", app_for(a, name=na))[0].app_time,
-        nb: run_solo("CUDA", app_for(b, name=nb))[0].app_time,
-    }
+    app_a, app_b = pair_apps(a, b)
+    solo = solo_times((a, b))
+    baseline = {app_a.name: solo[a], app_b.name: solo[b]}
     for runtime in ("CUDA", "MPS", "Slate"):
         kwargs = (
             {"policy": args.policy, **_slicing_kwargs(args)}
             if runtime == "Slate"
             else {}
         )
-        results, rt = run_pair(
-            runtime, app_for(a, name=na), app_for(b, name=nb), **kwargs
-        )
+        results, rt = run_pair(runtime, app_a, app_b, **kwargs)
         shared = {k: v.app_time for k, v in results.items()}
-        line = f"{runtime:5}  ANTT {antt(shared, solo):.3f}"
+        line = f"{runtime:5}  ANTT {antt(shared, baseline):.3f}"
         for name, t in shared.items():
             line += f"  {name} {t * 1e3:8.1f} ms"
         if runtime == "Slate":

@@ -22,13 +22,12 @@ from repro.gpu.cache import ORDER_FACTORS
 from repro.gpu.device import ExecutionMode, SimulatedGPU
 from repro.kernels.gaussian import gaussian
 from repro.kernels.registry import SHORT_NAMES
-from repro.metrics.antt import antt
 from repro.metrics.report import format_table
 from repro.sim import Environment
 from repro.slate.classify import IntensityClass as C
 from repro.slate.policy import PolicyTable
 from repro.slate.scheduler import DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC
-from repro.workloads.harness import app_for, app_times
+from repro.workloads.harness import pair_antt, solo_times
 from repro.workloads.pairings import all_pairings, pairing_label
 
 __all__ = [
@@ -51,23 +50,6 @@ ALWAYS_CORUN = PolicyTable(table={(a, b): "corun" for a in C for b in C})
 NEVER_CORUN = PolicyTable(table={(a, b): "solo" for a in C for b in C})
 
 
-def _solo_baselines(device: DeviceConfig) -> dict[str, float]:
-    return {
-        bench: app_times("CUDA", app_for(bench), device=device)[bench]
-        for bench in SHORT_NAMES
-    }
-
-
-def _pair_antt(
-    a: str, b: str, solo: dict[str, float], device: DeviceConfig, **slate_kwargs
-) -> float:
-    na, nb = (a, b) if a != b else (a, f"{b}#2")
-    shared = app_times(
-        "Slate", app_for(a, name=na), app_for(b, name=nb), device=device, **slate_kwargs
-    )
-    return antt(shared, {na: solo[a], nb: solo[b]})
-
-
 # ---------------------------------------------------------------- policy --
 
 
@@ -82,7 +64,7 @@ class PolicyAblation:
 
 def run_policy_ablation(device: DeviceConfig = TITAN_XP) -> PolicyAblation:
     """All 15 pairings under Table I vs always-corun vs never-corun."""
-    solo = _solo_baselines(device)
+    solo = solo_times(SHORT_NAMES, device)
     variants = {
         "table1": {},
         "always": {"policy": ALWAYS_CORUN},
@@ -92,7 +74,7 @@ def run_policy_ablation(device: DeviceConfig = TITAN_XP) -> PolicyAblation:
     for pair in all_pairings():
         label = pairing_label(pair)
         rows[label] = {
-            name: _pair_antt(*pair, solo, device, **kwargs)
+            name: pair_antt("Slate", *pair, solo, device, **kwargs)
             for name, kwargs in variants.items()
         }
     return PolicyAblation(rows=rows)
@@ -134,12 +116,14 @@ CORUN_PAIRS = [("BS", "RG"), ("GS", "RG"), ("MM", "RG"), ("RG", "TR"), ("RG", "R
 
 def run_partition_ablation(device: DeviceConfig = TITAN_XP) -> PartitionAblation:
     """Corun pairings under heuristic / predictive / even partitioning."""
-    solo = _solo_baselines(device)
+    solo = solo_times(SHORT_NAMES, device)
     rows: dict[str, dict[str, float]] = {}
     for pair in CORUN_PAIRS:
         label = pairing_label(pair)
         rows[label] = {
-            strategy: _pair_antt(*pair, solo, device, partition_strategy=strategy)
+            strategy: pair_antt(
+                "Slate", *pair, solo, device, partition_strategy=strategy
+            )
             for strategy in ("heuristic", "predictive", "even")
         }
     return PartitionAblation(rows=rows)
@@ -226,13 +210,13 @@ class ResizingAblation:
 
 def run_resizing_ablation(device: DeviceConfig = TITAN_XP) -> ResizingAblation:
     """Corun pairings with dynamic grow enabled vs disabled."""
-    solo = _solo_baselines(device)
+    solo = solo_times(SHORT_NAMES, device)
     rows: dict[str, dict[str, float]] = {}
     for pair in CORUN_PAIRS:
         label = pairing_label(pair)
         rows[label] = {
-            "grow": _pair_antt(*pair, solo, device, enable_grow=True),
-            "no_grow": _pair_antt(*pair, solo, device, enable_grow=False),
+            "grow": pair_antt("Slate", *pair, solo, device, enable_grow=True),
+            "no_grow": pair_antt("Slate", *pair, solo, device, enable_grow=False),
         }
     return ResizingAblation(rows=rows)
 

@@ -17,10 +17,9 @@ from repro.config import DeviceConfig, TITAN_XP
 from repro.kernels.blackscholes import blackscholes
 from repro.kernels.quasirandom import quasirandom
 from repro.kernels.transpose import transpose
-from repro.sim import Environment
-from repro.slate.daemon import SlateRuntime
 from repro.slate.scheduler import Decision
-from repro.workloads.app import AppSpec, run_application
+from repro.workloads.app import AppSpec
+from repro.workloads.harness import run_many
 
 __all__ = ["Fig4Result", "run", "format_result"]
 
@@ -41,24 +40,14 @@ class Fig4Result:
 
 def run(device: DeviceConfig = TITAN_XP) -> Fig4Result:
     """BS + RG + TR through the daemon; return the decision log."""
-    env = Environment()
-    runtime = SlateRuntime(env, device=device)
     apps = [
         AppSpec(name="bs-app", kernel=blackscholes(), reps=5),
         AppSpec(name="rg-app", kernel=quasirandom(), reps=5),
         AppSpec(name="tr-app", kernel=transpose(), reps=4),
     ]
-    runtime.preload_profiles([a.kernel for a in apps])
-    procs = []
-    for i, app in enumerate(apps):
-        def staged(env, app=app, delay=i * 1.2e-3):
-            yield env.timeout(delay)
-            session = runtime.create_session(app.name)
-            result = yield from run_application(env, session, app, runtime.costs)
-            return result
-
-        procs.append(env.process(staged(env)))
-    env.run(until=env.all_of(procs))
+    _, runtime = run_many(
+        "Slate", apps, arrivals=[0.0, 1.2e-3, 2.4e-3], device=device
+    )
     return Fig4Result(decisions=tuple(runtime.scheduler.decision_log))
 
 

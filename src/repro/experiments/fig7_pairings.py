@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import CostModel, DeviceConfig, TITAN_XP
+from repro.config import DeviceConfig, TITAN_XP
 from repro.kernels.registry import SHORT_NAMES
-from repro.metrics.antt import antt
 from repro.metrics.report import format_table
-from repro.workloads.harness import DEFAULT_COSTS, app_for, app_times
+from repro.workloads.harness import pair_antt, solo_times
 from repro.workloads.pairings import all_pairings, pairing_label
 
 __all__ = ["PairingRow", "Fig7Result", "run", "format_result"]
@@ -60,23 +59,6 @@ class Fig7Result:
         return sum(r.gain(over) > 0 for r in self.rows)
 
 
-def _solo_time(bench: str, device: DeviceConfig, costs: CostModel) -> float:
-    return app_times("CUDA", app_for(bench), device=device, costs=costs)[bench]
-
-
-def _pair_times(
-    runtime: str,
-    a: str,
-    b: str,
-    na: str,
-    nb: str,
-    device: DeviceConfig,
-    costs: CostModel,
-) -> dict[str, float]:
-    app_a, app_b = app_for(a, name=na), app_for(b, name=nb)
-    return app_times(runtime, app_a, app_b, device=device, costs=costs)
-
-
 def run(device: DeviceConfig = TITAN_XP) -> Fig7Result:
     """Run every pairing under every runtime; normalize to solo CUDA.
 
@@ -84,17 +66,17 @@ def run(device: DeviceConfig = TITAN_XP) -> Fig7Result:
     :func:`~repro.workloads.harness.app_times` scenario, simulated once
     per process.
     """
-    costs = DEFAULT_COSTS
-    solo = {bench: _solo_time(bench, device, costs) for bench in SHORT_NAMES}
-    rows = []
-    for a, b in all_pairings():
-        na, nb = (a, b) if a != b else (a, f"{b}#2")
-        per_runtime = {}
-        for runtime in RUNTIME_ORDER:
-            shared = _pair_times(runtime, a, b, na, nb, device, costs)
-            baseline = {na: solo[a], nb: solo[b]}
-            per_runtime[runtime] = antt(shared, baseline)
-        rows.append(PairingRow(pair=(a, b), antt_by_runtime=per_runtime))
+    solo = solo_times(SHORT_NAMES, device)
+    rows = [
+        PairingRow(
+            pair=(a, b),
+            antt_by_runtime={
+                runtime: pair_antt(runtime, a, b, solo, device)
+                for runtime in RUNTIME_ORDER
+            },
+        )
+        for a, b in all_pairings()
+    ]
     return Fig7Result(rows=tuple(rows), solo_cuda=solo)
 
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import DeviceConfig, TESLA_V100, TITAN_XP
-from repro.metrics.antt import antt
 from repro.metrics.report import format_table
-from repro.workloads.harness import app_for, app_times
+from repro.workloads.harness import pair_antt, solo_times
 from repro.workloads.pairings import pairing_label
 
 __all__ = ["GeneralizationResult", "run", "format_result", "PAIRS"]
@@ -43,21 +42,17 @@ class GeneralizationResult:
 
 
 def run() -> GeneralizationResult:
+    benches = sorted({b for pair in PAIRS for b in pair})
     tables: dict[str, dict[str, dict[str, float]]] = {}
     for device_name, device in DEVICES.items():
-        solo = {
-            bench: app_times("CUDA", app_for(bench), device=device)[bench]
-            for bench in {b for pair in PAIRS for b in pair}
+        solo = solo_times(benches, device)
+        tables[device_name] = {
+            pairing_label(pair): {
+                runtime: pair_antt(runtime, *pair, solo, device)
+                for runtime in ("CUDA", "MPS", "Slate")
+            }
+            for pair in PAIRS
         }
-        rows: dict[str, dict[str, float]] = {}
-        for pair in PAIRS:
-            a, b = pair
-            per_runtime = {}
-            for runtime in ("CUDA", "MPS", "Slate"):
-                shared = app_times(runtime, app_for(a), app_for(b), device=device)
-                per_runtime[runtime] = antt(shared, {a: solo[a], b: solo[b]})
-            rows[pairing_label(pair)] = per_runtime
-        tables[device_name] = rows
     return GeneralizationResult(tables=tables)
 
 

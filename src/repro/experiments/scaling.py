@@ -27,7 +27,7 @@ from typing import Sequence
 from repro.config import DeviceConfig, TITAN_XP
 from repro.metrics.antt import antt
 from repro.metrics.report import format_table
-from repro.workloads.harness import app_for, app_times, run_pair
+from repro.workloads.harness import pair_apps, run_pair, solo_times
 
 __all__ = ["ScalingPoint", "ScalingResult", "run", "format_result"]
 
@@ -72,13 +72,12 @@ def run(
 ) -> ScalingResult:
     """BS-RG under MPS and Slate across device sizes."""
     a, b = pair
+    app_a, app_b = pair_apps(a, b)
     points = []
     for n in sm_counts:
         device = base_device.with_sms(n)
-        solo = {
-            bench: app_times("CUDA", app_for(bench), device=device)[bench]
-            for bench in (a, b)
-        }
+        solo = solo_times(pair, device)
+        baseline = {app_a.name: solo[a], app_b.name: solo[b]}
         antts = {}
         corun = True
         rider_class = "?"
@@ -88,10 +87,10 @@ def run(
             ("Slate+perSM", {"classification_basis": "per_sm"}),
         ):
             name = "Slate" if runtime.startswith("Slate") else runtime
-            results, rt = run_pair(
-                name, app_for(a), app_for(b, name=b), device=device, **kwargs
+            results, rt = run_pair(name, app_a, app_b, device=device, **kwargs)
+            antts[runtime] = antt(
+                {k: v.app_time for k, v in results.items()}, baseline
             )
-            antts[runtime] = antt({k: v.app_time for k, v in results.items()}, solo)
             if runtime == "Slate":
                 corun = rt.scheduler.corun_launches > 0
                 rider_class = rt.profiles.get(b).intensity.value

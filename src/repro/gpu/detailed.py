@@ -239,8 +239,10 @@ def run_detailed_corun(
     """Per-block co-run of two Slate kernels on disjoint SM partitions.
 
     Cross-validation reference for the fluid executor's contention model:
-    block service times come from :func:`repro.gpu.rates.derive_rates` for
-    the *current* co-residency phase (both kernels, then the survivor solo)
+    block service times come from :func:`repro.gpu.rates.derive_rates`
+    (inputs from the device's builder :func:`repro.gpu.rates.rate_input`,
+    with no injection and in-order tasks) for the *current* co-residency
+    phase (both kernels, then the survivor solo)
     and workers execute block-by-block.  Quasi-static: a block keeps the
     service time it started with across a phase change.
 
@@ -254,34 +256,16 @@ def run_detailed_corun(
     instant.
     """
     from repro.gpu.occupancy import occupancy as occ_fn
-    from repro.gpu.rates import RateInput, SchedulingMode, derive_rates
+    from repro.gpu.rates import SchedulingMode, derive_rates, rate_input
 
     if sms_a < 1 or sms_b < 1 or sms_a + sms_b > device.num_sms:
         raise ValueError(f"invalid partition {sms_a}+{sms_b} on {device.num_sms} SMs")
 
     rng = np.random.default_rng(seed)
-
-    def rate_input(key, work, n_sms):
-        blocks_per_sm = occ_fn(device, work.block).blocks_per_sm
-        resident = blocks_per_sm * n_sms
-        n_tasks = -(-work.num_blocks // task_size)
-        return RateInput(
-            key=key,
-            flops_per_block=work.flops_per_block,
-            bytes_per_block=work.bytes_per_block,
-            locality=work.locality,
-            dram_efficiency=work.dram_efficiency,
-            min_block_time=work.min_block_time,
-            mode=SchedulingMode.SLATE,
-            blocks_per_sm=blocks_per_sm,
-            n_sms=n_sms,
-            parallelism=max(1, min(resident, n_tasks)),
-            task_size=task_size,
-        )
-
+    slate = SchedulingMode.SLATE
     inputs = {
-        "a": rate_input("a", work_a, sms_a),
-        "b": rate_input("b", work_b, sms_b),
+        "a": rate_input(work_a, sms_a, device, slate, task_size, key="a"),
+        "b": rate_input(work_b, sms_b, device, slate, task_size, key="b"),
     }
     works = {"a": work_a, "b": work_b}
     sm_counts = {"a": sms_a, "b": sms_b}

@@ -24,41 +24,44 @@ kernel's DRAM access efficiency (coalescing quality).  Demands are
 water-filled max-min fairly in :mod:`repro.gpu.rates` (via
 :func:`repro.gpu.memory.waterfill`).
 
-Completion adds a *tail* term modelling the ragged final wave: partial last
-wave plus an extreme-value straggler estimate from the per-block time
-variance.  Under Slate, grouping ``task_size`` blocks per queue pull scales
-the straggler term by ``sqrt(task_size)`` — the load-imbalance effect that
-costs BlackScholes ~5% at the default task size (paper §V-B, Fig. 5).
+Completion adds a *tail* term (:class:`repro.gpu.rates.RaggedTail`)
+modelling the ragged final wave: partial last wave plus an extreme-value
+straggler estimate from the per-block time variance.  Under Slate,
+grouping ``task_size`` blocks per queue pull scales the straggler term by
+``sqrt(task_size)`` — the load-imbalance effect that costs BlackScholes
+~5% at the default task size (paper §V-B, Fig. 5).
 
 Host hot path
 -------------
-Everything the device derives from an execution's *allocation* — its work,
-SM count, scheduling mode, task size, inject fraction and order factor —
-is computed once per distinct allocation into an :class:`_Allocation`
-record: the interned rate-memo signature id, occupancy (``blocks_per_sm``),
-task count and parallelism, the settle constants (``1.0 + inject_frac``,
-the ldst factor) and the tail-drain factors.  An execution points at its
-record and gets a new one only where its work or SM count changes: at
-construction, at a slice whose sub-grid or SM set differs from the last,
-and when a resize is adopted.  So an epoch only settles progress, probes
-the rate memo with one tuple of small ints (the device's config id and
-the records' signature ids), re-arms completion timers and appends one
-``(now, active, rates)`` record to the rate log, whose ``{kernel: rate}``
-dicts :attr:`SimulatedGPU.rate_trace` builds only when read.  The
-device's timers (completion, tail, dispatch gap, resize wake) are
-:meth:`~repro.sim.Environment.call_later` calls: no ``Timeout``, lambda
-or callbacks list, and queued where those timeouts were.  A sliced
-launch computes its tiling once (:func:`repro.slate.slicing.slice_plan`)
-and indexes it per slice, and runs every slice on one execution: an
-*interior* slice's finish calls the edge logic directly, with no
-``done`` or ``tail_started`` event, and the next slice re-arms that
-execution in place; the final slice shares the launch's own
-``tail_started``.  A ``tail_started`` that nothing waits on is marked
-processed at tail entry, with no queue trip.  A finish settles but
-flushes no epoch: the execution left the active set at its tail entry,
-whose epoch already re-derived the survivors' rates.  ``all_sms()``
-returns one tuple built at construction.  The settle and tail
-expressions keep their original operand order;
+Everything the device derives from an execution's *allocation* — its
+work, SM count, scheduling mode, task size, inject fraction and order
+factor — is computed once per distinct allocation into an
+:class:`_Allocation` record: the rate model's input from
+:func:`repro.gpu.rates.rate_input` (occupancy and parallelism included)
+and its interned rate-memo signature id, the settle constants
+(``1.0 + inject_frac``, the ldst factor) and the ragged tail.  An execution
+points at its record and gets a new one only where its work or SM count
+changes: at construction, at a slice whose sub-grid or SM set differs
+from the last, and when a resize is adopted.  So an epoch only settles
+progress, probes the rate memo with one tuple of small ints (the
+device's config id and the records' signature ids), re-arms completion
+timers and appends one ``(now, active, rates)`` record to the rate log,
+whose ``{kernel: rate}`` dicts :attr:`SimulatedGPU.rate_trace` builds
+only when read.  The device's timers (completion, tail, dispatch gap,
+resize wake) are :meth:`~repro.sim.Environment.call_later` calls: no
+``Timeout``, lambda or callbacks list, and queued where those timeouts
+were.  A sliced launch computes its tiling once
+(:func:`repro.slate.slicing.slice_plan`) and indexes it per slice, and
+runs every slice on one execution: a slice's finish calls the slice-edge
+logic directly, with no event of the execution's own.  The edge re-arms
+that execution in place for the next slice, or, after the final slice,
+succeeds the launch's ``done``; the final slice's tail entry fires the
+launch's ``tail_started``.  A ``tail_started`` that nothing waits on is
+marked processed at tail entry, with no queue trip.  A finish settles
+but flushes no epoch: the execution left the active set at its tail
+entry, whose epoch already re-derived the survivors' rates.
+``all_sms()`` returns one tuple built at construction.  The settle and
+tail expressions keep their original operand order;
 ``tests/slate/goldens/sliced_nway4_counters.json`` pins every counter
 they produce, bit for bit.
 """
@@ -67,20 +70,20 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from collections import deque as _deque
 from dataclasses import dataclass, replace as _dc_replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.config import CostModel, DeviceConfig, TITAN_XP
 from repro.gpu.cache import ORDER_FACTORS, LocalityModel
-from repro.gpu.occupancy import BlockResources, occupancy
+from repro.gpu.occupancy import BlockResources
 from repro.gpu.rates import (
-    RateInput,
+    RaggedTail,
     RateOutput,
     SchedulingMode,
     derive_rates,
     memo_config,
+    rate_input,
     rate_input_signature,
     rate_memo,
     signature_id,
@@ -103,26 +106,6 @@ __all__ = [
 ]
 
 _EPS = 1e-12
-
-
-def _trigger_inline(event: Event, value=None) -> None:
-    """Succeed ``event`` and run its callbacks synchronously.
-
-    Mirrors the engine's own processing (mark triggered, detach the callback
-    list, invoke in order) without a trip through the event queue.  Used to
-    complete a :class:`SlicedExecution`'s ``done`` *inside* the final
-    slice's callback pass, so a single-slice launch delivers its completion
-    at exactly the point in the callback sequence an unsliced launch would —
-    the byte-identity tests pin this.
-    """
-    if event.triggered:
-        return
-    event._ok = True
-    event._value = value
-    callbacks = event.callbacks
-    event.callbacks = None
-    for callback in callbacks:
-        callback(event)
 
 
 class ExecutionMode(str, enum.Enum):
@@ -246,11 +229,7 @@ class _Allocation:
     it, so its id cannot recycle while the record is reachable.
     """
 
-    __slots__ = (
-        "work", "n_sms", "slate", "task_size", "inject_frac", "order_factor",
-        "blocks_per_sm", "n_tasks", "parallelism", "sid", "settle",
-        "tail_frac", "sqrt_task", "spread",
-    )
+    __slots__ = ("work", "inp", "sid", "settle", "tail")
 
     def __init__(
         self,
@@ -263,18 +242,18 @@ class _Allocation:
         order_factor: float,
     ) -> None:
         self.work = work
-        self.n_sms = n_sms
-        self.slate = slate
-        self.task_size = task_size
-        self.inject_frac = inject_frac
-        self.order_factor = order_factor
-        self.blocks_per_sm = occupancy(gpu.device, work.block).blocks_per_sm
-        self.n_tasks = n_tasks = math.ceil(work.num_blocks / task_size)
-        self.parallelism = parallel = max(
-            1, min(self.blocks_per_sm * n_sms, n_tasks)
+        #: The rate model's input (keyless; a memo miss keys a copy).
+        self.inp = inp = rate_input(
+            work,
+            n_sms,
+            gpu.device,
+            SchedulingMode.SLATE if slate else SchedulingMode.HARDWARE,
+            task_size,
+            inject_frac,
+            order_factor,
         )
         #: Interned rate signature: this record's part of a memo key.
-        self.sid = signature_id(rate_input_signature(_rate_input(self, None)))
+        self.sid = signature_id(rate_input_signature(inp))
         #: Operands of one progress settle, unpacked in one step.
         self.settle = (
             work.num_blocks,
@@ -285,34 +264,11 @@ class _Allocation:
             work.ldst_per_block,
             1.0 - gpu.costs.slate_ldst_saving if slate else 1.0,
         )
-        # Tail-drain factors (see SimulatedGPU._tail_time).
-        self.spread = work.time_cv * math.sqrt(2.0 * math.log(max(2, parallel)))
-        if slate:
-            waves = n_tasks / min(parallel, n_tasks)
-            self.sqrt_task = math.sqrt(task_size)
-        else:
-            waves = work.num_blocks / parallel
-            self.sqrt_task = 0.0
-        self.tail_frac = math.ceil(waves) - waves
-
-
-def _rate_input(alloc: _Allocation, key: object) -> RateInput:
-    work = alloc.work
-    return RateInput(
-        key=key,
-        flops_per_block=work.flops_per_block,
-        bytes_per_block=work.bytes_per_block,
-        locality=work.locality,
-        dram_efficiency=work.dram_efficiency,
-        min_block_time=work.min_block_time,
-        mode=SchedulingMode.SLATE if alloc.slate else SchedulingMode.HARDWARE,
-        blocks_per_sm=alloc.blocks_per_sm,
-        n_sms=alloc.n_sms,
-        parallelism=alloc.parallelism,
-        task_size=alloc.task_size,
-        inject_frac=alloc.inject_frac,
-        order_factor=alloc.order_factor,
-    )
+        #: Drain time of the final ragged wave, per block time.  Its
+        #: factors depend on parallelism, which changes only with the SM
+        #: count; every SM-count change swaps the record and re-derives
+        #: before a completion timer can fire, so they match the rates.
+        self.tail = RaggedTail(work, inp)
 
 
 class KernelExecution:
@@ -363,9 +319,9 @@ class KernelExecution:
         #: pending timer instead of cancel-and-reschedule churn.
         self._timer_at: Optional[float] = None
         self._resize_target: tuple[int, ...] = sm_ids
-        #: The :class:`SlicedExecution` this execution runs an *interior*
-        #: slice of (one with an edge after it), else None.  Its finish
-        #: goes straight to the slice edge, with no ``done`` event.
+        #: The :class:`SlicedExecution` this execution runs the slices
+        #: of, else None.  Its finish goes straight to the slice edge,
+        #: with no ``done`` event.
         self._edge: Optional["SlicedExecution"] = None
 
     def _rearm(self, work: KernelWork, sm_ids: tuple[int, ...]) -> None:
@@ -406,21 +362,17 @@ class KernelExecution:
 
     @property
     def blocks_per_sm(self) -> int:
-        return self._alloc.blocks_per_sm
-
-    @property
-    def n_tasks(self) -> int:
-        return self._alloc.n_tasks
+        return self._alloc.inp.blocks_per_sm
 
     @property
     def resident(self) -> int:
         """Concurrently resident blocks (Slate: persistent worker count)."""
-        return self._alloc.blocks_per_sm * self.num_sms
+        return self._alloc.inp.blocks_per_sm * self.num_sms
 
     @property
     def parallelism(self) -> int:
         """Concurrently *executing* blocks: workers each run one block."""
-        return self._alloc.parallelism
+        return self._alloc.inp.parallelism
 
     @property
     def blocks_remaining(self) -> float:
@@ -450,10 +402,11 @@ class SlicedExecution:
 
     Duck-types the parts of :class:`KernelExecution` the scheduler uses:
     ``work``/``sm_ids``/``state``/``done``/``tail_started``/``counters``/
-    ``mode``/``task_size``.  ``counters`` aggregates over all slices;
-    ``done`` fires once the last slice drains, *inline* with that slice's
-    completion callbacks (see :func:`_trigger_inline`); ``tail_started`` is
-    the final slice's own (the execution holds this event).
+    ``mode``/``task_size``.  ``counters`` aggregates over all slices.
+    Every slice ends at the slice edge (``SimulatedGPU._on_slice_done``):
+    after the last slice drains, the edge succeeds ``done`` with the
+    aggregate counters, queued where an unsliced launch queues its own
+    ``done``; ``tail_started`` fires when the final slice enters its tail.
     """
 
     _ids = itertools.count(1)
@@ -482,7 +435,6 @@ class SlicedExecution:
         self.done: Event = gpu.env.event()
         self.tail_started: Event = gpu.env.event()
         self.counters = KernelCounters(name=work.name, start_time=gpu.env.now)
-        self.n_tasks = math.ceil(work.num_blocks / task_size)
         #: The slice currently in flight (None at an edge / when paused).
         self.current: Optional[KernelExecution] = None
         #: The one execution every slice runs on (None before the first).
@@ -763,6 +715,7 @@ class SimulatedGPU:
                 wrapper.task_size,
                 wrapper.inject_frac,
             )
+            execution._edge = wrapper
         else:
             execution._rearm(work, wrapper._sm_ids)
         wrapper.current = execution
@@ -782,19 +735,9 @@ class SimulatedGPU:
                 sms=len(wrapper._sm_ids),
             )
         if index + 1 == wrapper.num_slices:
-            # Final slice: its completion and tail are the launch's.  Its
-            # tail entry fires the launch's own ``tail_started`` (shared,
-            # not forwarded), and its ``done`` travels through the
-            # execution's event as an unsliced launch's does.
-            execution._edge = None
+            # Final slice: its tail entry fires the launch's own
+            # ``tail_started`` (shared, not forwarded).
             execution.tail_started = wrapper.tail_started
-            execution.done.callbacks.append(
-                lambda _ev, w=wrapper: self._on_slice_done(w)
-            )
-        else:
-            # Interior slice: nothing listens to its events, so its finish
-            # calls the edge logic directly (see _finish).
-            execution._edge = wrapper
         self._epoch_recompute()
 
     def _on_slice_done(self, wrapper: SlicedExecution) -> None:
@@ -816,7 +759,10 @@ class SimulatedGPU:
         agg.end_time = counters.end_time
         if wrapper.exhausted:
             wrapper._finished = True
-            _trigger_inline(wrapper.done, agg)
+            # Break the execution <-> launch cycle so both are freed by
+            # reference counting, not by the cyclic collector.
+            k._edge = None
+            wrapper.done.succeed(agg)
             return
         if wrapper._pending_pause:
             self._pause_at_edge(wrapper)
@@ -1130,11 +1076,12 @@ class SimulatedGPU:
             memo.hits += 1
             stats.rate_memo_hits += 1
         else:
-            # RateInput objects are needed only on a memo miss; the
-            # common path goes interned ids -> shared rates directly.
-            # derive_rates counts the miss, derives and memoizes.
+            # Keyed inputs are needed only on a memo miss (copies of the
+            # records' own); the common path goes interned ids -> shared
+            # rates directly.  derive_rates counts the miss, derives and
+            # memoizes.
             outputs = derive_rates(
-                [_rate_input(k._alloc, k.id) for k in active],
+                [_dc_replace(k._alloc.inp, key=k.id) for k in active],
                 self.device,
                 self.costs,
                 stats=stats,
@@ -1253,32 +1200,10 @@ class SimulatedGPU:
             # engine's time resolution, so complete now.
         self._begin_tail(k)
 
-    def _tail_time(self, k: KernelExecution) -> float:
-        """Drain time of the final ragged wave.
-
-        Two components: the *partial-wave* correction — the fluid bulk phase
-        credits a fractional final wave, but the stragglers of that wave
-        still take one full service time — and an extreme-value *straggler*
-        estimate ``cv * sqrt(2 ln P)`` from per-block time variance.  Under
-        Slate the unit of imbalance is a whole task, so the straggler term
-        scales with ``sqrt(task_size)`` (a task averages ``s`` draws, so its
-        cv shrinks by ``sqrt(s)`` while its duration grows by ``s``).
-        """
-        bt = k._rates.block_time
-        if bt <= 0:
-            return 0.0
-        # The factors depend on parallelism, which changes only with the
-        # SM count; every SM-count change swaps the record and re-derives
-        # before a completion timer can fire, so they match the rates.
-        a = k._alloc
-        if a.slate:
-            return bt * a.task_size * a.tail_frac + bt * a.sqrt_task * a.spread
-        return bt * (a.tail_frac + a.spread)
-
     def _begin_tail(self, k: KernelExecution) -> None:
         k.blocks_done = float(k.work.num_blocks)
         k.state = ExecState.TAIL
-        tail = self._tail_time(k)
+        tail = k._alloc.tail(k._rates.block_time)
         # Tail entry is covered by the completion span's duration; the
         # per-launch instant is full-detail only.
         if obs_trace.DETAILED:
@@ -1290,7 +1215,7 @@ class SimulatedGPU:
                 tail=tail,
             )
         k.counters.busy_time += tail
-        if k._edge is None:
+        if k._edge is None or k._edge.exhausted:
             started = k.tail_started
             if started.callbacks:
                 started.succeed()

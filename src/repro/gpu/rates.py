@@ -1,9 +1,12 @@
 """Pure rate derivation for co-resident kernels.
 
-The epoch-fluid executor (:mod:`repro.gpu.device`) and the predictive
-partitioner (:mod:`repro.slate.predict`) share this function: given the
-set of kernels currently on the device — their SM allocations, scheduling
-mode and task size — derive each kernel's steady block-completion rate:
+The epoch-fluid executor (:mod:`repro.gpu.device`), the predictive
+partitioner (:mod:`repro.slate.predict`), the task-size tuner
+(:mod:`repro.slate.tuning`) and the detailed co-run executor share this
+module.  Each builds a kernel's input with :func:`rate_input` and times
+its drain with :class:`RaggedTail`.  :func:`derive_rates` takes the set of
+kernels currently on the device — their SM allocations, scheduling mode
+and task size — and derives each kernel's steady block-completion rate:
 
 1. roofline block service time = max(compute, issue, latency floor) plus
    the per-block scheduling overhead of the mode;
@@ -17,20 +20,24 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.config import CostModel, DeviceConfig
 from repro.gpu.cache import LocalityModel, dram_fraction, l2_pressure
 from repro.gpu.memory import FlowDemand, waterfill
+from repro.gpu.occupancy import occupancy
 
 __all__ = [
     "SchedulingMode",
+    "RaggedTail",
     "RateInput",
     "RateOutput",
     "derive_rates",
     "configure_rates_cache",
     "memo_config",
+    "rate_input",
     "rate_input_signature",
     "rate_memo",
     "rates_cache_info",
@@ -68,6 +75,85 @@ class RateInput:
     task_size: int = 1
     inject_frac: float = 0.0
     order_factor: float = 1.0
+
+
+def rate_input(
+    work,
+    n_sms: int,
+    device: DeviceConfig,
+    mode: SchedulingMode,
+    task_size: int = 1,
+    inject_frac: float = 0.0,
+    order_factor: float = 1.0,
+    key: object = None,
+) -> RateInput:
+    """The rate model's input for ``work`` on ``n_sms`` SMs: the one builder.
+
+    ``work`` is duck-typed (any object with the ``KernelWork`` fields).
+    Occupancy gives the resident blocks per SM; the parallelism is the
+    resident blocks capped by the task count, since each worker runs one
+    block at a time.
+    """
+    blocks_per_sm = occupancy(device, work.block).blocks_per_sm
+    n_tasks = -(-work.num_blocks // task_size)
+    return RateInput(
+        key=key,
+        flops_per_block=work.flops_per_block,
+        bytes_per_block=work.bytes_per_block,
+        locality=work.locality,
+        dram_efficiency=work.dram_efficiency,
+        min_block_time=work.min_block_time,
+        mode=mode,
+        blocks_per_sm=blocks_per_sm,
+        n_sms=n_sms,
+        parallelism=max(1, min(blocks_per_sm * n_sms, n_tasks)),
+        task_size=task_size,
+        inject_frac=inject_frac,
+        order_factor=order_factor,
+    )
+
+
+class RaggedTail:
+    """Drain time of an allocation's final ragged wave, given its block time.
+
+    Two components: the *partial-wave* correction — the fluid bulk phase
+    credits a fractional final wave, but the stragglers of that wave still
+    take one full service time — and an extreme-value *straggler* estimate
+    ``cv * sqrt(2 ln P)`` from per-block time variance.  Under Slate the
+    unit of imbalance is a whole task, so the straggler term scales with
+    ``sqrt(task_size)`` (a task averages ``s`` draws, so its cv shrinks by
+    ``sqrt(s)`` while its duration grows by ``s``).
+
+    The factors depend only on ``work`` and its input ``inp``, so they are
+    computed once; calling the tail with the block time of the epoch the
+    kernel drains in gives the drain time.
+    """
+
+    __slots__ = ("slate", "task_size", "frac", "sqrt_task", "spread")
+
+    def __init__(self, work, inp: RateInput) -> None:
+        parallel = inp.parallelism
+        self.slate = inp.mode is SchedulingMode.SLATE
+        self.task_size = task_size = inp.task_size
+        self.spread = work.time_cv * math.sqrt(2.0 * math.log(max(2, parallel)))
+        if self.slate:
+            n_tasks = -(-work.num_blocks // task_size)
+            waves = n_tasks / min(parallel, n_tasks)
+            self.sqrt_task = math.sqrt(task_size)
+        else:
+            waves = work.num_blocks / parallel
+            self.sqrt_task = 0.0
+        self.frac = math.ceil(waves) - waves
+
+    def __call__(self, block_time: float) -> float:
+        if block_time <= 0:
+            return 0.0
+        if self.slate:
+            return (
+                block_time * self.task_size * self.frac
+                + block_time * self.sqrt_task * self.spread
+            )
+        return block_time * (self.frac + self.spread)
 
 
 @dataclass(frozen=True)

@@ -41,25 +41,12 @@ def format_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[Any]],
     title: str | None = None,
-    style: str = "plain",
 ) -> str:
-    """Render a table as aligned text (default) or GitHub markdown."""
-    if style not in ("plain", "markdown"):
-        raise ValueError(f"unknown table style {style!r}")
+    """Render a table as aligned text."""
     cells = [[_fmt(v) for v in row] for row in rows]
     for row in cells:
         if len(row) != len(headers):
             raise ValueError(f"row width {len(row)} != header width {len(headers)}")
-
-    if style == "markdown":
-        out = []
-        if title:
-            out.append(f"**{title}**")
-            out.append("")
-        out.append("| " + " | ".join(str(h) for h in headers) + " |")
-        out.append("|" + "|".join("---" for _ in headers) + "|")
-        out.extend("| " + " | ".join(row) + " |" for row in cells)
-        return "\n".join(out)
 
     widths = [
         max(len(str(headers[i])), *(len(r[i]) for r in cells)) if cells else len(str(headers[i]))

@@ -4,10 +4,12 @@ The paper's partition heuristic gives the memory-intensive kernel its
 bandwidth-saturation SM count and hands the rest to the partner.  This
 module implements the natural extension the paper leaves open: *predict*
 both kernels' co-run rates for every feasible split using the simulator's
-own analytic rate model (:func:`repro.gpu.rates.derive_rates`) and pick
-the split that maximizes predicted system throughput (STP), tie-breaking
-toward the heuristic's asymmetry (finish the heavy kernel early so the
-survivor can grow onto the freed SMs).
+own analytic rate model (:func:`repro.gpu.rates.derive_rates`, fed by the
+device's builder :func:`repro.gpu.rates.rate_input` with the scheduler's
+launch arguments, so a prediction equals the device's first-epoch rates
+for the same split) and pick the split that maximizes predicted system
+throughput (STP), tie-breaking toward the heuristic's asymmetry (finish
+the heavy kernel early so the survivor can grow onto the freed SMs).
 
 Exposed to the scheduler via ``partition_strategy="predictive"``; the
 ablation benchmark compares heuristic vs predictive vs even splits.  The
@@ -22,8 +24,7 @@ from functools import lru_cache
 
 from repro.config import CostModel, DeviceConfig, TITAN_XP
 from repro.gpu.cache import ORDER_FACTORS
-from repro.gpu.occupancy import occupancy
-from repro.gpu.rates import RateInput, SchedulingMode, derive_rates
+from repro.gpu.rates import RateInput, SchedulingMode, derive_rates, rate_input
 from repro.kernels.kernel import KernelSpec
 from repro.slate.partition import MIN_SHARE, Partition
 from repro.slate.scheduler import DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC
@@ -38,24 +39,16 @@ def _rate_input(
     device: DeviceConfig,
     task_size: int,
 ) -> RateInput:
-    work = spec.work()
-    blocks_per_sm = occupancy(device, work.block).blocks_per_sm
-    resident = blocks_per_sm * n_sms
-    n_tasks = -(-work.num_blocks // task_size)
-    return RateInput(
-        key=key,
-        flops_per_block=work.flops_per_block,
-        bytes_per_block=work.bytes_per_block,
-        locality=work.locality,
-        dram_efficiency=work.dram_efficiency,
-        min_block_time=work.min_block_time,
-        mode=SchedulingMode.SLATE,
-        blocks_per_sm=blocks_per_sm,
-        n_sms=n_sms,
-        parallelism=max(1, min(resident, n_tasks)),
-        task_size=task_size,
-        inject_frac=SLATE_INJECT_FRAC,
-        order_factor=ORDER_FACTORS["slate"],
+    """The input the device builds for ``spec`` launched by the scheduler."""
+    return rate_input(
+        spec.work(),
+        n_sms,
+        device,
+        SchedulingMode.SLATE,
+        task_size,
+        SLATE_INJECT_FRAC,
+        ORDER_FACTORS["slate"],
+        key,
     )
 
 

@@ -316,8 +316,15 @@ class SlateScheduler:
         if self.log_limit != 0:
             self.allocation_log.append((self.env.now, snapshot))
 
-    def _note_resize(self, kernel: str, sms: tuple[int, ...]) -> None:
-        """Count a resize on every surface (instance, registry, trace)."""
+    def _resize(self, entry: _Running, sms: tuple[int, ...]) -> bool:
+        """Move a running tenant onto ``sms``; False if it is already there.
+
+        The one resize step: it counts the resize on every surface
+        (instance, registry, trace), then retargets the device handle.
+        """
+        if entry.sms == sms:
+            return False
+        entry.sms = sms
         self.resizes += 1
         self._m_resizes.inc()
         # Resize churn fires once per corun decision — micro-event rate,
@@ -328,9 +335,28 @@ class SlateScheduler:
                 self.env.now,
                 "scheduler",
                 "decisions",
-                kernel=kernel,
+                kernel=entry.ticket.spec.name,
                 sms=len(sms),
             )
+        self.gpu.resize(entry.handle, sms, notify=False)
+        return True
+
+    def _lay_out(
+        self, tenants: list[_Running], shares: list[int]
+    ) -> list[tuple[int, ...]]:
+        """Move each tenant onto its share of contiguous SMs from SM 0.
+
+        Returns every range in share order; an admission's newcomer gets
+        the one past the tenants'.
+        """
+        ranges = []
+        low = 0
+        for share in shares:
+            ranges.append(tuple(range(low, low + share)))
+            low += share
+        for entry, sms in zip(tenants, ranges):
+            self._resize(entry, sms)
+        return ranges
 
     # -- public API -------------------------------------------------------
 
@@ -460,13 +486,8 @@ class SlateScheduler:
     def resize_entry(self, entry, sms) -> None:
         """Resize a running tenant — the mechanism behind policy-driven
         mid-flight re-splits (e.g. ``online-predictive``'s reconsider)."""
-        sms = tuple(sms)
-        if entry not in self._running or entry.sms == sms:
-            return
-        entry.sms = sms
-        self._note_resize(entry.ticket.spec.name, sms)
-        self.gpu.resize(entry.handle, sms, notify=False)
-        self._log_allocation()
+        if entry in self._running and self._resize(entry, tuple(sms)):
+            self._log_allocation()
 
     # -- scheduling core ----------------------------------------------------
 
@@ -591,10 +612,7 @@ class SlateScheduler:
         still_running = len(self._running) == 1 and self._running[0] is survivor
         if not still_running or self._queue or survivor.sms != sms_at_schedule:
             return
-        all_sms = self.gpu.all_sms()
-        survivor.sms = all_sms
-        self._note_resize(survivor.ticket.spec.name, all_sms)
-        self.gpu.resize(survivor.handle, all_sms, notify=False)
+        self._resize(survivor, self.gpu.all_sms())
         self._log_allocation()
 
     def _rebalance_after_grace(self, survivor_count: int) -> None:
@@ -619,20 +637,9 @@ class SlateScheduler:
         tenants = list(self._running)
         profiles = [self._profile_of(t.ticket) for t in tenants]
         profiles.append(self._profile_of(head))
-        shares = self.policy.nway_shares(profiles)
-        low = 0
-        assignments = []
-        for share in shares:
-            assignments.append(tuple(range(low, low + share)))
-            low += share
-        for entry, sms in zip(tenants, assignments[:-1]):
-            if entry.sms != sms:
-                entry.sms = sms
-                self._note_resize(entry.ticket.spec.name, sms)
-                self.gpu.resize(entry.handle, sms, notify=False)
+        assignments = self._lay_out(tenants, self.policy.nway_shares(profiles))
         self.corun_launches += 1
         self._m_corun.inc()
-        head_profile = self._profile_of(head)
         self._decide(
             "corun",
             head,
@@ -649,15 +656,7 @@ class SlateScheduler:
         profiles = [self._profile_of(t.ticket) for t in tenants]
         if any(p is None for p in profiles):
             return
-        shares = self.policy.nway_shares(profiles)
-        low = 0
-        for entry, share in zip(tenants, shares):
-            sms = tuple(range(low, low + share))
-            low += share
-            if entry.sms != sms:
-                entry.sms = sms
-                self._note_resize(entry.ticket.spec.name, sms)
-                self.gpu.resize(entry.handle, sms, notify=False)
+        self._lay_out(tenants, self.policy.nway_shares(profiles))
         self._log_allocation()
 
     def _try_schedule(self) -> None:
@@ -698,10 +697,7 @@ class SlateScheduler:
                 # the other one (e.g. identical-kernel pairs): swap roles
                 # instead of migrating it for nothing.
                 run_sms, new_sms = new_sms, run_sms
-            if running.sms != run_sms:
-                running.sms = run_sms
-                self._note_resize(running.ticket.spec.name, run_sms)
-                self.gpu.resize(running.handle, run_sms, notify=False)
+            if self._resize(running, run_sms):
                 self._log_allocation()
             self.corun_launches += 1
             self._m_corun.inc()

@@ -4,10 +4,12 @@ The paper fixes ``SLATE_ITERS`` at 10 and notes the trade-off it leaves on
 the table: short-block kernels want large tasks (amortize the atomic
 pull), high-variance kernels want small ones (whole-task stragglers), and
 "a very large value may cause workload imbalance".  This module closes the
-loop: it predicts kernel time across candidate task sizes with the same
-analytic model the executor uses — bulk phase from
-:func:`repro.gpu.rates.derive_rates` plus the partial-wave and straggler
-tail — and picks the argmin.
+loop: it predicts kernel time across candidate task sizes with the
+executor's own model — the device's input builder
+(:func:`repro.gpu.rates.rate_input`), the bulk phase from
+:func:`repro.gpu.rates.derive_rates` and the device's ragged tail
+(:class:`repro.gpu.rates.RaggedTail`) — and picks the argmin.  A
+prediction equals the device's solo elapsed time for the same launch.
 
 The daemon itself keeps the paper's fixed 10; ``repro tune`` and the
 ``abl-tasksize`` ablation call :func:`auto_task_size`, and a caller that
@@ -16,12 +18,11 @@ wants the tuned size passes it as the launch's ``task_size``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.config import CostModel, DeviceConfig, TITAN_XP
-from repro.gpu.occupancy import occupancy
-from repro.gpu.rates import RateInput, SchedulingMode, derive_rates
+from repro.gpu.cache import ORDER_FACTORS
+from repro.gpu.rates import RaggedTail, SchedulingMode, derive_rates, rate_input
 from repro.kernels.kernel import KernelSpec
 
 __all__ = ["TaskSizeChoice", "predict_kernel_time", "auto_task_size", "CANDIDATE_SIZES"]
@@ -37,38 +38,26 @@ def predict_kernel_time(
     costs: CostModel = CostModel(),
     inject_frac: float = 0.03,
 ) -> float:
-    """Predicted solo Slate kernel time for ``spec`` at ``task_size``."""
+    """Predicted solo Slate kernel time for ``spec`` at ``task_size``.
+
+    Bulk (every block at the derived rate) plus the ragged tail, summed in
+    the device's order.
+    """
     if task_size < 1:
         raise ValueError("task_size must be >= 1")
     work = spec.work()
     n = n_sms if n_sms is not None else device.num_sms
-    blocks_per_sm = occupancy(device, work.block).blocks_per_sm
-    resident = blocks_per_sm * n
-    n_tasks = -(-work.num_blocks // task_size)
-    parallel = max(1, min(resident, n_tasks))
-    inp = RateInput(
-        key="k",
-        flops_per_block=work.flops_per_block,
-        bytes_per_block=work.bytes_per_block,
-        locality=work.locality,
-        dram_efficiency=work.dram_efficiency,
-        min_block_time=work.min_block_time,
-        mode=SchedulingMode.SLATE,
-        blocks_per_sm=blocks_per_sm,
-        n_sms=n,
-        parallelism=parallel,
-        task_size=task_size,
-        inject_frac=inject_frac,
+    inp = rate_input(
+        work,
+        n,
+        device,
+        SchedulingMode.SLATE,
+        task_size,
+        inject_frac,
+        ORDER_FACTORS["slate"],
     )
-    out = derive_rates([inp], device, costs)["k"]
-    bulk = work.num_blocks / out.rate
-    # Tail: fractional final task wave + straggler excess (cv shrinks by
-    # sqrt(s) per task but the unit of imbalance is a whole task).
-    waves = n_tasks / min(parallel, n_tasks)
-    frac = math.ceil(waves) - waves
-    spread = work.time_cv * math.sqrt(2.0 * math.log(max(2, parallel)))
-    tail = out.block_time * task_size * frac + out.block_time * math.sqrt(task_size) * spread
-    return bulk + tail
+    out = derive_rates([inp], device, costs)[inp.key]
+    return work.num_blocks / out.rate + RaggedTail(work, inp)(out.block_time)
 
 
 @dataclass(frozen=True)

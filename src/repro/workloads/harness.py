@@ -6,12 +6,14 @@ drives the application processes, and returns their timing breakdowns.
 
 Experiments that need only the apps' times call :func:`app_times`, which
 simulates each distinct scenario once per process and keeps just the
-floats (see its docstring).
+floats (see its docstring).  Fig. 7's normalization goes through it too:
+:func:`solo_times` gives the CUDA solo baselines and :func:`pair_antt` one
+pairing's ANTT against them.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.config import (
     CostModel,
@@ -34,10 +36,13 @@ __all__ = [
     "app_for",
     "app_times",
     "make_runtime",
+    "pair_antt",
+    "pair_apps",
     "reset_app_times",
     "run_many",
     "run_pair",
     "run_solo",
+    "solo_times",
 ]
 
 #: The three schedulers the evaluation compares (§V-A2).
@@ -81,11 +86,6 @@ def app_for(bench: str, name: Optional[str] = None, reps: Optional[int] = None) 
     return AppSpec(name=name or bench, kernel=spec, reps=reps)
 
 
-def _preload_if_slate(runtime, apps: list[AppSpec]) -> None:
-    if isinstance(runtime, SlateRuntime):
-        runtime.preload_profiles([app.kernel for app in apps])
-
-
 def run_solo(
     runtime_name: str,
     app: AppSpec,
@@ -95,14 +95,15 @@ def run_solo(
     **runtime_kwargs,
 ) -> tuple[AppResult, object]:
     """Run one application alone; returns (result, runtime)."""
-    env = Environment()
-    runtime = make_runtime(runtime_name, env, device=device, costs=costs, **runtime_kwargs)
-    if preload_profiles:
-        _preload_if_slate(runtime, [app])
-    session = runtime.create_session(app.name)
-    proc = env.process(run_application(env, session, app, runtime.costs))
-    result = env.run(until=proc)
-    return result, runtime
+    results, runtime = run_many(
+        runtime_name,
+        [app],
+        device=device,
+        costs=costs,
+        preload_profiles=preload_profiles,
+        **runtime_kwargs,
+    )
+    return results[app.name], runtime
 
 
 def run_pair(
@@ -115,19 +116,14 @@ def run_pair(
     **runtime_kwargs,
 ) -> tuple[dict[str, AppResult], object]:
     """Run two applications concurrently; returns ({name: result}, runtime)."""
-    if app_a.name == app_b.name:
-        raise ValueError("pair applications need distinct names (use e.g. 'GS#2')")
-    env = Environment()
-    runtime = make_runtime(runtime_name, env, device=device, costs=costs, **runtime_kwargs)
-    if preload_profiles:
-        _preload_if_slate(runtime, [app_a, app_b])
-    procs = []
-    for app in (app_a, app_b):
-        session = runtime.create_session(app.name)
-        procs.append(env.process(run_application(env, session, app, runtime.costs)))
-    env.run(until=procs[0] & procs[1])
-    results = {p.value.name: p.value for p in procs}
-    return results, runtime
+    return run_many(
+        runtime_name,
+        [app_a, app_b],
+        device=device,
+        costs=costs,
+        preload_profiles=preload_profiles,
+        **runtime_kwargs,
+    )
 
 
 def run_many(
@@ -141,34 +137,82 @@ def run_many(
 ) -> tuple[dict[str, AppResult], object]:
     """Run N applications concurrently (optionally with arrival offsets).
 
-    Generalizes :func:`run_pair` to arbitrary tenant counts; ``arrivals``
-    gives each app's start delay (default: all at t=0).  App names must be
-    unique.
+    The one scenario runner: :func:`run_solo`, :func:`run_pair`,
+    :func:`app_times` and :func:`~repro.workloads.trace.replay_trace` all
+    run through it.  It builds a fresh runtime (preloading Slate's
+    profiles), then runs one process per app: wait out a positive arrival
+    (``arrivals`` gives each app's start, default all at t=0), open the
+    app's session and run it.  App names must be distinct.
     """
+    if not apps:
+        raise ValueError("no applications to run")
     names = [app.name for app in apps]
     if len(set(names)) != len(names):
-        raise ValueError(f"application names must be unique, got {names}")
+        raise ValueError(
+            f"application names must be unique, got {names}: run an app "
+            "beside itself under distinct names (use e.g. 'GS#2')"
+        )
     if arrivals is not None and len(arrivals) != len(apps):
         raise ValueError("arrivals must match apps in length")
     env = Environment()
     runtime = make_runtime(runtime_name, env, device=device, costs=costs, **runtime_kwargs)
-    if preload_profiles:
-        _preload_if_slate(runtime, apps)
+    if preload_profiles and isinstance(runtime, SlateRuntime):
+        runtime.preload_profiles([app.kernel for app in apps])
 
-    procs = []
-    for i, app in enumerate(apps):
-        delay = arrivals[i] if arrivals is not None else 0.0
+    def tenant(app, delay):
+        if delay:
+            yield env.timeout(delay)
+        session = runtime.create_session(app.name)
+        return (yield from run_application(env, session, app, runtime.costs))
 
-        def staged(env, app=app, delay=delay):
-            if delay:
-                yield env.timeout(delay)
-            session = runtime.create_session(app.name)
-            result = yield from run_application(env, session, app, runtime.costs)
-            return result
-
-        procs.append(env.process(staged(env)))
-    env.run(until=env.all_of(procs))
+    procs = [
+        env.process(tenant(app, arrivals[i] if arrivals is not None else 0.0))
+        for i, app in enumerate(apps)
+    ]
+    env.run(until=procs[0] if len(procs) == 1 else env.all_of(procs))
     return {p.value.name: p.value for p in procs}, runtime
+
+
+def pair_apps(a: str, b: str) -> tuple[AppSpec, AppSpec]:
+    """The two apps of pairing ``(a, b)``; an identical pair's second is ``b#2``."""
+    return app_for(a), app_for(b, name=f"{b}#2" if a == b else None)
+
+
+def solo_times(
+    benches: Iterable[str],
+    device: DeviceConfig = TITAN_XP,
+    costs: CostModel = DEFAULT_COSTS,
+) -> dict[str, float]:
+    """``{bench: CUDA solo app time}``: the baselines ANTT normalizes by."""
+    return {
+        bench: app_times("CUDA", app_for(bench), device=device, costs=costs)[bench]
+        for bench in benches
+    }
+
+
+def pair_antt(
+    runtime_name: str,
+    a: str,
+    b: str,
+    solo: dict[str, float],
+    device: DeviceConfig = TITAN_XP,
+    costs: CostModel = DEFAULT_COSTS,
+    **runtime_kwargs,
+) -> float:
+    """ANTT of pairing ``(a, b)`` under one runtime (Fig. 7's cell).
+
+    ``solo`` holds the benchmarks' CUDA solo times (:func:`solo_times`);
+    the pair runs through :func:`app_times`.
+    """
+    # Imported here: the trace and serving paths import this module but
+    # never ANTT, and ``repro.metrics`` loads six modules on import.
+    from repro.metrics.antt import antt
+
+    app_a, app_b = pair_apps(a, b)
+    shared = app_times(
+        runtime_name, app_a, app_b, device=device, costs=costs, **runtime_kwargs
+    )
+    return antt(shared, {app_a.name: solo[a], app_b.name: solo[b]})
 
 
 #: App times of each scenario :func:`app_times` has simulated, by fingerprint.
@@ -184,9 +228,9 @@ def app_times(
 ) -> dict[str, float]:
     """``{app name: app_time}`` of one or two apps run solo or as a pair.
 
-    Runs the same :func:`run_solo` or :func:`run_pair` as a direct call, so
-    every number is bit-identical to one, but simulates each distinct input
-    once per process: the times are kept under the :func:`fingerprint` of
+    Runs the same :func:`run_many` as :func:`run_solo` or :func:`run_pair`,
+    so every number is bit-identical to a direct call, but simulates each
+    distinct input once per process: the times are kept under the :func:`fingerprint` of
     the runtime, the apps, the device, the cost model and
     ``runtime_kwargs``.  ``costs`` always enters the key, so a call that
     passes the default shares entries with one that omits it.  Only the
@@ -207,16 +251,10 @@ def app_times(
         kept = _app_times.get(key)
         if kept is not None:
             return dict(kept)
-    if len(apps) == 1:
-        result, _ = run_solo(
-            runtime_name, apps[0], device=device, costs=costs, **runtime_kwargs
-        )
-        times = {apps[0].name: result.app_time}
-    else:
-        results, _ = run_pair(
-            runtime_name, *apps, device=device, costs=costs, **runtime_kwargs
-        )
-        times = {name: result.app_time for name, result in results.items()}
+    results, _ = run_many(
+        runtime_name, list(apps), device=device, costs=costs, **runtime_kwargs
+    )
+    times = {name: result.app_time for name, result in results.items()}
     if key is not None:
         _app_times[key] = times
     return dict(times)

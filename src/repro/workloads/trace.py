@@ -15,9 +15,8 @@ import numpy as np
 
 from repro.config import DeviceConfig, TITAN_XP
 from repro.kernels.registry import SHORT_NAMES, by_name
-from repro.sim import Environment
-from repro.workloads.app import AppResult, AppSpec, run_application
-from repro.workloads.harness import make_runtime
+from repro.workloads.app import AppResult, AppSpec
+from repro.workloads.harness import run_many
 
 __all__ = [
     "TraceEntry",
@@ -70,25 +69,14 @@ def replay_trace(
     **runtime_kwargs,
 ) -> tuple[dict[str, AppResult], object]:
     """Replay ``trace`` under one runtime; returns per-app results."""
-    if not trace:
-        raise ValueError("empty trace")
-    env = Environment()
-    runtime = make_runtime(runtime_name, env, device=device, **runtime_kwargs)
-    if preload_profiles and hasattr(runtime, "preload_profiles"):
-        runtime.preload_profiles([e.app.kernel for e in trace])
-
-    procs = []
-
-    def arrival_proc(env, entry: TraceEntry):
-        yield env.timeout(entry.arrival)
-        session = runtime.create_session(entry.app.name)
-        result = yield from run_application(env, session, entry.app, runtime.costs)
-        return result
-
-    for entry in trace:
-        procs.append(env.process(arrival_proc(env, entry)))
-    env.run(until=env.all_of(procs))
-    return {p.value.name: p.value for p in procs}, runtime
+    return run_many(
+        runtime_name,
+        [e.app for e in trace],
+        arrivals=[e.arrival for e in trace],
+        device=device,
+        preload_profiles=preload_profiles,
+        **runtime_kwargs,
+    )
 
 
 def generate_bursty_trace(

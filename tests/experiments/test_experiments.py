@@ -239,18 +239,18 @@ class TestFig7:
 
     def test_cells_simulate_under_their_cost_model(self):
         """The cost model of a cell reaches its simulation: a costlier
-        daemon round trip moves Slate's times."""
+        daemon round trip moves Slate's ANTT, a slower app setup the
+        solo baselines."""
         from dataclasses import replace
 
         from repro.config import TITAN_XP, CostModel
+        from repro.workloads.harness import pair_antt, solo_times
 
         base = CostModel()
         costly = replace(base, pipe_roundtrip=10 * base.pipe_roundtrip)
-        cell = ("Slate", "MM", "BS", "MM", "BS", TITAN_XP)
-        assert fig7_pairings._pair_times(*cell, costly) != (
-            fig7_pairings._pair_times(*cell, base)
+        solo = solo_times(("MM", "BS"), TITAN_XP, base)
+        assert pair_antt("Slate", "MM", "BS", solo, TITAN_XP, costly) != (
+            pair_antt("Slate", "MM", "BS", solo, TITAN_XP, base)
         )
         slower_setup = replace(base, app_setup_time=2 * base.app_setup_time)
-        assert fig7_pairings._solo_time("BS", TITAN_XP, slower_setup) > (
-            fig7_pairings._solo_time("BS", TITAN_XP, base)
-        )
+        assert solo_times(("BS",), TITAN_XP, slower_setup)["BS"] > solo["BS"]

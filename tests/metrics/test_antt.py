@@ -172,21 +172,3 @@ class TestFairness:
         results, _ = run_pair("Slate", app_for("BS"), app_for("RG"))
         shared = {k: v.app_time for k, v in results.items()}
         assert fairness_index(shared, solo) > 0.9
-
-
-class TestMarkdownTables:
-    def test_markdown_style(self):
-        from repro.metrics import format_table
-
-        out = format_table(["a", "b"], [[1, 2.5]], title="T", style="markdown")
-        lines = out.splitlines()
-        assert lines[0] == "**T**"
-        assert lines[2] == "| a | b |"
-        assert lines[3] == "|---|---|"
-        assert lines[4] == "| 1 | 2.500 |"
-
-    def test_unknown_style(self):
-        from repro.metrics import format_table
-
-        with pytest.raises(ValueError, match="unknown table style"):
-            format_table(["a"], [[1]], style="latex")

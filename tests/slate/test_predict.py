@@ -31,6 +31,38 @@ class TestPredictRates:
         _, rg_big = predict_corun_rates(bs, rg, 10)  # RG gets 20
         assert rg_big > 3 * rg_small
 
+    @pytest.mark.parametrize("n_a", [3, 10, 15, 27])
+    def test_equals_the_devices_first_epoch_rates(self, n_a):
+        """The predictor builds the device's rate inputs: for the split it
+        predicts, the device co-running the pair (launched as the scheduler
+        launches) derives exactly the predicted rates, for every ordered
+        pair of paper benchmarks."""
+        from dataclasses import replace
+
+        from repro.config import TITAN_XP, CostModel
+        from repro.gpu.device import ExecutionMode, SimulatedGPU
+        from repro.kernels.registry import SHORT_NAMES, by_name
+        from repro.sim import Environment
+        from repro.slate.scheduler import DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC
+
+        for a in SHORT_NAMES:
+            for b in SHORT_NAMES:
+                gpu = SimulatedGPU(Environment(), TITAN_XP, CostModel())
+                for key, bench, sms in (
+                    ("a", a, range(n_a)),
+                    ("b", b, range(n_a, TITAN_XP.num_sms)),
+                ):
+                    gpu.launch(
+                        replace(by_name(bench).work(), name=key),
+                        sm_ids=sms,
+                        mode=ExecutionMode.SLATE,
+                        task_size=DEFAULT_TASK_SIZE,
+                        inject_frac=SLATE_INJECT_FRAC,
+                    )
+                _, rates = gpu.rate_trace[-1]
+                predicted = predict_corun_rates(by_name(a), by_name(b), n_a)
+                assert (rates["a"], rates["b"]) == predicted, (a, b)
+
 
 class TestChoosePredictive:
     def test_split_covers_device(self):

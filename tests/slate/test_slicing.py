@@ -417,6 +417,29 @@ def test_final_slice_fires_the_launchs_own_tail_started():
     )
 
 
+def test_finished_sliced_launch_is_freed_by_reference_counting():
+    """Slices run on one execution that points back at its launch; after
+    the final slice's edge that link is gone, so a finished launch is
+    freed as soon as its caller drops it, with no work for the cyclic
+    collector (trace-scale slicing finishes thousands of launches)."""
+    import gc
+    import weakref
+
+    env, gpu = make_gpu()
+    handle = gpu.launch_sliced(
+        compute_work(), mode=ExecutionMode.SLATE, task_size=10, slice_blocks=6000
+    )
+    env.run(until=handle.done)
+    assert handle.slices_dispatched == 8
+    launch = weakref.ref(handle)
+    gc.disable()
+    try:
+        del handle
+        assert launch() is None
+    finally:
+        gc.enable()
+
+
 def test_forced_freeze_resize_and_resume_leave_stale_timers_harmless():
     """A completion timer of slice 1 outlives it on the shared execution.
 

@@ -4,12 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import TITAN_XP, CostModel
+from repro.config import TESLA_V100, TITAN_XP, CostModel
 from repro.gpu.device import ExecutionMode, SimulatedGPU
 from repro.kernels import blackscholes, gaussian, sgemm
 from repro.sim import Environment
 from repro.slate import SlateRuntime
-from repro.slate.tuning import auto_task_size, predict_kernel_time
+from repro.slate.tuning import CANDIDATE_SIZES, auto_task_size, predict_kernel_time
 
 
 def measured_time(spec, task_size):
@@ -28,7 +28,27 @@ class TestPrediction:
         spec = gaussian()
         predicted = predict_kernel_time(spec, task_size)
         measured = measured_time(spec, task_size)
-        assert predicted == pytest.approx(measured, rel=0.05)
+        assert predicted == measured
+
+    @pytest.mark.parametrize("device", [TITAN_XP, TESLA_V100], ids=["titan_xp", "v100"])
+    def test_prediction_equals_executor_on_every_benchmark(self, device):
+        """The tuner builds the device's rate input and tail: its prediction
+        is the device's solo elapsed time, bit for bit, for every paper
+        benchmark at every candidate size."""
+        from repro.kernels import BENCHMARKS
+
+        for factory in BENCHMARKS.values():
+            spec = factory()
+            for size in CANDIDATE_SIZES:
+                env = Environment()
+                gpu = SimulatedGPU(env, device, CostModel())
+                handle = gpu.launch(
+                    spec.work(), mode=ExecutionMode.SLATE, task_size=size,
+                    inject_frac=0.03,
+                )
+                measured = env.run(until=handle.done).elapsed
+                predicted = predict_kernel_time(spec, size, device=device)
+                assert predicted == measured, (spec.name, size)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -125,4 +145,4 @@ def test_prediction_matches_executor_on_random_kernels(
     spec = synthetic(cfrac, mfrac, num_blocks=4800, block_time=block_time)
     predicted = predict_kernel_time(spec, task_size)
     measured = measured_time(spec, task_size)
-    assert predicted == pytest.approx(measured, rel=0.05)
+    assert predicted == measured

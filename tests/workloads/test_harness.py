@@ -147,7 +147,86 @@ class TestRunMany:
 
         many, _ = run_many("CUDA", [app_for("RG", reps=2)])
         solo, _ = run_solo("CUDA", app_for("RG", reps=2))
-        assert many["RG"].app_time == pytest.approx(solo.app_time)
+        assert many["RG"] == solo
+
+
+class TestOneRunner:
+    """``run_solo``, ``run_pair``, ``replay_trace`` and ``run_many`` are one
+    scenario runner: the same apps and arrivals give equal results for
+    the same engine work, whichever entry point is called."""
+
+    @staticmethod
+    def events(runtime) -> int:
+        return runtime.env.stats.events_processed
+
+    @pytest.mark.parametrize("runtime", ["CUDA", "MPS", "Slate"])
+    def test_zero_arrival_trace(self, runtime):
+        from repro.workloads import run_many
+        from repro.workloads.trace import TraceEntry, replay_trace
+
+        bs, rg = app_for("BS", reps=2), app_for("RG", reps=2)
+        solo, solo_rt = run_solo(runtime, rg)
+        traced, traced_rt = replay_trace(runtime, [TraceEntry(0.0, rg)])
+        many, many_rt = run_many(runtime, [rg], arrivals=[0.0])
+        assert traced == many == {"RG": solo}
+        assert self.events(traced_rt) == self.events(many_rt) == self.events(solo_rt)
+
+        pair, pair_rt = run_pair(runtime, bs, rg)
+        traced, traced_rt = replay_trace(
+            runtime, [TraceEntry(0.0, bs), TraceEntry(0.0, rg)]
+        )
+        many, many_rt = run_many(runtime, [bs, rg])
+        assert traced == many == pair
+        assert self.events(traced_rt) == self.events(many_rt) == self.events(pair_rt)
+
+    @pytest.mark.parametrize("runtime", ["CUDA", "MPS", "Slate"])
+    def test_positive_arrival_trace(self, runtime):
+        from repro.workloads import run_many
+        from repro.workloads.trace import TraceEntry, replay_trace
+
+        bs, rg = app_for("BS", reps=2), app_for("RG", reps=2)
+        traced, traced_rt = replay_trace(
+            runtime, [TraceEntry(0.0, bs), TraceEntry(1.5e-3, rg)]
+        )
+        many, many_rt = run_many(runtime, [bs, rg], arrivals=[0.0, 1.5e-3])
+        assert traced == many
+        assert many["RG"].start == 1.5e-3
+        assert self.events(traced_rt) == self.events(many_rt)
+
+    def test_empty_app_list_rejected(self):
+        from repro.workloads import run_many
+
+        with pytest.raises(ValueError, match="no applications"):
+            run_many("CUDA", [])
+
+
+class TestPairAntt:
+    """One pairing recipe: the ``#2`` rename, the CUDA solo baselines and
+    the pair's ANTT, all through the app-time memo."""
+
+    def test_identical_pair_renames_the_second_app(self):
+        from repro.workloads.harness import pair_apps
+
+        assert [a.name for a in pair_apps("GS", "GS")] == ["GS", "GS#2"]
+        assert [a.name for a in pair_apps("BS", "RG")] == ["BS", "RG"]
+
+    @pytest.mark.parametrize("pair", [("BS", "RG"), ("GS", "GS")], ids=["BS-RG", "GS-GS"])
+    def test_equals_the_hand_computed_ratio(self, pair):
+        from repro.metrics.antt import antt
+        from repro.workloads.harness import pair_antt, pair_apps, solo_times
+
+        a, b = pair
+        solo = solo_times(pair)
+        assert solo == {
+            bench: run_solo("CUDA", app_for(bench))[0].app_time for bench in pair
+        }
+        app_a, app_b = pair_apps(a, b)
+        results, _ = run_pair("Slate", app_a, app_b)
+        expected = antt(
+            {name: r.app_time for name, r in results.items()},
+            {app_a.name: solo[a], app_b.name: solo[b]},
+        )
+        assert pair_antt("Slate", a, b, solo) == expected
 
 
 class TestAppTimes:
