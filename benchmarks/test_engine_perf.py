@@ -5,8 +5,9 @@ wall-clock cost hangs off the engine's event throughput, so regressions
 here multiply into every other benchmark.
 
 The three churn benches also report :attr:`Environment.stats` (events
-processed, heap peak) and together write
-``benchmarks/BENCH_engine.json`` — events/sec per microbenchmark.  The
+processed, heap peak) and, with the device epoch bench, together write
+``benchmarks/BENCH_engine.json`` — events/sec per microbenchmark, and
+for the device its µs per epoch flush and settles per flush.  The
 file is a run's output (git-ignored, rewritten on every run); the
 repository's performance gate is the paired end-to-end compare
 (``benchmarks/e2e``).
@@ -94,12 +95,13 @@ def engine_bench_json():
         if not seconds:
             seconds = min(_timed(rerun) for _ in range(3))
         stats = env.stats
-        records[name] = {
+        records[name] = row = {
             "events": stats.events_processed,
             "heap_peak": stats.heap_peak,
             "seconds": round(seconds, 6),
             "events_per_sec": round(stats.events_processed / seconds),
         }
+        return row
 
     yield record
     if records:
@@ -129,6 +131,76 @@ def test_engine_store_throughput(benchmark, engine_bench_json):
     env = benchmark(_store_churn, 20_000)
     assert env.stats.events_processed >= 20_000
     engine_bench_json("store_churn", env, benchmark, lambda: _store_churn(20_000))
+
+
+def _device_epochs() -> Environment:
+    """Four sliced streams co-running on a bare device, one per quarter.
+
+    No scheduler: each stream launches its kernel in 8 slices, 25 times
+    back to back, so the four streams' slice edges interleave.
+    Every edge is one epoch flush, and most flushes change the rates of
+    only some of the running executions.
+    """
+    from repro.config import TITAN_XP, CostModel
+    from repro.gpu.device import ExecutionMode, SimulatedGPU
+    from repro.kernels.registry import by_name
+
+    env = Environment()
+    gpu = SimulatedGPU(env, TITAN_XP, CostModel(), rate_trace_limit=0)
+    finished = []
+
+    def stream(work, sms, left):
+        handle = gpu.launch_sliced(
+            work,
+            sms,
+            ExecutionMode.SLATE,
+            task_size=10,
+            slice_blocks=-(-work.num_blocks // 8),
+        )
+
+        def next_launch(_event):
+            finished.append(handle)
+            if left > 1:
+                stream(work, sms, left - 1)
+
+        handle.done.callbacks.append(next_launch)
+
+    quarters = ((0, 6), (7, 14), (15, 22), (23, 29))
+    for name, (low, high) in zip(("BS", "GS", "MM", "RG"), quarters):
+        stream(by_name(name).work(), gpu.sm_range(low, high), 25)
+    env.run()
+    assert len(finished) == 4 * 25
+    return env
+
+
+def test_device_epoch_throughput(benchmark, engine_bench_json, monkeypatch):
+    """The device's epoch flush, apart from the scheduler and policies.
+
+    Pins the engine work exactly and records the flush's cost: µs of the
+    whole run per epoch flush, and settles (a segment's progress folded
+    into an execution's counters) per flush.  No timing is asserted.
+    """
+    from repro.gpu.device import SimulatedGPU
+
+    env = benchmark(_device_epochs)
+    stats = env.stats
+    assert stats.slice_dispatches == 800
+    assert stats.epoch_flushes == 1596
+    assert stats.events_processed == 4683
+    row = engine_bench_json("device_epochs", env, benchmark, _device_epochs)
+
+    settle = SimulatedGPU._settle
+    settles = 0
+
+    def counting_settle(gpu, k, t):
+        nonlocal settles
+        settles += t > k._last_settle
+        settle(gpu, k, t)
+
+    monkeypatch.setattr(SimulatedGPU, "_settle", counting_settle)
+    _device_epochs()
+    row["us_per_flush"] = round(row["seconds"] / stats.epoch_flushes * 1e6, 3)
+    row["settles_per_flush"] = round(settles / stats.epoch_flushes, 3)
 
 
 def test_full_pairing_scenario_cost(benchmark):

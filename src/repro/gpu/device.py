@@ -42,15 +42,33 @@ and its interned rate-memo signature id, the settle constants
 (``1.0 + inject_frac``, the ldst factor) and the ragged tail.  An execution
 points at its record and gets a new one only where its work or SM count
 changes: at construction, at a slice whose sub-grid or SM set differs
-from the last, and when a resize is adopted.  So an epoch only settles
-progress, probes the rate memo with one tuple of small ints (the
-device's config id and the records' signature ids), re-arms completion
-timers and appends one ``(now, active, rates)`` record to the rate log,
-whose ``{kernel: rate}`` dicts :attr:`SimulatedGPU.rate_trace` builds
-only when read.  The device's timers (completion, tail, dispatch gap,
-resize wake) are :meth:`~repro.sim.Environment.call_later` calls: no
-``Timeout``, lambda or callbacks list, and queued where those timeouts
-were.  A sliced launch computes its tiling once
+from the last, and when a resize is adopted.  So an epoch only probes
+the rate memo with one tuple of small ints (the device's config id and
+the records' signature ids), re-arms the completion timers of the
+executions whose rate changed and appends one ``(now, active, rates)``
+record to the rate log, whose ``{kernel: rate}`` dicts
+:attr:`SimulatedGPU.rate_trace` builds only when read.
+
+Progress is lazy.  An execution holds one open *segment*: the blocks
+and counters settled at ``_last_settle`` and the rates it has run at
+since.  ``blocks_done`` and ``blocks_remaining`` project the segment to
+``env.now`` and settle nothing; ``counters`` are current as of the last
+settle, and complete from tail entry on.  An epoch that re-derives an
+execution's rate, throttle and DRAM bytes per block unchanged leaves it
+alone: no settle, and its live completion timer stands.  A changed rate
+is the execution's *pending change* until simulated time leaves the
+instant that derived it; the execution's next touch (an epoch, its
+timer, a pause or a resize) settles the old segment up to that instant
+and opens the new one there.  A later epoch in the same instant that
+gives back the segment's own rate drops the pending change and makes
+the segment's own timer live again, so the intermediate rates of one
+instant, which only the unbatched path derives, leave no segment
+boundary behind (:meth:`SimulatedGPU._recompute` has the steps).
+
+The device's timers (completion, tail, dispatch gap, resize wake) are
+:meth:`~repro.sim.Environment.call_later` calls: no ``Timeout``, lambda
+or callbacks list, and queued where those timeouts were.  A sliced
+launch computes its tiling once
 (:func:`repro.slate.slicing.slice_plan`) and indexes it per slice, and
 runs every slice on one execution: a slice's finish calls the slice-edge
 logic directly, with no event of the execution's own.  The edge re-arms
@@ -58,8 +76,9 @@ that execution in place for the next slice, or, after the final slice,
 succeeds the launch's ``done``; the final slice's tail entry fires the
 launch's ``tail_started``.  A ``tail_started`` that nothing waits on is
 marked processed at tail entry, with no queue trip.  A finish settles
-but flushes no epoch: the execution left the active set at its tail
-entry, whose epoch already re-derived the survivors' rates.
+nothing and flushes no epoch: the execution settled at its tail entry
+and left the active set there, and that epoch already re-derived the
+survivors' rates.
 ``all_sms()`` returns one tuple built at construction.  The settle and
 tail expressions keep their original operand order;
 ``tests/slate/goldens/sliced_nway4_counters.json`` pins every counter
@@ -221,6 +240,14 @@ _NO_RATES = RateOutput(
 )
 
 
+def _advance(done: float, progressed: float, num_blocks: int) -> float:
+    """``done + progressed`` blocks, capped at the grid: a settle's sum."""
+    remaining = num_blocks - done
+    if remaining < progressed:
+        progressed = remaining if remaining > 0.0 else 0.0
+    return done + progressed
+
+
 class _Allocation:
     """What the device derives from one allocation, computed once.
 
@@ -272,13 +299,18 @@ class _Allocation:
 
 
 class KernelExecution:
-    """Handle for one in-flight kernel on the device."""
+    """Handle for one in-flight kernel on the device.
+
+    Progress is one open segment (see the module doc): ``_done`` blocks
+    settled at ``_last_settle``, advancing at ``_seg_rates`` since.
+    """
 
     __slots__ = (
         "id", "gpu", "work", "sm_ids", "mode", "order_factor", "task_size",
-        "inject_frac", "state", "blocks_done", "done", "tail_started",
-        "counters", "_rates", "_alloc", "_last_settle", "_timer_gen",
-        "_timer_at", "_resize_target", "_edge",
+        "inject_frac", "state", "done", "tail_started", "counters", "_done",
+        "_rates", "_seg_rates", "_pending_at", "_alloc", "_last_settle",
+        "_timer_gen", "_timer_at", "_seg_gen", "_seg_at", "_resize_target",
+        "_edge",
     )
 
     _ids = itertools.count(1)
@@ -303,21 +335,32 @@ class KernelExecution:
         self.inject_frac = inject_frac
         self._bind(sm_ids)
         self.state = ExecState.RUNNING
-        self.blocks_done = 0.0
+        #: Blocks settled at ``_last_settle`` (``blocks_done`` projects).
+        self._done = 0.0
         self.done: Event = Event(env)
         #: Fires when the kernel enters its drain tail (used by the MPS
         #: leftover policy to admit the next kernel into freed slots).
         self.tail_started: Event = Event(env)
         self.counters = KernelCounters(work.name, env.now)
-        #: Rates from the last epoch that derived this execution: frozen
-        #: memo values shared between executions, replaced wholesale.
-        self._rates = _NO_RATES
+        #: Rates from the last epoch that derived this execution, and the
+        #: rates its open segment runs at: frozen memo values shared
+        #: between executions, replaced wholesale.  They differ only while
+        #: a change is pending.
+        self._rates = self._seg_rates = _NO_RATES
+        #: Instant that derived the pending change ``_rates`` (None: none).
+        self._pending_at: Optional[float] = None
         self._last_settle = env.now
+        #: Generation of the live completion timer (0: none); drawn from
+        #: the device's counter, so no two timers ever share one.
         self._timer_gen = 0
         #: Absolute fire time of the live completion timer (None: no live
-        #: timer).  Lets an epoch that re-derives the *same* rate keep the
-        #: pending timer instead of cancel-and-reschedule churn.
+        #: timer).  Lets an epoch that re-derives the *same* completion
+        #: instant keep the timer instead of cancel-and-reschedule churn.
         self._timer_at: Optional[float] = None
+        #: The segment's own timer while a pending change holds the live
+        #: one; ``_seg_at`` None once it has fired.
+        self._seg_gen = 0
+        self._seg_at: Optional[float] = None
         self._resize_target: tuple[int, ...] = sm_ids
         #: The :class:`SlicedExecution` this execution runs the slices
         #: of, else None.  Its finish goes straight to the slice edge,
@@ -327,17 +370,18 @@ class KernelExecution:
     def _rearm(self, work: KernelWork, sm_ids: tuple[int, ...]) -> None:
         """Run the next slice of a sliced launch: ``work`` on ``sm_ids``.
 
-        Progress, counters and rates start afresh.  ``_timer_gen`` keeps
-        counting, so a completion timer still queued from an earlier slice
-        stays stale.
+        Progress, counters and rates start afresh.  A new timer takes a
+        generation never used before, so a completion timer still queued
+        from an earlier slice stays stale.
         """
         now = self.gpu.env.now
         self.work = work
         self._bind(sm_ids)
         self.state = ExecState.RUNNING
-        self.blocks_done = 0.0
+        self._done = 0.0
         self.counters = KernelCounters(work.name, now)
-        self._rates = _NO_RATES
+        self._rates = self._seg_rates = _NO_RATES
+        self._pending_at = None
         self._last_settle = now
         self._timer_at = None
         self._resize_target = sm_ids
@@ -373,6 +417,25 @@ class KernelExecution:
     def parallelism(self) -> int:
         """Concurrently *executing* blocks: workers each run one block."""
         return self._alloc.inp.parallelism
+
+    @property
+    def blocks_done(self) -> float:
+        """Blocks completed by ``env.now``; a read settles nothing.
+
+        While running: the settled count projected along the open
+        segment, and past the instant of a pending change at its rate.
+        """
+        done = self._done
+        if self.state is not ExecState.RUNNING:
+            return done
+        now = self.gpu.env.now
+        num_blocks = self.work.num_blocks
+        since = self._last_settle
+        pending = self._pending_at
+        if pending is not None and pending < now:
+            done = _advance(done, self._seg_rates.rate * (pending - since), num_blocks)
+            return _advance(done, self._rates.rate * (now - pending), num_blocks)
+        return _advance(done, self._seg_rates.rate * (now - since), num_blocks)
 
     @property
     def blocks_remaining(self) -> float:
@@ -553,9 +616,8 @@ class SimulatedGPU:
         #: as ``KernelSpec.scaled`` per launch) builds one per launch, so
         #: the map is dropped whole past 256 records.
         self._allocations: dict[tuple, _Allocation] = {}
-        #: Timestamp of the last full progress settle; a second settle at
-        #: the same instant is a no-op (dt == 0 for every kernel) and skips.
-        self._settled_at = -1.0
+        #: Completion-timer generations: each armed timer draws a new one.
+        self._gens = itertools.count(1)
         #: Sub-grid works for sliced dispatch, keyed ``(id(base), count)``
         #: and pinned (``_slice_pins``) so base ids cannot recycle — slices
         #: of repeated launches reuse one KernelWork per distinct count,
@@ -861,7 +923,8 @@ class SimulatedGPU:
                 resumed.succeed()
             return resumed
 
-        self._settle_all()
+        if execution.state is ExecState.RUNNING:  # a paused one settled at its pause
+            self._settle_now(execution)
         execution.state = ExecState.RESIZING
         execution._resize_target = sms
         execution.counters.resizes += 1
@@ -890,9 +953,7 @@ class SimulatedGPU:
         if execution.state is not ExecState.RESIZING:
             return
         execution._bind(execution._resize_target)
-        execution.state = ExecState.RUNNING
-        execution._last_settle = self.env.now
-        self._epoch_recompute()
+        self._restart(execution)
         if resumed is not None:
             resumed.succeed()
 
@@ -927,7 +988,7 @@ class SimulatedGPU:
             return
         if execution.state is not ExecState.RUNNING:
             return
-        self._settle_all()
+        self._settle_now(execution)
         execution.state = ExecState.PAUSED
         self._epoch_recompute()
 
@@ -963,8 +1024,18 @@ class SimulatedGPU:
             return
         if execution.state is not ExecState.PAUSED:
             return
+        self._restart(execution)
+
+    def _restart(self, execution: KernelExecution) -> None:
+        """Run a paused or retreated execution again, from a fresh segment.
+
+        The segment has no rates until the next epoch derives them, so
+        that epoch always counts as a change, even when it re-derives the
+        rates the execution ran at before it stopped.
+        """
         execution.state = ExecState.RUNNING
         execution._last_settle = self.env.now
+        execution._rates = execution._seg_rates = _NO_RATES
         self._epoch_recompute()
 
     @property
@@ -1011,21 +1082,22 @@ class SimulatedGPU:
     def _epoch_recompute(self) -> None:
         """Recompute now, or defer to the end of the current timestep.
 
-        Inside the engine's event loop every mutation (launch, resize,
-        pause, resume, tail entry) *settles* progress immediately — counters
-        and ``blocks_done`` are always current — but the expensive part
-        (rate derivation + completion-timer rescheduling + trace sample) is
+        Inside the engine's event loop a mutation (launch, resize, pause,
+        resume, tail entry) only marks the epoch dirty; the recompute (rate
+        derivation, settling and re-arming what changed, trace sample) is
         batched into one :meth:`_flush_epoch` per device per timestep via
-        :meth:`Environment.at_timestep_end`.  Outside the loop (tests and
-        drivers mutating the device directly) the recompute stays immediate,
-        so direct-call semantics are unchanged.
+        :meth:`Environment.at_timestep_end`.  Marking settles nothing: a
+        pause or resize has settled its own execution, and the others'
+        segments run on at their rates until the flush says otherwise.
+        Outside the loop (tests and drivers mutating the device directly)
+        the recompute stays immediate, so direct-call semantics are
+        unchanged.
         """
         env = self.env
         if self._epoch_batch and env._processing:
             env.stats.epoch_marks += 1
             if not self._epoch_dirty:
                 self._epoch_dirty = True
-                self._settle_all()
                 env.at_timestep_end(self._flush_epoch)
             return
         self._recompute()
@@ -1047,13 +1119,24 @@ class SimulatedGPU:
         self._recompute()
 
     def _recompute(self) -> None:
-        """Settle progress and re-derive all rates (epoch boundary).
+        """Re-derive all rates (epoch boundary); touch only what changed.
 
         Every rate is a pure function of the active executions'
         allocation records (all other rate inputs are fixed at launch), so
-        the memo is probed with their interned signature ids.
+        the memo is probed with their interned signature ids.  Per active
+        execution, in this order:
+
+        * a pending change derived at an earlier instant took effect
+          there: settle the old segment up to it and open the new one;
+        * rates equal to the segment's (rate, throttle, DRAM bytes per
+          block) leave the execution alone, and drop a change pending
+          from this instant, whose timer yields to the segment's own;
+        * other rates become (or replace) the pending change, or, for a
+          segment opened at this instant, its rates at once (it holds no
+          progress, so no boundary can move); the completion timer is
+          armed from the progress projected to now, unless the live
+          timer, or the segment's own, already points at that instant.
         """
-        self._settle_all()
         env = self.env
         stats = env.stats
         stats.rate_recomputes += 1
@@ -1091,100 +1174,157 @@ class SimulatedGPU:
         now = env.now
         on_timer = self._on_timer
         call_later = env.call_later
-        # _schedule_completion, inlined over locals (same expressions).
+        gens = self._gens
         for k, r in zip(active, rates):
+            pending = k._pending_at
+            if pending is not None and pending != now:
+                self._settle(k, pending)
+                k._seg_rates = k._rates
+                k._pending_at = pending = None
+            seg = k._seg_rates
             k._rates = r
+            if r is seg or (
+                r.rate == seg.rate
+                and r.throttle == seg.throttle
+                and r.dram_bytes_per_block == seg.dram_bytes_per_block
+            ):
+                if pending is not None:
+                    self._drop_pending(k)
+                continue
+            num_blocks = k.work.num_blocks
+            done = k._done
+            since = k._last_settle
+            if since == now:
+                # The segment opened at this instant and holds no progress
+                # (a launch, a slice, a restart): it takes the rates at once.
+                k._seg_rates = r
+            else:
+                if pending is None:
+                    k._pending_at = now
+                    k._seg_gen = k._timer_gen
+                    k._seg_at = k._timer_at
+                # What a settle at now would give (see _settle), inlined:
+                # reading blocks_done here costs a call per changed rate.
+                progressed = seg.rate * (now - since)
+                remaining = num_blocks - done
+                if remaining < progressed:
+                    progressed = remaining if remaining > 0.0 else 0.0
+                done = done + progressed
             rate = r.rate
             if rate <= _EPS:
-                k._timer_gen += 1
+                k._timer_gen = 0
                 k._timer_at = None
                 continue
-            remaining = k.work.num_blocks - k.blocks_done
+            remaining = num_blocks - done
             delay = (remaining if remaining > 0.0 else 0.0) / rate
             at = now + delay
             if at == k._timer_at:
                 # The live timer already points at this exact instant.
                 continue
-            gen = k._timer_gen = k._timer_gen + 1
+            if at == k._seg_at:
+                # So does the segment's own timer: it is live again.
+                k._timer_gen = k._seg_gen
+                k._timer_at = at
+                continue
+            gen = k._timer_gen = next(gens)
             k._timer_at = at
             call_later(delay, on_timer, k, gen)
         log = self._rate_log
         if log is not None:
             log.append((now, active, rates))
 
-    def _settle_all(self) -> None:
-        now = self.env.now
-        if now == self._settled_at:
-            # Already settled at this instant: dt is zero for every kernel
-            # (kernels launched since initialise _last_settle to now), so a
-            # second pass would observe no progress.
+    def _drop_pending(self, k: KernelExecution) -> None:
+        """This instant gave back ``k``'s segment rates: no change happened.
+
+        The segment's own completion timer is live again; if it fired
+        meanwhile (stale, while the change held the live slot), it is
+        re-armed from the progress projected to now.
+        """
+        k._pending_at = None
+        if k._seg_at is None and k._seg_rates.rate > _EPS:
+            self._schedule_completion(k)
             return
-        self._settled_at = now
-        running = ExecState.RUNNING
-        for k in self._running.values():
-            if k.state is not running:
-                k._last_settle = now
-                continue
-            dt = now - k._last_settle
-            if dt <= 0:
-                continue
-            r = k._rates
-            num_blocks, flops, l2, instr, inj1, ldst, ldst_factor = k._alloc.settle
-            done = k.blocks_done
-            # min(rate * dt, blocks_remaining), the remainder floored at 0.
-            progressed = r.rate * dt
-            remaining = num_blocks - done
-            if remaining < progressed:
-                progressed = remaining if remaining > 0.0 else 0.0
-            k.blocks_done = done + progressed
-            c = k.counters
-            c.blocks_executed += progressed
-            c.flops += progressed * flops
-            c.bytes_l2 += progressed * l2
-            c.bytes_dram += progressed * r.dram_bytes_per_block
-            c.instructions += progressed * instr * inj1
-            c.ldst += progressed * ldst * ldst_factor
-            c.mem_throttle_time += dt * r.throttle
-            c.busy_time += dt
-            k._last_settle = now
+        k._timer_gen = k._seg_gen
+        k._timer_at = k._seg_at
+
+    def _settle(self, k: KernelExecution, t: float) -> None:
+        """Fold ``k``'s progress along its open segment up to ``t`` into
+        its settled blocks and counters; the segment then starts at ``t``.
+        """
+        dt = t - k._last_settle
+        if dt <= 0:
+            return
+        r = k._seg_rates
+        num_blocks, flops, l2, instr, inj1, ldst, ldst_factor = k._alloc.settle
+        done = k._done
+        # min(rate * dt, blocks_remaining), the remainder floored at 0.
+        progressed = r.rate * dt
+        remaining = num_blocks - done
+        if remaining < progressed:
+            progressed = remaining if remaining > 0.0 else 0.0
+        k._done = done + progressed
+        c = k.counters
+        c.blocks_executed += progressed
+        c.flops += progressed * flops
+        c.bytes_l2 += progressed * l2
+        c.bytes_dram += progressed * r.dram_bytes_per_block
+        c.instructions += progressed * instr * inj1
+        c.ldst += progressed * ldst * ldst_factor
+        c.mem_throttle_time += dt * r.throttle
+        c.busy_time += dt
+        k._last_settle = t
+
+    def _settle_now(self, k: KernelExecution) -> None:
+        """Settle running ``k`` to now, folding in its pending change."""
+        pending = k._pending_at
+        if pending is not None:
+            self._settle(k, pending)
+            k._seg_rates = k._rates
+            k._pending_at = None
+        self._settle(k, self.env.now)
 
     # -- completion machinery -------------------------------------------------
 
     def _schedule_completion(self, k: KernelExecution) -> None:
-        """(Re)arm ``k``'s completion timer for its current rate.
+        """Arm ``k``'s completion timer for its rate and projected remainder.
 
-        :meth:`_recompute`'s rate loop inlines these exact steps; keep the
-        two in step.
+        For a live timer that fired with work left (:meth:`_on_timer`)
+        and a dropped pending change whose segment timer already fired
+        (:meth:`_drop_pending`); :meth:`_recompute` arms the timers of
+        pending changes itself.  A new timer draws a new generation.
         """
         if k._rates.rate <= _EPS:
-            k._timer_gen += 1
+            k._timer_gen = 0
             k._timer_at = None
             return
         delay = k.blocks_remaining / k._rates.rate
         at = self.env.now + delay
         if at == k._timer_at:
-            # The live timer already points at this exact instant (the rate
-            # survived the epoch unchanged, progress settled consistently) —
-            # keep it and skip the cancel/alloc/heap-push cycle.
+            # The live timer already points at this exact instant: keep it
+            # and skip the alloc/heap-push cycle.
             return
-        k._timer_gen += 1
+        k._timer_gen = gen = next(self._gens)
         k._timer_at = at
-        self.env.call_later(delay, self._on_timer, k, k._timer_gen)
+        self.env.call_later(delay, self._on_timer, k, gen)
 
     def _on_timer(self, k: KernelExecution, gen: int) -> None:
         # A pending epoch means some mutation this timestep would have
-        # recomputed (and generation-bumped this timer) before it fired in
-        # the unbatched engine; flush first so stale timers die identically.
+        # recomputed (and superseded this timer) before it fired in the
+        # unbatched engine; flush first so stale timers die identically.
         if self._epoch_dirty:
             self._flush_epoch()
         if gen != k._timer_gen:
+            if gen == k._seg_gen and k._pending_at is not None:
+                # The segment's own timer, superseded by a pending change:
+                # spent, so dropping the change re-arms it.
+                k._seg_at = None
             return
         # This generation's timer is consumed either way below.
         k._timer_at = None
         if k.state is not ExecState.RUNNING:
             return
-        self._settle_all()
-        remaining = k.blocks_remaining
+        self._settle_now(k)
+        remaining = k.work.num_blocks - k._done
         if remaining > 1e-6:
             rate = k._rates.rate
             if rate <= _EPS or self.env.now + remaining / rate > self.env.now:
@@ -1201,7 +1341,7 @@ class SimulatedGPU:
         self._begin_tail(k)
 
     def _begin_tail(self, k: KernelExecution) -> None:
-        k.blocks_done = float(k.work.num_blocks)
+        k._done = float(k.work.num_blocks)
         k.state = ExecState.TAIL
         tail = k._alloc.tail(k._rates.block_time)
         # Tail entry is covered by the completion span's duration; the
@@ -1232,10 +1372,9 @@ class SimulatedGPU:
         k.state = ExecState.DONE
         k.counters.end_time = self.env.now
         self._running.pop(k.id, None)
-        # The execution left the active set at tail entry, whose epoch
-        # already gave its SMs and bandwidth to the survivors: settle, but
-        # no flush (it would re-derive nothing).
-        self._settle_all()
+        # The execution settled and left the active set at tail entry,
+        # whose epoch already gave its SMs and bandwidth to the survivors:
+        # nothing to settle, and no flush (it would re-derive nothing).
         if k._edge is not None:
             self._on_slice_done(k._edge)
             return

@@ -103,8 +103,10 @@ class EnvironmentStats:
         epoch flushes actually performed (see
         :meth:`Environment.at_timestep_end` and ``docs/api.md``); the ratio
         ``marks / flushes`` is the average epoch batch size.  A kernel's
-        finish is no mutation (it left the active set at its tail entry):
-        it settles progress but neither marks nor flushes.
+        finish is no mutation (it settled and left the active set at its
+        tail entry): it settles nothing and neither marks nor flushes.
+        A mark settles nothing either, and a flush settles only the
+        kernels whose rate it changed (lazy progress, ``docs/api.md``).
     rate_scalar_evals:
         Full rate derivations (:mod:`repro.gpu.rates` has one evaluator).
     rate_vector_evals:

@@ -325,10 +325,11 @@ class TestProfile:
 
     def test_retreat_row_counts_the_slice_edges(self):
         """retreat is the one battery experiment that slices: its profiled
-        row pins what the slice edges cost the engine."""
+        row pins what the slice edges cost the engine (an epoch re-arms a
+        completion timer only where it changed a rate)."""
         (run,) = runner.run_battery(["retreat"], jobs=1, profile=True)
         stats = run.stats
-        assert stats["events_processed"] == 14_000
+        assert stats["events_processed"] == 13_614
         assert stats["epoch_flushes"] == 7_066
         assert stats["slice_dispatches"] == 3_238
         assert stats["slice_preempts"] == 3

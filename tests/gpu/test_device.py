@@ -1,5 +1,7 @@
 """Tests for the epoch-fluid GPU executor."""
 
+import dataclasses
+import json
 import math
 
 import pytest
@@ -561,3 +563,95 @@ class TestTailStarted:
         # The process's own start and exit, and nothing else.
         assert env.stats.events_processed == 3 + 2
         assert entered[0] < finished
+
+
+class TestLazyProgress:
+    """An execution settles only when the rate it runs at changes."""
+
+    #: A compute-bound kernel whose rate no compute-bound co-runner on the
+    #: other half of the device changes.
+    STEADY = dict(num_blocks=4000, flops=3e6, time_cv=0.05)
+
+    @staticmethod
+    def _steady_beside_corunners(n_corunners):
+        """``a`` on SMs 0-14 while ``n_corunners`` compute-bound kernels of
+        different sizes run one after another on SMs 15-29."""
+        env, gpu = make_gpu()
+        a = gpu.launch(
+            compute_work("a", **TestLazyProgress.STEADY), sm_ids=gpu.sm_range(0, 14)
+        )
+        timer = (a._timer_gen, a._timer_at)
+        at_corunner_done = []
+
+        def next_corunner(i):
+            if i == n_corunners:
+                return
+            b = gpu.launch(
+                compute_work(f"b{i}", num_blocks=150 + 97 * i, flops=1e6 + 1.7e5 * i),
+                sm_ids=gpu.sm_range(15, 29),
+            )
+
+            def done(_event):
+                at_corunner_done.append((a._last_settle, (a._timer_gen, a._timer_at)))
+                next_corunner(i + 1)
+
+            b.done.callbacks.append(done)
+
+        next_corunner(0)
+        counters = env.run(until=a.done)
+        env.run()
+        return env, gpu, counters, timer, at_corunner_done
+
+    def test_steady_rate_keeps_its_segment_and_its_timer(self):
+        env, gpu, _, timer, at_corunner_done = self._steady_beside_corunners(6)
+        # Twelve co-runner epochs (each launch and each tail entry) derived
+        # one rate for ``a``, and all six co-runners finished first.
+        rates_of_a = {sample["a"] for _, sample in gpu.rate_trace if "a" in sample}
+        assert len(rates_of_a) == 1
+        assert len(at_corunner_done) == 6
+        # The segment opened at launch and the timer armed there both
+        # stood through every one of them ...
+        assert at_corunner_done == [(0.0, timer)] * 6
+        # ... so each kernel cost its completion timer, tail timer and
+        # ``done``, and nothing else (settling ``a`` and re-deriving its
+        # completion instant at every epoch would re-arm it: 26 events).
+        assert env.stats.events_processed == 3 * 7
+
+    def test_steady_rate_counters_equal_a_single_segment(self):
+        """Bit for bit.  Settling the steady rate at every co-runner epoch
+        sums one segment per epoch, which moves ``end_time``,
+        ``blocks_executed``, ``flops`` and ``busy_time`` by an ULP."""
+        *_, counters, _, _ = self._steady_beside_corunners(6)
+        env, gpu = make_gpu()
+        solo = gpu.launch(
+            compute_work("a", **self.STEADY), sm_ids=gpu.sm_range(0, 14)
+        )
+        alone = env.run(until=solo.done)
+        assert dataclasses.asdict(counters) == dataclasses.asdict(alone)
+
+    def test_progress_reads_at_every_epoch_change_nothing(self, monkeypatch):
+        """The sliced 4-wide golden scenario, with ``blocks_done`` and
+        ``blocks_remaining`` of every execution read before and after
+        every epoch, still matches its golden bit for bit."""
+        from tests.slate.difftrace import load_golden, sliced_nway4_counters
+
+        recompute = SimulatedGPU._recompute
+        reads = []
+
+        def read_all(gpu):
+            for k in list(gpu._running.values()):
+                for handle in (k,) if k._edge is None else (k, k._edge):
+                    done, left = handle.blocks_done, handle.blocks_remaining
+                    assert 0.0 <= done <= handle.work.num_blocks
+                    assert left == max(0.0, handle.work.num_blocks - done)
+                    reads.append(done)
+
+        def reading_recompute(gpu):
+            read_all(gpu)
+            recompute(gpu)
+            read_all(gpu)
+
+        monkeypatch.setattr(SimulatedGPU, "_recompute", reading_recompute)
+        record, sched = sliced_nway4_counters()
+        assert len(reads) > 4 * sched.env.stats.rate_recomputes
+        assert json.loads(json.dumps(record)) == load_golden("sliced_nway4_counters")

@@ -190,7 +190,8 @@ class TestSynchronize:
         decision timers, the device's completion and tail timers and
         ``done``, the ticket's ``done`` and the synchronize's pipe timer;
         a completion that leaves its partner on part of the device arms
-        one grace timer.
+        one grace timer.  A co-runner's arrival or exit re-arms a kernel's
+        completion timer only when it changes that kernel's rate.
         Nothing waits on ``tail_started``, so it takes no queue trip, and
         synchronize waits on its one ticket without an ``all_of``."""
         env = Environment()
@@ -210,7 +211,7 @@ class TestSynchronize:
         sched = rt.scheduler
         assert (sched.solo_launches, sched.corun_launches) == (5, 15)
         assert env.now == 0.043344996188956736
-        assert env.stats.events_processed == 179
+        assert env.stats.events_processed == 174
 
 
 class TestLaunchValidation:
