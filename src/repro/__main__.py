@@ -65,21 +65,16 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.config import CostModel, TITAN_XP
-    from repro.gpu.device import ExecutionMode, SimulatedGPU
+    from repro.gpu.device import SLATE_INJECT_FRAC, ExecutionMode, run_kernels
     from repro.kernels.registry import by_name
     from repro.metrics.counters import collect
-    from repro.sim import Environment
     from repro.slate.profiler import profile_from_counters
 
     spec = by_name(args.benchmark)
     mode = ExecutionMode.SLATE if args.slate else ExecutionMode.HARDWARE
-    env = Environment()
-    gpu = SimulatedGPU(env, TITAN_XP, CostModel())
-    kwargs = {"task_size": args.task_size, "inject_frac": 0.03} if args.slate else {}
+    kwargs = {"task_size": args.task_size, "inject_frac": SLATE_INJECT_FRAC} if args.slate else {}
     counters = [
-        env.run(until=gpu.launch(spec.work(), mode=mode, **kwargs).done)
-        for _ in range(args.launches)
+        run_kernels([spec.work()], mode=mode, **kwargs)[0] for _ in range(args.launches)
     ]
     print(collect(counters).format())
     profile = profile_from_counters(counters[0])
@@ -244,13 +239,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _obs_scrape(socket_path: str, recent: int | None = None) -> dict | None:
-    """Session-less ``metrics`` scrape of a live daemon (None on failure)."""
-    from repro.serve.loadgen import fetch_server_metrics
-
-    return fetch_server_metrics(socket_path, recent=recent)
-
-
 def _cmd_obs(args: argparse.Namespace) -> int:
     if args.obs_command == "dump":
         recent = getattr(args, "recent", None)
@@ -261,7 +249,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                 return 2
             return _cmd_obs_dump_recent(args, recent)
         if args.socket:
-            scrape = _obs_scrape(args.socket)
+            from repro.serve.loadgen import fetch_server_metrics
+
+            scrape = fetch_server_metrics(args.socket)
             if scrape is None:
                 print(f"could not scrape {args.socket}", file=sys.stderr)
                 return 1
@@ -295,9 +285,10 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 def _cmd_obs_dump_recent(args: argparse.Namespace, recent: int) -> int:
     """Dump a daemon's recent trace events as Perfetto JSON."""
     from repro.obs.export import decode_events, write_chrome_trace
+    from repro.serve.loadgen import fetch_server_metrics
 
     out = args.out or "flight-recent.json"
-    scrape = _obs_scrape(args.socket, recent=recent)
+    scrape = fetch_server_metrics(args.socket, recent=recent)
     if scrape is None:
         print(f"could not scrape {args.socket}", file=sys.stderr)
         return 1
@@ -316,7 +307,9 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
     from repro.obs.registry import registry
 
     if args.socket:
-        scrape = _obs_scrape(args.socket)
+        from repro.serve.loadgen import fetch_server_metrics
+
+        scrape = fetch_server_metrics(args.socket)
         if scrape is None:
             print(f"could not scrape {args.socket}", file=sys.stderr)
             return 1
@@ -347,6 +340,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
+    from repro.gpu.device import DEFAULT_TASK_SIZE
     from repro.kernels.registry import by_name
     from repro.slate.tuning import auto_task_size
 
@@ -357,8 +351,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         marker = "  <-- best" if size == choice.task_size else ""
         print(f"  {size:4}  {t * 1e3:8.3f} ms{marker}")
     print(
-        f"tuned size {choice.task_size} is {choice.improvement_over(10):+.1%} "
-        "vs the paper's fixed 10"
+        f"tuned size {choice.task_size} is {choice.improvement_over(DEFAULT_TASK_SIZE):+.1%} "
+        f"vs the paper's fixed {DEFAULT_TASK_SIZE}"
     )
     return 0
 

@@ -17,16 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import CostModel, DeviceConfig, TITAN_XP
+from repro.config import DeviceConfig, TITAN_XP
 from repro.gpu.cache import ORDER_FACTORS
-from repro.gpu.device import ExecutionMode, SimulatedGPU
+from repro.gpu.device import DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC, ExecutionMode, run_kernels
 from repro.kernels.gaussian import gaussian
 from repro.kernels.registry import SHORT_NAMES
 from repro.metrics.report import format_table
-from repro.sim import Environment
 from repro.slate.classify import IntensityClass as C
 from repro.slate.policy import PolicyTable
-from repro.slate.scheduler import DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC
 from repro.workloads.harness import pair_antt, solo_times
 from repro.workloads.pairings import all_pairings, pairing_label
 
@@ -167,16 +165,14 @@ def run_locality_ablation(device: DeviceConfig = TITAN_XP) -> LocalityAblation:
     spec = gaussian()
     results = {}
     for label, order in (("in_order", ORDER_FACTORS["slate"]), ("scattered", ORDER_FACTORS["hardware"])):
-        env = Environment()
-        gpu = SimulatedGPU(env, device, CostModel())
-        handle = gpu.launch(
-            spec.work(),
+        (results[label],) = run_kernels(
+            [spec.work()],
+            device=device,
             mode=ExecutionMode.SLATE,
             task_size=DEFAULT_TASK_SIZE,
             inject_frac=SLATE_INJECT_FRAC,
             order_factor=order,
         )
-        results[label] = env.run(until=handle.done)
     return LocalityAblation(
         in_order_time=results["in_order"].elapsed,
         scattered_time=results["scattered"].elapsed,
@@ -255,7 +251,6 @@ def run_task_size_ablation(device: DeviceConfig = TITAN_XP) -> TaskSizeAblation:
     """Fixed SLATE_ITERS=10 vs the per-kernel auto-tuner, solo kernels."""
     from repro.kernels.registry import BENCHMARKS
     from repro.slate.tuning import auto_task_size
-    from repro.gpu.device import SimulatedGPU
 
     rows: dict[str, dict[str, float]] = {}
     for name, factory in BENCHMARKS.items():
@@ -263,15 +258,14 @@ def run_task_size_ablation(device: DeviceConfig = TITAN_XP) -> TaskSizeAblation:
         choice = auto_task_size(spec, device=device)
         times = {}
         for label, size in (("default", DEFAULT_TASK_SIZE), ("auto", choice.task_size)):
-            env = Environment()
-            gpu = SimulatedGPU(env, device, CostModel())
-            handle = gpu.launch(
-                spec.work(),
+            (counters,) = run_kernels(
+                [spec.work()],
+                device=device,
                 mode=ExecutionMode.SLATE,
                 task_size=size,
                 inject_frac=SLATE_INJECT_FRAC,
             )
-            times[label] = env.run(until=handle.done).elapsed
+            times[label] = counters.elapsed
         rows[name] = {**times, "size": float(choice.task_size)}
     return TaskSizeAblation(rows=rows)
 

@@ -9,11 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.config import CostModel, DeviceConfig, TITAN_XP
-from repro.gpu.device import ExecutionMode, SimulatedGPU
+from repro.config import DeviceConfig, TITAN_XP
+from repro.gpu.device import ExecutionMode, run_kernels
 from repro.kernels.stream import stream
 from repro.metrics.report import format_table
-from repro.sim import Environment
 
 __all__ = ["Fig1Result", "run", "format_result", "knee_point"]
 
@@ -50,11 +49,8 @@ def run(
         sm_counts = tuple(range(1, device.num_sms + 1))
     points = []
     for n in sm_counts:
-        env = Environment()
-        gpu = SimulatedGPU(env, device, CostModel())
         spec = stream(total_bytes=total_bytes)
-        handle = gpu.launch(spec.work(), sm_ids=range(n), mode=ExecutionMode.HARDWARE)
-        counters = env.run(until=handle.done)
+        (counters,) = run_kernels([spec.work()], (range(n),), device, mode=ExecutionMode.HARDWARE)
         points.append((n, counters.l2_throughput))
     return Fig1Result(points=tuple(points), device=device)
 

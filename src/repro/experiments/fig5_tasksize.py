@@ -10,12 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.config import CostModel, DeviceConfig, TITAN_XP
-from repro.gpu.device import ExecutionMode, SimulatedGPU
+from repro.config import DeviceConfig, TITAN_XP
+from repro.gpu.device import SLATE_INJECT_FRAC, ExecutionMode, run_kernels
 from repro.kernels.registry import by_name
 from repro.metrics.report import format_table
-from repro.sim import Environment
-from repro.slate.scheduler import SLATE_INJECT_FRAC
 
 __all__ = ["Fig5Result", "DEFAULT_TASK_SIZES", "run", "format_result"]
 
@@ -45,15 +43,14 @@ def run(
         spec = by_name(name)
         series[name] = {}
         for s in task_sizes:
-            env = Environment()
-            gpu = SimulatedGPU(env, device, CostModel())
-            handle = gpu.launch(
-                spec.work(),
+            (counters,) = run_kernels(
+                [spec.work()],
+                device=device,
                 mode=ExecutionMode.SLATE,
                 task_size=s,
                 inject_frac=SLATE_INJECT_FRAC,
             )
-            series[name][s] = env.run(until=handle.done).elapsed
+            series[name][s] = counters.elapsed
     return Fig5Result(series=series)
 
 

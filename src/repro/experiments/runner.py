@@ -3,9 +3,10 @@
 ``python -m repro experiments`` reproduces every table and figure and
 prints paper-vs-measured summaries (the source for EXPERIMENTS.md).
 
-Each experiment builds its own :class:`~repro.sim.Environment`, so the
-battery is embarrassingly parallel: ``--jobs N`` shards the experiment
-table across a :class:`~concurrent.futures.ProcessPoolExecutor`.  Results
+Each experiment simulates on environments of its own (kernel-level runs
+through :func:`repro.gpu.device.run_kernels`), so the battery is
+embarrassingly parallel: ``--jobs N`` shards the experiment table across
+a :class:`~concurrent.futures.ProcessPoolExecutor`.  Results
 are reported in table order regardless of completion order and every
 emitted number is bit-identical to the serial path (the simulations are
 deterministic and workers return the same picklable result objects).

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.config import CostModel, DeviceConfig, TITAN_XP
-from repro.gpu.device import ExecutionMode, SimulatedGPU
+from repro.gpu.device import DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC, ExecutionMode, run_kernels
 from repro.kernels.blackscholes import blackscholes
 from repro.kernels.quasirandom import quasirandom
 from repro.kernels.kernel import KernelSpec
 from repro.metrics.report import format_table
-from repro.sim import Environment
-from repro.slate.scheduler import DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC
+from repro.slate.profiler import offline_profile
 
 __all__ = ["SweepPoint", "SweepResult", "run", "format_result"]
 
@@ -57,18 +56,6 @@ class SweepResult:
         raise KeyError(primary_sms)
 
 
-def _solo(spec: KernelSpec, device: DeviceConfig, costs: CostModel) -> float:
-    env = Environment()
-    gpu = SimulatedGPU(env, device, costs)
-    handle = gpu.launch(
-        spec.work(),
-        mode=ExecutionMode.SLATE,
-        task_size=DEFAULT_TASK_SIZE,
-        inject_frac=SLATE_INJECT_FRAC,
-    )
-    return env.run(until=handle.done).elapsed
-
-
 def _point(
     primary: KernelSpec,
     secondary: KernelSpec,
@@ -76,21 +63,16 @@ def _point(
     device: DeviceConfig,
     costs: CostModel,
 ) -> SweepPoint:
-    env = Environment()
-    gpu = SimulatedGPU(env, device, costs)
-    kwargs = dict(
+    p, s = run_kernels(
+        [primary.work(), secondary.work()],
+        (range(n), range(n, device.num_sms)),
+        device,
+        costs,
         mode=ExecutionMode.SLATE,
         task_size=DEFAULT_TASK_SIZE,
         inject_frac=SLATE_INJECT_FRAC,
     )
-    hp = gpu.launch(primary.work(), sm_ids=range(n), **kwargs)
-    hs = gpu.launch(secondary.work(), sm_ids=range(n, device.num_sms), **kwargs)
-    env.run(until=hp.done & hs.done)
-    return SweepPoint(
-        primary_sms=n,
-        time_primary=hp.counters.elapsed,
-        time_secondary=hs.counters.elapsed,
-    )
+    return SweepPoint(primary_sms=n, time_primary=p.elapsed, time_secondary=s.elapsed)
 
 
 def run(
@@ -109,8 +91,8 @@ def run(
     points = [_point(primary, secondary, n, device, costs) for n in shares]
     return SweepResult(
         points=tuple(points),
-        solo_primary=_solo(primary, device, costs),
-        solo_secondary=_solo(secondary, device, costs),
+        solo_primary=offline_profile(primary, device, costs).elapsed,
+        solo_secondary=offline_profile(secondary, device, costs).elapsed,
     )
 
 

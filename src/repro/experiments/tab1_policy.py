@@ -18,17 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import CostModel, DeviceConfig, TITAN_XP
-from repro.gpu.device import ExecutionMode, SimulatedGPU
+from repro.config import DeviceConfig, TITAN_XP
+from repro.gpu.device import DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC, ExecutionMode, run_kernels
 from repro.kernels.kernel import KernelSpec
 from repro.kernels.synthetic import synthetic
 from repro.metrics.report import format_table
-from repro.sim import Environment
 from repro.slate.classify import IntensityClass as C
 from repro.slate.partition import choose_partition
 from repro.slate.policy import DEFAULT_POLICY
 from repro.slate.profiler import offline_profile
-from repro.slate.scheduler import DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC
 
 __all__ = ["Tab1Result", "class_representatives", "run", "format_result"]
 
@@ -80,38 +78,6 @@ class Tab1Result:
         return agree / len(keys)
 
 
-def _solo_time(spec: KernelSpec, device: DeviceConfig) -> float:
-    env = Environment()
-    gpu = SimulatedGPU(env, device, CostModel())
-    handle = gpu.launch(
-        spec.work(),
-        mode=ExecutionMode.SLATE,
-        task_size=DEFAULT_TASK_SIZE,
-        inject_frac=SLATE_INJECT_FRAC,
-    )
-    return env.run(until=handle.done).elapsed
-
-
-def _corun_once(
-    spec_a: KernelSpec,
-    spec_b: KernelSpec,
-    sms_a,
-    sms_b,
-    device: DeviceConfig,
-) -> tuple[float, float]:
-    env = Environment()
-    gpu = SimulatedGPU(env, device, CostModel())
-    kwargs = dict(
-        mode=ExecutionMode.SLATE,
-        task_size=DEFAULT_TASK_SIZE,
-        inject_frac=SLATE_INJECT_FRAC,
-    )
-    ha = gpu.launch(spec_a.work(), sm_ids=sms_a, **kwargs)
-    hb = gpu.launch(spec_b.work(), sm_ids=sms_b, **kwargs)
-    env.run(until=ha.done & hb.done)
-    return ha.counters.elapsed, hb.counters.elapsed
-
-
 def _corun_times(
     spec_a: KernelSpec, spec_b: KernelSpec, device: DeviceConfig
 ) -> tuple[float, float]:
@@ -131,10 +97,17 @@ def _corun_times(
         (tuple(range(half)), tuple(range(half, device.num_sms))),
     ]
     best = None
-    for ca, cb in candidates:
-        ta, tb = _corun_once(spec_a, spec_b, ca, cb, device)
-        if best is None or max(ta, tb) < max(best):
-            best = (ta, tb)
+    for sm_sets in candidates:
+        a, b = run_kernels(
+            [spec_a.work(), spec_b.work()],
+            sm_sets,
+            device,
+            mode=ExecutionMode.SLATE,
+            task_size=DEFAULT_TASK_SIZE,
+            inject_frac=SLATE_INJECT_FRAC,
+        )
+        if best is None or max(a.elapsed, b.elapsed) < max(best):
+            best = (a.elapsed, b.elapsed)
     return best
 
 
@@ -145,10 +118,9 @@ def run(device: DeviceConfig = TITAN_XP, margin: float = 0.05) -> Tab1Result:
     beneficial (ties favour solo, which has no scheduling risk).
     """
     reps = class_representatives()
-    realized = {
-        cls: offline_profile(spec, device).intensity for cls, spec in reps.items()
-    }
-    solo = {cls: _solo_time(spec, device) for cls, spec in reps.items()}
+    profiles = {cls: offline_profile(spec, device) for cls, spec in reps.items()}
+    realized = {cls: profile.intensity for cls, profile in profiles.items()}
+    solo = {cls: profile.elapsed for cls, profile in profiles.items()}
     measured: dict[tuple[C, C], str] = {}
     ratios: dict[tuple[C, C], float] = {}
     for active in CLASS_ORDER:

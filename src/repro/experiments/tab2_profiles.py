@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import CostModel, DeviceConfig, TITAN_XP
-from repro.gpu.device import ExecutionMode, SimulatedGPU
+from repro.config import DeviceConfig, TITAN_XP
+from repro.gpu.device import ExecutionMode, run_kernels
 from repro.kernels.registry import BENCHMARKS, SHORT_NAMES
 from repro.metrics.report import format_table
-from repro.sim import Environment
 from repro.slate.classify import classify, classify_levels
 
 __all__ = ["ProfileRow", "Tab2Result", "PAPER_TABLE_II", "run", "format_result"]
@@ -53,10 +52,7 @@ def run(device: DeviceConfig = TITAN_XP) -> Tab2Result:
     rows = []
     for name in SHORT_NAMES:
         spec = BENCHMARKS[name]()
-        env = Environment()
-        gpu = SimulatedGPU(env, device, CostModel())
-        handle = gpu.launch(spec.work(), mode=ExecutionMode.HARDWARE)
-        counters = env.run(until=handle.done)
+        (counters,) = run_kernels([spec.work()], device=device, mode=ExecutionMode.HARDWARE)
         compute, memory = classify_levels(counters.gflops, counters.l2_throughput, device)
         rows.append(
             ProfileRow(

@@ -8,12 +8,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import CostModel, DeviceConfig, TITAN_XP
-from repro.gpu.device import ExecutionMode, KernelCounters, SimulatedGPU
+from repro.config import DeviceConfig, TITAN_XP
+from repro.gpu.device import (
+    DEFAULT_TASK_SIZE,
+    SLATE_INJECT_FRAC,
+    ExecutionMode,
+    KernelCounters,
+    run_kernels,
+)
 from repro.kernels.gaussian import gaussian
 from repro.metrics.report import format_table
-from repro.sim import Environment
-from repro.slate.scheduler import DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC
 
 __all__ = ["Tab3Result", "PAPER_TABLE_III", "run", "format_result", "device_ipc"]
 
@@ -68,10 +72,7 @@ def run(device: DeviceConfig = TITAN_XP) -> Tab3Result:
             {"task_size": DEFAULT_TASK_SIZE, "inject_frac": SLATE_INJECT_FRAC},
         ),
     ):
-        env = Environment()
-        gpu = SimulatedGPU(env, device, CostModel())
-        handle = gpu.launch(spec.work(), mode=mode, **kwargs)
-        results[mode] = env.run(until=handle.done)
+        (results[mode],) = run_kernels([spec.work()], device=device, mode=mode, **kwargs)
     return Tab3Result(
         cuda=results[ExecutionMode.HARDWARE],
         slate=results[ExecutionMode.SLATE],

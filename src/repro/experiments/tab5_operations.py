@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import CostModel, DeviceConfig, TITAN_XP
-from repro.gpu.device import ExecutionMode, SimulatedGPU
+from repro.gpu.device import DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC, ExecutionMode, run_kernels
+from repro.gpu.rates import SchedulingMode, rate_input
 from repro.kernels.blackscholes import blackscholes
 from repro.kernels.gaussian import gaussian
 from repro.metrics.report import format_table
-from repro.sim import Environment
 from repro.slate.profiler import offline_profile
-from repro.slate.scheduler import DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC
 from repro.workloads.harness import app_for, run_solo
 
 __all__ = ["Tab5Result", "run", "format_result"]
@@ -42,58 +41,35 @@ class Tab5Result:
     comm_frac: float
     compile_frac: float
 
-    def row(self, operation: str) -> OperationRow:
-        for r in self.rows:
-            if r.operation == operation:
-                return r
-        raise KeyError(operation)
-
 
 def run(device: DeviceConfig = TITAN_XP) -> Tab5Result:
     costs = CostModel()
 
     # -- inside kernel execution: injected instructions (BS, §V-D1) ------
-    bs = blackscholes()
-    env = Environment()
-    gpu = SimulatedGPU(env, device, costs)
-    plain = env.run(until=gpu.launch(bs.work(), mode=ExecutionMode.SLATE,
-                                     task_size=DEFAULT_TASK_SIZE).done)
-    env = Environment()
-    gpu = SimulatedGPU(env, device, costs)
-    injected = env.run(
-        until=gpu.launch(
-            bs.work(),
-            mode=ExecutionMode.SLATE,
-            task_size=DEFAULT_TASK_SIZE,
-            inject_frac=SLATE_INJECT_FRAC,
-        ).done
-    )
+    bs = [blackscholes().work()]
+    slate = dict(device=device, costs=costs, mode=ExecutionMode.SLATE, task_size=DEFAULT_TASK_SIZE)
+    (plain,) = run_kernels(bs, **slate)
+    (injected,) = run_kernels(bs, **slate, inject_frac=SLATE_INJECT_FRAC)
     instr_frac = injected.instructions / plain.instructions - 1.0
 
     # -- inside kernel execution: atomic ops on the task queue (GS) ------
+    # GS's offline profile is its solo Slate run (and the offline row's).
     gs = gaussian()
     work = gs.work()
+    profile = offline_profile(gs, device, costs)
     n_tasks = -(-work.num_blocks // DEFAULT_TASK_SIZE)
-    env = Environment()
-    gpu = SimulatedGPU(env, device, costs)
-    gs_run = env.run(
-        until=gpu.launch(
-            work, mode=ExecutionMode.SLATE, task_size=DEFAULT_TASK_SIZE,
-            inject_frac=SLATE_INJECT_FRAC,
-        ).done
-    )
-    # Per-worker pull time amortized over the run (the §III-A3 cost).
-    occ_workers = 240  # 256-thread blocks on 30 SMs
-    atomic_time = n_tasks * costs.atomic_latency / occ_workers
-    atomic_frac = atomic_time / gs_run.elapsed
+    # Per-worker pull time amortized over the run (the §III-A3 cost),
+    # over the workers the device runs GS with.
+    workers = rate_input(
+        work, device.num_sms, device, SchedulingMode.SLATE, DEFAULT_TASK_SIZE
+    ).parallelism
+    atomic_time = n_tasks * costs.atomic_latency / workers
+    atomic_frac = atomic_time / profile.elapsed
 
     # -- outside kernel execution: comm + injection/compilation ----------
     app_result, _ = run_solo("Slate", app_for("GS"), device=device)
     comm_frac = app_result.comm_time / app_result.app_time
     compile_frac = app_result.compile_time / app_result.app_time
-
-    # -- offline: first-run profiling ------------------------------------
-    profile = offline_profile(gs, device)
 
     rows = (
         OperationRow(

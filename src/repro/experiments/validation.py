@@ -16,10 +16,9 @@ import numpy as np
 
 from repro.config import CostModel, DeviceConfig, TITAN_XP
 from repro.gpu.detailed import run_detailed, run_detailed_corun
-from repro.gpu.device import ExecutionMode, KernelWork, SimulatedGPU
+from repro.gpu.device import DEFAULT_TASK_SIZE, ExecutionMode, KernelWork, run_kernels
 from repro.gpu.occupancy import BlockResources
 from repro.metrics.report import format_table
-from repro.sim import Environment
 
 __all__ = ["ValidationResult", "run", "format_result"]
 
@@ -73,29 +72,6 @@ def _random_work(rng: np.random.Generator, idx: int) -> KernelWork:
     )
 
 
-def _fluid_solo(work, mode, task_size, sm_count, device, costs) -> float:
-    env = Environment()
-    gpu = SimulatedGPU(env, device, costs)
-    handle = gpu.launch(
-        work, sm_ids=range(sm_count), mode=mode, task_size=task_size
-    )
-    return env.run(until=handle.done).elapsed
-
-
-def _fluid_corun(work_a, work_b, sms_a, task_size, device, costs):
-    env = Environment()
-    gpu = SimulatedGPU(env, device, costs)
-    ha = gpu.launch(work_a, sm_ids=range(sms_a), mode=ExecutionMode.SLATE, task_size=task_size)
-    hb = gpu.launch(
-        work_b,
-        sm_ids=range(sms_a, device.num_sms),
-        mode=ExecutionMode.SLATE,
-        task_size=task_size,
-    )
-    env.run(until=ha.done & hb.done)
-    return ha.counters.elapsed, hb.counters.elapsed
-
-
 def run(
     n_solo: int = 20,
     n_corun: int = 6,
@@ -111,14 +87,16 @@ def run(
         mode = ExecutionMode.SLATE if i % 2 else ExecutionMode.HARDWARE
         task_size = int(rng.choice([1, 5, 10, 25])) if mode is ExecutionMode.SLATE else 1
         sm_count = int(rng.choice([5, 10, 15, 30]))
-        fluid = _fluid_solo(work, mode, task_size, sm_count, device, costs)
+        (fluid,) = run_kernels(
+            [work], (range(sm_count),), device, costs, mode=mode, task_size=task_size
+        )
         detailed = run_detailed(
             work, device, costs, mode=mode, task_size=task_size, sm_count=sm_count, seed=i
         ).elapsed
         solo.append(
             Sample(
                 label=f"solo/{mode.value}/s{task_size}/sm{sm_count}",
-                fluid=fluid,
+                fluid=fluid.elapsed,
                 detailed=detailed,
             )
         )
@@ -128,14 +106,21 @@ def run(
         work_a = _random_work(rng, 100 + i)
         work_b = _random_work(rng, 200 + i)
         sms_a = int(rng.integers(5, device.num_sms - 5))
-        fa, fb = _fluid_corun(work_a, work_b, sms_a, 10, device, costs)
+        fa, fb = run_kernels(
+            [work_a, work_b],
+            (range(sms_a), range(sms_a, device.num_sms)),
+            device,
+            costs,
+            mode=ExecutionMode.SLATE,
+            task_size=DEFAULT_TASK_SIZE,
+        )
         da, db = run_detailed_corun(
             work_a, work_b, sms_a, device.num_sms - sms_a, device, costs, seed=i
         )
-        corun.append(Sample(label=f"corun/a/sm{sms_a}", fluid=fa, detailed=da.elapsed))
+        corun.append(Sample(label=f"corun/a/sm{sms_a}", fluid=fa.elapsed, detailed=da.elapsed))
         corun.append(
             Sample(
-                label=f"corun/b/sm{device.num_sms - sms_a}", fluid=fb, detailed=db.elapsed
+                label=f"corun/b/sm{device.num_sms - sms_a}", fluid=fb.elapsed, detailed=db.elapsed
             )
         )
     return ValidationResult(solo_samples=tuple(solo), corun_samples=tuple(corun))

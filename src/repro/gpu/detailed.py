@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.config import CostModel, DeviceConfig, TITAN_XP
 from repro.gpu.cache import ORDER_FACTORS, dram_fraction
-from repro.gpu.device import ExecutionMode, KernelWork
+from repro.gpu.device import DEFAULT_TASK_SIZE, ExecutionMode, KernelWork
 from repro.gpu.occupancy import occupancy
 
 __all__ = [
@@ -182,7 +182,7 @@ def run_detailed_sliced(
     slice_blocks: int,
     device: DeviceConfig = TITAN_XP,
     costs: CostModel = CostModel(),
-    task_size: int = 10,
+    task_size: int = DEFAULT_TASK_SIZE,
     sm_count: int | None = None,
     seed: int = 0,
 ) -> DetailedResult:
@@ -233,7 +233,7 @@ def run_detailed_corun(
     sms_b: int,
     device: DeviceConfig = TITAN_XP,
     costs: CostModel = CostModel(),
-    task_size: int = 10,
+    task_size: int = DEFAULT_TASK_SIZE,
     seed: int = 0,
 ) -> tuple[DetailedResult, DetailedResult]:
     """Per-block co-run of two Slate kernels on disjoint SM partitions.

@@ -115,6 +115,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.slate.slicing import KernelSlice
 
 __all__ = [
+    "DEFAULT_TASK_SIZE",
+    "SLATE_INJECT_FRAC",
     "ExecState",
     "ExecutionMode",
     "KernelWork",
@@ -122,6 +124,7 @@ __all__ = [
     "KernelExecution",
     "SlicedExecution",
     "SimulatedGPU",
+    "run_kernels",
 ]
 
 _EPS = 1e-12
@@ -407,11 +410,6 @@ class KernelExecution:
     @property
     def blocks_per_sm(self) -> int:
         return self._alloc.inp.blocks_per_sm
-
-    @property
-    def resident(self) -> int:
-        """Concurrently resident blocks (Slate: persistent worker count)."""
-        return self._alloc.inp.blocks_per_sm * self.num_sms
 
     @property
     def parallelism(self) -> int:
@@ -1379,3 +1377,34 @@ class SimulatedGPU:
             self._on_slice_done(k._edge)
             return
         k.done.succeed(k.counters)
+
+
+#: The paper's default task size ("We set the default task size as 10
+#: blocks", §V-B).
+DEFAULT_TASK_SIZE = 10
+
+#: Injected-instruction overhead: "about 4 million or 3% more instructions"
+#: for BlackScholes (§V-D1).
+SLATE_INJECT_FRAC = 0.03
+
+
+def run_kernels(
+    works: Sequence[KernelWork],
+    sm_sets: Sequence[Optional[Sequence[int]]] = (None,),
+    device: DeviceConfig = TITAN_XP,
+    costs: CostModel = CostModel(),
+    **launch,
+) -> list[KernelCounters]:
+    """Run ``works`` as one static co-run on a fresh device; their counters.
+
+    ``works[i]`` is launched on ``sm_sets[i]`` (None: every SM) in order,
+    with the :meth:`SimulatedGPU.launch` keywords ``launch``, and the run
+    lasts until every kernel drains.  One work on the default ``(None,)``
+    is the solo run; the launch order is the device's active-set order.
+    """
+    env = Environment()
+    gpu = SimulatedGPU(env, device, costs)
+    handles = [gpu.launch(w, sm_ids=sms, **launch) for w, sms in zip(works, sm_sets, strict=True)]
+    # One kernel waits on its own ``done``: an ``all_of`` costs an event.
+    env.run(until=handles[0].done if len(handles) == 1 else env.all_of(h.done for h in handles))
+    return [h.counters for h in handles]

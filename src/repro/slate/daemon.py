@@ -19,14 +19,14 @@ from repro.config import CostModel, DeviceConfig, HostConfig, TITAN_XP
 from repro.cuda.context import CudaContext
 from repro.cuda.memory_manager import DeviceMemoryManager, DevicePointer
 from repro.cuda.module import NvrtcCompiler
-from repro.gpu.device import SimulatedGPU
+from repro.gpu.device import DEFAULT_TASK_SIZE, SimulatedGPU
 from repro.gpu.pcie import PcieLink
 from repro.kernels.kernel import KernelSpec
 from repro.obs import trace as obs_trace
 from repro.obs.registry import registry as obs_registry
 from repro.slate.ipc import NamedPipe, SharedBufferChannel
 from repro.slate.profiler import ProfileTable, offline_profile
-from repro.slate.scheduler import DEFAULT_TASK_SIZE, SlateScheduler, SlateTicket
+from repro.slate.scheduler import SlateScheduler, SlateTicket
 from repro.slate.source import KernelSource, inject, scan_kernels
 from repro.sim import Environment
 

@@ -24,10 +24,10 @@ from functools import lru_cache
 
 from repro.config import CostModel, DeviceConfig, TITAN_XP
 from repro.gpu.cache import ORDER_FACTORS
+from repro.gpu.device import DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC
 from repro.gpu.rates import RateInput, SchedulingMode, derive_rates, rate_input
 from repro.kernels.kernel import KernelSpec
 from repro.slate.partition import MIN_SHARE, Partition
-from repro.slate.scheduler import DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC
 
 __all__ = ["PredictedSplit", "predict_corun_rates", "choose_partition_predictive"]
 

@@ -18,10 +18,15 @@ from typing import Hashable, Optional
 
 from repro.cache import JsonCache
 from repro.config import CostModel, DeviceConfig, TITAN_XP
-from repro.gpu.device import ExecutionMode, KernelCounters, SimulatedGPU
+from repro.gpu.device import (
+    DEFAULT_TASK_SIZE,
+    SLATE_INJECT_FRAC,
+    ExecutionMode,
+    KernelCounters,
+    run_kernels,
+)
 from repro.kernels.kernel import KernelSpec
 from repro.slate.classify import IntensityClass, classify
-from repro.sim import Environment
 
 __all__ = [
     "KernelProfile",
@@ -204,17 +209,18 @@ def offline_profile(
     spec: KernelSpec,
     device: DeviceConfig = TITAN_XP,
     costs: CostModel = CostModel(),
-    task_size: int = 10,
+    task_size: int = DEFAULT_TASK_SIZE,
     basis: str = "device",
     cache: Optional[ProfileCache] = None,
 ) -> KernelProfile:
     """Profile ``spec`` by a solo Slate-scheduled run on a private device.
 
     This is the paper's "offline profiling" path: a dedicated simulation
-    runs the kernel alone on all SMs and records its counters.  The
-    simulation is deterministic, so its result is cached on disk (keyed by
-    the kernel/device/cost-model fingerprint) and reused across runs;
-    pass ``cache`` to use a specific :class:`ProfileCache`, or set
+    runs the kernel alone on all SMs and records its counters, so
+    ``elapsed`` is the kernel's solo Slate time.  The simulation is
+    deterministic, so its result is cached on disk (keyed by the
+    kernel/device/cost-model fingerprint) and reused across runs; pass
+    ``cache`` to use a specific :class:`ProfileCache`, or set
     ``REPRO_NO_CACHE=1`` to always re-simulate.
     """
     if cache is None:
@@ -223,12 +229,14 @@ def offline_profile(
     if cached is not None:
         return cached
     PROFILE_SIMULATIONS.value += 1
-    env = Environment()
-    gpu = SimulatedGPU(env, device, costs)
-    handle = gpu.launch(
-        spec.work(), mode=ExecutionMode.SLATE, task_size=task_size, inject_frac=0.03
+    (counters,) = run_kernels(
+        [spec.work()],
+        device=device,
+        costs=costs,
+        mode=ExecutionMode.SLATE,
+        task_size=task_size,
+        inject_frac=SLATE_INJECT_FRAC,
     )
-    counters = env.run(until=handle.done)
     profile = profile_from_counters(counters, device, basis=basis)
     cache.put(profile, spec, device, costs, task_size, basis)
     return profile

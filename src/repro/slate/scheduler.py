@@ -25,6 +25,8 @@ from typing import Hashable, Iterator, Optional
 
 from repro.config import CostModel, DeviceConfig, TITAN_XP
 from repro.gpu.device import (
+    DEFAULT_TASK_SIZE,
+    SLATE_INJECT_FRAC,
     ExecState,
     ExecutionMode,
     KernelCounters,
@@ -45,17 +47,7 @@ __all__ = [
     "SlateScheduler",
     "SlateTicket",
     "WaitingQueue",
-    "DEFAULT_TASK_SIZE",
-    "SLATE_INJECT_FRAC",
 ]
-
-#: The paper's default task size ("We set the default task size as 10
-#: blocks", §V-B).
-DEFAULT_TASK_SIZE = 10
-
-#: Injected-instruction overhead: "about 4 million or 3% more instructions"
-#: for BlackScholes (§V-D1).
-SLATE_INJECT_FRAC = 0.03
 
 
 @dataclass

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from repro.config import CostModel, DeviceConfig, TITAN_XP
 from repro.gpu.cache import ORDER_FACTORS
+from repro.gpu.device import SLATE_INJECT_FRAC
 from repro.gpu.rates import RaggedTail, SchedulingMode, derive_rates, rate_input
 from repro.kernels.kernel import KernelSpec
 
@@ -36,7 +37,7 @@ def predict_kernel_time(
     n_sms: int | None = None,
     device: DeviceConfig = TITAN_XP,
     costs: CostModel = CostModel(),
-    inject_frac: float = 0.03,
+    inject_frac: float = SLATE_INJECT_FRAC,
 ) -> float:
     """Predicted solo Slate kernel time for ``spec`` at ``task_size``.
 

@@ -16,7 +16,12 @@ from repro.experiments import (
     tab5_operations,
     validation,
 )
+from repro.config import TESLA_V100, CostModel
+from repro.gpu.device import DEFAULT_TASK_SIZE
+from repro.gpu.rates import SchedulingMode, rate_input
+from repro.kernels.gaussian import gaussian
 from repro.slate.policy import policy_names
+from repro.slate.profiler import offline_profile
 
 
 class TestFig3:
@@ -75,6 +80,21 @@ class TestTab5:
 
     def test_format(self, result):
         assert "Table V" in tab5_operations.format_result(result)
+
+    def test_atomic_share_counts_the_devices_own_workers(self):
+        # V100 runs GS with 8 resident blocks on each of its 80 SMs: 640
+        # persistent workers share the queue pulls, not Titan Xp's 240.
+        gs = gaussian()
+        work = gs.work()
+        inp = rate_input(
+            work, TESLA_V100.num_sms, TESLA_V100, SchedulingMode.SLATE, DEFAULT_TASK_SIZE
+        )
+        assert inp.parallelism == 640
+        result = tab5_operations.run(device=TESLA_V100)
+        n_tasks = -(-work.num_blocks // DEFAULT_TASK_SIZE)
+        per_worker = n_tasks * CostModel().atomic_latency / 640
+        kernel_time = offline_profile(gs, TESLA_V100).elapsed
+        assert result.atomic_time_frac == pytest.approx(per_worker / kernel_time)
 
 
 class TestScaling:

@@ -40,10 +40,14 @@ class TestPredictRates:
         from dataclasses import replace
 
         from repro.config import TITAN_XP, CostModel
-        from repro.gpu.device import ExecutionMode, SimulatedGPU
+        from repro.gpu.device import (
+            DEFAULT_TASK_SIZE,
+            SLATE_INJECT_FRAC,
+            ExecutionMode,
+            SimulatedGPU,
+        )
         from repro.kernels.registry import SHORT_NAMES, by_name
         from repro.sim import Environment
-        from repro.slate.scheduler import DEFAULT_TASK_SIZE, SLATE_INJECT_FRAC
 
         for a in SHORT_NAMES:
             for b in SHORT_NAMES:
